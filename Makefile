@@ -1,12 +1,26 @@
 GO ?= go
 
-.PHONY: build test race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval bench-baseline check
+.PHONY: build vet test test-purego cross race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval bench-baseline check
 
 build:
 	$(GO) build ./...
 
+# vet's asmdecl check holds internal/tensor's assembly to its Go
+# declaration (argument offsets and frame size).
+vet:
+	$(GO) vet ./...
+
 test:
 	$(GO) test ./...
+
+# The whole suite with the AVX2 assembly compiled out (the purego tag), so
+# every test also passes on the Go axpy loop.
+test-purego:
+	$(GO) test -tags purego ./...
+
+# The fallback must build where there is no assembly at all.
+cross:
+	GOARCH=arm64 $(GO) build ./...
 
 # Full-epoch NC/LP pipelines and the kernel fan-out under the race
 # detector (the kernels spawn real goroutines even at GOMAXPROCS=1).
@@ -118,4 +132,4 @@ bench-baseline:
 # The full local gate: everything CI runs (test, race, race-pipeline,
 # and every benchmark floor including the end-to-end ingest and serving
 # paths).
-check: build test race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval
+check: build vet test test-purego cross race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval

@@ -2,7 +2,7 @@
 // evaluation (paper §7) at reduced scale so the full suite completes in
 // minutes. `go run ./cmd/benchtables` prints the same experiments at full
 // benchmark scale with paper-style formatting. The -v output of each
-// benchmark contains the measured rows; EXPERIMENTS.md records a full run.
+// benchmark contains the measured rows.
 package repro_test
 
 import (

@@ -41,9 +41,20 @@
 // every kernel in the forward/backward pass may fan out to n goroutines.
 // Kernel parallelism only ever partitions output rows or segments — no
 // floating-point reduction is ever split — so kernel results are bitwise
-// identical at every worker count. cmd/benchkernels measures the kernels
-// against retained naive references and writes BENCH_kernels.json (the
-// checked-in baseline); `make bench-kernels` re-runs it with hard floors.
+// identical at every worker count. Under the matmuls, the fused scoring
+// kernels and the segment sums sits one SIMD primitive, tensor's axpy
+// (y[j] += a·x[j]): AVX2 assembly on amd64 when CPUID reports it, a Go loop
+// elsewhere and under -tags purego, with no option to choose between them.
+// A lane owns one output element and rounds the product and the sum
+// separately, as the scalar loop does (a fused multiply-add would round
+// once, so it is forbidden), which makes the two paths bit-identical:
+// checkpoints, losses and served bytes do not depend on which one ran. Dot
+// products reach it by packing the right-hand rows into a transposed panel,
+// so the reduction runs down the lanes, never across them.
+//
+// cmd/benchkernels measures the kernels against retained naive references
+// and writes BENCH_kernels.json (the checked-in baseline); `make
+// bench-kernels` re-runs it with hard floors.
 //
 // # The arena
 //
@@ -202,9 +213,11 @@
 // # Determinism contract
 //
 // Kernels never reorder floating-point sums: parallel tiling, k-blocking,
-// unrolling, fusion, and the arena all preserve each output element's
-// exact accumulation order (enforced by exact-equality conformance tests
-// against the naive references). The pipeline preserves the trajectory on
+// SIMD lanes, fusion, and the arena all preserve each output element's
+// exact accumulation order and its separately rounded multiply and add
+// (enforced by bit-equality conformance tests against the naive
+// references, run on the assembly and on the Go loop, and by a checkpoint
+// differential between the two). The pipeline preserves the trajectory on
 // top of that: batches compute in exact plan order; each visit and batch
 // draws from its own pre-derived seed (so construction can run early, on
 // any worker, without touching a shared RNG stream); and base

@@ -3,6 +3,7 @@ package decoder
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/nn"
@@ -262,6 +263,44 @@ func TestTopKDeterministicTies(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("TopKSkip = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestTopKSkipEqualsFullSort holds the bounded selection to the order a
+// full sort gives (score descending, index ascending) on tie-heavy random
+// scores, for k from 0 to beyond the candidate count.
+func TestTopKSkipEqualsFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		scores := make([]float32, rng.Intn(60))
+		for i := range scores {
+			scores[i] = float32(rng.Intn(8)) // few distinct values: many ties
+		}
+		skip := func(id int32) bool { return id%3 == int32(trial%3) }
+		var all []int32
+		for i := range scores {
+			if !skip(int32(i)) {
+				all = append(all, int32(i))
+			}
+		}
+		sort.Slice(all, func(a, b int) bool {
+			if scores[all[a]] != scores[all[b]] {
+				return scores[all[a]] > scores[all[b]]
+			}
+			return all[a] < all[b]
+		})
+		for _, k := range []int{0, 1, 3, 10, len(scores), len(scores) + 5} {
+			got := TopKSkip(scores, k, skip)
+			want := all[:min(k, len(all))]
+			if len(got) != len(want) {
+				t.Fatalf("trial %d k=%d: %d ids, want %d", trial, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d k=%d: %v, want %v", trial, k, got, want)
+				}
+			}
 		}
 	}
 }

@@ -288,20 +288,27 @@ func TopK(scores []float32, k int) []int32 {
 // (skip == nil keeps everything). Serving uses it for filtered top-k:
 // known positives are skipped before ranking.
 func TopKSkip(scores []float32, k int, skip func(int32) bool) []int32 {
-	idx := make([]int32, 0, len(scores))
-	for i := range scores {
-		if skip == nil || !skip(int32(i)) {
-			idx = append(idx, int32(i))
-		}
+	// top holds the best candidates seen so far, best first, never more
+	// than k of them; candidates arrive by ascending index, so one enters
+	// ahead of a kept index only with a strictly higher score.
+	k = min(k, len(scores))
+	top := make([]int32, 0, k)
+	if k == 0 {
+		return top
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
+	for i, s := range scores {
+		if len(top) == k && !(s > scores[top[k-1]]) {
+			continue
 		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
+		if skip != nil && skip(int32(i)) {
+			continue
+		}
+		p := sort.Search(len(top), func(j int) bool { return scores[top[j]] < s })
+		if len(top) < k {
+			top = append(top, 0)
+		}
+		copy(top[p+1:], top[p:])
+		top[p] = int32(i)
 	}
-	return idx[:k]
+	return top
 }

@@ -9,7 +9,7 @@
 // machine's CPU running dense kernels. Absolute numbers therefore differ
 // from the paper; the comparisons within each table (which system/policy
 // wins, how ratios move with depth or partition counts) are the
-// reproduction targets, recorded in EXPERIMENTS.md.
+// reproduction targets.
 package experiments
 
 import (

@@ -25,18 +25,25 @@ import (
 // Hooks.BeforeBatch until gate is closed. MaxBatch 1 and QueueCap 1
 // make the saturation arithmetic exact: one request stuck in its
 // batch, one queued, everything else shed.
-func stallServer(t *testing.T, dir, ckptPath string, cfg serve.Config) (srv *serve.Server, unstall func()) {
+func stallServer(t *testing.T, dir, ckptPath string, cfg serve.Config) (srv *serve.Server, unstall func(), stalled <-chan struct{}) {
 	t.Helper()
 	gate := make(chan struct{})
+	entered := make(chan struct{}, 1) // holds the first batch's arrival
 	cfg.MaxBatch = 1
 	cfg.MaxWait = time.Millisecond
 	cfg.QueueCap = 1
-	cfg.Hooks = &serve.Hooks{BeforeBatch: func(int) { <-gate }}
+	cfg.Hooks = &serve.Hooks{BeforeBatch: func(int) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	}}
 	srv = startServer(t, dir, ckptPath, cfg)
 	var once sync.Once
 	unstall = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(unstall)
-	return srv, unstall
+	return srv, unstall, entered
 }
 
 // waitQueueDepth polls until the server's queue holds want requests.
@@ -58,7 +65,7 @@ func waitQueueDepth(t *testing.T, srv *serve.Server, want int) {
 func TestShedAtFullQueue(t *testing.T) {
 	dir := prepNC(t, 2)
 	ckptPath := train(t, dir, ncOpts, 1)[0]
-	srv, unstall := stallServer(t, dir, ckptPath, serve.Config{})
+	srv, unstall, stalled := stallServer(t, dir, ckptPath, serve.Config{})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
@@ -72,6 +79,11 @@ func TestShedAtFullQueue(t *testing.T) {
 				t.Error(err)
 			}
 		}()
+		if i == 0 {
+			// The second request fits the one-slot queue only once the
+			// dispatcher has taken the first into its stalled batch.
+			<-stalled
+		}
 	}
 	waitQueueDepth(t, srv, 1)
 
@@ -135,7 +147,7 @@ func TestShedAtFullQueue(t *testing.T) {
 func TestRequestTimeoutExpires(t *testing.T) {
 	dir := prepNC(t, 2)
 	ckptPath := train(t, dir, ncOpts, 1)[0]
-	srv, unstall := stallServer(t, dir, ckptPath, serve.Config{RequestTimeout: 50 * time.Millisecond})
+	srv, unstall, _ := stallServer(t, dir, ckptPath, serve.Config{RequestTimeout: 50 * time.Millisecond})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 

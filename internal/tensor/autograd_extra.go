@@ -47,10 +47,7 @@ func (tp *Tape) GatherSegmentSum(a *Node, idx []int32, offsets []int32) *Node {
 			grow := g.Row(s)
 			end := segmentEnd(offsets, s, len(idx))
 			for r := int(offsets[s]); r < end; r++ {
-				garow := ga.Row(int(idx[r]))
-				for j, v := range grow {
-					garow[j] += v
-				}
+				axpy(ga.Row(int(idx[r])), grow, 1)
 			}
 		}
 	})
@@ -71,10 +68,7 @@ func (tp *Tape) GatherSegmentMean(a *Node, idx []int32, offsets []int32) *Node {
 			inv := 1 / float32(cnt)
 			grow := g.Row(s)
 			for r := start; r < end; r++ {
-				garow := ga.Row(int(idx[r]))
-				for j, v := range grow {
-					garow[j] += v * inv
-				}
+				axpy(ga.Row(int(idx[r])), grow, inv)
 			}
 		}
 	})

@@ -21,6 +21,16 @@ import (
 // worker count. The worker knob trades latency, never numerics; the only
 // nondeterminism in multi-worker training is pipeline batch ordering.
 //
+// SIMD follows the same rule one level down. The kernels' inner loop is
+// axpy (kernels.go), AVX2 assembly where CPUID reports it and a Go loop
+// elsewhere; no setting chooses. No lane splits a reduction: a lane owns
+// one output element and performs that element's multiply and add in the
+// scalar loop's ascending order, each rounded separately. A fused
+// multiply-add is forbidden, since it rounds once and would change low
+// bits. The two paths are therefore bit-identical (NaN payloads aside,
+// which no kernel promises), and checkpoints, losses and served bytes do
+// not depend on which one a machine runs.
+//
 // A nil *Compute is valid and behaves as the package default: up to
 // GOMAXPROCS workers, heap-allocated outputs. The free kernel functions
 // (MatMul, Gather, ...) run on this default context.
@@ -90,26 +100,35 @@ func (c *Compute) serialFor(n, work int) bool {
 	return n < 2 || work < parallelThreshold || c.maxWorkers() <= 1
 }
 
+// scratch returns n floats of kernel working memory, from the arena when
+// one is attached (so it is recycled with the batch), else from the heap.
+func (c *Compute) scratch(n int) []float32 {
+	if c == nil || c.arena == nil {
+		return make([]float32, n)
+	}
+	return c.arena.take(n)
+}
+
+// split returns the length and the number of the contiguous chunks fanOut
+// cuts [0, n) into; chunk i starts at i*chunk.
+func (c *Compute) split(n int) (chunk, parts int) {
+	workers := min(c.maxWorkers(), n)
+	chunk = (n + workers - 1) / workers
+	return chunk, (n + chunk - 1) / chunk
+}
+
 // fanOut splits [0, n) into contiguous chunks and runs fn on each
 // concurrently. fn must only write state owned by its range. Callers have
 // already ruled out the serial case via serialFor.
 func (c *Compute) fanOut(n int, fn func(start, end int)) {
-	workers := c.maxWorkers()
-	if workers > n {
-		workers = n
-	}
+	chunk, _ := c.split(n)
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
 	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
 		wg.Add(1)
 		go func(s, e int) {
 			defer wg.Done()
 			fn(s, e)
-		}(start, end)
+		}(start, min(start+chunk, n))
 	}
 	wg.Wait()
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -12,7 +13,9 @@ import (
 // with and without an arena. Because no kernel reorders floating-point
 // sums, the comparison is exact equality, not epsilon closeness: any
 // blocking or partitioning change that altered summation order would fail
-// here immediately.
+// here immediately. Every test runs on both axpy paths — the AVX2 assembly,
+// when the machine has it, and the Go loop — so each path is held to the
+// references on its own.
 
 // contexts returns the compute configurations conformance runs under.
 // Worker counts above 1 spawn real goroutines even on a single-CPU
@@ -26,16 +29,52 @@ func contexts() map[string]*Compute {
 	}
 }
 
-// exactEqual demands identical shape and element-wise == (which treats
-// -0 and +0 as equal; inputs are finite).
+// forEachContext runs f as a subtest under every compute configuration on
+// every axpy path.
+func forEachContext(t *testing.T, f func(t *testing.T, c *Compute)) {
+	for _, avx2 := range axpyPaths() {
+		for name, c := range contexts() {
+			t.Run(fmt.Sprintf("avx2=%v/%s", avx2, name), func(t *testing.T) {
+				setAVX2(t, avx2)
+				f(t, c)
+			})
+		}
+	}
+}
+
+// axpyPaths lists the values of useAVX2 this machine can run.
+func axpyPaths() []bool {
+	if hasAVX2() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// setAVX2 selects the axpy path for the rest of the test.
+func setAVX2(t *testing.T, on bool) {
+	saved := useAVX2
+	useAVX2 = on
+	t.Cleanup(func() { useAVX2 = saved })
+}
+
+// sameBits reports whether two results are the same float32 bit pattern,
+// so -0 differs from +0. All NaNs count as one value: which operand's
+// payload a NaN result carries is up to the instruction's operand order,
+// which Go does not pin, and no kernel promises it.
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// exactEqual demands identical shape and bit-identical elements.
 func exactEqual(t *testing.T, name string, got, want *Tensor) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("%s: element %d = %v, want %v (exact)", name, i, got.Data[i], want.Data[i])
+		if !sameBits(got.Data[i], want.Data[i]) {
+			t.Fatalf("%s: element %d = %v (%#08x), want %v (%#08x)", name, i,
+				got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
 		}
 	}
 }
@@ -90,35 +129,31 @@ func randIdx(rng *rand.Rand, n, rows int) []int32 {
 }
 
 func TestConformanceMatMulFamily(t *testing.T) {
-	for name, c := range contexts() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(101))
-			for trial := 0; trial < 60; trial++ {
-				n, k, m := randDim(rng), randDim(rng), randDim(rng)
-				a, b := randn(rng, n, k), randn(rng, k, m)
-				exactEqual(t, fmt.Sprintf("MatMul %dx%dx%d", n, k, m),
-					c.MatMul(a, b), RefMatMul(a, b))
-			}
-		})
-	}
+	forEachContext(t, func(t *testing.T, c *Compute) {
+		rng := rand.New(rand.NewSource(101))
+		for trial := 0; trial < 60; trial++ {
+			n, k, m := randDim(rng), randDim(rng), randDim(rng)
+			a, b := randn(rng, n, k), randn(rng, k, m)
+			exactEqual(t, fmt.Sprintf("MatMul %dx%dx%d", n, k, m),
+				c.MatMul(a, b), RefMatMul(a, b))
+		}
+	})
 }
 
 func TestConformanceMatMulTransposes(t *testing.T) {
-	for name, c := range contexts() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(102))
-			for trial := 0; trial < 60; trial++ {
-				k := randDim(rng)
-				a := randn(rng, randDim(rng), k)
-				b := randn(rng, randDim(rng), k)
-				exactEqual(t, "MatMulTransposeB", c.MatMulTransposeB(a, b), RefMatMulTransposeB(a, b))
+	forEachContext(t, func(t *testing.T, c *Compute) {
+		rng := rand.New(rand.NewSource(102))
+		for trial := 0; trial < 60; trial++ {
+			k := randDim(rng)
+			a := randn(rng, randDim(rng), k)
+			b := randn(rng, randDim(rng), k)
+			exactEqual(t, "MatMulTransposeB", c.MatMulTransposeB(a, b), RefMatMulTransposeB(a, b))
 
-				ta := randn(rng, k, randDim(rng))
-				tb := randn(rng, k, randDim(rng))
-				exactEqual(t, "MatMulTransposeA", c.MatMulTransposeA(ta, tb), RefMatMulTransposeA(ta, tb))
-			}
-		})
-	}
+			ta := randn(rng, k, randDim(rng))
+			tb := randn(rng, k, randDim(rng))
+			exactEqual(t, "MatMulTransposeA", c.MatMulTransposeA(ta, tb), RefMatMulTransposeA(ta, tb))
+		}
+	})
 }
 
 // refMatMulSeeded folds a@b terms onto out's existing values in
@@ -154,83 +189,77 @@ func TestConformanceInPlaceAccumulate(t *testing.T) {
 	// fold terms onto the seed ascending in p; the dot-product kernel adds
 	// its complete zero-seeded dot in one addition — and the references
 	// here reproduce those orders so equality is exact.
-	for name, c := range contexts() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(103))
-			for trial := 0; trial < 40; trial++ {
-				n, k, m := randDim(rng), randDim(rng), randDim(rng)
-				a, b := randn(rng, n, k), randn(rng, k, m)
-				init := randn(rng, n, m)
+	forEachContext(t, func(t *testing.T, c *Compute) {
+		rng := rand.New(rand.NewSource(103))
+		for trial := 0; trial < 40; trial++ {
+			n, k, m := randDim(rng), randDim(rng), randDim(rng)
+			a, b := randn(rng, n, k), randn(rng, k, m)
+			init := randn(rng, n, m)
 
-				out := init.Clone()
-				c.MatMulInto(out, a, b, true)
-				want := init.Clone()
-				refMatMulSeeded(want, a, b)
-				exactEqual(t, "MatMulInto accumulate", out, want)
+			out := init.Clone()
+			c.MatMulInto(out, a, b, true)
+			want := init.Clone()
+			refMatMulSeeded(want, a, b)
+			exactEqual(t, "MatMulInto accumulate", out, want)
 
-				// Gradient-shaped accumulations for the transpose variants.
-				g := randn(rng, n, m)
-				ga := randn(rng, n, k)
-				gaWant := ga.Clone()
-				c.MatMulTransposeBInto(ga, g, b, true)
-				gp := RefMatMulTransposeB(g, b)
-				gaWant.AddInPlace(gp)
-				exactEqual(t, "MatMulTransposeBInto accumulate", ga, gaWant)
+			// Gradient-shaped accumulations for the transpose variants.
+			g := randn(rng, n, m)
+			ga := randn(rng, n, k)
+			gaWant := ga.Clone()
+			c.MatMulTransposeBInto(ga, g, b, true)
+			gp := RefMatMulTransposeB(g, b)
+			gaWant.AddInPlace(gp)
+			exactEqual(t, "MatMulTransposeBInto accumulate", ga, gaWant)
 
-				gb := randn(rng, k, m)
-				gbWant := gb.Clone()
-				c.MatMulTransposeAInto(gb, a, g, true)
-				refMatMulTASeeded(gbWant, a, g)
-				exactEqual(t, "MatMulTransposeAInto accumulate", gb, gbWant)
-			}
-		})
-	}
+			gb := randn(rng, k, m)
+			gbWant := gb.Clone()
+			c.MatMulTransposeAInto(gb, a, g, true)
+			refMatMulTASeeded(gbWant, a, g)
+			exactEqual(t, "MatMulTransposeAInto accumulate", gb, gbWant)
+		}
+	})
 }
 
 func TestConformanceGatherAndSegments(t *testing.T) {
-	for name, c := range contexts() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(104))
-			for trial := 0; trial < 60; trial++ {
-				rows, cols := randDim(rng)+1, randDim(rng)
-				a := randn(rng, rows, cols)
-				idx := randIdx(rng, randDim(rng), rows)
-				exactEqual(t, "Gather", c.Gather(a, idx), RefGather(a, idx))
+	forEachContext(t, func(t *testing.T, c *Compute) {
+		rng := rand.New(rand.NewSource(104))
+		for trial := 0; trial < 60; trial++ {
+			rows, cols := randDim(rng)+1, randDim(rng)
+			a := randn(rng, rows, cols)
+			idx := randIdx(rng, randDim(rng), rows)
+			exactEqual(t, "Gather", c.Gather(a, idx), RefGather(a, idx))
 
-				offs := randOffsets(rng, a.Rows)
-				if offs == nil && a.Rows != 0 {
-					offs = []int32{0}
-				}
-				exactEqual(t, "SegmentSum", c.SegmentSum(a, offs), RefSegmentSum(a, offs))
-				exactEqual(t, "SegmentMean", c.SegmentMean(a, offs), RefSegmentMean(a, offs))
-
-				gOffs := randOffsets(rng, len(idx))
-				if gOffs == nil && len(idx) != 0 {
-					gOffs = []int32{0}
-				}
-				exactEqual(t, "GatherSegmentSum",
-					c.GatherSegmentSum(a, idx, gOffs), RefGatherSegmentSum(a, idx, gOffs))
-				exactEqual(t, "GatherSegmentMean",
-					c.GatherSegmentMean(a, idx, gOffs), RefGatherSegmentMean(a, idx, gOffs))
+			offs := randOffsets(rng, a.Rows)
+			if offs == nil && a.Rows != 0 {
+				offs = []int32{0}
 			}
-		})
-	}
+			exactEqual(t, "SegmentSum", c.SegmentSum(a, offs), RefSegmentSum(a, offs))
+			exactEqual(t, "SegmentMean", c.SegmentMean(a, offs), RefSegmentMean(a, offs))
+
+			gOffs := randOffsets(rng, len(idx))
+			if gOffs == nil && len(idx) != 0 {
+				gOffs = []int32{0}
+			}
+			exactEqual(t, "GatherSegmentSum",
+				c.GatherSegmentSum(a, idx, gOffs), RefGatherSegmentSum(a, idx, gOffs))
+			exactEqual(t, "GatherSegmentMean",
+				c.GatherSegmentMean(a, idx, gOffs), RefGatherSegmentMean(a, idx, gOffs))
+		}
+	})
 }
 
 func TestConformanceGatherMatMulTB(t *testing.T) {
-	for name, c := range contexts() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(105))
-			for trial := 0; trial < 60; trial++ {
-				k := randDim(rng)
-				table := randn(rng, randDim(rng)+1, k)
-				a := randn(rng, randDim(rng), k)
-				idx := randIdx(rng, randDim(rng), table.Rows)
-				exactEqual(t, "GatherMatMulTB",
-					c.GatherMatMulTB(a, table, idx), RefGatherMatMulTB(a, table, idx))
-			}
-		})
-	}
+	forEachContext(t, func(t *testing.T, c *Compute) {
+		rng := rand.New(rand.NewSource(105))
+		for trial := 0; trial < 60; trial++ {
+			k := randDim(rng)
+			table := randn(rng, randDim(rng)+1, k)
+			a := randn(rng, randDim(rng), k)
+			idx := randIdx(rng, randDim(rng), table.Rows)
+			exactEqual(t, "GatherMatMulTB",
+				c.GatherMatMulTB(a, table, idx), RefGatherMatMulTB(a, table, idx))
+		}
+	})
 }
 
 func TestConformanceSoftmaxKernels(t *testing.T) {
@@ -238,22 +267,20 @@ func TestConformanceSoftmaxKernels(t *testing.T) {
 	// unchanged per-row arithmetic, so they too must match exactly across
 	// worker counts (serial context is the reference).
 	serial := NewCompute(1, nil)
-	for name, c := range contexts() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(106))
-			for trial := 0; trial < 40; trial++ {
-				a := randn(rng, randDim(rng), randDim(rng)+1)
-				exactEqual(t, "RowSoftmax", c.RowSoftmax(a), serial.RowSoftmax(a))
+	forEachContext(t, func(t *testing.T, c *Compute) {
+		rng := rand.New(rand.NewSource(106))
+		for trial := 0; trial < 40; trial++ {
+			a := randn(rng, randDim(rng), randDim(rng)+1)
+			exactEqual(t, "RowSoftmax", c.RowSoftmax(a), serial.RowSoftmax(a))
 
-				v := randn(rng, randDim(rng), 1)
-				offs := randOffsets(rng, v.Rows)
-				if offs == nil && v.Rows != 0 {
-					offs = []int32{0}
-				}
-				exactEqual(t, "SegmentSoftmax", c.SegmentSoftmax(v, offs), serial.SegmentSoftmax(v, offs))
+			v := randn(rng, randDim(rng), 1)
+			offs := randOffsets(rng, v.Rows)
+			if offs == nil && v.Rows != 0 {
+				offs = []int32{0}
 			}
-		})
-	}
+			exactEqual(t, "SegmentSoftmax", c.SegmentSoftmax(v, offs), serial.SegmentSoftmax(v, offs))
+		}
+	})
 }
 
 func TestKernelsBitwiseIndependentOfWorkersAndArena(t *testing.T) {

@@ -10,8 +10,16 @@ import (
 // run on the default context (GOMAXPROCS workers, heap outputs). All of
 // them preserve floating-point summation order exactly — see the Compute
 // doc — so a kernel's result is bitwise independent of the worker count,
-// the arena, and the blocking, and matches the naive references in
-// reference.go.
+// the arena, the blocking and the SIMD path, and matches the naive
+// references in reference.go.
+//
+// The inner loop of the matmuls, the fused scoring kernels and the segment
+// sums is one primitive, axpy (y[j] += a*x[j]), in AVX2 assembly where the
+// CPU has it. The lane rule that keeps it bit-identical to the Go loop: no
+// lane splits a reduction — a lane owns one output element for the whole
+// sum — and the multiply and the add are rounded separately. FMA is
+// forbidden: it rounds a*x+y once, which changes low bits against the
+// scalar loop and would make checkpoints depend on the machine's path.
 //
 // Each kernel's loop body lives in a named range function; the serial path
 // calls it directly so that single-worker execution — the deterministic
@@ -54,26 +62,43 @@ func matmulRange(out, a, b *Tensor, start, end int) {
 				if av == 0 {
 					continue
 				}
-				axpyUnrolled(orow, b.Data[p*m:(p+1)*m], av)
+				axpy(orow, b.Data[p*m:(p+1)*m], av)
 			}
 		}
 	}
 }
 
-// axpyUnrolled computes orow[j] += av*brow[j] with 4-wide unrolling. Each
-// element is a single fused term, so unrolling cannot reorder any sum.
-func axpyUnrolled(orow, brow []float32, av float32) {
-	j := 0
-	for ; j+3 < len(brow); j += 4 {
-		o := orow[j : j+4 : j+4]
-		b4 := brow[j : j+4 : j+4]
-		o[0] += av * b4[0]
-		o[1] += av * b4[1]
-		o[2] += av * b4[2]
-		o[3] += av * b4[3]
+// useAVX2 is decided once at start-up from what the CPU reports, never from
+// a setting; tests clear it to run the Go loop on the same machine.
+var useAVX2 = hasAVX2()
+
+// axpy computes y[j] += a*x[j] for j < len(x): the assembly when the CPU
+// has AVX2, else the Go loop. Both round the product, then the sum, one
+// element per lane or iteration, so they produce the same bits (see the
+// lane rule at the top of this file).
+func axpy(y, x []float32, a float32) {
+	if useAVX2 {
+		axpyAVX2(y[:len(x)], x, a)
+		return
 	}
-	for ; j < len(brow); j++ {
-		orow[j] += av * brow[j]
+	axpyGo(y, x, a)
+}
+
+// axpyGo is axpy on every platform without the assembly, and the reference
+// the assembly is tested against. 4-wide unrolling cannot reorder a sum:
+// each element is a single term.
+func axpyGo(y, x []float32, a float32) {
+	j := 0
+	for ; j+3 < len(x); j += 4 {
+		o := y[j : j+4 : j+4]
+		b4 := x[j : j+4 : j+4]
+		o[0] += a * b4[0]
+		o[1] += a * b4[1]
+		o[2] += a * b4[2]
+		o[3] += a * b4[3]
+	}
+	for ; j < len(x); j++ {
+		y[j] += a * x[j]
 	}
 }
 
@@ -118,7 +143,7 @@ func matmulTARange(out, a, b *Tensor, start, end int) {
 			if av == 0 {
 				continue
 			}
-			axpyUnrolled(out.Data[i*m:(i+1)*m], brow, av)
+			axpy(out.Data[i*m:(i+1)*m], brow, av)
 		}
 	}
 }
@@ -152,46 +177,106 @@ func (c *Compute) MatMulTransposeB(a, b *Tensor) *Tensor {
 	return out
 }
 
-// matmulTBRange computes one zero-seeded dot product per output element
-// and either stores it or adds it to the existing value in one addition.
-// Output columns are processed in pairs — two independent dot products per
-// pass over arow — which doubles ILP without touching any element's own
-// ascending-p accumulation order.
-func matmulTBRange(out, a, b *Tensor, accumulate bool, start, end int) {
-	k, m := a.Cols, b.Rows
-	for i := start; i < end; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*m : (i+1)*m]
-		j := 0
-		for ; j+1 < m; j += 2 {
-			b0 := b.Data[j*k : (j+1)*k : (j+1)*k]
-			b1 := b.Data[(j+1)*k : (j+2)*k : (j+2)*k]
-			var s0, s1 float32
-			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-			}
-			if accumulate {
-				orow[j] += s0
-				orow[j+1] += s1
-			} else {
-				orow[j] = s0
-				orow[j+1] = s1
+// tbSource names the rows B[j] on the right of an a@Bᵀ product: row j of
+// table, row idx[j] of table when idx is set (the fused gather), or the
+// dequantized row of q in place of table (the fused dequantizing gather).
+type tbSource struct {
+	table *Tensor
+	q     *QTable
+	idx   []int32
+}
+
+// row returns B[j], dequantized into buf when the source is quantized.
+func (s tbSource) row(j int, buf []float32) []float32 {
+	if s.idx != nil {
+		j = int(s.idx[j])
+	}
+	if s.q != nil {
+		s.q.DequantRowInto(j, buf)
+		return buf
+	}
+	k := s.table.Cols
+	return s.table.Data[j*k : j*k+k]
+}
+
+// panelFloats caps the transposed panel at 32 KiB, so it stays in the L1
+// cache while every row of a streams across it.
+const panelFloats = 1 << 13
+
+// tbBlock returns how many of w output columns one panel holds for inner
+// dimension k: a multiple of 8 that fits panelFloats, at least 8.
+func tbBlock(k, w int) int {
+	return min(max(panelFloats/max(k, 1)&^7, 8), w)
+}
+
+// tbScratch is the working memory tbRange needs for w output columns: the
+// panel, one row of sums, and one dequantized row.
+func tbScratch(k, w int) int { return (k+1)*tbBlock(k, w) + k }
+
+// tbRange computes out[i][j] = ⟨a[i], B[j]⟩ for i in [i0, i1), j in
+// [j0, j1), or adds it to out with accumulate. A dot product is a
+// horizontal reduction, which axpy must not split across lanes; so the
+// rows B[j] are packed, a block of columns at a time, into a transposed
+// [k x block] panel — each B[j] fetched (and dequantized) once — and every
+// output row becomes Σ_p a[i][p]·panel[p]: k axpys in which lane j owns
+// element j. Each element is still one zero-seeded ascending-p sum, and
+// with accumulate that complete sum joins out in a single addition.
+func tbRange(out, a *Tensor, src tbSource, accumulate bool, scratch []float32, i0, i1, j0, j1 int) {
+	k, m := a.Cols, out.Cols
+	jb := tbBlock(k, j1-j0)
+	panel, sums, buf := scratch[:k*jb], scratch[k*jb:(k+1)*jb], scratch[(k+1)*jb:][:k]
+	for ; j0 < j1; j0 += jb {
+		w := min(jb, j1-j0)
+		for j := 0; j < w; j++ {
+			for p, v := range src.row(j0+j, buf) {
+				panel[p*jb+j] = v
 			}
 		}
-		if j < m {
-			brow := b.Data[j*k : (j+1)*k]
-			var s float32
-			for p, av := range arow {
-				s += av * brow[p]
+		for i := i0; i < i1; i++ {
+			orow := out.Data[i*m+j0 : i*m+j0+w]
+			dst := orow
+			if accumulate {
+				dst = sums[:w]
+			}
+			clear(dst)
+			for p, av := range a.Data[i*k : (i+1)*k] {
+				axpy(dst, panel[p*jb:p*jb+w], av)
 			}
 			if accumulate {
-				orow[j] += s
-			} else {
-				orow[j] = s
+				axpy(orow, dst, 1)
 			}
 		}
 	}
+}
+
+// mulTB runs tbRange over all of out, split along whichever output axis is
+// longer: rows for a training batch against its negatives, columns for a
+// few queries against every node (so each looked-up row is still packed
+// once). Scratch comes from the arena when there is one, taken before the
+// fan-out because an arena serves one goroutine.
+func (c *Compute) mulTB(out, a *Tensor, src tbSource, accumulate bool) {
+	n, k, m := a.Rows, a.Cols, out.Cols
+	byCols := m > n
+	span := max(n, m)
+	if c.serialFor(span, n*k*m) {
+		tbRange(out, a, src, accumulate, c.scratch(tbScratch(k, m)), 0, n, 0, m)
+		return
+	}
+	chunk, parts := c.split(span)
+	width := m // output columns one range covers
+	if byCols {
+		width = chunk
+	}
+	per := tbScratch(k, width)
+	scratch := c.scratch(parts * per)
+	c.fanOut(span, func(s, e int) {
+		buf := scratch[s/chunk*per:][:per]
+		if byCols {
+			tbRange(out, a, src, accumulate, buf, 0, n, s, e)
+		} else {
+			tbRange(out, a, src, accumulate, buf, s, e, 0, m)
+		}
+	})
 }
 
 // MatMulTransposeBInto computes out = a@bᵀ for a [n x k], b [m x k],
@@ -202,12 +287,7 @@ func (c *Compute) MatMulTransposeBInto(out, a, b *Tensor, accumulate bool) {
 		panic(fmt.Sprintf("tensor: MatMulTransposeBInto shape mismatch %dx%d, %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	n, k, m := a.Rows, a.Cols, b.Rows
-	if c.serialFor(n, n*k*m) {
-		matmulTBRange(out, a, b, accumulate, 0, n)
-		return
-	}
-	c.fanOut(n, func(s, e int) { matmulTBRange(out, a, b, accumulate, s, e) })
+	c.mulTB(out, a, tbSource{table: b}, accumulate)
 }
 
 // Gather returns the rows of a selected by idx, in order. This is the
@@ -244,11 +324,7 @@ func ScatterAdd(dst, src *Tensor, idx []int32) {
 	}
 	c := dst.Cols
 	for i, id := range idx {
-		drow := dst.Data[int(id)*c : int(id)*c+c]
-		srow := src.Data[i*c : (i+1)*c]
-		for j, v := range srow {
-			drow[j] += v
-		}
+		axpy(dst.Data[int(id)*c:int(id)*c+c], src.Data[i*c:(i+1)*c], 1)
 	}
 }
 
@@ -262,53 +338,13 @@ func GatherMatMulTB(a, table *Tensor, idx []int32) *Tensor {
 	return (*Compute)(nil).GatherMatMulTB(a, table, idx)
 }
 
-// gatherMatMulTBRange iterates looked-up rows in the outer loop, in pairs,
-// so each scattered table row is fetched once (m row-jumps total instead
-// of (end-start)*m) and the rows of a stream sequentially with two
-// independent dot products per pass. Each output element remains one
-// zero-seeded ascending-p dot product.
-func gatherMatMulTBRange(out, a, table *Tensor, idx []int32, start, end int) {
-	k, m := a.Cols, len(idx)
-	j := 0
-	for ; j+1 < m; j += 2 {
-		t0 := table.Data[int(idx[j])*k : int(idx[j])*k+k : int(idx[j])*k+k]
-		t1 := table.Data[int(idx[j+1])*k : int(idx[j+1])*k+k : int(idx[j+1])*k+k]
-		for i := start; i < end; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			var s0, s1 float32
-			for p, av := range arow {
-				s0 += av * t0[p]
-				s1 += av * t1[p]
-			}
-			out.Data[i*m+j] = s0
-			out.Data[i*m+j+1] = s1
-		}
-	}
-	if j < m {
-		trow := table.Data[int(idx[j])*k : int(idx[j])*k+k]
-		for i := start; i < end; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			var s float32
-			for p, av := range arow {
-				s += av * trow[p]
-			}
-			out.Data[i*m+j] = s
-		}
-	}
-}
-
 // GatherMatMulTB computes out[i][j] = ⟨a[i], table[idx[j]]⟩ fused.
 func (c *Compute) GatherMatMulTB(a, table *Tensor, idx []int32) *Tensor {
 	if a.Cols != table.Cols {
 		panic(fmt.Sprintf("tensor: GatherMatMulTB width mismatch %d vs %d", a.Cols, table.Cols))
 	}
-	n, k, m := a.Rows, a.Cols, len(idx)
-	out := c.alloc(n, m)
-	if c.serialFor(n, n*k*m) {
-		gatherMatMulTBRange(out, a, table, idx, 0, n)
-		return out
-	}
-	c.fanOut(n, func(s, e int) { gatherMatMulTBRange(out, a, table, idx, s, e) })
+	out := c.alloc(a.Rows, len(idx))
+	c.mulTB(out, a, tbSource{table: table, idx: idx}, false)
 	return out
 }
 
@@ -321,10 +357,7 @@ func matMulGatherRange(out, g, table *Tensor, idx []int32, start, end int) {
 			if gv == 0 {
 				continue
 			}
-			trow := table.Data[int(idx[j])*k : int(idx[j])*k+k]
-			for p, tv := range trow {
-				orow[p] += gv * tv
-			}
+			axpy(orow, table.Data[int(idx[j])*k:int(idx[j])*k+k], gv)
 		}
 	}
 }
@@ -360,10 +393,7 @@ func gatherSegmentSumRange(out, a *Tensor, idx, offsets []int32, lo, hi int) {
 		orow := out.Data[s*cl : (s+1)*cl]
 		end := segmentEnd(offsets, s, len(idx))
 		for r := int(offsets[s]); r < end; r++ {
-			arow := a.Data[int(idx[r])*cl : int(idx[r])*cl+cl]
-			for j, v := range arow {
-				orow[j] += v
-			}
+			axpy(orow, a.Data[int(idx[r])*cl:int(idx[r])*cl+cl], 1)
 		}
 	}
 }
@@ -451,10 +481,7 @@ func segmentSumRange(out, a *Tensor, offsets []int32, lo, hi int) {
 		orow := out.Data[s*cl : (s+1)*cl]
 		end := segmentEnd(offsets, s, a.Rows)
 		for r := int(offsets[s]); r < end; r++ {
-			arow := a.Data[r*cl : (r+1)*cl]
-			for j, v := range arow {
-				orow[j] += v
-			}
+			axpy(orow, a.Data[r*cl:(r+1)*cl], 1)
 		}
 	}
 }

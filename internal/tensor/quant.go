@@ -284,77 +284,12 @@ func GatherMatMulTBDequant(a *Tensor, q *QTable, idx []int32) *Tensor {
 	return (*Compute)(nil).GatherMatMulTBDequant(a, q, idx)
 }
 
-// gatherMatMulTBDequantRange computes the output columns [jstart, jend):
-// each looked-up row is dequantized exactly once into a scratch buffer
-// (paired, like gatherMatMulTBRange's looked-up-rows-outer loop), then
-// dotted against every query row. Parallelism splits the looked-up axis,
-// so the whole op dequantizes each candidate row once no matter the
-// worker count — and each output element is still one zero-seeded
-// ascending-p dot product, so results are bitwise identical to
-// GatherMatMulTB over the materialized table at any fan-out.
-func gatherMatMulTBDequantRange(out, a *Tensor, q *QTable, idx []int32, jstart, jend int) {
-	n, k, m := a.Rows, a.Cols, len(idx)
-	buf := make([]float32, 2*k)
-	r0, r1 := buf[:k:k], buf[k:]
-	j := jstart
-	for ; j+1 < jend; j += 2 {
-		q.DequantRowInto(int(idx[j]), r0)
-		q.DequantRowInto(int(idx[j+1]), r1)
-		i := 0
-		// 2x2 register tile: the dequantized pair is reused across two
-		// query rows per pass. Each accumulator remains one zero-seeded
-		// ascending-p sum, so tiling does not perturb a single bit.
-		for ; i+1 < n; i += 2 {
-			a0 := a.Data[i*k : (i+1)*k : (i+1)*k]
-			a1 := a.Data[(i+1)*k : (i+2)*k : (i+2)*k]
-			var s00, s01, s10, s11 float32
-			for p, av := range a0 {
-				bv0, bv1 := r0[p], r1[p]
-				s00 += av * bv0
-				s01 += av * bv1
-				s10 += a1[p] * bv0
-				s11 += a1[p] * bv1
-			}
-			out.Data[i*m+j] = s00
-			out.Data[i*m+j+1] = s01
-			out.Data[(i+1)*m+j] = s10
-			out.Data[(i+1)*m+j+1] = s11
-		}
-		for ; i < n; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			var s0, s1 float32
-			for p, av := range arow {
-				s0 += av * r0[p]
-				s1 += av * r1[p]
-			}
-			out.Data[i*m+j] = s0
-			out.Data[i*m+j+1] = s1
-		}
-	}
-	if j < jend {
-		q.DequantRowInto(int(idx[j]), r0)
-		for i := 0; i < n; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			var s float32
-			for p, av := range arow {
-				s += av * r0[p]
-			}
-			out.Data[i*m+j] = s
-		}
-	}
-}
-
 // GatherMatMulTBDequant computes out[i][j] = ⟨a[i], dequant(q[idx[j]])⟩.
 func (c *Compute) GatherMatMulTBDequant(a *Tensor, q *QTable, idx []int32) *Tensor {
 	if a.Cols != q.Cols {
 		panic(fmt.Sprintf("tensor: GatherMatMulTBDequant width mismatch %d vs %d", a.Cols, q.Cols))
 	}
-	n, k, m := a.Rows, a.Cols, len(idx)
-	out := c.alloc(n, m)
-	if c.serialFor(m, n*k*m) {
-		gatherMatMulTBDequantRange(out, a, q, idx, 0, m)
-		return out
-	}
-	c.fanOut(m, func(s, e int) { gatherMatMulTBDequantRange(out, a, q, idx, s, e) })
+	out := c.alloc(a.Rows, len(idx))
+	c.mulTB(out, a, tbSource{q: q, idx: idx}, false)
 	return out
 }

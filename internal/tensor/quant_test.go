@@ -88,45 +88,41 @@ var quantKinds = []QuantKind{QuantF16, QuantI8}
 // TestConformanceGatherDequant checks the fused dequantizing gather
 // against the unfused reference composition, exactly, across contexts.
 func TestConformanceGatherDequant(t *testing.T) {
-	for name, c := range contexts() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(71))
-			for trial := 0; trial < 60; trial++ {
-				rows, cols := randDim(rng), randDim(rng)
-				table := New(rows, cols)
-				table.RandNormal(rng, 1)
-				idx := randIdx(rng, randDim(rng), rows)
-				for _, kind := range quantKinds {
-					q := Quantize(table, kind)
-					got := c.GatherDequant(q, idx)
-					exactEqual(t, fmt.Sprintf("GatherDequant/%s", kind), got, RefGatherDequant(q, idx))
-				}
+	forEachContext(t, func(t *testing.T, c *Compute) {
+		rng := rand.New(rand.NewSource(71))
+		for trial := 0; trial < 60; trial++ {
+			rows, cols := randDim(rng), randDim(rng)
+			table := New(rows, cols)
+			table.RandNormal(rng, 1)
+			idx := randIdx(rng, randDim(rng), rows)
+			for _, kind := range quantKinds {
+				q := Quantize(table, kind)
+				got := c.GatherDequant(q, idx)
+				exactEqual(t, fmt.Sprintf("GatherDequant/%s", kind), got, RefGatherDequant(q, idx))
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestConformanceGatherMatMulTBDequant checks the fused dequantizing
 // score kernel against the unfused reference composition, exactly.
 func TestConformanceGatherMatMulTBDequant(t *testing.T) {
-	for name, c := range contexts() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(72))
-			for trial := 0; trial < 60; trial++ {
-				n, k := randDim(rng), randDim(rng)
-				a := New(n, k)
-				a.RandNormal(rng, 1)
-				table := New(randDim(rng)+1, k)
-				table.RandNormal(rng, 1)
-				idx := randIdx(rng, randDim(rng), table.Rows)
-				for _, kind := range quantKinds {
-					q := Quantize(table, kind)
-					got := c.GatherMatMulTBDequant(a, q, idx)
-					exactEqual(t, fmt.Sprintf("GatherMatMulTBDequant/%s", kind), got, RefGatherMatMulTBDequant(a, q, idx))
-				}
+	forEachContext(t, func(t *testing.T, c *Compute) {
+		rng := rand.New(rand.NewSource(72))
+		for trial := 0; trial < 60; trial++ {
+			n, k := randDim(rng), randDim(rng)
+			a := New(n, k)
+			a.RandNormal(rng, 1)
+			table := New(randDim(rng)+1, k)
+			table.RandNormal(rng, 1)
+			idx := randIdx(rng, randDim(rng), table.Rows)
+			for _, kind := range quantKinds {
+				q := Quantize(table, kind)
+				got := c.GatherMatMulTBDequant(a, q, idx)
+				exactEqual(t, fmt.Sprintf("GatherMatMulTBDequant/%s", kind), got, RefGatherMatMulTBDequant(a, q, idx))
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestQuantDeterministicAcrossWorkers pins the determinism contract the

@@ -34,10 +34,7 @@ func BenchTrainStep(c *Compute, h0, w1, w2, dh0 *Tensor, idx, offsets []int32) *
 		grow := dagg.Row(s)
 		end := segmentEnd(offsets, s, len(idx))
 		for r := int(offsets[s]); r < end; r++ {
-			row := dh0.Row(int(idx[r]))
-			for j, v := range grow {
-				row[j] += v
-			}
+			axpy(dh0.Row(int(idx[r])), grow, 1)
 		}
 	}
 	return z2
