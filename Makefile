@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-purego cross race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval bench-baseline check
+.PHONY: build vet test test-purego cross loc bench-module race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval bench-baseline check
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,21 @@ test-purego:
 cross:
 	GOARCH=arm64 $(GO) build ./...
 
+# Net line count is a reported metric (ROADMAP aim 2): non-blank,
+# non-comment, non-test Go lines per package, bench/ apart, then the total.
+loc:
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec dirname {} \; | sort -u); do \
+		printf '%6d  %s\n' $$(cat $$(ls $$d/*.go | grep -v _test.go) | grep -vcE '^\s*(//.*)?$$') $$d; \
+	done
+	@printf '%6d  total (non-test, non-bench)\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | grep -vcE '^\s*(//.*)?$$')
+
+# The benchmark is a module of its own that compiles against this one
+# (train.Source, train.EpochStats, Session.Task().Source()); nothing else
+# builds it, so a change to those packages is vetted and tested here.
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
 # Full-epoch NC/LP pipelines and the kernel fan-out under the race
 # detector (the kernels spawn real goroutines even at GOMAXPROCS=1).
 race:
@@ -36,12 +51,15 @@ race:
 bench-kernels:
 	$(GO) run ./cmd/benchkernels -short -check -o /tmp/BENCH_kernels.json
 
-# Race coverage focused on the pipelined epoch executor: the executor's
-# own ordering/bounding/abort tests plus full NC and LP epochs with
-# WithPipeline(2) and WithWorkers(4).
+# Race coverage focused on the epoch executor: its ordering/bounding tests
+# and the every-small-configuration check against the serial oracle, then
+# full NC and LP epochs at WithPipeline(2)/WithWorkers(4) and, since every
+# geometry runs the same goroutines, at depth 0 too (the golden
+# trajectories run depth 0 and 2 at 1 and 4 workers; the nil-context test
+# runs depth 0 with one).
 race-pipeline:
 	$(GO) test -race ./internal/pipeline/
-	$(GO) test -race -run Pipeline ./marius/
+	$(GO) test -race -run 'Pipeline|Golden|NilContext' ./marius/
 
 # Short-mode pipeline benchmark with hard floors: >=1.5x epoch speedup
 # over the serial loop under a calibrated disk throttle, a loss
@@ -132,4 +150,4 @@ bench-baseline:
 # The full local gate: everything CI runs (test, race, race-pipeline,
 # and every benchmark floor including the end-to-end ingest and serving
 # paths).
-check: build vet test test-purego cross race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval
+check: build vet test test-purego cross loc bench-module race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval

@@ -1,7 +1,8 @@
-// Command benchpipeline measures the pipelined out-of-core epoch
-// executor against the serial epoch loop on a throttled on-disk dataset
-// and emits BENCH_pipeline.json, the repo's pipeline performance
-// baseline.
+// Command benchpipeline measures the out-of-core epoch executor
+// pipelined (depth 2, 4 workers) against itself with nothing running
+// ahead (depth 0, one worker: the stages take turns, called "serial"
+// below) on a throttled on-disk dataset and emits BENCH_pipeline.json,
+// the repo's pipeline performance baseline.
 //
 //	go run ./cmd/benchpipeline                  # full size
 //	go run ./cmd/benchpipeline -short -check    # CI: small size, enforce floors

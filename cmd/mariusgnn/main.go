@@ -59,7 +59,7 @@ func main() {
 		capacity  = flag.Int("capacity", 0, "buffer capacity (0 = auto-tune)")
 		logical   = flag.Int("logical", 0, "logical partitions (0 = auto-tune)")
 		baseline  = flag.Bool("baseline", false, "use DGL/PyG-style baseline execution")
-		pipeline  = flag.Int("pipeline", 0, "visits prefetched ahead of the trainer (0 = serial epoch loop)")
+		pipeline  = flag.Int("pipeline", 0, "visits loaded ahead of the trainer (0 = load a visit only once the previous one is done)")
 		workers   = flag.Int("workers", marius.DefaultWorkers, "batch-construction workers / kernel fan-out")
 		mbps      = flag.Float64("disk-mbps", 0, "simulated disk bandwidth in MB/s (0 = unlimited)")
 		noEval    = flag.Bool("no-eval", false, "skip final valid/test evaluation (it materializes the full graph — use for larger-than-RAM -data runs)")

@@ -104,24 +104,33 @@
 //
 // # The pipeline
 //
-// internal/pipeline is the pipelined epoch executor (paper Fig. 2, steps
-// A-D): every epoch runs as three bounded-queue produce/consume stages.
-// The prefetcher — one goroutine walking the policy plan through a
-// lookahead iterator (policy.Lookahead), up to WithPipeline(depth) visits
-// ahead of the trainer — issues async node-partition loads into a small
-// pool of reusable staging buffers (storage.DiskNodeStore.Prefetch),
-// reads the visit's training-example buckets, refreshes the incremental
-// adjacency view (building at most the swapped partitions' fragments
-// ahead of the trainer), and derives its batch seeds. The batch-construction stage — WithWorkers(n) goroutines —
-// runs DENSE multi-hop and negative sampling on loaded visits, at most
-// workers+depth batches in flight. The compute stage — the trainer's
-// goroutine — admits each visit (the partition-buffer swap, consuming
-// staged data; dirty evictions are written back by a background goroutine,
-// double-buffering both sides of the admit/evict schedule) and consumes
-// batches through the arena/tape trainer. EpochStats.Pipeline reports the
-// depth, prefetched visits, and stall times; EpochStats.IO counts
-// partition prefetch hits and misses. cmd/benchpipeline measures the
-// executor against the serial loop under a calibrated disk throttle and
+// internal/pipeline is the epoch executor (paper Fig. 2, steps A-D):
+// every epoch, of either task and at every setting, runs as the same
+// three bounded produce/consume stages, driven by the one epoch driver in
+// internal/train (Trainer.TrainEpoch). The loader — one goroutine walking
+// the policy plan, holding at most WithPipeline(depth)+1 visits loaded
+// and unreleased — issues async node-partition loads for its lookahead
+// window into a small pool of reusable staging buffers
+// (storage.DiskNodeStore.Prefetch), collects the visit's training
+// examples, refreshes the incremental adjacency view (building at most
+// the swapped partitions' fragments ahead of the trainer), and derives
+// its batch seeds. The batch-construction stage — WithWorkers(n)
+// goroutines, alive for the whole epoch — runs DENSE multi-hop and
+// negative sampling on the admitted visit, at most workers+depth batches
+// in flight. The compute stage — the trainer's goroutine — admits each
+// visit (the partition-buffer swap, consuming staged data and staging the
+// next visit's partitions; dirty evictions are written back by a
+// background goroutine, double-buffering both sides of the admit/evict
+// schedule) and consumes batches through the arena/tape trainer. Depth
+// and workers only size those bounds: at depth 0 a visit is loaded only
+// after the previous one is released, and with one worker as well each
+// batch is built only after the previous one computed, so the stages
+// take turns — there is no separate serial loop (the one there was lives
+// on as the executor's test oracle, and as golden loss/checkpoint
+// digests in marius/golden_test.go). EpochStats.Pipeline reports the
+// depth, loaded visits, and stall times; EpochStats.IO counts partition
+// prefetch hits and misses. cmd/benchpipeline measures depth 2 / 4
+// workers against depth 0 / 1 worker under a calibrated disk throttle and
 // writes BENCH_pipeline.json (the checked-in baseline, >=1.5x epoch
 // speedup enforced by `make bench-pipeline`).
 //

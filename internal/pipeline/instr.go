@@ -28,9 +28,9 @@ type Instr struct {
 	VisitsLoaded *obs.Counter
 	Batches      *obs.Counter
 
-	// QueueDepth tracks how many loaded visits sit ready in the
-	// prefetch channel when the compute stage comes to take one — the
-	// live "is the prefetcher ahead or behind" signal.
+	// QueueDepth tracks how many loaded visits sit ready when the compute
+	// stage comes to take one — the live "is the loader ahead or behind"
+	// signal.
 	QueueDepth *obs.Gauge
 }
 
@@ -55,8 +55,7 @@ func NewInstr(r *obs.Registry, tracer *obs.Tracer) *Instr {
 }
 
 // instrumentEpoch wraps an epoch's stage callbacks with timing,
-// counters, and spans. Applied before Run branches, so the serial
-// depth-0 path is observed identically to the pipelined one.
+// counters, and spans.
 func instrumentEpoch[V, B any](in *Instr, ep Epoch[V, B]) Epoch[V, B] {
 	if in == nil {
 		return ep
@@ -68,6 +67,9 @@ func instrumentEpoch[V, B any](in *Instr, ep Epoch[V, B]) Epoch[V, B] {
 		d := time.Since(t0)
 		in.LoadSec.Observe(d.Seconds())
 		in.Tracer.Span("pipeline", "prefetch", obs.TIDPrefetch, t0, d)
+		if err == nil {
+			in.VisitsLoaded.Inc()
+		}
 		return v, err
 	}
 	ep.Build = func(w int, v V, bi int) (B, error) {
@@ -88,12 +90,6 @@ func instrumentEpoch[V, B any](in *Instr, ep Epoch[V, B]) Epoch[V, B] {
 		return err
 	}
 	return ep
-}
-
-func (in *Instr) visitLoaded() {
-	if in != nil {
-		in.VisitsLoaded.Inc()
-	}
 }
 
 func (in *Instr) loadWait(d time.Duration) {

@@ -1,31 +1,38 @@
 // Package pipeline implements MariusGNN's pipelined epoch execution
-// (paper Fig. 2, steps A-D): a bounded-queue, multi-stage executor that
+// (paper Fig. 2, steps A-D): a bounded, multi-stage executor that
 // overlaps partition IO, mini-batch construction, and model compute so
 // the compute stage never stalls on the disk.
 //
 // An epoch is described as three produce/consume stages over an ordered
-// visit plan:
+// visit plan, and every epoch runs them the same way:
 //
-//  1. Load — the prefetcher. A single goroutine walks the plan in order,
-//     up to Depth visits ahead of the compute stage, performing the
+//  1. Load — one loader goroutine walks the plan in order, performing the
 //     visit-level IO (edge-bucket reads, async node-partition staging)
 //     and CPU preparation (adjacency construction, shuffling, batch-seed
-//     derivation). Because one goroutine runs every Load in plan order,
+//     derivation). It holds at most Depth+1 visits loaded and not yet
+//     released, so Load(vi) starts only once visit vi-Depth-1 is
+//     released. Because one goroutine runs every Load in plan order,
 //     Load callbacks may carry sequential state across visits.
-//  2. Build — batch construction. A pool of Workers goroutines samples
-//     mini batches (DENSE multi-hop sampling, negative sampling) from
-//     loaded visits, at most Workers+Depth batches in flight beyond the
-//     one being computed.
+//  2. Build — batch construction. Workers builder goroutines, alive for
+//     the whole epoch, sample mini batches (DENSE multi-hop sampling,
+//     negative sampling) of the admitted visit, at most Workers+Depth
+//     batches building or built and not yet consumed.
 //  3. Compute — the trainer. The caller's goroutine admits each visit
-//     (partition-buffer swap) and consumes its batches in strict
-//     (visit, batch) order.
+//     (partition-buffer swap), consumes its batches in strict
+//     (visit, batch) order, and releases it.
+//
+// Depth and Workers only size the two bounds; there is no other mode. At
+// Depth 0 the loader may not touch visit vi+1 until visit vi is released,
+// and with one worker as well batch bi+1 is not built until batch bi has
+// computed: the stages then run one after another, handing off between
+// goroutines, exactly as a plain nested loop would.
 //
 // Determinism contract: Compute runs in the caller's goroutine in exact
 // plan order, and Build implementations are required to be functions of
-// (visit, batch index) only — so a pipelined epoch computes the same
-// batch sequence as the serial depth-0 path, and (given deterministic
-// kernels) the same losses, at every Depth and Workers setting. The only
-// thing concurrency changes is wall-clock overlap.
+// (visit, batch index) only — so an epoch computes the same batch
+// sequence, and (given deterministic kernels) the same losses, at every
+// Depth and Workers setting. The only thing concurrency changes is
+// wall-clock overlap.
 package pipeline
 
 import (
@@ -37,30 +44,31 @@ import (
 
 // Config sizes the pipeline.
 type Config struct {
-	// Depth is how many visits the prefetcher may load ahead of the one
-	// being computed. 0 disables cross-visit prefetch: visits are loaded
-	// inline by the compute goroutine (the serial path).
+	// Depth is how many visits the loader may run ahead of the one being
+	// computed. At 0 (the minimum) Load(vi+1) starts only after visit vi
+	// is released: no cross-visit overlap.
 	Depth int
 	// Workers is the number of batch-construction goroutines (minimum 1).
-	// With Depth == 0 and Workers == 1 the whole epoch runs inline in the
-	// caller's goroutine with no channels at all.
+	// Workers+Depth bounds the batches in flight, so one worker at Depth 0
+	// builds each batch only after the previous one has computed.
 	Workers int
 	// Instr, when non-nil, attaches lock-free metrics and trace spans
 	// to every stage. It never changes stage ordering or results.
 	Instr *Instr
 }
 
-// Stats reports how a pipelined epoch behaved. All durations are
+// Stats reports how an epoch's pipeline behaved. All durations are
 // measured from the compute stage's point of view: time it spent blocked
-// waiting on an upstream stage.
+// waiting on an upstream stage (at Depth 0 that includes every Load, at
+// one worker and Depth 0 every Build).
 type Stats struct {
 	// Depth and Workers echo the effective configuration.
 	Depth   int
 	Workers int
-	// VisitsLoaded counts visits the prefetcher completed.
+	// VisitsLoaded counts visits the loader completed.
 	VisitsLoaded int
 	// LoadWait is time the compute stage waited for a visit to finish
-	// loading (prefetcher behind).
+	// loading (loader behind).
 	LoadWait time.Duration
 	// BatchWait is time the compute stage waited for a prepared batch
 	// (builders behind).
@@ -78,334 +86,188 @@ func (s Stats) String() string {
 type Epoch[V, B any] struct {
 	NumVisits int
 	// Load performs visit vi's IO and preparation. Called in strict plan
-	// order from a single goroutine (the prefetcher when Depth > 0, the
-	// caller otherwise), so it may carry sequential state across visits.
+	// order from the loader goroutine, so it may carry sequential state
+	// across visits.
 	Load func(vi int) (V, error)
 	// Admit makes visit vi resident (e.g. the partition-buffer swap).
 	// Called from the compute goroutine, in order, before any of the
-	// visit's batches compute.
+	// visit's batches is built or computed.
 	Admit func(vi int, v V) error
 	// NumBatches reports how many batches visit vi produces.
 	NumBatches func(v V) int
-	// Build constructs batch bi of a loaded visit. Called from worker
+	// Build constructs batch bi of an admitted visit. Called from worker
 	// goroutine w in [0, Workers), possibly out of order and concurrently
 	// with Compute; it must depend only on (v, bi), never on w or timing.
 	Build func(w int, v V, bi int) (B, error)
 	// Compute consumes batch bi of visit vi. Called from the compute
 	// goroutine in strict (visit, batch) order.
 	Compute func(v V, bi int, b B) error
-	// Release, when non-nil, recycles a visit's buffers after its last
-	// batch has computed (or the epoch aborted). It may be called from
-	// the prefetcher goroutine for visits abandoned during an abort, so
-	// implementations must be safe for concurrent use.
+	// Release, when non-nil, recycles a loaded visit's buffers exactly
+	// once: after its last batch has computed, or on an abort once no
+	// builder holds it. Called from the compute goroutine, possibly
+	// while Load runs for a later visit.
 	Release func(v V)
 }
 
-// loaded pairs a prefetched visit with its load error.
+// loaded pairs a visit with its load error.
 type loaded[V any] struct {
 	v   V
 	err error
 }
 
-// Run executes one epoch. It returns the first error from any stage (or
-// ctx.Err() on cancellation), after all pipeline goroutines have exited;
-// no stage callback is ever invoked again once Run returns.
+// built is one batch's build result.
+type built[B any] struct {
+	b   B
+	err error
+}
+
+// job asks a builder for batch bi of visit v.
+type job[V any] struct {
+	v  V
+	bi int
+}
+
+// Run executes one epoch. It returns the first error the compute stage
+// meets walking the plan in order (a stage's own error, or ctx.Err() on
+// cancellation), after the loader and every builder have exited: no stage
+// callback is ever invoked again once Run returns.
 func Run[V, B any](ctx context.Context, cfg Config, ep Epoch[V, B], st *Stats) error {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
+	workers, depth := max(cfg.Workers, 1), max(cfg.Depth, 0)
+	if st == nil {
+		st = new(Stats)
 	}
-	depth := cfg.Depth
-	if depth < 0 {
-		depth = 0
-	}
-	if st != nil {
-		st.Depth, st.Workers = depth, workers
-	}
+	st.Depth, st.Workers = depth, workers
 	if ep.NumVisits == 0 {
 		return nil
 	}
-	ep = instrumentEpoch(cfg.Instr, ep)
-
-	if depth == 0 && workers == 1 {
-		return runSerial(ctx, ep, st, cfg.Instr)
+	in := cfg.Instr
+	ep = instrumentEpoch(in, ep)
+	if ep.Release == nil {
+		ep.Release = func(V) {}
 	}
+	ctx, cancel := context.WithCancel(ctx)
 
-	r := &run[V, B]{
-		ep:   ep,
-		cfg:  Config{Depth: depth, Workers: workers},
-		st:   st,
-		in:   cfg.Instr,
-		stop: make(chan struct{}),
+	// The loader takes a credit per visit and the compute stage returns it
+	// on release, so at most depth+1 visits are loaded and unreleased. At
+	// most window batches are with the builders at once (building, or
+	// built and not yet consumed, the one computing included); batch i
+	// comes back on slots[i%window]. visits has a slot per credit and jobs
+	// one per batch of the window, so neither send ever blocks.
+	window := workers + depth
+	credit := make(chan struct{}, depth+1)
+	visits := make(chan loaded[V], depth+1)
+	jobs := make(chan job[V], window)
+	slots := make([]chan built[B], window)
+	for i := range slots {
+		slots[i] = make(chan built[B], 1)
 	}
-
-	if depth == 0 {
-		// Visits load inline; only batch construction is concurrent.
-		defer r.abort()
-		for vi := 0; vi < ep.NumVisits; vi++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			v, err := ep.Load(vi)
-			if err != nil {
-				return err
-			}
-			r.addLoaded()
-			if err := r.runVisit(ctx, vi, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Prefetcher: loads visits in order, up to `depth` ahead. With buffer
-	// depth-1, the channel holds depth-1 loaded visits, the prefetcher
-	// blocks holding one more, and the compute stage holds the one in
-	// progress — exactly depth visits loaded ahead of the trainer.
-	ch := make(chan loaded[V], depth-1)
-	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1 + workers)
 	go func() {
-		defer close(done)
-		defer close(ch)
+		defer wg.Done()
+		defer close(visits)
 		for vi := 0; vi < ep.NumVisits; vi++ {
 			select {
-			case <-r.stop:
+			case credit <- struct{}{}:
+			case <-ctx.Done():
 				return
-			default:
 			}
 			v, err := ep.Load(vi)
-			if err == nil {
-				r.addLoaded()
-			}
-			select {
-			case ch <- loaded[V]{v, err}:
-			case <-r.stop:
-				if ep.Release != nil && err == nil {
-					ep.Release(v)
-				}
-				return
-			}
+			visits <- loaded[V]{v, err}
 			if err != nil {
 				return
 			}
 		}
 	}()
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				var r built[B]
+				if r.err = ctx.Err(); r.err == nil { // after an abort, answer without building
+					r.b, r.err = ep.Build(w, j.v, j.bi)
+				}
+				slots[j.bi%window] <- r
+			}
+		}()
+	}
 
-	err := r.consumeVisits(ctx, ch)
-	r.abort()
-	<-done // never return while the prefetcher may still touch trainer state
-	// Recycle visits the prefetcher had queued before the abort.
-	for lv := range ch {
-		if ep.Release != nil && lv.err == nil {
+	// runVisit admits one loaded visit and consumes its batches in order.
+	runVisit := func(vi int, v V) (err error) {
+		next, got := 0, 0 // batches handed to the builders, and taken back
+		defer func() {
+			// Builders read the visit: on an abort, collect the batches
+			// still with them before Release recycles its buffers.
+			if err != nil {
+				cancel()
+			}
+			for ; got < next; got++ {
+				<-slots[got%window]
+			}
+			ep.Release(v)
+			<-credit
+		}()
+		if err := ep.Admit(vi, v); err != nil {
+			return err
+		}
+		n := ep.NumBatches(v)
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			for ; next < n && next < i+window; next++ {
+				jobs <- job[V]{v, next}
+			}
+			t0 := time.Now()
+			r := <-slots[i%window]
+			got++
+			wait := time.Since(t0)
+			st.BatchWait += wait
+			in.batchWait(wait)
+			if r.err != nil {
+				return r.err
+			}
+			if err := ep.Compute(v, i, r.b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	// The compute stage runs here, in the caller's goroutine.
+	err := func() error {
+		for vi := 0; vi < ep.NumVisits; vi++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			in.queueDepth(len(visits))
+			t0 := time.Now()
+			lv, ok := <-visits
+			wait := time.Since(t0)
+			st.LoadWait += wait
+			in.loadWait(wait)
+			if !ok { // the loader stops early only on cancellation
+				return ctx.Err()
+			}
+			if lv.err != nil {
+				return lv.err
+			}
+			st.VisitsLoaded++
+			if err := runVisit(vi, lv.v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}()
+	cancel()
+	close(jobs)
+	wg.Wait()
+	// Visits loaded ahead of an abort and never admitted.
+	for lv := range visits {
+		if lv.err == nil {
+			st.VisitsLoaded++
 			ep.Release(lv.v)
 		}
 	}
 	return err
-}
-
-// runSerial is the fully-inline path: no goroutines, no channels, and
-// therefore bit-reproducible scheduling.
-func runSerial[V, B any](ctx context.Context, ep Epoch[V, B], st *Stats, in *Instr) error {
-	for vi := 0; vi < ep.NumVisits; vi++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		v, err := ep.Load(vi)
-		if err != nil {
-			return err
-		}
-		if st != nil {
-			st.VisitsLoaded++
-		}
-		in.visitLoaded()
-		err = func() error {
-			if ep.Release != nil {
-				defer ep.Release(v)
-			}
-			if err := ep.Admit(vi, v); err != nil {
-				return err
-			}
-			n := ep.NumBatches(v)
-			for bi := 0; bi < n; bi++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				b, err := ep.Build(0, v, bi)
-				if err != nil {
-					return err
-				}
-				if err := ep.Compute(v, bi, b); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// run carries the shared state of one concurrent Run.
-type run[V, B any] struct {
-	ep       Epoch[V, B]
-	cfg      Config
-	st       *Stats
-	in       *Instr
-	stop     chan struct{}
-	stopOnce sync.Once
-	mu       sync.Mutex // guards st
-}
-
-// abort releases every stage blocked on the pipeline. Safe to call from
-// any goroutine, any number of times.
-func (r *run[V, B]) abort() { r.stopOnce.Do(func() { close(r.stop) }) }
-
-func (r *run[V, B]) addLoaded() {
-	r.in.visitLoaded()
-	if r.st == nil {
-		return
-	}
-	r.mu.Lock()
-	r.st.VisitsLoaded++
-	r.mu.Unlock()
-}
-
-func (r *run[V, B]) addLoadWait(d time.Duration) {
-	r.in.loadWait(d)
-	if r.st == nil {
-		return
-	}
-	r.mu.Lock()
-	r.st.LoadWait += d
-	r.mu.Unlock()
-}
-
-func (r *run[V, B]) addBatchWait(d time.Duration) {
-	r.in.batchWait(d)
-	if r.st == nil {
-		return
-	}
-	r.mu.Lock()
-	r.st.BatchWait += d
-	r.mu.Unlock()
-}
-
-// consumeVisits is the compute stage over a prefetched visit stream.
-func (r *run[V, B]) consumeVisits(ctx context.Context, ch <-chan loaded[V]) error {
-	for vi := 0; vi < r.ep.NumVisits; vi++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		r.in.queueDepth(len(ch))
-		t0 := time.Now()
-		lv, ok := <-ch
-		r.addLoadWait(time.Since(t0))
-		if !ok {
-			// The prefetcher stopped early without delivering an error;
-			// only possible after an abort (e.g. cancellation).
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return fmt.Errorf("pipeline: prefetcher stopped after %d/%d visits", vi, r.ep.NumVisits)
-		}
-		if lv.err != nil {
-			return lv.err
-		}
-		if err := r.runVisit(ctx, vi, lv.v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// slot is one batch's build result; done is closed when it is filled.
-type slot[B any] struct {
-	b    B
-	err  error
-	done chan struct{}
-}
-
-// runVisit admits one loaded visit and runs its batches through the
-// build worker pool, consuming results in order. The number of batches
-// building or built-but-unconsumed is bounded by Workers+Depth.
-func (r *run[V, B]) runVisit(ctx context.Context, vi int, v V) (err error) {
-	if r.ep.Release != nil {
-		defer r.ep.Release(v)
-	}
-	if err := r.ep.Admit(vi, v); err != nil {
-		return err
-	}
-	n := r.ep.NumBatches(v)
-	if n == 0 {
-		return nil
-	}
-
-	slots := make([]slot[B], n)
-	for i := range slots {
-		slots[i].done = make(chan struct{})
-	}
-	// Work queue: pre-filled and closed, so workers need no feeder and
-	// simply drain it. Tokens bound in-flight batches: a worker acquires
-	// one before taking an index and the compute loop releases it after
-	// consuming the batch, so indices are only assigned to token holders
-	// — the batch the compute stage needs next is always being built and
-	// the pipeline can never deadlock on the window.
-	window := r.cfg.Workers + r.cfg.Depth
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	tokens := make(chan struct{}, window)
-
-	// Per-visit worker pool: visits are admitted serially, so at most one
-	// pool exists at a time. Workers must fully exit before runVisit
-	// returns (they touch trainer-owned batcher state that Release may
-	// recycle), so on error abort the whole run before waiting for them.
-	var wg sync.WaitGroup
-	defer func() {
-		if err != nil {
-			r.abort()
-		}
-		wg.Wait()
-	}()
-	for w := 0; w < r.cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				select {
-				case tokens <- struct{}{}:
-				case <-r.stop:
-					return
-				}
-				i, ok := <-idx
-				if !ok {
-					return
-				}
-				b, err := r.ep.Build(w, v, i)
-				slots[i].b, slots[i].err = b, err
-				close(slots[i].done)
-			}
-		}(w)
-	}
-
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		<-slots[i].done
-		r.addBatchWait(time.Since(t0))
-		if slots[i].err != nil {
-			return slots[i].err
-		}
-		if err := r.ep.Compute(v, i, slots[i].b); err != nil {
-			return err
-		}
-		<-tokens
-	}
-	return nil
 }

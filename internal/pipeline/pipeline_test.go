@@ -2,9 +2,7 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
-
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -135,103 +133,6 @@ func TestBoundedQueue(t *testing.T) {
 	limit := int64(cfg.Workers + cfg.Depth)
 	if got := te.maxIn.Load(); got > limit {
 		t.Fatalf("max %d batches in flight, want <= %d", got, limit)
-	}
-}
-
-func TestLoadErrorAborts(t *testing.T) {
-	boom := errors.New("load failed")
-	for _, cfg := range []Config{{Depth: 0, Workers: 1}, {Depth: 0, Workers: 3}, {Depth: 2, Workers: 2}} {
-		te := &traceEpoch{}
-		ep := te.epoch(6, 2, nil)
-		inner := ep.Load
-		ep.Load = func(vi int) (int, error) {
-			if vi == 3 {
-				return 0, boom
-			}
-			return inner(vi)
-		}
-		if err := Run(context.Background(), cfg, ep, nil); !errors.Is(err, boom) {
-			t.Fatalf("cfg %+v: err = %v, want %v", cfg, err, boom)
-		}
-	}
-}
-
-func TestBuildErrorAborts(t *testing.T) {
-	boom := errors.New("build failed")
-	for _, cfg := range []Config{{Depth: 0, Workers: 1}, {Depth: 0, Workers: 4}, {Depth: 3, Workers: 2}} {
-		te := &traceEpoch{}
-		ep := te.epoch(4, 6, nil)
-		inner := ep.Build
-		ep.Build = func(w int, v int, bi int) (string, error) {
-			if v == 1 && bi == 3 {
-				return "", boom
-			}
-			return inner(w, v, bi)
-		}
-		if err := Run(context.Background(), cfg, ep, nil); !errors.Is(err, boom) {
-			t.Fatalf("cfg %+v: err = %v, want %v", cfg, err, boom)
-		}
-	}
-}
-
-func TestComputeErrorAborts(t *testing.T) {
-	boom := errors.New("compute failed")
-	for _, cfg := range []Config{{Depth: 0, Workers: 1}, {Depth: 0, Workers: 4}, {Depth: 2, Workers: 3}} {
-		te := &traceEpoch{}
-		ep := te.epoch(5, 4, nil)
-		inner := ep.Compute
-		ep.Compute = func(v int, bi int, b string) error {
-			if v == 2 && bi == 1 {
-				return boom
-			}
-			return inner(v, bi, b)
-		}
-		if err := Run(context.Background(), cfg, ep, nil); !errors.Is(err, boom) {
-			t.Fatalf("cfg %+v: err = %v, want %v", cfg, err, boom)
-		}
-		// Everything computed before the failure is still in order.
-		want := wantEvents(5, 4)
-		for i, e := range te.events {
-			if e != want[i] {
-				t.Fatalf("cfg %+v: prefix diverged at %d: %q != %q", cfg, i, e, want[i])
-			}
-		}
-	}
-}
-
-func TestContextCancellationMidEpoch(t *testing.T) {
-	for _, cfg := range []Config{{Depth: 0, Workers: 1}, {Depth: 2, Workers: 3}} {
-		ctx, cancel := context.WithCancel(context.Background())
-		te := &traceEpoch{}
-		ep := te.epoch(8, 4, nil)
-		inner := ep.Compute
-		ep.Compute = func(v int, bi int, b string) error {
-			if v == 1 && bi == 0 {
-				cancel()
-			}
-			return inner(v, bi, b)
-		}
-		err := Run(ctx, cfg, ep, nil)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cfg %+v: err = %v, want context.Canceled", cfg, err)
-		}
-	}
-}
-
-func TestEmptyEpochAndEmptyVisits(t *testing.T) {
-	if err := Run(context.Background(), Config{Depth: 2, Workers: 2}, Epoch[int, string]{NumVisits: 0}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Visits with zero batches must still be admitted and released.
-	te := &traceEpoch{}
-	ep := te.epoch(4, 0, nil)
-	var st Stats
-	if err := Run(context.Background(), Config{Depth: 2, Workers: 2}, ep, &st); err != nil {
-		t.Fatal(err)
-	}
-	if len(te.events) != 4 || te.released.Load() != 4 {
-		t.Fatalf("events %v released %d", te.events, te.released.Load())
 	}
 }
 

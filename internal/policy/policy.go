@@ -140,51 +140,6 @@ func (pl *Plan) MaxLookahead(stagingCap int) int {
 	return k
 }
 
-// Lookahead walks a plan's visits in order while exposing the upcoming
-// window a pipeline prefetcher stages ahead of the trainer. It performs
-// no synchronization: one goroutine (the prefetcher) owns it.
-type Lookahead struct {
-	plan *Plan
-	pos  int
-}
-
-// NewLookahead returns an iterator positioned before the first visit.
-func NewLookahead(p *Plan) *Lookahead { return &Lookahead{plan: p} }
-
-// Pos returns how many visits have been consumed.
-func (la *Lookahead) Pos() int { return la.pos }
-
-// Next returns the next visit in plan order and advances the iterator;
-// ok is false once the plan is exhausted.
-func (la *Lookahead) Next() (v *Visit, vi int, ok bool) {
-	if la.pos >= len(la.plan.Visits) {
-		return nil, la.pos, false
-	}
-	v, vi = &la.plan.Visits[la.pos], la.pos
-	la.pos++
-	return v, vi, true
-}
-
-// NextK returns views of up to k upcoming (not yet consumed) visits
-// without advancing — the prefetch window. k <= 0 yields nil.
-func (la *Lookahead) NextK(k int) []*Visit {
-	if k <= 0 {
-		return nil
-	}
-	end := la.pos + k
-	if end > len(la.plan.Visits) {
-		end = len(la.plan.Visits)
-	}
-	if end <= la.pos {
-		return nil
-	}
-	out := make([]*Visit, 0, end-la.pos)
-	for i := la.pos; i < end; i++ {
-		out = append(out, &la.plan.Visits[i])
-	}
-	return out
-}
-
 // Policy generates a fresh epoch plan. Implementations draw all
 // randomness from rng so epochs are reproducible.
 type Policy interface {

@@ -157,48 +157,6 @@ func TestNodeCacheFallbackRotatesThroughAll(t *testing.T) {
 	}
 }
 
-func TestLookaheadIterator(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pl := Beta{P: 8, C: 3}.NewEpochPlan(rng)
-	la := NewLookahead(pl)
-
-	// Before consuming anything, NextK(2) previews visits 0 and 1.
-	win := la.NextK(2)
-	if len(win) != 2 || win[0] != &pl.Visits[0] || win[1] != &pl.Visits[1] {
-		t.Fatalf("initial window wrong: %v", win)
-	}
-	if la.NextK(0) != nil || la.NextK(-1) != nil {
-		t.Fatal("non-positive window must be empty")
-	}
-
-	for i := range pl.Visits {
-		// The window never includes consumed visits and shrinks at the end.
-		win := la.NextK(3)
-		wantLen := min(3, len(pl.Visits)-i)
-		if len(win) != wantLen {
-			t.Fatalf("pos %d: window %d, want %d", i, len(win), wantLen)
-		}
-		for j, v := range win {
-			if v != &pl.Visits[i+j] {
-				t.Fatalf("pos %d: window[%d] is not visit %d", i, j, i+j)
-			}
-		}
-		v, vi, ok := la.Next()
-		if !ok || vi != i || v != &pl.Visits[i] {
-			t.Fatalf("Next at %d returned (%v,%d,%v)", i, v, vi, ok)
-		}
-		if la.Pos() != i+1 {
-			t.Fatalf("Pos = %d, want %d", la.Pos(), i+1)
-		}
-	}
-	if _, _, ok := la.Next(); ok {
-		t.Fatal("iterator must be exhausted")
-	}
-	if la.NextK(5) != nil {
-		t.Fatal("window past the end must be empty")
-	}
-}
-
 func TestVerifyLookahead(t *testing.T) {
 	// One-swap cover plans stage exactly one partition per future visit:
 	// lookahead k needs at most k staged partitions.

@@ -21,22 +21,18 @@ func TestLPBatchConstructionZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := &lpVisit{
-		mem: mem, adj: adj,
+	n := 2 * tr.cfg.batchSize
+	v := &visit{
+		adj: adj, n: n,
 		pool:       tr.Src.residentNodePool(nil, mem),
-		xEdges:     g.Edges[:2*tr.Cfg.BatchSize],
+		edges:      g.Edges[:n],
 		batchSeeds: []int64{101, 102},
 	}
-	b := tr.batchers[0]
-	if b == nil { // worker 0 may not have built a batch in the warm epoch
-		b = tr.newBatcher()
-	}
 	for i := 0; i < 4; i++ { // warm the batch pools for this visit shape
-		tr.putPB(b.prepare(v, i%2))
+		tr.recycle(tr.prepare(0, v, i%2))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		pb := b.prepare(v, 0)
-		tr.putPB(pb)
+		tr.recycle(tr.prepare(0, v, 0))
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state LP batch construction allocates %.1f/op, want 0", allocs)
@@ -55,22 +51,17 @@ func TestNCBatchConstructionZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := min(2*tr.Cfg.BatchSize, len(g.TrainNodes))
-	v := &ncVisit{
-		mem: mem, adj: adj,
+	n := min(2*tr.cfg.batchSize, len(g.TrainNodes))
+	v := &visit{
+		adj: adj, n: n,
 		targets:    g.TrainNodes[:n],
 		batchSeeds: []int64{201, 202},
 	}
-	b := tr.batchers[0]
-	if b == nil { // worker 0 may not have built a batch in the warm epoch
-		b = tr.newBatcher()
-	}
 	for i := 0; i < 4; i++ {
-		tr.putPB(b.prepare(v, i%2))
+		tr.recycle(tr.prepare(0, v, i%2))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		pb := b.prepare(v, 0)
-		tr.putPB(pb)
+		tr.recycle(tr.prepare(0, v, 0))
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state NC batch construction allocates %.1f/op, want 0", allocs)

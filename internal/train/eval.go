@@ -128,34 +128,39 @@ func EvaluateLP(cfg LPEvalConfig, emb *tensor.Tensor, adj *graph.Adjacency, edge
 		Fanouts: cfg.Fanouts, Dirs: cfg.Dirs, Workers: cfg.Workers,
 	}, adj, cfg.Seed)
 	store := encode.TensorStore{T: emb}
+	var ded deduper
 	for lo := 0; lo < len(edges); lo += cfg.BatchSize {
 		hi := min(lo+cfg.BatchSize, len(edges))
 		batch := edges[lo:hi]
-		srcs := make([]int32, len(batch))
-		dsts := make([]int32, len(batch))
 		rels := make([]int32, len(batch))
 		for i, e := range batch {
-			srcs[i], dsts[i], rels[i] = e.Src, e.Dst, e.Rel
+			rels[i] = e.Rel
 		}
-		var negs []int32
-		if fullRank {
-			negs = make([]int32, numNodes)
-			for i := range negs {
-				negs[i] = int32(i)
-			}
-		} else {
-			negs = make([]int32, 0, negCount)
-			for i := 0; i < negCount; i++ {
-				negs = append(negs, int32(rng.Intn(numNodes)))
-			}
+		// Endpoints and negatives deduplicated in first-occurrence order:
+		// all sources, then all destinations, then the negatives (every
+		// entity when ranking against all of them).
+		ded.reset(numNodes)
+		var unique []int32
+		srcIdx, dstIdx, negIdx := make([]int32, len(batch)), make([]int32, len(batch)), make([]int32, negCount)
+		for i, e := range batch {
+			srcIdx[i] = ded.index(e.Src, &unique)
 		}
-		unique, idx := uniqueIndex(srcs, dsts, negs)
+		for i, e := range batch {
+			dstIdx[i] = ded.index(e.Dst, &unique)
+		}
+		for i := range negIdx {
+			neg := int32(i)
+			if !fullRank {
+				neg = int32(rng.Intn(numNodes))
+			}
+			negIdx[i] = ded.index(neg, &unique)
+		}
 
 		enc, err := fwd.Encode(store, unique)
 		if err != nil {
 			return stats, err
 		}
-		l, pos, negD, _ := cfg.Decoder.Loss(fwd.Tape(), fwd.Binds(), enc, idx[0], idx[1], idx[2], rels)
+		l, pos, negD, _ := cfg.Decoder.Loss(fwd.Tape(), fwd.Binds(), enc, srcIdx, dstIdx, negIdx, rels)
 		w := float64(len(batch))
 		loss.Add(float64(l.Value.Data[0]), w)
 		mrr.Add(decoder.BatchMRR(pos.Value, negD.Value), w)

@@ -1,22 +1,15 @@
 package train
 
 import (
-	"context"
 	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/decoder"
 	"repro/internal/encode"
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/nn"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/sampler"
-	"repro/internal/storage"
-	"repro/internal/tensor"
 )
 
 // LPConfig configures link-prediction training.
@@ -37,11 +30,8 @@ type LPConfig struct {
 	EmbOpt   *nn.SparseAdaGrad
 	ClipNorm float64
 
-	// Workers is the number of batch-construction goroutines (also the
-	// kernel fan-out of the compute stage). PipelineDepth is how many
-	// visits the prefetcher loads ahead of the trainer; 0 (the default)
-	// is the serial path. Both collapse to the synchronous single-worker
-	// loop in ModeBaseline.
+	// Workers, PipelineDepth and ModeBaseline's effect on them are as in
+	// NCConfig.
 	Workers       int
 	PipelineDepth int
 
@@ -54,330 +44,63 @@ type LPConfig struct {
 	Obs *Obs
 }
 
-// LPTrainer drives link-prediction epochs over a source and policy.
-type LPTrainer struct {
-	Cfg LPConfig
-	Src *Source
-	Pol policy.Policy
-
-	epoch int
-	edges slicePool[graph.Edge]
-
-	// seg carries the incremental bucket-segmented visit index across
-	// Load calls; each visit's view swaps only the changed partitions
-	// instead of rebuilding the full in-memory adjacency. nodePool
-	// recycles the per-visit resident negative-sampling pools.
-	seg      segTracker
-	nodePool slicePool[int32]
-
-	// batchers persist across epochs: worker w always uses batchers[w],
-	// keeping its sampler and dedup workspaces warm. pbFree recycles
-	// prepared batches after the compute stage consumes them.
-	batchers []*lpBatcher
-	pbMu     sync.Mutex
-	pbFree   []*preparedLP
-
-	// The compute stage owns one arena and one tape, recycled every batch:
-	// steady-state forward/backward allocates from the arena, not the heap.
-	// Kernel parallelism follows Cfg.Workers (the marius.WithWorkers knob).
-	arena *tensor.Arena
-	tape  *tensor.Tape
-	binds map[string]*tensor.Node
+// lpTask is the link-prediction side of a Trainer. Its pools recycle the
+// per-visit edge buffers and resident negative-sampling pools.
+type lpTask struct {
+	cfg   LPConfig
+	edges pool[[]graph.Edge]
+	nodes pool[[]int32]
 }
 
-// NewLP returns a trainer with defaults applied (workers=4, serial
-// pipeline depth 0).
-func NewLP(cfg LPConfig, src *Source, pol policy.Policy) *LPTrainer {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	if cfg.PipelineDepth < 0 {
-		cfg.PipelineDepth = 0
-	}
-	if cfg.Mode == ModeBaseline {
-		cfg.Workers = 1
-		cfg.PipelineDepth = 0
-	}
-	t := &LPTrainer{Cfg: cfg, Src: src, Pol: pol}
-	t.batchers = make([]*lpBatcher, cfg.Workers)
-	t.arena = tensor.NewArena()
-	t.tape = tensor.NewTapeWith(tensor.NewCompute(cfg.Workers, t.arena))
-	return t
+// NewLP returns a link-prediction trainer with defaults applied.
+func NewLP(cfg LPConfig, src *Source, pol policy.Policy) *Trainer {
+	return newTrainer(settings{
+		params: cfg.Params, sampled: cfg.Encoder != nil, fanouts: cfg.Fanouts, dirs: cfg.Dirs,
+		batchSize: cfg.BatchSize, workers: cfg.Workers, depth: cfg.PipelineDepth,
+		mode: cfg.Mode, seed: cfg.Seed, obs: cfg.Obs,
+	}, src, pol, &lpTask{cfg: cfg})
 }
 
-// getPB returns a recycled prepared batch (or a fresh one).
-func (t *LPTrainer) getPB() *preparedLP {
-	t.pbMu.Lock()
-	defer t.pbMu.Unlock()
-	if n := len(t.pbFree); n > 0 {
-		pb := t.pbFree[n-1]
-		t.pbFree = t.pbFree[:n-1]
-		return pb
-	}
-	return &preparedLP{}
-}
-
-// putPB recycles a consumed batch: the DENSE goes back to the sampler
-// that built it and the struct (with its index buffers) to the trainer's
-// free list.
-func (t *LPTrainer) putPB(pb *preparedLP) {
-	if pb.smp != nil {
-		pb.smp.Recycle(pb.d)
-	}
-	pb.d, pb.ls, pb.smp, pb.ids = nil, nil, nil, nil
-	t.pbMu.Lock()
-	if len(t.pbFree) < freeBatchCap {
-		t.pbFree = append(t.pbFree, pb)
-	}
-	t.pbMu.Unlock()
-}
-
-// Epoch returns the number of completed epochs.
-func (t *LPTrainer) Epoch() int { return t.epoch }
-
-// SetEpoch overrides the epoch counter, so a trainer restored from a
-// checkpoint continues the epoch sequence (and its derived RNG stream)
-// where the checkpointed run left off.
-func (t *LPTrainer) SetEpoch(e int) { t.epoch = e }
-
-// lpVisit is a visit after the prefetch/load stage: incremental index
-// refreshed, training edges read and shuffled, negative pool and
-// per-batch seeds derived.
-type lpVisit struct {
-	vi         int
-	mem        []int
-	adj        graph.Index
-	pool       []int32      // pooled; recycled by Release
-	xEdges     []graph.Edge // pooled; recycled by Release
-	batchSeeds []int64
-}
-
-// preparedLP is a mini batch after the construction stage (Fig. 2 steps
-// 1-3 minus representation gathering: the compute stage gathers base
-// representations at consumption time, so a batch built ahead of its
-// turn still sees every earlier batch's embedding update — pipelining
-// introduces no staleness). The struct and its buffers are recycled
-// through the trainer's free list; ids aliases the pooled DENSE's
-// NodeIDs (or the batch's uniq buffer) until the batch is consumed.
-type preparedLP struct {
-	d   *sampler.DENSE
-	ls  *sampler.LayeredSample
-	smp *sampler.Sampler // owner of d, for recycling
-	ids []int32          // rows of h0: DENSE NodeIDs / layered input nodes / unique targets
-
-	uniq                   []int32
-	srcIdx, dstIdx, negIdx []int32
-	rels                   []int32
-	n                      int
-
-	nodesSampled int64
-	edgesSampled int64
-}
-
-// TrainEpoch runs one epoch through the pipeline executor and returns
-// its statistics, checking ctx between visits and batches for clean
-// cancellation. The epoch counter only advances when the epoch
-// completes: a canceled or failed epoch is retried from the same
-// (seed, epoch)-derived RNG stream on the next call.
-//
-// Batches always compute in plan order with per-batch derived seeds, so
-// the epoch's trajectory is identical at every PipelineDepth and Workers
-// setting; concurrency only changes wall-clock overlap.
-func (t *LPTrainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
-	epoch := t.epoch + 1
-	stats := EpochStats{Epoch: epoch}
-	if err := ctxErr(ctx); err != nil {
-		return stats, err
-	}
-	var ioStart storage.StatsSnapshot
-	if t.Src.Disk != nil {
-		ioStart = t.Src.Disk.Stats().Snapshot()
-	}
-	start := time.Now()
-
-	rng := epochRNG(t.Cfg.Seed, epoch)
-	plan := t.Pol.NewEpochPlan(rng)
-	stats.Visits = len(plan.Visits)
-	seeds := visitSeeds(rng, len(plan.Visits))
-	var sampleNS, computeNS atomic.Int64
-	var lossSum float64
-	var mrr, mrrW float64
-
-	depth := clampDepth(t.Cfg.PipelineDepth, plan, t.Src.Disk)
-	pipelined := depth > 0
-	la := policy.NewLookahead(plan)
-
-	ep := pipeline.Epoch[*lpVisit, *preparedLP]{
-		NumVisits: len(plan.Visits),
-		// Load runs in the prefetcher: async node-partition staging,
-		// incremental index refresh (only the swapped partitions' bucket
-		// fragments are built), training-example reads, shuffling and
-		// seed derivation — everything except the buffer swap.
-		Load: func(vi int) (*lpVisit, error) {
-			visit, _, _ := la.Next()
-			if t.Src.Disk != nil && pipelined {
-				// Stage this visit's partitions and those of the whole
-				// lookahead window, so node IO for upcoming visits runs
-				// while earlier visits compute.
-				t.Src.Disk.Prefetch(visit.Mem)
-				for _, nv := range la.NextK(depth) {
-					t.Src.Disk.Prefetch(nv.Mem)
-				}
-			}
-			adj, err := t.seg.refresh(t.Src, visit.Mem)
-			if err != nil {
-				return nil, err
-			}
-			xEdges, err := t.Src.readVisitEdges(visit, &t.edges)
-			if err != nil {
-				return nil, err
-			}
-			vrng := rand.New(rand.NewSource(seeds[vi]))
-			vrng.Shuffle(len(xEdges), func(i, j int) { xEdges[i], xEdges[j] = xEdges[j], xEdges[i] })
-
-			v := &lpVisit{vi: vi, mem: visit.Mem, adj: adj, xEdges: xEdges}
-			v.pool = t.Src.residentNodePool(t.nodePool.get(), visit.Mem)
-			nBatches := (len(xEdges) + t.Cfg.BatchSize - 1) / t.Cfg.BatchSize
-			v.batchSeeds = batchSeeds(vrng, nBatches)
-			return v, nil
-		},
-		Admit: func(vi int, v *lpVisit) error {
-			if t.Src.Disk == nil {
-				return nil
-			}
-			if err := t.Src.Disk.LoadSet(v.mem); err != nil {
-				return err
-			}
-			if !pipelined && vi+1 < len(plan.Visits) {
-				t.Src.Disk.Prefetch(plan.Visits[vi+1].Mem)
-			}
-			return nil
-		},
-		NumBatches: func(v *lpVisit) int { return len(v.batchSeeds) },
-		Build: func(w int, v *lpVisit, bi int) (*preparedLP, error) {
-			b := t.batchers[w]
-			if b == nil {
-				b = t.newBatcher()
-				t.batchers[w] = b
-			}
-			s0 := time.Now()
-			pb := b.prepare(v, bi)
-			sampleNS.Add(time.Since(s0).Nanoseconds())
-			return pb, nil
-		},
-		Compute: func(v *lpVisit, bi int, pb *preparedLP) error {
-			c0 := time.Now()
-			loss, batchMRR, err := t.computeBatch(pb)
-			computeNS.Add(time.Since(c0).Nanoseconds())
-			if err != nil {
-				return err
-			}
-			lossSum += loss
-			mrr += batchMRR * float64(pb.n)
-			mrrW += float64(pb.n)
-			stats.Batches++
-			stats.Examples += pb.n
-			stats.NodesSampled += pb.nodesSampled
-			stats.EdgesSampled += pb.edgesSampled
-			t.putPB(pb)
-			return nil
-		},
-		Release: func(v *lpVisit) {
-			t.edges.put(v.xEdges)
-			t.nodePool.put(v.pool)
-			v.xEdges, v.pool = nil, nil
-		},
-	}
-	err := pipeline.Run(ctx, pipeline.Config{Depth: depth, Workers: t.Cfg.Workers, Instr: t.Cfg.Obs.instr()}, ep, &stats.Pipeline)
-	if err != nil {
-		return stats, err
-	}
-
-	stats.Duration = time.Since(start)
-	stats.Sample = time.Duration(sampleNS.Load())
-	stats.Compute = time.Duration(computeNS.Load())
-	if stats.Batches > 0 {
-		stats.Loss = lossSum / float64(stats.Batches)
-	}
-	if mrrW > 0 {
-		stats.Metric = mrr / mrrW
-	}
-	if t.Src.Disk != nil {
-		stats.IO = t.Src.Disk.Stats().Snapshot().Sub(ioStart)
-	}
-	t.epoch = epoch
-	t.Cfg.Obs.epochDone(&stats)
-	return stats, nil
-}
-
-// lpBatcher runs the batch-construction stage (Fig. 2 steps 1-3). Each
-// pipeline worker owns one; its samplers are re-bound to the visit's
-// adjacency/pool and re-seeded per batch, so a batch's sample does not
-// depend on which worker builds it. The negative scratch and the dedup
-// table are reused across batches.
-type lpBatcher struct {
-	t    *LPTrainer
-	smp  *sampler.Sampler
-	lsmp *sampler.LayeredSampler
-	neg  *sampler.NegativeSampler
-	adj  graph.Index // adjacency the samplers are currently bound to
-
-	negs []int32
-	ded  deduper
-}
-
-func (t *LPTrainer) newBatcher() *lpBatcher {
-	return &lpBatcher{t: t, neg: sampler.NewNegativePool(nil, 0)}
-}
-
-// bind points the batcher's samplers at the visit's adjacency and
-// negative pool, creating them on first use.
-func (b *lpBatcher) bind(v *lpVisit) {
-	if b.adj == v.adj {
-		return
-	}
-	t := b.t
-	if t.Cfg.Encoder != nil {
-		if t.Cfg.Mode == ModeBaseline {
-			if b.lsmp == nil {
-				b.lsmp = sampler.NewLayered(v.adj, t.Cfg.Fanouts, t.Cfg.Dirs, 0)
-			}
-			b.lsmp.Adj = v.adj
-		} else {
-			if b.smp == nil {
-				b.smp = sampler.New(v.adj, t.Cfg.Fanouts, t.Cfg.Dirs, 0)
-			}
-			b.smp.Reset(v.adj)
+// load reads the training-example buckets assigned to the visit (X_i)
+// and lists the resident nodes, to which negative sampling is restricted
+// (paper §3).
+func (lp *lpTask) load(t *Trainer, pv *policy.Visit, v *visit, vrng *rand.Rand) (int, error) {
+	edges := lp.edges.get()[:0]
+	var err error
+	for _, b := range pv.Buckets {
+		if edges, err = t.Src.Edges.ReadBucket(int(b[0]), int(b[1]), edges); err != nil {
+			lp.edges.put(edges)
+			return 0, err
 		}
 	}
-	b.neg.SetPool(v.pool)
-	b.adj = v.adj
+	vrng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	v.edges = edges
+	v.pool = t.Src.residentNodePool(lp.nodes.get()[:0], pv.Mem)
+	return len(edges), nil
 }
 
-// prepare samples mini batch bi of visit v: negatives and multi-hop
-// sampling (base-representation gathering happens in the compute stage).
-// The returned batch comes from the trainer's recycle pool and allocates
-// nothing once capacities are warm.
-func (b *lpBatcher) prepare(v *lpVisit, bi int) *preparedLP {
-	t := b.t
-	b.bind(v)
-	lo := bi * t.Cfg.BatchSize
-	hi := min(lo+t.Cfg.BatchSize, len(v.xEdges))
-	edges := v.xEdges[lo:hi]
+func (lp *lpTask) release(v *visit) {
+	lp.edges.put(v.edges)
+	lp.nodes.put(v.pool)
+}
 
-	pb := t.getPB()
-	pb.n = len(edges)
+// prepare draws the batch's shared negatives and deduplicates endpoints
+// and negatives into the batch's uniq/index buffers, in first-occurrence
+// order over all sources, then all destinations, then the negatives. The
+// unique nodes are the ones to sample around.
+func (lp *lpTask) prepare(t *Trainer, b *batcher, v *visit, lo, hi int, seed int64, pb *batch) []int32 {
+	edges := v.edges[lo:hi]
 	pb.rels = pb.rels[:0]
 	for _, e := range edges {
 		pb.rels = append(pb.rels, e.Rel)
 	}
-	seed := v.batchSeeds[bi]
+	if b.neg == nil {
+		b.neg = sampler.NewNegativePool(nil, 0)
+	}
+	b.neg.SetPool(v.pool)
 	b.neg.Reseed(seed + 1)
-	b.negs = b.neg.Sample(b.negs[:0], t.Cfg.Negatives)
+	b.negs = b.neg.Sample(b.negs[:0], lp.cfg.Negatives)
 
-	// Dedup endpoints and negatives into the batch's uniq/index buffers,
-	// preserving first-occurrence order (as uniqueIndex does: all sources,
-	// then all destinations, then the negatives).
 	b.ded.reset(t.Src.NumNodes)
 	pb.uniq = pb.uniq[:0]
 	pb.srcIdx, pb.dstIdx, pb.negIdx = pb.srcIdx[:0], pb.dstIdx[:0], pb.negIdx[:0]
@@ -390,57 +113,29 @@ func (b *lpBatcher) prepare(v *lpVisit, bi int) *preparedLP {
 	for _, id := range b.negs {
 		pb.negIdx = append(pb.negIdx, b.ded.index(id, &pb.uniq))
 	}
-
-	switch {
-	case b.smp != nil:
-		b.smp.Reseed(seed)
-		d := b.smp.Sample(pb.uniq)
-		pb.d, pb.smp = d, b.smp
-		pb.ids = d.NodeIDs
-		pb.nodesSampled = int64(len(d.NodeIDs))
-		pb.edgesSampled = int64(len(d.Nbrs))
-	case b.lsmp != nil:
-		b.lsmp.Reseed(seed)
-		ls := b.lsmp.Sample(pb.uniq)
-		pb.ls = ls
-		pb.ids = ls.Blocks[0].SrcNodes
-		pb.nodesSampled = int64(ls.NumNodesSampled())
-		pb.edgesSampled = int64(ls.NumEdgesSampled())
-	default:
-		pb.ids = pb.uniq
-		pb.nodesSampled = int64(len(pb.uniq))
-	}
-	return pb
+	return pb.uniq
 }
 
-// computeBatch is the compute stage (Fig. 2 steps 4-6): gather current
-// base representations, forward pass over DENSE, loss/gradients, dense
-// parameter update, and write-back of representation updates. Gathering
-// here (not at build time) keeps the pipelined trajectory identical to
-// the serial one: batch k+1 always sees batch k's write-back.
-func (t *LPTrainer) computeBatch(pb *preparedLP) (loss float64, batchMRR float64, err error) {
-	// Recycle the previous batch's tape nodes and arena buffers. Everything
-	// the tape produces below is arena-owned and fully consumed (optimizer
-	// step, representation write-back, loss, MRR) before returning.
-	tp := t.tape
-	tp.Reset()
-	t.arena.Reset()
-	t.binds = t.Cfg.Params.BindInto(tp, t.binds)
-	params := t.binds
-
-	h0t := tp.Alloc(len(pb.ids), t.Cfg.Decoder.Dim())
+// compute is Fig. 2 steps 4-6: gather current base representations,
+// forward pass over DENSE, loss/gradients, dense parameter update, and
+// write-back of representation updates. Gathering here (not at build
+// time) keeps the trajectory independent of how far ahead batches are
+// built: batch k+1 always sees batch k's write-back.
+func (lp *lpTask) compute(t *Trainer, pb *batch) (loss, batchMRR float64, err error) {
+	tp, params, cfg := t.tape, t.binds, &lp.cfg
+	h0t := tp.Alloc(len(pb.ids), cfg.Decoder.Dim())
 	if err := t.Src.Nodes.Gather(pb.ids, h0t); err != nil {
 		return 0, 0, err
 	}
 	h0 := tp.Leaf(h0t, true)
 
-	enc := encode.Apply(tp, params, t.Cfg.Encoder, pb.d, pb.ls, h0)
-	lossNode, pos, negD, _ := t.Cfg.Decoder.Loss(tp, params, enc, pb.srcIdx, pb.dstIdx, pb.negIdx, pb.rels)
+	enc := encode.Apply(tp, params, cfg.Encoder, pb.d, pb.ls, h0)
+	lossNode, pos, negD, _ := cfg.Decoder.Loss(tp, params, enc, pb.srcIdx, pb.dstIdx, pb.negIdx, pb.rels)
 	tp.Backward(lossNode)
 
-	nn.Apply(t.Cfg.DenseOpt, t.Cfg.Params, params, t.Cfg.ClipNorm)
-	if g := h0.Grad(); g != nil && t.Cfg.EmbOpt != nil {
-		if err := t.Src.Nodes.ApplyGrads(pb.ids, g, t.Cfg.EmbOpt); err != nil {
+	nn.Apply(cfg.DenseOpt, cfg.Params, params, cfg.ClipNorm)
+	if g := h0.Grad(); g != nil && cfg.EmbOpt != nil {
+		if err := t.Src.Nodes.ApplyGrads(pb.ids, g, cfg.EmbOpt); err != nil {
 			return 0, 0, err
 		}
 	}

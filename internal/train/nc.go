@@ -1,22 +1,14 @@
 package train
 
 import (
-	"context"
 	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/encode"
 	"repro/internal/eval"
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/nn"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
-	"repro/internal/sampler"
-	"repro/internal/storage"
-	"repro/internal/tensor"
 )
 
 // NCConfig configures node-classification training. The encoder's final
@@ -33,10 +25,11 @@ type NCConfig struct {
 	ClipNorm  float64
 
 	// Workers is the number of batch-construction goroutines (also the
-	// kernel fan-out of the compute stage). PipelineDepth is how many
-	// visits the prefetcher loads ahead of the trainer; 0 (the default)
-	// is the serial path. Both collapse to the synchronous single-worker
-	// loop in ModeBaseline.
+	// kernel fan-out of the compute stage; default 4). PipelineDepth is
+	// how many visits the loader runs ahead of the trainer; at 0 (the
+	// default) a visit is loaded only once the previous one is done.
+	// ModeBaseline forces one worker and depth 0: every stage waits for
+	// the one before it.
 	Workers       int
 	PipelineDepth int
 
@@ -49,371 +42,81 @@ type NCConfig struct {
 	Obs *Obs
 }
 
-// NCTrainer drives node-classification epochs. Labels index all graph
-// nodes; TrainNodes lists the labeled training nodes (paper §5.2: often
-// only 1-10% of the graph).
-type NCTrainer struct {
-	Cfg        NCConfig
-	Src        *Source
-	Pol        policy.Policy
-	Labels     []int32
-	TrainNodes []int32
-
-	epoch int
-
-	// seg carries the incremental bucket-segmented visit index across
-	// Load calls; each visit's view swaps only the changed partitions
-	// instead of rebuilding the full in-memory adjacency.
-	seg segTracker
-	// trainByPart caches TrainNodes grouped by partition (the
-	// partitioning is fixed per trainer), so Load collects a visit's
-	// targets without scanning all training nodes.
-	trainByPart [][]int32
-	targetPool  slicePool[int32]
-
-	// batchers persist across epochs: worker w always uses batchers[w],
-	// keeping its sampler workspaces warm. pbFree recycles prepared
-	// batches after the compute stage consumes them.
-	batchers []*ncBatcher
-	pbMu     sync.Mutex
-	pbFree   []*preparedNC
-
-	// The compute stage owns one arena and one tape, recycled every batch:
-	// steady-state forward/backward allocates from the arena, not the heap.
-	// Kernel parallelism follows Cfg.Workers (the marius.WithWorkers knob).
-	arena *tensor.Arena
-	tape  *tensor.Tape
-	binds map[string]*tensor.Node
+// ncTask is the node-classification side of a Trainer. labels index all
+// graph nodes; the labeled training nodes (paper §5.2: often only 1-10%
+// of the graph) are kept grouped by partition — the partitioning is fixed
+// — so a visit collects its targets without scanning all of them.
+type ncTask struct {
+	cfg     NCConfig
+	labels  []int32
+	byPart  [][]int32
+	done    []bool // partitions already trained on this epoch
+	targets pool[[]int32]
 }
 
-// NewNC returns a trainer with defaults applied.
-func NewNC(cfg NCConfig, src *Source, pol policy.Policy, labels []int32, trainNodes []int32) *NCTrainer {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+// NewNC returns a node-classification trainer with defaults applied.
+func NewNC(cfg NCConfig, src *Source, pol policy.Policy, labels []int32, trainNodes []int32) *Trainer {
+	nc := &ncTask{cfg: cfg, labels: labels}
+	nc.byPart = make([][]int32, src.Part.NumPartitions)
+	nc.done = make([]bool, len(nc.byPart))
+	for _, v := range trainNodes {
+		p := src.Part.Of(v)
+		nc.byPart[p] = append(nc.byPart[p], v)
 	}
-	if cfg.PipelineDepth < 0 {
-		cfg.PipelineDepth = 0
-	}
-	if cfg.Mode == ModeBaseline {
-		cfg.Workers = 1
-		cfg.PipelineDepth = 0
-	}
-	t := &NCTrainer{Cfg: cfg, Src: src, Pol: pol, Labels: labels, TrainNodes: trainNodes}
-	t.batchers = make([]*ncBatcher, cfg.Workers)
-	t.arena = tensor.NewArena()
-	t.tape = tensor.NewTapeWith(tensor.NewCompute(cfg.Workers, t.arena))
-	return t
+	return newTrainer(settings{
+		params: cfg.Params, sampled: true, fanouts: cfg.Fanouts, dirs: cfg.Dirs,
+		batchSize: cfg.BatchSize, workers: cfg.Workers, depth: cfg.PipelineDepth,
+		mode: cfg.Mode, seed: cfg.Seed, obs: cfg.Obs,
+	}, src, pol, nc)
 }
 
-// getPB returns a recycled prepared batch (or a fresh one).
-func (t *NCTrainer) getPB() *preparedNC {
-	t.pbMu.Lock()
-	defer t.pbMu.Unlock()
-	if n := len(t.pbFree); n > 0 {
-		pb := t.pbFree[n-1]
-		t.pbFree = t.pbFree[:n-1]
-		return pb
+// load collects the visit's targets: training nodes whose partition
+// became resident and has not been trained on yet this epoch. Under the
+// §5.2 NodeCache policy they all appear in the first visit's partitions;
+// under the fallback rotation each is consumed at the first visit where
+// its partition is resident.
+func (nc *ncTask) load(t *Trainer, pv *policy.Visit, v *visit, vrng *rand.Rand) (int, error) {
+	if v.vi == 0 {
+		clear(nc.done)
 	}
-	return &preparedNC{}
-}
-
-// putPB recycles a consumed batch: the DENSE goes back to the sampler
-// that built it and the struct (with its label buffer) to the trainer's
-// free list.
-func (t *NCTrainer) putPB(pb *preparedNC) {
-	if pb.smp != nil {
-		pb.smp.Recycle(pb.d)
-	}
-	pb.d, pb.ls, pb.smp, pb.ids = nil, nil, nil, nil
-	t.pbMu.Lock()
-	if len(t.pbFree) < freeBatchCap {
-		t.pbFree = append(t.pbFree, pb)
-	}
-	t.pbMu.Unlock()
-}
-
-// freeBatchCap bounds the prepared-batch free lists; the pipeline keeps
-// at most Workers+Depth batches in flight.
-const freeBatchCap = 32
-
-// Epoch returns the number of completed epochs.
-func (t *NCTrainer) Epoch() int { return t.epoch }
-
-// SetEpoch overrides the epoch counter, so a trainer restored from a
-// checkpoint continues the epoch sequence (and its derived RNG stream)
-// where the checkpointed run left off.
-func (t *NCTrainer) SetEpoch(e int) { t.epoch = e }
-
-// ncVisit is a visit after the prefetch/load stage: incremental index
-// refreshed, targets assigned and shuffled, per-batch seeds derived.
-type ncVisit struct {
-	vi         int
-	mem        []int
-	adj        graph.Index
-	targets    []int32 // pooled; recycled by Release
-	batchSeeds []int64
-}
-
-// preparedNC is a mini batch after the construction stage. Base
-// representations are gathered by the compute stage (not here), so a
-// batch built ahead of time never reads stale features. The struct and
-// its buffers are recycled through the trainer's free list; ids aliases
-// the pooled DENSE's NodeIDs until the batch is consumed.
-type preparedNC struct {
-	d      *sampler.DENSE
-	ls     *sampler.LayeredSample
-	smp    *sampler.Sampler // owner of d, for recycling
-	ids    []int32
-	labels []int32
-	n      int
-
-	nodesSampled int64
-	edgesSampled int64
-}
-
-// TrainEpoch walks the policy plan once through the pipeline executor,
-// checking ctx between visits and batches for clean cancellation. The
-// epoch counter only advances when the epoch completes: a canceled or
-// failed epoch is retried from the same (seed, epoch)-derived RNG stream
-// on the next call. Under the §5.2 NodeCache policy training nodes appear
-// in the first visit's partitions; under the fallback rotation, each
-// training node is consumed at the first visit where its partition is
-// resident.
-//
-// Batches always compute in plan order with per-batch derived seeds, so
-// the epoch's trajectory is identical at every PipelineDepth and Workers
-// setting; concurrency only changes wall-clock overlap.
-func (t *NCTrainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
-	epoch := t.epoch + 1
-	stats := EpochStats{Epoch: epoch}
-	if err := ctxErr(ctx); err != nil {
-		return stats, err
-	}
-	var ioStart storage.StatsSnapshot
-	if t.Src.Disk != nil {
-		ioStart = t.Src.Disk.Stats().Snapshot()
-	}
-	start := time.Now()
-
-	rng := epochRNG(t.Cfg.Seed, epoch)
-	plan := t.Pol.NewEpochPlan(rng)
-	stats.Visits = len(plan.Visits)
-	seeds := visitSeeds(rng, len(plan.Visits))
-	var sampleNS, computeNS atomic.Int64
-	var lossSum float64
-	acc := eval.MeanAccumulator{}
-
-	depth := clampDepth(t.Cfg.PipelineDepth, plan, t.Src.Disk)
-	pipelined := depth > 0
-	la := policy.NewLookahead(plan)
-	donePart := make([]bool, t.Src.Part.NumPartitions)
-	if t.trainByPart == nil {
-		t.trainByPart = make([][]int32, t.Src.Part.NumPartitions)
-		for _, v := range t.TrainNodes {
-			p := t.Src.Part.Of(v)
-			t.trainByPart[p] = append(t.trainByPart[p], v)
+	targets := nc.targets.get()[:0]
+	for _, p := range pv.Mem {
+		if !nc.done[p] {
+			nc.done[p] = true
+			targets = append(targets, nc.byPart[p]...)
 		}
 	}
-
-	ep := pipeline.Epoch[*ncVisit, *preparedNC]{
-		NumVisits: len(plan.Visits),
-		// Load runs in the prefetcher: async node-partition staging,
-		// incremental index refresh (only the swapped partitions' bucket
-		// fragments are built), and target assignment (donePart and the
-		// seg tracker carry in-order state across Load calls, which the
-		// executor guarantees run sequentially).
-		Load: func(vi int) (*ncVisit, error) {
-			visit, _, _ := la.Next()
-			if t.Src.Disk != nil && pipelined {
-				// Stage this visit's partitions and those of the whole
-				// lookahead window, so node IO for upcoming visits runs
-				// while earlier visits compute.
-				t.Src.Disk.Prefetch(visit.Mem)
-				for _, nv := range la.NextK(depth) {
-					t.Src.Disk.Prefetch(nv.Mem)
-				}
-			}
-			adj, err := t.seg.refresh(t.Src, visit.Mem)
-			if err != nil {
-				return nil, err
-			}
-			vrng := rand.New(rand.NewSource(seeds[vi]))
-
-			// Targets: training nodes whose partition became resident and
-			// has not been trained on yet this epoch.
-			targets := t.targetPool.get()
-			for _, p := range visit.Mem {
-				if !donePart[p] {
-					donePart[p] = true
-					targets = append(targets, t.trainByPart[p]...)
-				}
-			}
-			vrng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
-
-			v := &ncVisit{vi: vi, mem: visit.Mem, targets: targets, adj: adj}
-			nBatches := (len(targets) + t.Cfg.BatchSize - 1) / t.Cfg.BatchSize
-			v.batchSeeds = batchSeeds(vrng, nBatches)
-			return v, nil
-		},
-		Admit: func(vi int, v *ncVisit) error {
-			if t.Src.Disk == nil {
-				return nil
-			}
-			if err := t.Src.Disk.LoadSet(v.mem); err != nil {
-				return err
-			}
-			if !pipelined && vi+1 < len(plan.Visits) {
-				t.Src.Disk.Prefetch(plan.Visits[vi+1].Mem)
-			}
-			return nil
-		},
-		NumBatches: func(v *ncVisit) int { return len(v.batchSeeds) },
-		Build: func(w int, v *ncVisit, bi int) (*preparedNC, error) {
-			b := t.batchers[w]
-			if b == nil {
-				b = t.newBatcher()
-				t.batchers[w] = b
-			}
-			s0 := time.Now()
-			pb := b.prepare(v, bi)
-			sampleNS.Add(time.Since(s0).Nanoseconds())
-			return pb, nil
-		},
-		Compute: func(v *ncVisit, bi int, pb *preparedNC) error {
-			c0 := time.Now()
-			loss, batchAcc, err := t.computeBatch(pb)
-			computeNS.Add(time.Since(c0).Nanoseconds())
-			if err != nil {
-				return err
-			}
-			lossSum += loss
-			acc.Add(batchAcc, float64(pb.n))
-			stats.Batches++
-			stats.Examples += pb.n
-			stats.NodesSampled += pb.nodesSampled
-			stats.EdgesSampled += pb.edgesSampled
-			t.putPB(pb)
-			return nil
-		},
-		Release: func(v *ncVisit) {
-			t.targetPool.put(v.targets)
-			v.targets = nil
-		},
-	}
-	err := pipeline.Run(ctx, pipeline.Config{Depth: depth, Workers: t.Cfg.Workers, Instr: t.Cfg.Obs.instr()}, ep, &stats.Pipeline)
-	if err != nil {
-		return stats, err
-	}
-
-	stats.Duration = time.Since(start)
-	stats.Sample = time.Duration(sampleNS.Load())
-	stats.Compute = time.Duration(computeNS.Load())
-	if stats.Batches > 0 {
-		stats.Loss = lossSum / float64(stats.Batches)
-	}
-	stats.Metric = acc.Mean()
-	if t.Src.Disk != nil {
-		stats.IO = t.Src.Disk.Stats().Snapshot().Sub(ioStart)
-	}
-	t.epoch = epoch
-	t.Cfg.Obs.epochDone(&stats)
-	return stats, nil
+	vrng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
+	v.targets = targets
+	return len(targets), nil
 }
 
-// ncBatcher runs the batch-construction stage. Each pipeline worker owns
-// one; its samplers are re-bound to the visit's adjacency and re-seeded
-// per batch, so a batch's sample does not depend on which worker builds
-// it.
-type ncBatcher struct {
-	t    *NCTrainer
-	smp  *sampler.Sampler
-	lsmp *sampler.LayeredSampler
-	adj  graph.Index // adjacency the samplers are currently bound to
-}
+func (nc *ncTask) release(v *visit) { nc.targets.put(v.targets) }
 
-func (t *NCTrainer) newBatcher() *ncBatcher {
-	return &ncBatcher{t: t}
-}
-
-// bind points the batcher's samplers at the visit's adjacency, creating
-// them on first use.
-func (b *ncBatcher) bind(v *ncVisit) {
-	if b.adj == v.adj {
-		return
-	}
-	t := b.t
-	if t.Cfg.Mode == ModeBaseline {
-		if b.lsmp == nil {
-			b.lsmp = sampler.NewLayered(v.adj, t.Cfg.Fanouts, t.Cfg.Dirs, 0)
-		}
-		b.lsmp.Adj = v.adj
-	} else {
-		if b.smp == nil {
-			b.smp = sampler.New(v.adj, t.Cfg.Fanouts, t.Cfg.Dirs, 0)
-		}
-		b.smp.Reset(v.adj)
-	}
-	b.adj = v.adj
-}
-
-// prepare samples mini batch bi of visit v: multi-hop sampling plus label
-// lookup (feature gathering happens in the compute stage). The returned
-// batch comes from the trainer's recycle pool and allocates nothing once
-// capacities are warm.
-func (b *ncBatcher) prepare(v *ncVisit, bi int) *preparedNC {
-	t := b.t
-	b.bind(v)
-	lo := bi * t.Cfg.BatchSize
-	hi := min(lo+t.Cfg.BatchSize, len(v.targets))
+// prepare looks the batch's labels up; its targets are the sampled nodes.
+func (nc *ncTask) prepare(t *Trainer, b *batcher, v *visit, lo, hi int, seed int64, pb *batch) []int32 {
 	targets := v.targets[lo:hi]
-
-	pb := t.getPB()
-	pb.n = len(targets)
 	pb.labels = pb.labels[:0]
 	for _, id := range targets {
-		pb.labels = append(pb.labels, t.Labels[id])
+		pb.labels = append(pb.labels, nc.labels[id])
 	}
-	seed := v.batchSeeds[bi]
-	if b.smp != nil {
-		b.smp.Reseed(seed)
-		d := b.smp.Sample(targets)
-		pb.d, pb.smp = d, b.smp
-		pb.ids = d.NodeIDs
-		pb.nodesSampled = int64(len(d.NodeIDs))
-		pb.edgesSampled = int64(len(d.Nbrs))
-	} else {
-		b.lsmp.Reseed(seed)
-		ls := b.lsmp.Sample(targets)
-		pb.ls = ls
-		pb.ids = ls.Blocks[0].SrcNodes
-		pb.nodesSampled = int64(ls.NumNodesSampled())
-		pb.edgesSampled = int64(ls.NumEdgesSampled())
-	}
-	return pb
+	return targets
 }
 
-// computeBatch is the compute stage: base representations are gathered
-// here (the visit is resident by Admit), then forward/backward and the
-// parameter update run on the arena-backed tape.
-func (t *NCTrainer) computeBatch(pb *preparedNC) (loss, accuracy float64, err error) {
-	// Recycle the previous batch's tape nodes and arena buffers. Everything
-	// the tape produces below is arena-owned and fully consumed (optimizer
-	// step, loss, accuracy) before this function returns.
-	tp := t.tape
-	tp.Reset()
-	t.arena.Reset()
-	t.binds = t.Cfg.Params.BindInto(tp, t.binds)
-	params := t.binds
-
+// compute gathers the (fixed) features of the sampled nodes — here, not
+// at build time: the visit is resident by Admit — then runs
+// forward/backward and the parameter update on the arena-backed tape.
+func (nc *ncTask) compute(t *Trainer, pb *batch) (loss, accuracy float64, err error) {
+	tp, params := t.tape, t.binds
 	h0t := tp.Alloc(len(pb.ids), t.Src.Nodes.Dim())
 	if err := t.Src.Nodes.Gather(pb.ids, h0t); err != nil {
 		return 0, 0, err
 	}
 	h0 := tp.Leaf(h0t, false) // fixed features: no base-representation updates
 
-	logits := encode.Apply(tp, params, t.Cfg.Encoder, pb.d, pb.ls, h0)
+	logits := encode.Apply(tp, params, nc.cfg.Encoder, pb.d, pb.ls, h0)
 	lossNode := tp.SoftmaxCrossEntropy(logits, pb.labels)
 	tp.Backward(lossNode)
-	nn.Apply(t.Cfg.Opt, t.Cfg.Params, params, t.Cfg.ClipNorm)
+	nn.Apply(nc.cfg.Opt, nc.cfg.Params, params, nc.cfg.ClipNorm)
 	return float64(lossNode.Value.Data[0]), eval.Accuracy(logits.Value, pb.labels), nil
 }

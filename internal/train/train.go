@@ -1,16 +1,18 @@
 // Package train implements MariusGNN's processing layer: the mini-batch
 // lifecycle of paper Fig. 2 (steps 1-6) expressed as explicit
-// produce/consume stages over the internal/pipeline executor. Each epoch
-// walks a policy's partition-visit plan (steps A-D) with a prefetcher
-// loading visits (partition staging, edge buckets, adjacency) ahead of
-// the trainer, worker goroutines constructing batches from per-batch
+// produce/consume stages over the internal/pipeline executor. One epoch
+// driver (Trainer.TrainEpoch) serves both tasks: it walks a policy's
+// partition-visit plan (steps A-D) with a loader preparing visits
+// (partition staging, examples, adjacency) up to PipelineDepth ahead of
+// the trainer, builder goroutines constructing batches from per-batch
 // derived seeds, and the compute stage consuming them in plan order —
-// serial when PipelineDepth is 0, overlapped otherwise, with an
-// identical trajectory either way.
+// the same trajectory at every depth and worker count. Node
+// classification (nc.go) and link prediction (lp.go) supply only what
+// differs: a visit's examples, their part of a batch, and the training
+// step.
 package train
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -28,23 +30,15 @@ func epochRNG(seed int64, epoch int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(epoch)*0x9E3779B9))
 }
 
-// ctxErr reports the context's error; a nil context never cancels.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
 // Mode selects the execution strategy.
 type Mode int
 
 const (
 	// ModeDense is MariusGNN execution: DENSE sampling + dense kernels +
-	// pipelined stages.
+	// overlapped stages.
 	ModeDense Mode = iota
 	// ModeBaseline models DGL/PyG: per-layer re-sampling + per-edge COO
-	// aggregation + synchronous (non-pipelined) execution.
+	// aggregation + synchronous execution (one worker, depth 0).
 	ModeBaseline
 )
 
@@ -77,9 +71,9 @@ type EpochStats struct {
 	IO storage.StatsSnapshot
 	// Visits is the number of partition sets |S| walked.
 	Visits int
-	// Pipeline reports the pipelined execution of the epoch: effective
-	// depth and workers, visits prefetched, and how long the compute
-	// stage stalled waiting on loads or batch construction.
+	// Pipeline reports how the executor ran the epoch: effective depth
+	// and workers, visits loaded, and how long the compute stage waited
+	// on loads or batch construction.
 	Pipeline pipeline.Stats
 }
 
@@ -129,7 +123,7 @@ func (src *Source) FragCache() *storage.FragCache {
 // calls. Load runs in strict plan order on a single goroutine (the
 // pipeline contract), so each visit's view derives from the previous
 // visit's by swapping only the changed partitions; views are immutable,
-// so in-flight pipelined visits keep sampling from theirs.
+// so visits still in flight keep sampling from theirs.
 type segTracker struct {
 	seg *graph.Segmented
 }
@@ -161,8 +155,8 @@ func (src *Source) residentNodePool(dst []int32, mem []int) []int32 {
 }
 
 // deduper assigns dense first-occurrence indices to node IDs using a
-// generation-stamped table, the allocation-free counterpart of
-// uniqueIndex for the batch-construction hot path.
+// generation-stamped table that allocates nothing once it spans the ID
+// space (batch construction and evaluation both run it per batch).
 type deduper struct {
 	pos   []int32
 	stamp []uint32
@@ -195,24 +189,4 @@ func (d *deduper) index(id int32, uniq *[]int32) int32 {
 	d.pos[id] = u
 	*uniq = append(*uniq, id)
 	return u
-}
-
-// uniqueIndex deduplicates ids preserving first-occurrence order and
-// returns the unique list plus the index of each input in it.
-func uniqueIndex(ids ...[]int32) (unique []int32, idx [][]int32) {
-	seen := make(map[int32]int32, 64)
-	idx = make([][]int32, len(ids))
-	for g, group := range ids {
-		idx[g] = make([]int32, len(group))
-		for i, id := range group {
-			u, ok := seen[id]
-			if !ok {
-				u = int32(len(unique))
-				seen[id] = u
-				unique = append(unique, id)
-			}
-			idx[g][i] = u
-		}
-	}
-	return unique, idx
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // ncFixture builds a small SBM graph plus an in-memory NC trainer.
-func ncFixture(t *testing.T, mode Mode, seed int64) (*NCTrainer, *graph.Graph) {
+func ncFixture(t *testing.T, mode Mode, seed int64) (*Trainer, *graph.Graph) {
 	t.Helper()
 	cfg := gen.SBMConfig{
 		NumNodes: 1500, NumClasses: 5, AvgDegree: 12, FeatureDim: 16,
@@ -54,7 +54,7 @@ func TestNCInMemoryLearns(t *testing.T) {
 		t.Fatalf("train accuracy %.3f after 4 epochs; SBM with 5 classes should exceed 0.6", last.Metric)
 	}
 	adj := graph.BuildAdjacency(g.NumNodes, g.Edges)
-	acc, err := EvaluateNC(&tr.Cfg, tr.Src, adj, g.Labels, g.ValidNodes, 99)
+	acc, err := EvaluateNC(&tr.task.(*ncTask).cfg, tr.Src, adj, g.Labels, g.ValidNodes, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestNCDiskMatchesMemoryQuality(t *testing.T) {
 }
 
 // lpFixture builds a small KG and an LP trainer over the given source mode.
-func lpFixture(t *testing.T, pol policy.Policy, disk bool, p, c int, seed int64) (*LPTrainer, *graph.Graph, func()) {
+func lpFixture(t *testing.T, pol policy.Policy, disk bool, p, c int, seed int64) (*Trainer, *graph.Graph, func()) {
 	t.Helper()
 	g := gen.KG(gen.KGConfig{
 		NumEntities: 800, NumRelations: 12, NumEdges: 12000,
@@ -276,6 +276,27 @@ func TestLPDecoderOnlyDistMult(t *testing.T) {
 	if stats.Hits[10] < stats.Hits[1] || stats.Hits[10] < stats.MRR/2 {
 		t.Fatalf("implausible hits: hits@1 %.4f hits@10 %.4f mrr %.4f", stats.Hits[1], stats.Hits[10], stats.MRR)
 	}
+}
+
+// uniqueIndex deduplicates ids preserving first-occurrence order and
+// returns the unique list plus the index of each input in it: the
+// map-based reference the deduper is held to.
+func uniqueIndex(ids ...[]int32) (unique []int32, idx [][]int32) {
+	seen := make(map[int32]int32, 64)
+	idx = make([][]int32, len(ids))
+	for g, group := range ids {
+		idx[g] = make([]int32, len(group))
+		for i, id := range group {
+			u, ok := seen[id]
+			if !ok {
+				u = int32(len(unique))
+				seen[id] = u
+				unique = append(unique, id)
+			}
+			idx[g][i] = u
+		}
+	}
+	return unique, idx
 }
 
 func TestUniqueIndex(t *testing.T) {

@@ -38,13 +38,13 @@
 //	)
 //
 // Out-of-core training can be pipelined with WithPipeline(depth): a
-// prefetcher walks the partition-visit plan up to depth visits ahead of
+// loader walks the partition-visit plan up to depth visits ahead of
 // the trainer, staging node partitions and edge buckets off the critical
 // path while worker goroutines construct batches, so the compute stage
 // never stalls on the disk. Pipelining is trajectory-preserving: batches
-// compute in exact plan order with per-batch derived seeds, so a
-// pipelined run produces the same losses and checkpoints as the serial
-// (depth 0) default.
+// compute in exact plan order with per-batch derived seeds, so a run
+// produces the same losses and checkpoints at every depth, the default
+// depth 0 (no visit loaded ahead) included.
 //
 // Long runs survive restarts through Save/Restore (or the CheckpointTo run
 // option): a checkpoint captures the dense parameters with optimizer

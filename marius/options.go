@@ -232,8 +232,9 @@ type Options struct {
 
 	Mode train.Mode
 	// Workers is the batch-construction worker count and kernel fan-out;
-	// PipelineDepth is how many partition visits the prefetcher loads
-	// ahead of the trainer (0 = serial epoch loop).
+	// PipelineDepth is how many partition visits the loader runs ahead of
+	// the trainer (0 = a visit is loaded only once the previous one is
+	// done).
 	Workers       int
 	PipelineDepth int
 	Seed          int64
@@ -457,20 +458,22 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithPipeline enables pipelined out-of-core execution: the epoch runs
-// as three overlapped stages (partition prefetch, mini-batch
-// construction, compute), with the prefetcher walking the policy plan up
-// to depth visits ahead of the trainer and staging partition IO and edge
-// buckets off the critical path. depth 0 (the default) keeps the serial
-// epoch loop.
+// WithPipeline sets how far out-of-core execution overlaps. Every epoch
+// runs the same three stages (visit loading, mini-batch construction,
+// compute); depth is how many visits the loader may walk the policy plan
+// ahead of the trainer, staging partition IO and edge buckets off the
+// critical path. At depth 0 (the default) nothing runs ahead across
+// visits: a visit starts loading only once the previous one has
+// finished computing, and only the next visit's node partitions are
+// staged meanwhile. With WithWorkers(1) as well, each batch is built
+// only after the previous one has computed — the stages take turns.
 //
-// Pipelining never changes the training trajectory: batches compute in
-// exact plan order with per-batch derived RNG seeds, and base
-// representations are gathered at compute time, so a pipelined epoch
-// produces the same losses (and, combined with the bitwise-deterministic
-// kernels, the same checkpoints) as the serial path at every depth and
-// worker count. Per-epoch pipeline behavior is reported in
-// EpochStats.Pipeline.
+// Depth never changes the training trajectory: batches compute in exact
+// plan order with per-batch derived RNG seeds, and base representations
+// are gathered at compute time, so an epoch produces the same losses
+// (and, combined with the bitwise-deterministic kernels, the same
+// checkpoints) at every depth and worker count. Per-epoch pipeline
+// behavior is reported in EpochStats.Pipeline.
 func WithPipeline(depth int) Option {
 	return func(o *Options) error {
 		if depth < 0 {

@@ -107,16 +107,35 @@ func TestPipelineStatsReported(t *testing.T) {
 	if st.IO.PrefetchHits == 0 {
 		t.Fatalf("pipelined epoch recorded no partition prefetch hits: %+v", st.IO)
 	}
-	// Serial epochs report depth 0 and leave the executor's wait counters
-	// at zero (the inline path never blocks on a stage).
+	// Depth 0 with one worker is the same executor with nothing running
+	// ahead: it reports its geometry, every visit loaded, and the compute
+	// stage waiting out each load and each build.
 	serial := lpDiskSession(t, t.TempDir(), 0, 1)
 	defer serial.Close()
 	st0, err := serial.TrainEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st0.Pipeline.Depth != 0 || st0.Pipeline.LoadWait != 0 || st0.Pipeline.BatchWait != 0 {
-		t.Fatalf("serial epoch reported pipeline activity: %+v", st0.Pipeline)
+	if st0.Pipeline.Depth != 0 || st0.Pipeline.Workers != 1 || st0.Pipeline.VisitsLoaded != st0.Visits {
+		t.Fatalf("depth-0 epoch misreported its pipeline: %+v", st0.Pipeline)
+	}
+	if st0.Pipeline.LoadWait == 0 || st0.Pipeline.BatchWait == 0 {
+		t.Fatalf("depth-0 epoch waited for nothing: %+v", st0.Pipeline)
+	}
+}
+
+// A nil context never cancels: both tasks train through it (the epoch
+// driver normalises it once, before the executor sees it).
+func TestTrainEpochNilContext(t *testing.T) {
+	for name, sess := range map[string]*marius.Session{
+		"lp": lpDiskSession(t, t.TempDir(), 0, 1),
+		"nc": ncDiskSession(t, t.TempDir(), 2, 2),
+	} {
+		st, err := sess.TrainEpoch(nil) //nolint:staticcheck // the documented nil-context contract
+		if err != nil || st.Epoch != 1 || st.Batches == 0 {
+			t.Errorf("%s: TrainEpoch(nil) = %+v, %v", name, st, err)
+		}
+		sess.Close()
 	}
 }
 

@@ -39,21 +39,57 @@ func buildEncoder(kind ModelKind, ps *nn.ParamSet, dims []int, rng *rand.Rand) (
 	}
 }
 
+// taskBase is the part of a built-in Task that does not depend on what
+// it trains: the prepared graph, the trainer over its source, the dense
+// parameters and the lazily built evaluation adjacency.
+type taskBase struct {
+	g    *graph.Graph
+	opts *Options
+
+	tr  *train.Trainer
+	src *train.Source
+	ps  *nn.ParamSet
+	enc *gnn.Encoder
+
+	fullAdj *graph.Adjacency // lazily built for evaluation
+}
+
+func (t *taskBase) TrainEpoch(ctx context.Context) (train.EpochStats, error) {
+	return t.tr.TrainEpoch(ctx)
+}
+
+// adj lazily builds (and caches) the full-graph evaluation adjacency.
+// Dataset-backed sessions keep no in-memory edge list, so the first
+// evaluation reads the buckets back from the edge store (bucket order —
+// the same flattened order the training index exposes).
+func (t *taskBase) adj() (*graph.Adjacency, error) {
+	if t.fullAdj == nil {
+		edges := t.g.Edges
+		if len(edges) == 0 && t.opts.dataset != nil {
+			var err error
+			if edges, err = t.src.ReadAllEdges(); err != nil {
+				return nil, err
+			}
+		}
+		t.fullAdj = graph.BuildAdjacency(t.g.NumNodes, edges)
+	}
+	return t.fullAdj, nil
+}
+
+func (t *taskBase) Epoch() int                { return t.tr.Epoch() }
+func (t *taskBase) SetEpoch(e int)            { t.tr.SetEpoch(e) }
+func (t *taskBase) Params() *nn.ParamSet      { return t.ps }
+func (t *taskBase) Source() *train.Source     { return t.src }
+func (t *taskBase) SetPolicy(p policy.Policy) { t.tr.Pol = p }
+
 // NodeClassification returns the node-classification Task: GNN training
 // over fixed node features with the §5.2 training-node caching policy for
 // disk storage. The graph must carry Features, Labels and TrainNodes.
 func NodeClassification() Task { return &ncTask{} }
 
 type ncTask struct {
-	g    *graph.Graph
-	opts *Options
-
-	tr  *train.NCTrainer
-	src *train.Source
-	ps  *nn.ParamSet
-	enc *gnn.Encoder
-
-	fullAdj *graph.Adjacency // lazily built for evaluation
+	taskBase
+	cfg train.NCConfig
 }
 
 func (t *ncTask) Name() string { return TaskNC }
@@ -129,7 +165,7 @@ func (t *ncTask) assemble(g *graph.Graph, o *Options, src *train.Source, featDim
 	} else {
 		pol = policy.InMemory{P: p}
 	}
-	ncfg := train.NCConfig{
+	t.cfg = train.NCConfig{
 		Encoder: enc, Params: ps,
 		Fanouts: o.Fanouts, Dirs: graph.Both,
 		BatchSize: o.BatchSize, Opt: nn.NewAdam(o.LR), ClipNorm: 5,
@@ -137,7 +173,7 @@ func (t *ncTask) assemble(g *graph.Graph, o *Options, src *train.Source, featDim
 		Obs: o.observe(src),
 	}
 	t.g, t.opts, t.src, t.ps, t.enc = g, o, src, ps, enc
-	t.tr = train.NewNC(ncfg, src, pol, g.Labels, g.TrainNodes)
+	t.tr = train.NewNC(t.cfg, src, pol, g.Labels, g.TrainNodes)
 	return nil
 }
 
@@ -185,33 +221,6 @@ func (t *ncTask) prepareDataset(g *graph.Graph, o *Options, ds *storage.Dataset)
 	return t.assemble(g, o, src, man.FeatureDim, p, c, trainParts, rng)
 }
 
-func (t *ncTask) TrainEpoch(ctx context.Context) (train.EpochStats, error) {
-	return t.tr.TrainEpoch(ctx)
-}
-
-func (t *ncTask) adj() (*graph.Adjacency, error) {
-	return evalAdj(&t.fullAdj, t.g, t.opts, t.src)
-}
-
-// evalAdj lazily builds (and caches in *cached) the full-graph
-// evaluation adjacency. Dataset-backed sessions keep no in-memory edge
-// list, so the first evaluation reads the buckets back from the edge
-// store (bucket order — the same flattened order the training index
-// exposes).
-func evalAdj(cached **graph.Adjacency, g *graph.Graph, o *Options, src *train.Source) (*graph.Adjacency, error) {
-	if *cached == nil {
-		edges := g.Edges
-		if len(edges) == 0 && o.dataset != nil {
-			var err error
-			if edges, err = src.ReadAllEdges(); err != nil {
-				return nil, err
-			}
-		}
-		*cached = graph.BuildAdjacency(g.NumNodes, edges)
-	}
-	return *cached, nil
-}
-
 // Evaluate computes accuracy over the full graph; with disk storage the
 // feature table is first read back into memory (evaluation nodes may live
 // in partitions that are not resident). Ranking specs are rejected:
@@ -246,7 +255,7 @@ func (t *ncTask) Evaluate(split Split, spec *EvalSpec) (EvalResult, error) {
 	if err != nil {
 		return res, err
 	}
-	acc, err := train.EvaluateNC(&t.tr.Cfg, src, adj, t.g.Labels, nodes, seed)
+	acc, err := train.EvaluateNC(&t.cfg, src, adj, t.g.Labels, nodes, seed)
 	if err != nil {
 		return res, err
 	}
@@ -254,12 +263,7 @@ func (t *ncTask) Evaluate(split Split, spec *EvalSpec) (EvalResult, error) {
 	return res, nil
 }
 
-func (t *ncTask) Epoch() int                { return t.tr.Epoch() }
-func (t *ncTask) SetEpoch(e int)            { t.tr.SetEpoch(e) }
-func (t *ncTask) Params() *nn.ParamSet      { return t.ps }
-func (t *ncTask) Source() *train.Source     { return t.src }
-func (t *ncTask) LearnableTable() bool      { return false }
-func (t *ncTask) SetPolicy(p policy.Policy) { t.tr.Pol = p }
+func (t *ncTask) LearnableTable() bool { return false }
 
 // LinkPrediction returns the link-prediction Task: learnable node
 // embeddings (optionally GNN-encoded) scored by a DistMult, ComplEx or
@@ -268,16 +272,8 @@ func (t *ncTask) SetPolicy(p policy.Policy) { t.tr.Pol = p }
 func LinkPrediction() Task { return &lpTask{} }
 
 type lpTask struct {
-	g    *graph.Graph
-	opts *Options
-
-	tr  *train.LPTrainer
-	src *train.Source
-	ps  *nn.ParamSet
-	enc *gnn.Encoder
+	taskBase
 	dec decoder.Decoder
-
-	fullAdj *graph.Adjacency
 }
 
 func (t *lpTask) Name() string { return TaskLP }
@@ -445,14 +441,6 @@ func (t *lpTask) prepareDataset(g *graph.Graph, o *Options, ds *storage.Dataset)
 	return t.assemble(g, o, src, p, c, l, rng)
 }
 
-func (t *lpTask) TrainEpoch(ctx context.Context) (train.EpochStats, error) {
-	return t.tr.TrainEpoch(ctx)
-}
-
-func (t *lpTask) adj() (*graph.Adjacency, error) {
-	return evalAdj(&t.fullAdj, t.g, t.opts, t.src)
-}
-
 // Evaluate computes sampled-negative MRR (or full ranking for small
 // graphs, as the paper does on FB15k-237) by default; a spec with
 // Ranking set runs the both-sides (optionally filtered) ranking protocol
@@ -538,9 +526,4 @@ func (t *lpTask) embeddings() (*tensor.Tensor, error) {
 	return mem.Table(), nil
 }
 
-func (t *lpTask) Epoch() int                { return t.tr.Epoch() }
-func (t *lpTask) SetEpoch(e int)            { t.tr.SetEpoch(e) }
-func (t *lpTask) Params() *nn.ParamSet      { return t.ps }
-func (t *lpTask) Source() *train.Source     { return t.src }
-func (t *lpTask) LearnableTable() bool      { return true }
-func (t *lpTask) SetPolicy(p policy.Policy) { t.tr.Pol = p }
+func (t *lpTask) LearnableTable() bool { return true }
