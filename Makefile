@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-purego cross loc bench-module race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval bench-baseline check
+.PHONY: build vet test test-purego cross loc bench-module race race-pipeline race-fault bench-kernels fuzz-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval bench-baseline check
 
 build:
 	$(GO) build ./...
@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 # The whole suite with the AVX2 assembly compiled out (the purego tag), so
-# every test also passes on the Go axpy loop.
+# every test also passes on the Go axpy loops.
 test-purego:
 	$(GO) test -tags purego ./...
 
@@ -44,12 +44,20 @@ race:
 
 # Short-mode kernel benchmarks with hard floors: >=2x blocked-matmul
 # throughput at 4 workers vs the naive reference, >=1.2x fused
-# dequantizing score vs materialize-then-score (fp16 and int8), and 0
-# allocs/batch in the arena training step. Writes to /tmp so the
-# checked-in full-shape baseline is never clobbered with incomparable
-# short-mode numbers.
+# dequantizing score vs materialize-then-score (fp16 and int8), >=1.5x
+# for the training-shape kernels through axpyN vs the per-term axpy loop
+# (on an AVX2 machine), and 0 allocs/batch in the arena training step.
+# Writes to /tmp so the checked-in full-shape baseline is never clobbered
+# with incomparable short-mode numbers.
 bench-kernels:
 	$(GO) run ./cmd/benchkernels -short -check -o /tmp/BENCH_kernels.json
+
+# Twenty seconds of native fuzzing on the multi-term SIMD primitive: bytes
+# become an axpyN call (width, term count, strides, index, skip flag, edge
+# values) whose assembly result must equal the scalar definition bit for
+# bit. The seed corpus alone runs in every plain `go test`.
+fuzz-kernels:
+	$(GO) test ./internal/tensor -run '^$$' -fuzz=FuzzAxpyN -fuzztime=20s
 
 # Race coverage focused on the epoch executor: its ordering/bounding tests
 # and the every-small-configuration check against the serial oracle, then
@@ -150,4 +158,4 @@ bench-baseline:
 # The full local gate: everything CI runs (test, race, race-pipeline,
 # and every benchmark floor including the end-to-end ingest and serving
 # paths).
-check: build vet test test-purego cross loc bench-module race race-pipeline race-fault bench-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval
+check: build vet test test-purego cross loc bench-module race race-pipeline race-fault bench-kernels fuzz-kernels bench-pipeline bench-sampler bench-ingest bench-serve bench-fault bench-eval

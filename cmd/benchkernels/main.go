@@ -7,8 +7,10 @@
 //	go run ./cmd/benchkernels -short -check    # CI: small shapes, enforce floors
 //
 // -check exits non-zero when the 4-worker blocked matmul fails to reach
-// 2x naive throughput or the arena training step allocates, so kernel
-// regressions fail loudly rather than drifting.
+// 2x naive throughput, a training-shape kernel through axpyN fails to
+// reach 1.5x the per-term axpy loop (on an AVX2 machine), or the arena
+// training step allocates, so kernel regressions fail loudly rather than
+// drifting.
 package main
 
 import (
@@ -36,6 +38,7 @@ type Report struct {
 	Schema     int            `json:"schema"`
 	Go         string         `json:"go"`
 	GoMaxProcs int            `json:"gomaxprocs"`
+	AVX2       bool           `json:"avx2"` // the kernels ran their assembly, not the Go loops
 	Short      bool           `json:"short"`
 	Shapes     map[string]any `json:"shapes"`
 	Results    []Result       `json:"results"`
@@ -92,7 +95,10 @@ func main() {
 	gRows, gDim, gFan, gSegs := 2000, 64, 8, 1500
 	sB, sDim, sNeg, sTable := 256, 64, 500, 4000
 	if *short {
-		n, k, m = 192, 96, 128
+		// The matmul keeps its full shape: it feeds the parallel-speedup
+		// floor, and a smaller one is ~100 µs of work for today's kernel,
+		// less than it costs a 2-vCPU VM to wake a parked core and join.
+		// A row runs for a second whatever its shape.
 		gRows, gSegs = 800, 600
 		sB, sNeg, sTable = 128, 250, 1500
 	}
@@ -198,6 +204,66 @@ func main() {
 		deqSpeedup[kind.String()] = float64(unfused.NsPerOp) / float64(fused.NsPerOp)
 	}
 
+	// Training shapes. The matmul above is wide enough to hide what a
+	// term costs; the kernels of a training step are not: the LP workload
+	// runs dim 32 with 100 negatives at batch 1024, the NC workload hidden
+	// 16. Each kernel is timed as it runs (one axpyN per output row and
+	// k-block, the sum held in registers) and as it ran before axpyN, the
+	// same loop issuing one axpy call per term. Both feed a -check floor,
+	// so best-of-3, on one worker.
+	tB, tNeg, tDim, tHid := 1024, 100, 32, 16
+	if *short {
+		tB = 256
+	}
+	const kBlock = 64            // the kernels' k-block
+	tG := randn(rng, tB, tNeg)   // score gradients [batch x negatives]
+	tE := randn(rng, tB, tDim)   // encodings [batch x dim]
+	tW := randn(rng, tNeg, tHid) // a hidden-16 layer's weights
+	tTable := randn(rng, sTable, tDim)
+	tIdx := negIdx[:tNeg]
+	trainSpeedup := map[string]float64{}
+	trainShape := func(name string, rows, cols int, flops float64, viaAxpyN func(out *tensor.Tensor), perTerm func(out *tensor.Tensor, i int)) {
+		out := tensor.New(rows, cols)
+		fast := benchBest(name+"_axpyn", flops, 3, func(bb *testing.B) {
+			for i := 0; i < bb.N; i++ {
+				viaAxpyN(out)
+			}
+		})
+		add(fast)
+		slow := benchBest(name+"_perterm", flops, 3, func(bb *testing.B) {
+			for i := 0; i < bb.N; i++ {
+				out.Zero()
+				for r := 0; r < rows; r++ {
+					perTerm(out, r)
+				}
+			}
+		})
+		add(slow)
+		trainSpeedup[name] = float64(slow.NsPerOp) / float64(fast.NsPerOp)
+	}
+	// dW = Gᵀ @ E: [negatives x dim] from batch-many terms per row.
+	trainShape("train_matmulta", tNeg, tDim, 2*float64(tB)*float64(tNeg)*float64(tDim),
+		func(out *tensor.Tensor) { serial.MatMulTransposeAInto(out, tG, tE, false) },
+		func(out *tensor.Tensor, i int) {
+			for p0 := 0; p0 < tB; p0 += kBlock {
+				tensor.BenchAxpyTerms(out.Row(i), tE.Data[p0*tDim:], tDim, nil, tG.Data[p0*tNeg+i:], tNeg, min(kBlock, tB-p0), true)
+			}
+		})
+	// dQ = G @ table[idx]: the backward of fused negative scoring.
+	trainShape("train_matmulgather", tB, tDim, 2*float64(tB)*float64(tNeg)*float64(tDim),
+		func(out *tensor.Tensor) { out.Zero(); serial.BenchMatMulGather(out, tG, tTable, tIdx) },
+		func(out *tensor.Tensor, i int) {
+			tensor.BenchAxpyTerms(out.Row(i), tTable.Data, tDim, tIdx, tG.Row(i), 1, tNeg, true)
+		})
+	// H = G @ W with 16 output columns: one 16-wide step per term.
+	trainShape("train_matmul_m16", tB, tHid, 2*float64(tB)*float64(tNeg)*float64(tHid),
+		func(out *tensor.Tensor) { serial.MatMulInto(out, tG, tW, false) },
+		func(out *tensor.Tensor, i int) {
+			for p0 := 0; p0 < tNeg; p0 += kBlock {
+				tensor.BenchAxpyTerms(out.Row(i), tW.Data[p0*tHid:], tHid, nil, tG.Row(i)[p0:], 1, min(kBlock, tNeg-p0), true)
+			}
+		})
+
 	// Arena steady state: tensor.BenchTrainStep is the same sequence the
 	// zero-allocation contract test asserts on — the two gates measure one
 	// body by construction.
@@ -228,12 +294,14 @@ func main() {
 		Schema:     1,
 		Go:         runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		AVX2:       tensor.HasAVX2(),
 		Short:      *short,
 		Shapes: map[string]any{
 			"matmul":            []int{n, k, m},
 			"gather_segment":    map[string]int{"rows": gRows, "dim": gDim, "fanout": gFan, "segments": gSegs},
 			"negative_scoring":  map[string]int{"batch": sB, "dim": sDim, "negatives": sNeg, "table": sTable},
 			"arena_train_layer": gDim,
+			"training":          map[string]int{"batch": tB, "negatives": tNeg, "dim": tDim, "hidden": tHid},
 		},
 		Results: results,
 		Summary: map[string]any{
@@ -243,6 +311,9 @@ func main() {
 			"fused_negscore_speedup":            round2(float64(negUnfused.NsPerOp) / float64(negFused.NsPerOp)),
 			"fused_dequant_speedup_fp16":        round2(deqSpeedup["fp16"]),
 			"fused_dequant_speedup_int8":        round2(deqSpeedup["int8"]),
+			"axpyn_speedup_matmulta":            round2(trainSpeedup["train_matmulta"]),
+			"axpyn_speedup_matmulgather":        round2(trainSpeedup["train_matmulgather"]),
+			"axpyn_speedup_matmul_m16":          round2(trainSpeedup["train_matmul_m16"]),
 			"arena_allocs_per_batch":            arenaStep.AllocsPerOp,
 			"heap_allocs_per_batch":             heapStep.AllocsPerOp,
 			"arena_train_step_speedup":          round2(float64(heapStep.NsPerOp) / float64(arenaStep.NsPerOp)),
@@ -281,6 +352,15 @@ func main() {
 		for kind, sp := range deqSpeedup {
 			if sp < 1.2 {
 				fmt.Fprintf(os.Stderr, "CHECK FAILED: fused %s dequant scoring %.2fx vs materialize-then-score, want >= 1.2x\n", kind, sp)
+				failed = true
+			}
+		}
+		// Holding the sum in registers across a row's terms must clearly
+		// beat storing and reloading it per term at the shapes training
+		// uses. Without AVX2 both sides are the same Go loop.
+		for name, sp := range trainSpeedup {
+			if tensor.HasAVX2() && sp < 1.5 {
+				fmt.Fprintf(os.Stderr, "CHECK FAILED: %s through axpyN %.2fx the per-term axpy loop, want >= 1.5x\n", name, sp)
 				failed = true
 			}
 		}

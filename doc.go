@@ -50,7 +50,12 @@
 // once, so it is forbidden), which makes the two paths bit-identical:
 // checkpoints, losses and served bytes do not depend on which one ran. Dot
 // products reach it by packing the right-hand rows into a transposed panel,
-// so the reduction runs down the lanes, never across them.
+// so the reduction runs down the lanes, never across them. Where one output
+// row takes many terms (the matmuls, the scoring backward, the segment
+// sums) the loop over the terms is inside the assembly too (axpyN): the row
+// stays in registers from its first term to its last, stored once. The
+// order of the terms, the two roundings and the skipping of zero
+// coefficients are unchanged, so this path is bit-identical as well.
 //
 // cmd/benchkernels measures the kernels against retained naive references
 // and writes BENCH_kernels.json (the checked-in baseline); `make

@@ -95,6 +95,6 @@ func (d *ComplEx) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *ten
 	negDst = tp.GatherMatMulTB(tailQ, enc, negIdx) // [B x N] corrupt destination
 	negSrc = tp.GatherMatMulTB(headQ, enc, negIdx) // [B x N] corrupt source
 
-	loss = ceLoss(tp, posScores, negDst, negSrc, len(srcIdx))
+	loss = ceLoss(tp, posScores, negDst, negSrc)
 	return loss, posScores, negDst, negSrc
 }

@@ -83,10 +83,9 @@ func New(kind string, ps *nn.ParamSet, numRels, dim int, rng *rand.Rand) (Decode
 
 // ceLoss combines positive and corrupted scores into the symmetric
 // softmax cross-entropy loss (the positive sits in column 0).
-func ceLoss(tp *tensor.Tape, pos, negDst, negSrc *tensor.Node, batch int) *tensor.Node {
-	labels := make([]int32, batch)
-	lossDst := tp.SoftmaxCrossEntropy(tp.ConcatCols(pos, negDst), labels)
-	lossSrc := tp.SoftmaxCrossEntropy(tp.ConcatCols(pos, negSrc), labels)
+func ceLoss(tp *tensor.Tape, pos, negDst, negSrc *tensor.Node) *tensor.Node {
+	lossDst := tp.SoftmaxCrossEntropy(tp.ConcatCols(pos, negDst), nil)
+	lossSrc := tp.SoftmaxCrossEntropy(tp.ConcatCols(pos, negSrc), nil)
 	return tp.Scale(tp.Add(lossDst, lossSrc), 0.5)
 }
 

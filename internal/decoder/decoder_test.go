@@ -3,6 +3,7 @@ package decoder
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/nn"
@@ -121,4 +122,54 @@ func TestFullRankAndScoreAll(t *testing.T) {
 	if len(top) != 2 || scores[top[0]] < scores[top[1]] {
 		t.Fatalf("TopK broken: %v", top)
 	}
+}
+
+// TestDistMultStepHeapDoesNotGrowWithBatch extends the arena's allocation
+// contract to a real loss step: DistMult.Loss + Backward on an arena-backed
+// tape, as the LP trainer runs it. Every tensor comes from the arena, so
+// what the heap still sees is the tape's closures, a fixed number of small
+// objects per step; nothing sized by the batch (ceLoss's label slice was
+// the last such allocation).
+func TestDistMultStepHeapDoesNotGrowWithBatch(t *testing.T) {
+	const dim, negs = 16, 50
+	rng := rand.New(rand.NewSource(7))
+	ps := nn.NewParamSet()
+	d := NewDistMult(ps, 5, dim, rng)
+	arena := tensor.NewArena()
+	tp := tensor.NewTapeWith(tensor.NewCompute(1, arena))
+	var binds map[string]*tensor.Node
+
+	heapPerStep := func(batch int) (allocs float64, bytes uint64) {
+		enc := tensor.New(2*batch+negs, dim)
+		enc.RandNormal(rng, 1)
+		srcIdx, dstIdx, rels := make([]int32, batch), make([]int32, batch), make([]int32, batch)
+		for i := range srcIdx {
+			srcIdx[i], dstIdx[i], rels[i] = int32(i), int32(batch+i), int32(i%5)
+		}
+		negIdx := make([]int32, negs)
+		for i := range negIdx {
+			negIdx[i] = int32(2*batch + i)
+		}
+		step := func() {
+			tp.Reset()
+			arena.Reset()
+			binds = ps.BindInto(tp, binds)
+			loss, _, _, _ := d.Loss(tp, binds, tp.Leaf(enc, true), srcIdx, dstIdx, negIdx, rels)
+			tp.Backward(loss)
+		}
+		step() // warm the arena's slabs and the tape's node pool
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, step)
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	}
+	smallAllocs, smallBytes := heapPerStep(32)
+	bigAllocs, bigBytes := heapPerStep(2048)
+	if bigAllocs != smallAllocs || bigBytes > smallBytes+256 {
+		t.Fatalf("a step at batch 2048 allocates %v objects, %d bytes; at batch 32, %v objects, %d bytes: something on the heap is sized by the batch",
+			bigAllocs, bigBytes, smallAllocs, smallBytes)
+	}
+	t.Logf("heap per step: %v objects, %d bytes at either batch size", bigAllocs, bigBytes)
 }

@@ -63,6 +63,6 @@ func (d *DistMult) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *te
 	negDst = tp.GatherMatMulTB(srcRel, enc, negIdx) // [B x N] corrupt destination
 	negSrc = tp.GatherMatMulTB(dstRel, enc, negIdx) // [B x N] corrupt source
 
-	loss = ceLoss(tp, posScores, negDst, negSrc, len(srcIdx))
+	loss = ceLoss(tp, posScores, negDst, negSrc)
 	return loss, posScores, negDst, negSrc
 }

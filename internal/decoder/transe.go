@@ -83,6 +83,6 @@ func (d *TransE) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tens
 		tp.Scale(en, -1),
 	) // [B x N] corrupt source
 
-	loss = ceLoss(tp, posScores, negDst, negSrc, len(srcIdx))
+	loss = ceLoss(tp, posScores, negDst, negSrc)
 	return loss, posScores, negDst, negSrc
 }

@@ -121,7 +121,9 @@ func (s *DiskEdgeStore) ReadBucket(i, j int, dst []graph.Edge) ([]graph.Edge, er
 	if start == end {
 		return dst, nil
 	}
-	buf := make([]byte, (end-start)*edgeBytes)
+	bp := getReadBuf(int(end-start) * edgeBytes)
+	defer readBufs.Put(bp)
+	buf := *bp
 	if err := readFull(s.f, buf, start*edgeBytes, &s.stats); err != nil {
 		return dst, fmt.Errorf("storage: read bucket (%d,%d): %w", i, j, err)
 	}

@@ -230,9 +230,32 @@ func writeFull(f io.WriterAt, p []byte, off int64, st *Stats) error {
 	return nil
 }
 
+// readBufs recycles the byte image of a read, which lives only until it is
+// decoded into the caller's floats or edges. Without it every partition and
+// bucket read allocates its own size again. Still one readFull per read, so
+// Stats, throttle waits and the fault injector's op count are what they
+// were.
+var readBufs sync.Pool
+
+// getReadBuf returns a pooled buffer grown to n bytes; give it back with
+// readBufs.Put once nothing refers to its bytes.
+func getReadBuf(n int) *[]byte {
+	bp, _ := readBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	*bp = (*bp)[:n]
+	return bp
+}
+
 // readFloats reads count float32 values at byte offset off into dst.
 func readFloats(f io.ReaderAt, off int64, dst []float32, st *Stats, th *Throttle) error {
-	buf := make([]byte, len(dst)*4)
+	bp := getReadBuf(len(dst) * 4)
+	defer readBufs.Put(bp)
+	buf := *bp
 	if err := readFull(f, buf, off, st); err != nil {
 		return err
 	}

@@ -429,7 +429,9 @@ func (s *DiskNodeStore) readPartition(p int, data, opt []float32) error {
 func (s *DiskNodeStore) readQuantPartition(p int, data []float32) error {
 	start, end := s.pt.Range(p)
 	eb := s.quant.ElemBytes()
-	raw := make([]byte, int(end-start)*s.dim*eb)
+	bp := getReadBuf(int(end-start) * s.dim * eb)
+	defer readBufs.Put(bp)
+	raw := *bp
 	off := int64(start) * int64(s.dim) * int64(eb)
 	if err := readBytes(s.f, off, raw, &s.stats, s.throttle); err != nil {
 		return fmt.Errorf("storage: read partition %d: %w", p, err)

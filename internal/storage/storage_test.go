@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"time"
@@ -243,6 +244,43 @@ func TestEdgeStoreDiskMatchesMemory(t *testing.T) {
 				t.Fatal("BucketLen mismatch")
 			}
 		}
+	}
+}
+
+// TestDiskReadBucketSteadyStateAllocs: reading a bucket into a dst that is
+// already large enough takes its byte image from the read-buffer pool, not
+// the heap, and still counts as exactly one read of the bucket's bytes.
+func TestDiskReadBucketSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const n = 100
+	pt := partition.New(n, 2)
+	edges := make([]graph.Edge, 4000)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: int32(rng.Intn(n)), Rel: int32(rng.Intn(3)), Dst: int32(rng.Intn(n))}
+	}
+	disk, err := CreateDiskEdgeStore(t.TempDir(), pt, edges, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	want := NewMemoryEdgeStore(pt, edges)
+	dst := make([]graph.Edge, 0, len(edges))
+	read := func() {
+		if dst, err = disk.ReadBucket(0, 1, dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // warm the pool
+	before := disk.Stats().Snapshot()
+	if allocs := testing.AllocsPerRun(50, read); allocs != 0 {
+		t.Fatalf("steady-state ReadBucket allocates %v times per call, want 0", allocs)
+	}
+	after := disk.Stats().Snapshot()
+	if reads, bytes := after.Reads-before.Reads, after.BytesRead-before.BytesRead; reads != 51 || bytes != 51*int64(len(dst))*EdgeBytes {
+		t.Fatalf("51 calls counted %d reads of %d bytes, want 51 of %d", reads, bytes, 51*len(dst)*EdgeBytes)
+	}
+	if exp, _ := want.ReadBucket(0, 1, nil); !reflect.DeepEqual(dst, exp) {
+		t.Fatal("pooled read decoded different edges than the in-memory store holds")
 	}
 }
 

@@ -582,17 +582,19 @@ func (tp *Tape) Dropout(a *Node, p float32, rng *rand.Rand) *Node {
 }
 
 // SoftmaxCrossEntropy records mean softmax cross-entropy between logits
-// [n x C] and integer class labels. It returns the scalar loss node.
+// [n x C] and integer class labels; nil labels put every row in class 0
+// (the link-prediction loss, whose positive sits in column 0). It returns
+// the scalar loss node.
 func (tp *Tape) SoftmaxCrossEntropy(logits *Node, labels []int32) *Node {
 	n := logits.Value.Rows
-	if len(labels) != n {
+	if labels != nil && len(labels) != n {
 		panic(fmt.Sprintf("tensor: SoftmaxCrossEntropy %d labels for %d rows", len(labels), n))
 	}
 	probs := tp.c.RowSoftmax(logits.Value)
 	out := tp.c.alloc(1, 1)
 	var loss float64
-	for i, lab := range labels {
-		p := probs.At(i, int(lab))
+	for i := 0; i < n; i++ {
+		p := probs.At(i, classOf(labels, i))
 		if p < 1e-12 {
 			p = 1e-12
 		}
@@ -602,10 +604,10 @@ func (tp *Tape) SoftmaxCrossEntropy(logits *Node, labels []int32) *Node {
 	return tp.record(out, logits.requiresGrad, func(g *Tensor) {
 		gl := logits.ensureGrad()
 		scale := g.Data[0] / float32(n)
-		for i, lab := range labels {
-			grow, prow := gl.Row(i), probs.Row(i)
+		for i := 0; i < n; i++ {
+			grow, prow, lab := gl.Row(i), probs.Row(i), classOf(labels, i)
 			for j, pv := range prow {
-				if int32(j) == lab {
+				if j == lab {
 					grow[j] += (pv - 1) * scale
 				} else {
 					grow[j] += pv * scale
@@ -613,4 +615,12 @@ func (tp *Tape) SoftmaxCrossEntropy(logits *Node, labels []int32) *Node {
 			}
 		}
 	})
+}
+
+// classOf is row i's class: labels[i], or 0 when labels is nil.
+func classOf(labels []int32, i int) int {
+	if labels == nil {
+		return 0
+	}
+	return int(labels[i])
 }

@@ -29,7 +29,14 @@ import (
 // multiply-add is forbidden, since it rounds once and would change low
 // bits. The two paths are therefore bit-identical (NaN payloads aside,
 // which no kernel promises), and checkpoints, losses and served bytes do
-// not depend on which one a machine runs.
+// not depend on which one a machine runs. axpyN, the many-term form the
+// matmuls and segment sums call, adds one thing: the assembly keeps an
+// output element in its lane's register from the first term to the last
+// where a loop of axpys stores and reloads it. Order, rounding and the
+// skipping of zero coefficients are as before. aᵀ@b makes the output row
+// its outer loop inside a k-block so that this works; that interchange
+// cannot reorder a sum, since each output element still meets its terms
+// block by block and, within a block, in ascending p.
 //
 // A nil *Compute is valid and behaves as the package default: up to
 // GOMAXPROCS workers, heap-allocated outputs. The free kernel functions

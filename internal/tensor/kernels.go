@@ -21,16 +21,29 @@ import (
 // forbidden: it rounds a*x+y once, which changes low bits against the
 // scalar loop and would make checkpoints depend on the machine's path.
 //
+// An output row that takes many terms takes them through axpyN, which is n
+// axpys onto one y with the loop over the terms moved into the assembly: a
+// strip of y is loaded into registers once, every term is multiplied and
+// added there, and the strip is stored once, where a loop of axpy calls
+// pays a call, a load and a store of y per term. The lane rule is untouched
+// — same lane per element, terms in ascending p, product and sum rounded
+// separately, zero coefficients skipped exactly where the kernel skipped
+// them before — so where the running sum lives between two terms is the
+// only thing that changed, and a float32 is the same value in a register as
+// in memory. Single-term axpy remains for the scatters, whose every term
+// lands on a different row.
+//
 // Each kernel's loop body lives in a named range function; the serial path
 // calls it directly so that single-worker execution — the deterministic
 // training path and the arena's zero-allocation contract — creates no
 // closure and touches the heap not at all. Only a multi-goroutine launch
 // pays the small closure allocation for the fan-out.
 
-// blockK is the k-dimension tile of the blocked matmul: blockK rows of b
+// blockK is the k-dimension tile of the blocked matmuls: blockK rows of b
 // are streamed repeatedly across a goroutine's row range so they stay
-// cache resident. Tiling over k does not reorder sums — for every output
-// element the p-index still ascends monotonically across tiles.
+// cache resident, and one axpyN call covers one output row's terms within a
+// tile. Tiling over k does not reorder sums — for every output element the
+// p-index still ascends monotonically across tiles.
 const blockK = 64
 
 // MatMul returns a @ b for a [n x k] and b [k x m].
@@ -46,31 +59,45 @@ func (c *Compute) MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// matmulRange computes out[start:end] += a[start:end] @ b with k-blocking.
-// For every output element the accumulation order over p is strictly
-// ascending, whether out starts zeroed or holds a prior value (the
-// accumulate case folds new terms onto it in the same ascending order).
-func matmulRange(out, a, b *Tensor, start, end int) {
-	k, m := a.Cols, b.Cols
+// mulRange computes out[i] += Σ_p A(i,p)·b[p] for i in [start, end), where
+// A(i,p) is a.Data[i*ri+p*rp]: a@b with (ri, rp) = (a.Cols, 1), aᵀ@b with
+// (1, a.Cols). Each output row takes one axpyN per k-block, so its sum stays
+// in registers for the whole block; the coefficients walk along a's row, or
+// down its column at stride a.Cols. For every output element the
+// accumulation order over p is strictly ascending — blocks ascend, and p
+// ascends within a block, whichever loop is outermost — whether out starts
+// zeroed or holds a prior value (the accumulate case folds new terms onto
+// it in the same order).
+func mulRange(out, a, b *Tensor, ri, rp, start, end int) {
+	k, m := b.Rows, b.Cols
 	for p0 := 0; p0 < k; p0 += blockK {
-		p1 := min(p0+blockK, k)
+		n := min(blockK, k-p0)
 		for i := start; i < end; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*m : (i+1)*m]
-			for p := p0; p < p1; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				axpy(orow, b.Data[p*m:(p+1)*m], av)
-			}
+			axpyN(out.Data[i*m:(i+1)*m], b.Data[p0*m:], m, nil, a.Data[i*ri+p0*rp:], rp, n, true)
 		}
 	}
+}
+
+// mulInto runs mulRange over all of out, zeroed first unless accumulate.
+func (c *Compute) mulInto(out, a, b *Tensor, ri, rp int, accumulate bool) {
+	n, k, m := out.Rows, b.Rows, b.Cols
+	if !accumulate {
+		out.Zero()
+	}
+	if c.serialFor(n, n*k*m) {
+		mulRange(out, a, b, ri, rp, 0, n)
+		return
+	}
+	c.fanOut(n, func(s, e int) { mulRange(out, a, b, ri, rp, s, e) })
 }
 
 // useAVX2 is decided once at start-up from what the CPU reports, never from
 // a setting; tests clear it to run the Go loop on the same machine.
 var useAVX2 = hasAVX2()
+
+// HasAVX2 reports whether this machine runs the kernels' AVX2 assembly, so
+// that a benchmark report can say which path it measured.
+func HasAVX2() bool { return hasAVX2() }
 
 // axpy computes y[j] += a*x[j] for j < len(x): the assembly when the CPU
 // has AVX2, else the Go loop. Both round the product, then the sum, one
@@ -82,6 +109,50 @@ func axpy(y, x []float32, a float32) {
 		return
 	}
 	axpyGo(y, x, a)
+}
+
+// one is the coefficient of every term of a plain sum (axpyN's cstride 0).
+var one = []float32{1}
+
+// axpyN computes y[j] += Σ_{p<n} coef[p*cstride] * X[row(p)][j] for
+// j < len(y), where X[r] is x[r*xstride:] and row(p) is p, or idx[p] when
+// idx is not nil; with skip, a term whose coefficient is ±0 is left out, so
+// it cannot turn a -0 into +0 or an Inf or NaN row into NaN. It is n axpys
+// onto one y, and in assembly the same arithmetic in the same order with y
+// held in registers from the first term to the last — see the lane rule at
+// the top of this file. The assembly works on raw pointers: y, coef and idx
+// are checked here, each row's place in x by the assembly as it gets there.
+func axpyN(y, x []float32, xstride int, idx []int32, coef []float32, cstride, n int, skip bool) {
+	if !useAVX2 || n <= 0 || len(y) == 0 {
+		axpyTerms(y, x, xstride, idx, coef, cstride, n, skip)
+		return
+	}
+	var ip *int32
+	if idx != nil {
+		ip = &idx[:n][0]
+	}
+	_ = coef[(n-1)*cstride]
+	last := len(x) - len(y) // where the last row that fits begins
+	if last < 0 || !axpyNAVX2(&y[0], len(y), &x[0], xstride, 4*last, ip, &coef[0], cstride, n, skip) {
+		panic("tensor: axpyN row outside x")
+	}
+}
+
+// axpyTerms is axpyN one axpy call per term: what runs without the
+// assembly, the reference the assembly is tested against, and the loop
+// cmd/benchkernels times it against.
+func axpyTerms(y, x []float32, xstride int, idx []int32, coef []float32, cstride, n int, skip bool) {
+	for p := 0; p < n; p++ {
+		c := coef[p*cstride]
+		if skip && c == 0 {
+			continue
+		}
+		r := p
+		if idx != nil {
+			r = int(idx[p])
+		}
+		axpy(y, x[r*xstride:r*xstride+len(y)], c)
+	}
 }
 
 // axpyGo is axpy on every platform without the assembly, and the reference
@@ -110,15 +181,7 @@ func (c *Compute) MatMulInto(out, a, b *Tensor, accumulate bool) {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch %dx%d @ %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	n, k, m := a.Rows, a.Cols, b.Cols
-	if !accumulate {
-		out.Zero()
-	}
-	if c.serialFor(n, n*k*m) {
-		matmulRange(out, a, b, 0, n)
-		return
-	}
-	c.fanOut(n, func(s, e int) { matmulRange(out, a, b, s, e) })
+	c.mulInto(out, a, b, a.Cols, 1, accumulate)
 }
 
 // MatMulTransposeA returns aᵀ @ b for a [k x n] and b [k x m].
@@ -131,23 +194,6 @@ func (c *Compute) MatMulTransposeA(a, b *Tensor) *Tensor {
 	return out
 }
 
-// matmulTARange computes out[start:end] += (aᵀ@b)[start:end] over the
-// columns of a (rows of out); each range walks all of k ascending.
-func matmulTARange(out, a, b *Tensor, start, end int) {
-	k, n, m := a.Rows, a.Cols, b.Cols
-	for p := 0; p < k; p++ {
-		arow := a.Data[p*n : (p+1)*n]
-		brow := b.Data[p*m : (p+1)*m]
-		for i := start; i < end; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			axpy(out.Data[i*m:(i+1)*m], brow, av)
-		}
-	}
-}
-
 // MatMulTransposeAInto computes out = aᵀ@b (or += with accumulate, new
 // terms folding onto the existing value in ascending-p order) for
 // a [k x n], b [k x m], out [n x m].
@@ -156,15 +202,7 @@ func (c *Compute) MatMulTransposeAInto(out, a, b *Tensor, accumulate bool) {
 		panic(fmt.Sprintf("tensor: MatMulTransposeAInto shape mismatch %dx%d, %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	k, n, m := a.Rows, a.Cols, b.Cols
-	if !accumulate {
-		out.Zero()
-	}
-	if c.serialFor(n, n*k*m) {
-		matmulTARange(out, a, b, 0, n)
-		return
-	}
-	c.fanOut(n, func(s, e int) { matmulTARange(out, a, b, s, e) })
+	c.mulInto(out, a, b, 1, a.Cols, accumulate)
 }
 
 // MatMulTransposeB returns a @ bᵀ for a [n x k] and b [m x k].
@@ -239,9 +277,7 @@ func tbRange(out, a *Tensor, src tbSource, accumulate bool, scratch []float32, i
 				dst = sums[:w]
 			}
 			clear(dst)
-			for p, av := range a.Data[i*k : (i+1)*k] {
-				axpy(dst, panel[p*jb:p*jb+w], av)
-			}
+			axpyN(dst, panel, jb, nil, a.Data[i*k:(i+1)*k], 1, k, false)
 			if accumulate {
 				axpy(orow, dst, 1)
 			}
@@ -351,14 +387,7 @@ func (c *Compute) GatherMatMulTB(a, table *Tensor, idx []int32) *Tensor {
 func matMulGatherRange(out, g, table *Tensor, idx []int32, start, end int) {
 	m, k := len(idx), table.Cols
 	for i := start; i < end; i++ {
-		grow := g.Data[i*m : (i+1)*m]
-		orow := out.Data[i*k : (i+1)*k]
-		for j, gv := range grow {
-			if gv == 0 {
-				continue
-			}
-			axpy(orow, table.Data[int(idx[j])*k:int(idx[j])*k+k], gv)
-		}
+		axpyN(out.Data[i*k:(i+1)*k], table.Data, k, idx, g.Data[i*m:(i+1)*m], 1, m, true)
 	}
 }
 
@@ -387,27 +416,37 @@ func GatherSegmentSum(a *Tensor, idx []int32, offsets []int32) *Tensor {
 	return (*Compute)(nil).GatherSegmentSum(a, idx, offsets)
 }
 
-func gatherSegmentSumRange(out, a *Tensor, idx, offsets []int32, lo, hi int) {
+// segmentSumRange computes out[s] = Σ_{r in segment s} a[idx[r]] for s in
+// [lo, hi), or Σ a[r] when idx is nil, over n rows in all: per segment one
+// axpyN whose every coefficient is 1.
+func segmentSumRange(out, a *Tensor, idx, offsets []int32, n, lo, hi int) {
 	cl := a.Cols
 	for s := lo; s < hi; s++ {
-		orow := out.Data[s*cl : (s+1)*cl]
-		end := segmentEnd(offsets, s, len(idx))
-		for r := int(offsets[s]); r < end; r++ {
-			axpy(orow, a.Data[int(idx[r])*cl:int(idx[r])*cl+cl], 1)
+		r0, r1 := int(offsets[s]), segmentEnd(offsets, s, n)
+		if idx != nil {
+			axpyN(out.Data[s*cl:(s+1)*cl], a.Data, cl, idx[r0:r1], one, 0, r1-r0, false)
+		} else {
+			axpyN(out.Data[s*cl:(s+1)*cl], a.Data[r0*cl:], cl, nil, one, 0, r1-r0, false)
 		}
 	}
 }
 
-// GatherSegmentSum fuses Gather + SegmentSum; see the package function.
-func (c *Compute) GatherSegmentSum(a *Tensor, idx []int32, offsets []int32) *Tensor {
-	ns := checkOffsets(offsets, len(idx))
+// segmentSum is SegmentSum over the n rows of a that idx selects, or over
+// a's own n rows when idx is nil.
+func (c *Compute) segmentSum(a *Tensor, idx, offsets []int32, n int) *Tensor {
+	ns := checkOffsets(offsets, n)
 	out := c.alloc(ns, a.Cols)
-	if c.serialFor(ns, len(idx)*a.Cols) {
-		gatherSegmentSumRange(out, a, idx, offsets, 0, ns)
+	if c.serialFor(ns, n*a.Cols) {
+		segmentSumRange(out, a, idx, offsets, n, 0, ns)
 		return out
 	}
-	c.fanOut(ns, func(lo, hi int) { gatherSegmentSumRange(out, a, idx, offsets, lo, hi) })
+	c.fanOut(ns, func(lo, hi int) { segmentSumRange(out, a, idx, offsets, n, lo, hi) })
 	return out
+}
+
+// GatherSegmentSum fuses Gather + SegmentSum; see the package function.
+func (c *Compute) GatherSegmentSum(a *Tensor, idx []int32, offsets []int32) *Tensor {
+	return c.segmentSum(a, idx, offsets, len(idx))
 }
 
 // GatherSegmentMean fuses Gather + SegmentMean; empty segments yield a
@@ -475,27 +514,9 @@ func segmentEnd(offsets []int32, s, n int) int {
 // segment. This is the dense segment_sum of paper Algorithm 3, line 2.
 func SegmentSum(a *Tensor, offsets []int32) *Tensor { return (*Compute)(nil).SegmentSum(a, offsets) }
 
-func segmentSumRange(out, a *Tensor, offsets []int32, lo, hi int) {
-	cl := a.Cols
-	for s := lo; s < hi; s++ {
-		orow := out.Data[s*cl : (s+1)*cl]
-		end := segmentEnd(offsets, s, a.Rows)
-		for r := int(offsets[s]); r < end; r++ {
-			axpy(orow, a.Data[r*cl:(r+1)*cl], 1)
-		}
-	}
-}
-
 // SegmentSum sums contiguous row segments of a.
 func (c *Compute) SegmentSum(a *Tensor, offsets []int32) *Tensor {
-	ns := checkOffsets(offsets, a.Rows)
-	out := c.alloc(ns, a.Cols)
-	if c.serialFor(ns, a.Rows*a.Cols) {
-		segmentSumRange(out, a, offsets, 0, ns)
-		return out
-	}
-	c.fanOut(ns, func(lo, hi int) { segmentSumRange(out, a, offsets, lo, hi) })
-	return out
+	return c.segmentSum(a, nil, offsets, a.Rows)
 }
 
 // SegmentMean averages contiguous row segments of a; empty segments yield a

@@ -1,5 +1,15 @@
 package tensor
 
+// BenchAxpyTerms and BenchMatMulGather hand cmd/benchkernels the two
+// unexported pieces its training-shape rows need: the per-term loop that
+// axpyN replaced, to time the kernels against, and the backward of
+// GatherMatMulTB, which only the tape reaches.
+var BenchAxpyTerms = axpyTerms
+
+func (c *Compute) BenchMatMulGather(out, g, table *Tensor, idx []int32) {
+	c.matMulGatherInto(out, g, table, idx)
+}
+
 // BenchTrainStep runs the kernel sequence of one steady-state training
 // batch — fused embedding gather+aggregate, two linear layers with
 // in-place ReLU, the backward matmuls with in-place accumulation, and the
