@@ -52,12 +52,15 @@ race:
 bench-kernels:
 	$(GO) run ./cmd/benchkernels -short -check -o /tmp/BENCH_kernels.json
 
-# Twenty seconds of native fuzzing on the multi-term SIMD primitive: bytes
-# become an axpyN call (width, term count, strides, index, skip flag, edge
-# values) whose assembly result must equal the scalar definition bit for
-# bit. The seed corpus alone runs in every plain `go test`.
+# Twenty seconds of native fuzzing on each SIMD primitive with a loop
+# inside the assembly: bytes become an axpyN call (width, term count,
+# strides, index, skip flag, edge values) whose assembly result must equal
+# the scalar definition bit for bit, and an expRow call (length, maximum,
+# values around math.Exp's branch points) whose outputs and sum must equal
+# the math.Exp loop's. The seed corpora alone run in every plain `go test`.
 fuzz-kernels:
-	$(GO) test ./internal/tensor -run '^$$' -fuzz=FuzzAxpyN -fuzztime=20s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz='^FuzzAxpyN$$' -fuzztime=20s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz='^FuzzExpRow$$' -fuzztime=20s
 
 # Race coverage focused on the epoch executor: its ordering/bounding tests
 # and the every-small-configuration check against the serial oracle, then

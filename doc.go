@@ -55,7 +55,14 @@
 // sums) the loop over the terms is inside the assembly too (axpyN): the row
 // stays in registers from its first term to its last, stored once. The
 // order of the terms, the two roundings and the skipping of zero
-// coefficients are unchanged, so this path is bit-identical as well.
+// coefficients are unchanged, so this path is bit-identical as well. The one
+// exception to the no-FMA rule is the softmax's exponentials: their
+// assembly runs math.Exp's own instruction sequence four lanes at a time,
+// fused multiply-adds included, because and only where math.Exp uses them
+// (on amd64, exactly when the CPU has FMA), and adds the lanes to the
+// float64 sum one at a time in order, so the losses are those of the
+// scalar math.Exp loop bit for bit. The kernels' own products and sums
+// never fuse.
 //
 // cmd/benchkernels measures the kernels against retained naive references
 // and writes BENCH_kernels.json (the checked-in baseline); `make

@@ -394,23 +394,19 @@ func (tp *Tape) ConcatCols(a, b *Node) *Node {
 		copy(out.Row(i)[ac:], b.Value.Row(i))
 	}
 	req := a.requiresGrad || b.requiresGrad
+	// Each half of g's row adds onto its input's gradient row as an axpy by
+	// 1, whose product 1·v is exactly v.
 	return tp.record(out, req, func(g *Tensor) {
 		if a.requiresGrad {
 			ga := a.ensureGrad()
 			for i := 0; i < g.Rows; i++ {
-				garow, grow := ga.Row(i), g.Row(i)[:ac]
-				for j, v := range grow {
-					garow[j] += v
-				}
+				axpy(ga.Row(i), g.Row(i)[:ac], 1)
 			}
 		}
 		if b.requiresGrad {
 			gb := b.ensureGrad()
 			for i := 0; i < g.Rows; i++ {
-				gbrow, grow := gb.Row(i), g.Row(i)[ac:]
-				for j, v := range grow {
-					gbrow[j] += v
-				}
+				axpy(gb.Row(i), g.Row(i)[ac:], 1)
 			}
 		}
 	})
@@ -601,18 +597,17 @@ func (tp *Tape) SoftmaxCrossEntropy(logits *Node, labels []int32) *Node {
 		loss -= math.Log(float64(p))
 	}
 	out.Data[0] = float32(loss / float64(n))
+	// A gradient row takes p·scale off the label and (p−1)·scale at it: an
+	// axpy of the probabilities on each side of the label (scale·p is
+	// p·scale) around the one scalar term.
 	return tp.record(out, logits.requiresGrad, func(g *Tensor) {
 		gl := logits.ensureGrad()
 		scale := g.Data[0] / float32(n)
 		for i := 0; i < n; i++ {
 			grow, prow, lab := gl.Row(i), probs.Row(i), classOf(labels, i)
-			for j, pv := range prow {
-				if j == lab {
-					grow[j] += (pv - 1) * scale
-				} else {
-					grow[j] += pv * scale
-				}
-			}
+			axpy(grow[:lab], prow[:lab], scale)
+			grow[lab] += (prow[lab] - 1) * scale
+			axpy(grow[lab+1:], prow[lab+1:], scale)
 		}
 	})
 }

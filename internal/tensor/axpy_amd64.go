@@ -15,3 +15,11 @@ func axpyAVX2(y, x []float32, a float32)
 //
 //go:noescape
 func axpyNAVX2(y *float32, w int, x *float32, xstride, last int, idx *int32, coef *float32, cstride, n int, skip bool) bool
+
+// expRowAVX2 is expRow's vector path in AVX2 and FMA assembly
+// (exp_amd64.s): it does whole groups of four up to the first that holds an
+// input math.Exp handles off its main path, continuing sum, and returns how
+// many elements it did; len(o) >= len(a).
+//
+//go:noescape
+func expRowAVX2(o, a []float32, m float32, sum float64) (n int, s float64)

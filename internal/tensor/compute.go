@@ -38,6 +38,14 @@ import (
 // cannot reorder a sum, since each output element still meets its terms
 // block by block and, within a block, in ascending p.
 //
+// One exception to "never FMA", and only one: the softmaxes' exponentials
+// (expRow) run math.Exp's own instructions four lanes at a time, FMAs
+// included, because and only where math.Exp uses them — on amd64 it does
+// exactly when the CPU has FMA, and only there does the assembly run. Each
+// lane is the scalar call's arithmetic and the float64 sum takes the lanes
+// one at a time in order, so this path too is bit-identical. The kernels'
+// own products and sums never fuse.
+//
 // A nil *Compute is valid and behaves as the package default: up to
 // GOMAXPROCS workers, heap-allocated outputs. The free kernel functions
 // (MatMul, Gather, ...) run on this default context.

@@ -18,8 +18,9 @@ import (
 	"repro/marius"
 )
 
-// The differentials above the kernels: what the axpy assembly must leave
-// untouched is not a matrix but a checkpoint and a served encoding. Each
+// The differentials above the kernels: what the assembly (axpy, and the
+// softmaxes' exp) must leave untouched is not a matrix but a checkpoint
+// and a served encoding. Each
 // test runs the same seeded work with the assembly on and forced off and
 // compares bytes.
 

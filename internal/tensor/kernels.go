@@ -33,6 +33,13 @@ import (
 // in memory. Single-term axpy remains for the scatters, whose every term
 // lands on a different row.
 //
+// The softmaxes' exponentials are the third primitive, expRow, and the one
+// place FMA appears: its assembly runs math.Exp's own instruction sequence
+// four lanes at a time, and on amd64 math.Exp uses FMA exactly when the CPU
+// has it (Go's math.useFMA), so the assembly runs only where math.Exp
+// fuses as well and the two agree bit for bit. The kernels' own products
+// and sums never fuse.
+//
 // Each kernel's loop body lives in a named range function; the serial path
 // calls it directly so that single-worker execution — the deterministic
 // training path and the arena's zero-allocation contract — creates no
@@ -55,7 +62,7 @@ func (c *Compute) MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := c.alloc(a.Rows, b.Cols)
-	c.MatMulInto(out, a, b, false)
+	c.MatMulInto(out, a, b, true) // out is zeroed: folding onto it is a@b
 	return out
 }
 
@@ -98,6 +105,16 @@ var useAVX2 = hasAVX2()
 // HasAVX2 reports whether this machine runs the kernels' AVX2 assembly, so
 // that a benchmark report can say which path it measured.
 func HasAVX2() bool { return hasAVX2() }
+
+// useFMA is whether math.Exp fuses on this CPU; expRow's assembly runs only
+// where it does (and useAVX2 holds).
+var useFMA = hasFMA()
+
+// HasFMA reports whether this is an amd64 machine on which math.Exp takes
+// its fused multiply-add path (AVX and FMA, Go's math.useFMA). The
+// softmaxes' exponentials, and so every loss, round differently without
+// it: a test pinned to loss digests captured on such a machine checks this.
+func HasFMA() bool { return useFMA }
 
 // axpy computes y[j] += a*x[j] for j < len(x): the assembly when the CPU
 // has AVX2, else the Go loop. Both round the product, then the sum, one
@@ -173,6 +190,40 @@ func axpyGo(y, x []float32, a float32) {
 	}
 }
 
+// expRow sets o[j] = float32(e) for e = math.Exp(float64(a[j]-m)), j <
+// len(a), and returns the sum of the e, added in float64 in ascending j. The
+// assembly computes each e as math.Exp does, four lanes at a time, and adds
+// them to the sum one by one in order, so both paths give the same bits. It
+// stops at a group of four holding an input math.Exp sends off its main
+// path (outside [-708, 709], or NaN); that group, and a tail shorter than
+// four, go through math.Exp here.
+func expRow(o, a []float32, m float32) float64 {
+	o = o[:len(a)]
+	var sum float64
+	for useAVX2 && useFMA {
+		var n int
+		n, sum = expRowAVX2(o, a, m, sum)
+		o, a = o[n:], a[n:]
+		if len(a) < 4 {
+			break
+		}
+		sum = expRowGo(o[:4], a[:4], m, sum)
+		o, a = o[4:], a[4:]
+	}
+	return expRowGo(o, a, m, sum)
+}
+
+// expRowGo is expRow one math.Exp call per element, continuing sum: what
+// runs without the assembly, and the reference it is tested against.
+func expRowGo(o, a []float32, m float32, sum float64) float64 {
+	for j, v := range a {
+		e := math.Exp(float64(v - m))
+		o[j] = float32(e)
+		sum += e
+	}
+	return sum
+}
+
 // MatMulInto computes out = a@b, or out += a@b when accumulate is true
 // (new terms fold onto the existing value in ascending-p order). out must
 // be [a.Rows x b.Cols] and must not alias a or b.
@@ -190,7 +241,7 @@ func MatMulTransposeA(a, b *Tensor) *Tensor { return (*Compute)(nil).MatMulTrans
 // MatMulTransposeA returns aᵀ @ b for a [k x n] and b [k x m].
 func (c *Compute) MatMulTransposeA(a, b *Tensor) *Tensor {
 	out := c.alloc(a.Cols, b.Cols)
-	c.MatMulTransposeAInto(out, a, b, false)
+	c.MatMulTransposeAInto(out, a, b, true) // out is zeroed: folding onto it is aᵀ@b
 	return out
 }
 
@@ -539,24 +590,8 @@ func SegmentSoftmax(a *Tensor, offsets []int32) *Tensor {
 func segmentSoftmaxRange(out, a *Tensor, offsets []int32, lo, hi int) {
 	for s := lo; s < hi; s++ {
 		start, end := int(offsets[s]), segmentEnd(offsets, s, a.Rows)
-		if start == end {
-			continue
-		}
-		maxV := a.Data[start]
-		for r := start + 1; r < end; r++ {
-			if a.Data[r] > maxV {
-				maxV = a.Data[r]
-			}
-		}
-		var sum float64
-		for r := start; r < end; r++ {
-			e := math.Exp(float64(a.Data[r] - maxV))
-			out.Data[r] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for r := start; r < end; r++ {
-			out.Data[r] *= inv
+		if start < end {
+			softmaxRow(out.Data[start:end], a.Data[start:end])
 		}
 	}
 }
@@ -582,23 +617,24 @@ func RowSoftmax(a *Tensor) *Tensor { return (*Compute)(nil).RowSoftmax(a) }
 
 func rowSoftmaxRange(out, a *Tensor, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		arow, orow := a.Row(i), out.Row(i)
-		maxV := arow[0]
-		for _, v := range arow[1:] {
-			if v > maxV {
-				maxV = v
-			}
+		softmaxRow(out.Row(i), a.Row(i))
+	}
+}
+
+// softmaxRow writes the softmax of a, which is not empty, into o: the
+// exponentials of a's elements less its maximum, summed in float64, each
+// then scaled by the sum's float32 reciprocal.
+func softmaxRow(o, a []float32) {
+	o = o[:len(a)]
+	m := a[0]
+	for _, v := range a[1:] {
+		if v > m {
+			m = v
 		}
-		var sum float64
-		for j, v := range arow {
-			e := math.Exp(float64(v - maxV))
-			orow[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for j := range orow {
-			orow[j] *= inv
-		}
+	}
+	inv := float32(1 / expRow(o, a, m))
+	for j := range o {
+		o[j] *= inv
 	}
 }
 

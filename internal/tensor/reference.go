@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Naive reference kernels, retained on purpose: the conformance tests check
 // every parallel, blocked, and fused kernel against these on randomized
 // shapes, and cmd/benchkernels reports optimized-vs-naive throughput so the
@@ -109,6 +111,48 @@ func RefGatherSegmentMean(a *Tensor, idx []int32, offsets []int32) *Tensor {
 // RefGatherMatMulTB is the unfused composition the fused kernel replaces.
 func RefGatherMatMulTB(a, table *Tensor, idx []int32) *Tensor {
 	return RefMatMulTransposeB(a, RefGather(table, idx))
+}
+
+// RefRowSoftmax is each row's softmax with one math.Exp call per element:
+// exponentials of the elements less the row's maximum, summed in float64 in
+// ascending order, scaled by the float32 reciprocal of the sum.
+func RefRowSoftmax(a *Tensor) *Tensor {
+	out := New(a.Rows, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		refSoftmax(out.Row(i), a.Row(i))
+	}
+	return out
+}
+
+// RefSegmentSoftmax is RefRowSoftmax over each non-empty segment of the
+// column vector a.
+func RefSegmentSoftmax(a *Tensor, offsets []int32) *Tensor {
+	out := New(a.Rows, 1)
+	for s := range checkOffsets(offsets, a.Rows) {
+		if start, end := int(offsets[s]), segmentEnd(offsets, s, a.Rows); start < end {
+			refSoftmax(out.Data[start:end], a.Data[start:end])
+		}
+	}
+	return out
+}
+
+func refSoftmax(o, a []float32) {
+	m := a[0]
+	for _, v := range a {
+		if v > m {
+			m = v
+		}
+	}
+	var sum float64
+	for j, v := range a {
+		e := math.Exp(float64(v - m))
+		o[j] = float32(e)
+		sum += e
+	}
+	inv := float32(1 / sum)
+	for j := range o {
+		o[j] *= inv
+	}
 }
 
 // RefDequant is the unfused full-table dequantization: every element

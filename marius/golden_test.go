@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/tensor"
 	"repro/marius"
 )
 
@@ -20,8 +21,11 @@ import (
 // depth 0, one worker) that the single executor path replaced. They keep
 // that loop as the oracle now that it is gone: without them the
 // pipelined-vs-serial differentials would compare the executor with
-// itself. amd64 only — other architectures may fuse multiply-adds — and
-// identical under -tags purego (the axpy paths are bit-identical).
+// itself. Identical under -tags purego (the axpy and exp paths are
+// bit-identical), but only on amd64 with FMA: math.Exp, under every
+// softmax, uses fused multiply-adds exactly when the CPU has FMA (Go's
+// math.useFMA), so the losses already differ between amd64 machines with
+// and without it, and on other architectures.
 type golden struct {
 	lossBits []uint64
 	ckptSHA  string
@@ -60,6 +64,9 @@ func ncDiskSession(t *testing.T, dir string, depth, workers int) *marius.Session
 func TestGoldenTrajectories(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("goldens were captured on amd64")
+	}
+	if !tensor.HasFMA() {
+		t.Skip("goldens were captured where math.Exp uses FMA; without it every softmax rounds differently")
 	}
 	for _, tc := range []struct {
 		name string
