@@ -118,11 +118,14 @@ bench-serve:
 
 # Race coverage focused on the fault-tolerance surface: the injector's
 # own determinism/crash tests, the storage retry and evict write-back
-# fault tests, serve resilience (shedding, deadlines, panic
-# containment), and the crash-resume differential.
+# fault tests with the partition buffer's model (its -short bound: the
+# model is single-goroutine, so the race detector only slows it) and the
+# store's restore/flush/prefetch and random-operation tests, serve
+# resilience (shedding, deadlines, panic containment), and the
+# crash-resume differential.
 race-fault:
 	$(GO) test -race ./internal/fault/
-	$(GO) test -race -run 'Fault|Evict|Retry' ./internal/storage/
+	$(GO) test -race -short -run 'Fault|Evict|Retry|Buffer|Restore|Flush|Prefetch|Disk' ./internal/storage/
 	$(GO) test -race -run 'Shed|Timeout|Panic|Reload' ./internal/serve/
 	$(GO) test -race -run 'Crash|Resume|Journal' ./internal/ckpt/ ./internal/dataset/ ./marius/
 

@@ -146,6 +146,39 @@
 // writes BENCH_pipeline.json (the checked-in baseline, >=1.5x epoch
 // speedup enforced by `make bench-pipeline`).
 //
+// # The partition buffer
+//
+// storage.DiskNodeStore is two parts. The buffer (internal/storage's
+// buffer.go) is the partition life-cycle as a transition system: one
+// phase per partition, c slots, and guarded transitions — stage,
+// stageDone(ok), admit, dirty, beginWriteback, evict, endWriteback(ok),
+// drop — each returning the IO its caller must perform. It does no IO,
+// starts no goroutines and reads no clock. The store is the shell that
+// performs that IO (reads, write-backs, copies between slots and staging
+// buffers) under one mutex, with the disk transfers outside it:
+//
+//	phase     holds                         left by
+//	absent    nothing; disk is current      stage (prefetch), admit
+//	staging   a disk read into a buffer     stageDone(ok), admit (reserves a slot)
+//	loading   a disk read into its slot     stageDone(ok)
+//	staged    the read copy in a buffer     admit, drop
+//	clean     a slot, same bytes as disk    dirty, evict, drop
+//	dirty     a slot, newer than disk       beginWriteback (Flush), evict, drop
+//	writing   a write-back of its buffer    endWriteback(ok), admit (copy)
+//	retained  a failed write-back's buffer  beginWriteback (retry), admit, drop
+//
+// A prefetch reads into a staging buffer and a load that finds nothing
+// in memory reads straight into its slot. Only an absent partition is
+// ever read from disk, so no read can return bytes older than a copy in
+// memory; a failed write-back is retained and its error latched until
+// Flush lands it. The buffer's own
+// unsafe() predicate names the states that must never be reached (a
+// slot owned twice, a stale copy read or admitted, a dirty partition or a
+// retained buffer dropped before its bytes are on disk), and
+// TestBufferExhaustive explores every interleaving of transitions, with
+// every read and write succeeding or failing, for up to four partitions
+// and two slots.
+//
 // # Datasets on disk
 //
 // Real (or externally generated) graphs enter through cmd/mariusprep,

@@ -10,6 +10,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -200,14 +201,6 @@ func (lg LogicalGrouping) PhysicalSet(logical []int) []int {
 	for _, l := range logical {
 		out = append(out, lg.Groups[l]...)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

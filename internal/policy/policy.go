@@ -20,6 +20,7 @@ package policy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/partition"
 )
@@ -281,7 +282,7 @@ func (b Beta) NewEpochPlan(rng *rand.Rand) *Plan {
 	plan := &Plan{NumPartitions: b.P}
 	for _, mem := range sets {
 		v := Visit{Mem: append([]int(nil), mem...)}
-		sortInts(v.Mem)
+		slices.Sort(v.Mem)
 		for _, i := range v.Mem {
 			for _, j := range v.Mem {
 				if !covered[i*b.P+j] {
@@ -391,7 +392,7 @@ func (n NodeCache) NewEpochPlan(rng *rand.Rand) *Plan {
 			}
 			mem = append(mem, n.TrainParts+r)
 		}
-		sortInts(mem)
+		slices.Sort(mem)
 		plan.Visits = append(plan.Visits, Visit{Mem: mem})
 		return plan
 	}
@@ -400,7 +401,7 @@ func (n NodeCache) NewEpochPlan(rng *rand.Rand) *Plan {
 	cur := append([]int(nil), order[:n.C]...)
 	emit := func() {
 		v := Visit{Mem: append([]int(nil), cur...)}
-		sortInts(v.Mem)
+		slices.Sort(v.Mem)
 		plan.Visits = append(plan.Visits, v)
 	}
 	emit()
@@ -409,14 +410,6 @@ func (n NodeCache) NewEpochPlan(rng *rand.Rand) *Plan {
 		emit()
 	}
 	return plan
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // intersectSorted intersects two ascending int slices.

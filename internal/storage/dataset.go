@@ -483,20 +483,29 @@ func (d *Dataset) ReadQuantFeatures() (*tensor.QTable, error) {
 	}
 	q.Raw = raw
 	if kind == tensor.QuantI8 {
-		f, err := d.fs.Open(d.path(d.Man.QuantScales.Name))
-		if err != nil {
+		if err := readScales(d.fs, d.path(d.Man.QuantScales.Name), q.Scale, q.Zero); err != nil {
 			return nil, err
-		}
-		defer f.Close()
-		pairs := make([]float32, 2*d.Man.NumNodes)
-		if err := readFloats(f, 0, pairs, nil, nil); err != nil {
-			return nil, corrupt(d.Man.QuantScales.Name, "short read: %v", err)
-		}
-		for i := 0; i < d.Man.NumNodes; i++ {
-			q.Scale[i], q.Zero[i] = pairs[2*i], pairs[2*i+1]
 		}
 	}
 	return q, nil
+}
+
+// readScales reads an int8 table's (scale, zero) sidecar, one pair per
+// node, into scale and zero.
+func readScales(fsys fault.FS, path string, scale, zero []float32) error {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	pairs := make([]float32, 2*len(scale))
+	if err := readFloats(f, 0, pairs, nil, nil); err != nil {
+		return corrupt(filepath.Base(path), "short read: %v", err)
+	}
+	for i := range scale {
+		scale[i], zero[i] = pairs[2*i], pairs[2*i+1]
+	}
+	return nil
 }
 
 // readInt32File loads a little-endian int32 array payload.

@@ -3,9 +3,13 @@ package storage
 import (
 	"errors"
 	"os"
+	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/nn"
@@ -13,20 +17,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// toggleFS fails every data write with ENOSPC while fail is set —
-// a switchable full-disk, unlike the probabilistic injector, so the
-// test controls exactly which evict write-backs fail and when the disk
-// "recovers".
+// toggleFS fails every data write with ENOSPC while fail is set, and
+// every data read with EIO while failReads is set (nil: never) — a
+// switchable full or broken disk, unlike the probabilistic injector, so
+// the test controls exactly which IO fails and when the disk "recovers".
+// onWrite, when set, sees every data write.
 type toggleFS struct {
-	inner fault.FS
-	fail  *atomic.Bool
+	inner     fault.FS
+	fail      *atomic.Bool
+	failReads *atomic.Bool
+	onWrite   func(name string, off int64)
 }
 
 func (t toggleFS) wrap(f fault.File, err error) (fault.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return toggleFile{File: f, fail: t.fail}, nil
+	return toggleFile{File: f, fs: t}, nil
 }
 
 func (t toggleFS) Create(name string) (fault.File, error) { return t.wrap(t.inner.Create(name)) }
@@ -43,21 +50,122 @@ func (t toggleFS) Stat(name string) (os.FileInfo, error) { return t.inner.Stat(n
 
 type toggleFile struct {
 	fault.File
-	fail *atomic.Bool
+	fs toggleFS
 }
 
 func (f toggleFile) Write(p []byte) (int, error) {
-	if f.fail.Load() {
+	if f.fs.fail.Load() {
 		return 0, syscall.ENOSPC
 	}
 	return f.File.Write(p)
 }
 
 func (f toggleFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.fail.Load() {
+	if f.fs.fail.Load() {
 		return 0, syscall.ENOSPC
 	}
+	if f.fs.onWrite != nil {
+		f.fs.onWrite(f.Name(), off)
+	}
 	return f.File.WriteAt(p, off)
+}
+
+func (f toggleFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fs.failReads != nil && f.fs.failReads.Load() {
+		return 0, syscall.EIO
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// newToggleStore creates a learnable 40-node, 4-partition store (node id
+// initialised to id, so partition p's rows start at 10p) over a toggleFS.
+func newToggleStore(t *testing.T, capacity int, fsys toggleFS) *DiskNodeStore {
+	t.Helper()
+	if fsys.inner == nil {
+		fsys.inner = fault.OS
+	}
+	if fsys.fail == nil {
+		fsys.fail = new(atomic.Bool)
+	}
+	store, err := CreateDiskNodeStore(DiskStoreConfig{
+		Dir: t.TempDir(), Part: partition.New(40, 4), Dim: 4, Capacity: capacity, Learnable: true, FS: fsys,
+		Init: func(id int32, row []float32) {
+			for j := range row {
+				row[j] = float32(id)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
+// gatherRows returns the store's current rows for ids.
+func gatherRows(t *testing.T, s *DiskNodeStore, ids ...int32) []float32 {
+	t.Helper()
+	out := tensor.New(len(ids), s.Dim())
+	if err := s.Gather(ids, out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Data
+}
+
+// bump applies a gradient of ones to ids (AdaGrad at rate 1 moves each
+// element by -1 on a fresh row).
+func bump(t *testing.T, s *DiskNodeStore, ids ...int32) {
+	t.Helper()
+	grads := tensor.New(len(ids), s.Dim())
+	grads.Fill(1)
+	if err := s.ApplyGrads(ids, grads, nn.NewSparseAdaGrad(1.0)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// failEviction dirties partition 0, fills the disk and evicts it by
+// loading partitions 2 and 3, then waits until the failed write-back has
+// latched its error, which the next LoadSet reports.
+func failEviction(t *testing.T, s *DiskNodeStore, failing *atomic.Bool) []float32 {
+	t.Helper()
+	if err := s.LoadSet([]int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	bump(t, s, 0)
+	want := gatherRows(t, s, 0)
+	failing.Store(true)
+	if err := s.LoadSet([]int{2, 3}); err != nil {
+		t.Fatalf("LoadSet scheduling a failing eviction: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.LoadSet([]int{2, 3}) == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed write-back never surfaced")
+		}
+	}
+	return want
+}
+
+// waitIdle blocks until no read or write-back is in flight.
+func waitIdle(s *DiskNodeStore) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.b.busy() {
+		s.ioDone.Wait()
+	}
+}
+
+// retainedParts lists the partitions whose failed write-back the store
+// holds for a retry.
+func retainedParts(s *DiskNodeStore) []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []int
+	for p, st := range s.b.parts {
+		if st.ph == retained {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // TestEvictWritebackFailureSurfacesAndRetries is the evict-side fault
@@ -68,61 +176,38 @@ func (f toggleFile) WriteAt(p []byte, off int64) (int, error) {
 // retries the retained buffers, clears the sticky error, and the store
 // reads back every update — nothing was lost.
 func TestEvictWritebackFailureSurfacesAndRetries(t *testing.T) {
-	dir := t.TempDir()
-	const n, dim, p, c = 40, 4, 4, 2
-	pt := partition.New(n, p)
 	var failing atomic.Bool
-	store, err := CreateDiskNodeStore(DiskStoreConfig{
-		Dir: dir, Part: pt, Dim: dim, Capacity: c, Learnable: true,
-		FS: toggleFS{inner: fault.OS, fail: &failing},
-		Init: func(id int32, row []float32) {
-			for j := range row {
-				row[j] = float32(id)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	opt := nn.NewSparseAdaGrad(1.0)
+	store := newToggleStore(t, 2, toggleFS{fail: &failing})
 
 	// Dirty partitions 0 and 1 (nodes 0 and 10 with PartSize 10).
 	if err := store.LoadSet([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	grads := tensor.New(2, dim)
-	grads.Fill(1)
-	if err := store.ApplyGrads([]int32{0, 10}, grads, opt); err != nil {
-		t.Fatal(err)
-	}
-	want := tensor.New(2, dim)
-	if err := store.Gather([]int32{0, 10}, want); err != nil {
-		t.Fatal(err)
-	}
+	bump(t, store, 0, 10)
+	want := gatherRows(t, store, 0, 10)
 
 	// Disk "fills up"; the evictions of 0 and 1 fail in the background.
 	failing.Store(true)
 	if err := store.LoadSet([]int{2, 3}); err != nil {
 		t.Fatalf("LoadSet scheduling failing evictions: %v", err)
 	}
-	store.wbPending.Wait()
+	waitIdle(store)
 
 	// The failure surfaces on the training path instead of vanishing.
 	if err := store.LoadSet([]int{0, 1}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("LoadSet after failed write-back: got %v, want ENOSPC", err)
 	}
 	// The unwritten partitions are retained for retry.
-	store.wbMu.Lock()
-	retained := len(store.failed)
-	store.wbMu.Unlock()
-	if retained != 2 {
-		t.Fatalf("store retains %d failed write-backs, want 2", retained)
+	if got := retainedParts(store); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("store retains failed write-backs of %v, want [0 1]", got)
 	}
 	// While the disk is still full, Flush keeps failing (no false
 	// success), and the error stays sticky.
 	if err := store.Flush(); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Flush on full disk: got %v, want ENOSPC", err)
+	}
+	if err := store.LoadSet([]int{0, 1}); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("LoadSet after failed retry: got %v, want ENOSPC", err)
 	}
 
 	// Disk recovers: Flush retries the retained buffers and clears the
@@ -131,12 +216,8 @@ func TestEvictWritebackFailureSurfacesAndRetries(t *testing.T) {
 	if err := store.Flush(); err != nil {
 		t.Fatalf("Flush after recovery: %v", err)
 	}
-	store.wbMu.Lock()
-	retained = len(store.failed)
-	wbErr := store.wbErr
-	store.wbMu.Unlock()
-	if retained != 0 || wbErr != nil {
-		t.Fatalf("after successful retry: %d retained, err %v", retained, wbErr)
+	if got := retainedParts(store); len(got) != 0 {
+		t.Fatalf("after successful retry %v are still retained", got)
 	}
 
 	// Reads see every pre-failure update — nothing was lost or rolled
@@ -144,13 +225,144 @@ func TestEvictWritebackFailureSurfacesAndRetries(t *testing.T) {
 	if err := store.LoadSet([]int{0, 1}); err != nil {
 		t.Fatalf("LoadSet after recovery: %v", err)
 	}
-	got := tensor.New(2, dim)
-	if err := store.Gather([]int32{0, 10}, got); err != nil {
+	if got := gatherRows(t, store, 0, 10); !slices.Equal(got, want) {
+		t.Fatalf("row data diverged after failed-write recovery: got %v, want %v", got, want)
+	}
+}
+
+// TestFailedLoadRetryAfterRecovery: a LoadSet whose reads fail returns the
+// read error and leaves the buffer as it was, however often it is
+// retried, so the same LoadSet succeeds once the disk recovers.
+func TestFailedLoadRetryAfterRecovery(t *testing.T) {
+	var failReads atomic.Bool
+	store := newToggleStore(t, 2, toggleFS{failReads: &failReads})
+	failReads.Store(true)
+	store.Prefetch([]int{0, 1}) // failed prefetches are read again by LoadSet
+	for i := 0; i < 3; i++ {
+		if err := store.LoadSet([]int{0, 1}); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("LoadSet %d on a failing disk: got %v, want EIO", i, err)
+		}
+	}
+	failReads.Store(false)
+	if err := store.LoadSet([]int{0, 1}); err != nil {
+		t.Fatalf("LoadSet after recovery: %v", err)
+	}
+	if got := store.Resident(); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("resident %v, want [0 1]", got)
+	}
+	if got := gatherRows(t, store, 0, 19); got[0] != 0 || got[4] != 19 {
+		t.Fatalf("rows after recovery: %v", got)
+	}
+}
+
+// TestPrefetchAfterFailedEvictKeepsUpdate: a partition whose write-back
+// failed holds its only current copy in memory, so a prefetch must not
+// stage the stale bytes on disk for a later load to consume.
+func TestPrefetchAfterFailedEvictKeepsUpdate(t *testing.T) {
+	var failing atomic.Bool
+	store := newToggleStore(t, 2, toggleFS{fail: &failing})
+	want := failEviction(t, store, &failing)
+	store.Prefetch([]int{0})
+	// A stale read started here would race the retry below; give it
+	// time to land so the test cannot pass by luck.
+	time.Sleep(20 * time.Millisecond)
+	failing.Store(false)
+	if err := store.Flush(); err != nil {
+		t.Fatalf("Flush after recovery: %v", err)
+	}
+	if err := store.LoadSet([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("row data diverged after failed-write recovery: got %v, want %v", got.Data, want.Data)
+	if got := gatherRows(t, store, 0); !slices.Equal(got, want) {
+		t.Fatalf("partition 0 came back as %v, want %v", got, want)
+	}
+}
+
+// TestRejectedRestoreChangesNothing: a Restore whose table or optimizer
+// state has the wrong shape fails before touching the disk, the buffer,
+// the retained write-backs or the latched error.
+func TestRejectedRestoreChangesNothing(t *testing.T) {
+	t.Run("table", func(t *testing.T) {
+		store := newToggleStore(t, 2, toggleFS{})
+		if err := store.LoadSet([]int{0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		bump(t, store, 3)
+		before, beforeState, err := store.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := before.Clone()
+		table.Fill(7)
+		if err := store.Restore(table, make([]float32, 3)); err == nil {
+			t.Fatal("Restore with 3 optimizer rows for 40 nodes succeeded")
+		}
+		if err := store.Restore(tensor.New(40, 5), nil); err == nil {
+			t.Fatal("Restore of a 40x5 table into a 40x4 store succeeded")
+		}
+		after, afterState, err := store.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(after.Data, before.Data) || !slices.Equal(afterState, beforeState) {
+			t.Fatal("a rejected Restore changed the stored table")
+		}
+		if got := gatherRows(t, store, 3); got[0] != before.At(3, 0) {
+			t.Fatalf("a rejected Restore changed the resident rows: %v", got)
+		}
+	})
+	t.Run("retained", func(t *testing.T) {
+		var failing atomic.Bool
+		store := newToggleStore(t, 2, toggleFS{fail: &failing})
+		want := failEviction(t, store, &failing)
+		failing.Store(false)
+		table := tensor.New(40, 4)
+		table.Fill(7)
+		if err := store.Restore(table, make([]float32, 3)); err == nil {
+			t.Fatal("Restore with 3 optimizer rows for 40 nodes succeeded")
+		}
+		if err := store.Flush(); err != nil {
+			t.Fatalf("Flush retrying the write-back a rejected Restore kept: %v", err)
+		}
+		got, _, err := store.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Row(0), want) {
+			t.Fatalf("partition 0 on disk is %v, want %v", got.Row(0), want)
+		}
+	})
+}
+
+// TestFlushWritesAscending: Flush writes dirty partitions back in
+// ascending partition order, the same on every call.
+func TestFlushWritesAscending(t *testing.T) {
+	var mu sync.Mutex
+	var offs []int64
+	store := newToggleStore(t, 4, toggleFS{onWrite: func(name string, off int64) {
+		if filepath.Base(name) == "nodes.bin" {
+			mu.Lock()
+			offs = append(offs, off)
+			mu.Unlock()
+		}
+	}})
+	if err := store.LoadSet([]int{3, 1, 0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	want := []int64{0, 160, 320, 480} // PartSize 10 × 4 floats × 4 bytes
+	for round := 0; round < 2; round++ {
+		mu.Lock()
+		offs = nil
+		mu.Unlock()
+		bump(t, store, 35, 5, 25, 15)
+		if err := store.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		got := slices.Clone(offs)
+		mu.Unlock()
+		if !slices.Equal(got, want) {
+			t.Fatalf("Flush %d wrote partitions at offsets %v, want %v", round, got, want)
 		}
 	}
 }

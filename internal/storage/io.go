@@ -128,13 +128,6 @@ func (t *Throttle) Wait(n int) {
 	}
 }
 
-// readerAt is the subset of *os.File the stores need, allowing tests to
-// substitute failing or in-memory implementations.
-type readerAt interface {
-	io.ReaderAt
-	io.WriterAt
-}
-
 // Bounded exponential backoff for transient IO errors (fault.IsTransient:
 // injected transients and EINTR-class errnos). retryMax attempts at
 // retryBase doubling gives ≈7.5ms of cumulative sleep in the worst case —
@@ -153,9 +146,21 @@ const (
 // forward progress resets the retry budget: only a *stalled* transient
 // gives up. Fatal errors surface immediately.
 func readFull(f io.ReaderAt, p []byte, off int64, st *Stats) error {
+	return fill(f.ReadAt, p, off, st)
+}
+
+// writeFull writes all of p at off with the same loop-to-fill and
+// transient-retry discipline as readFull. Torn writes re-issue only the
+// unwritten tail, so a retried write never double-applies a prefix.
+func writeFull(f io.WriterAt, p []byte, off int64, st *Stats) error {
+	return fill(f.WriteAt, p, off, st)
+}
+
+// fill is readFull's and writeFull's loop around one ReadAt or WriteAt.
+func fill(at func([]byte, int64) (int, error), p []byte, off int64, st *Stats) error {
 	attempt := 0
 	for len(p) > 0 {
-		n, err := f.ReadAt(p, off)
+		n, err := at(p, off)
 		p = p[n:]
 		off += int64(n)
 		if len(p) == 0 {
@@ -166,47 +171,7 @@ func readFull(f io.ReaderAt, p []byte, off int64, st *Stats) error {
 			if n == 0 {
 				return io.ErrNoProgress
 			}
-			attempt = 0 // short read: loop to fill
-			continue
-		}
-		if n > 0 {
-			attempt = 0
-		}
-		if !fault.IsTransient(err) {
-			return err
-		}
-		if attempt >= retryMax {
-			if st != nil {
-				st.Gaveup.Add(1)
-			}
-			return err
-		}
-		if st != nil {
-			st.Retries.Add(1)
-		}
-		time.Sleep(retryBase << attempt)
-		attempt++
-	}
-	return nil
-}
-
-// writeFull writes all of p at off with the same loop-to-fill and
-// transient-retry discipline as readFull. Torn writes re-issue only the
-// unwritten tail, so a retried write never double-applies a prefix.
-func writeFull(f io.WriterAt, p []byte, off int64, st *Stats) error {
-	attempt := 0
-	for len(p) > 0 {
-		n, err := f.WriteAt(p, off)
-		p = p[n:]
-		off += int64(n)
-		if len(p) == 0 {
-			return nil
-		}
-		if err == nil {
-			if n == 0 {
-				return io.ErrNoProgress
-			}
-			attempt = 0
+			attempt = 0 // short transfer: loop to fill
 			continue
 		}
 		if n > 0 {
@@ -252,7 +217,7 @@ func getReadBuf(n int) *[]byte {
 }
 
 // readFloats reads count float32 values at byte offset off into dst.
-func readFloats(f io.ReaderAt, off int64, dst []float32, st *Stats, th *Throttle) error {
+func readFloats(f fault.File, off int64, dst []float32, st *Stats, th *Throttle) error {
 	bp := getReadBuf(len(dst) * 4)
 	defer readBufs.Put(bp)
 	buf := *bp
@@ -286,7 +251,7 @@ func readBytes(f io.ReaderAt, off int64, dst []byte, st *Stats, th *Throttle) er
 }
 
 // writeFloats writes src as float32 values at byte offset off.
-func writeFloats(f io.WriterAt, off int64, src []float32, st *Stats, th *Throttle) error {
+func writeFloats(f fault.File, off int64, src []float32, st *Stats, th *Throttle) error {
 	buf := make([]byte, len(src)*4)
 	for i, v := range src {
 		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -114,6 +115,12 @@ func (m *MemoryNodeStore) Close() error { return nil }
 // buffer of capacity c physical partitions (the M-GNN_Disk configuration,
 // paper Fig. 2 storage layer). Optimizer state for learnable
 // representations is persisted in a sibling file.
+//
+// The store is a shell around buffer, which alone decides each
+// partition's life-cycle: every method asks it for the next transition
+// and performs the IO that transition returns. Reads for prefetch and
+// dirty evictions' write-backs run on background goroutines, so the IO
+// stays off the trainer's critical path and outside the lock.
 type DiskNodeStore struct {
 	pt        partition.Partitioning
 	dim       int
@@ -122,45 +129,26 @@ type DiskNodeStore struct {
 	f  fault.File
 	sf fault.File // per-node AdaGrad accumulators; nil when not learnable
 
-	mu       sync.RWMutex
-	capacity int
-	slotData []float32 // capacity × partSize × dim
-	slotOpt  []float32 // capacity × partSize
-	resident map[int]int
-	slotPart []int
-	dirty    []bool
-	free     []int
-
-	stagedMu sync.Mutex
-	staged   map[int]*stagedPartition
-	pending  sync.WaitGroup
-	// Reusable staging buffers (data sized PartSize*dim, opt sized
-	// PartSize): Prefetch pops, LoadSet pushes back after consuming the
-	// staged bytes, bounded to capacity buffers so the pool stays small
-	// even when a pipeline prefetches aggressively. The async write-back
-	// path borrows from the same pool.
-	stagePool    [][]float32
-	stageOptPool [][]float32
-
-	// Evict-side double buffering: dirty evicted partitions are copied
-	// into a staging buffer and written back by a background goroutine,
-	// so the write leaves the trainer's critical path. A load of a
-	// partition with an in-flight write is served from the write buffer
-	// (it is the newest data). wbErr latches the first async write
-	// failure and is surfaced by the next LoadSet/Flush/Close.
-	wbMu      sync.Mutex
-	writeback map[int]*pendingWrite
-	wbPending sync.WaitGroup
-	wbErr     error
-	// failed retains the staging buffers of async write-backs that
-	// errored: they hold the only current copy of those partitions, so
-	// recycling them would lose updates. Flush retries them (clearing
-	// wbErr when every retry lands), keeping the store consistent for
-	// another attempt after the epoch surfaces the error.
-	failed map[int]*failedWrite
+	// mu guards b, the slots, the buffers and err; ioDone is signalled
+	// each time a read or a write-back completes.
+	mu     sync.RWMutex
+	ioDone *sync.Cond
+	b      *buffer
+	// A slot, like a buffer, is one region of stride floats: PartSize×dim
+	// representation rows, then the rows' AdaGrad accumulators when
+	// learnable. slots holds capacity of them; bufs holds each
+	// partition's staging or write-back buffer, nil while its phase holds
+	// none; pool recycles buffers, at most capacity of them so it stays
+	// small however far a pipeline prefetches.
+	stride     int
+	slots      []float32
+	bufs, pool [][]float32
+	// err latches the first failed write-back. LoadSet surfaces it until
+	// a Flush lands every write (or Restore replaces the table).
+	err error
 
 	// Quantized (read-only) tables: the file holds quant-encoded
-	// elements; readPartition moves only the compressed bytes across the
+	// elements; partitionIO moves only the compressed bytes across the
 	// (simulated) device and dequantizes into the float32 buffer. For
 	// int8, qscale/qzero hold the per-node affine parameters from the
 	// sidecar, loaded fully at open (8 bytes per node).
@@ -171,27 +159,6 @@ type DiskNodeStore struct {
 	stats    Stats
 	throttle *Throttle
 	tracer   atomic.Pointer[obs.Tracer] // evict write-back spans; nil = off
-}
-
-// pendingWrite is one in-flight asynchronous partition write-back.
-type pendingWrite struct {
-	done chan struct{}
-	data []float32
-	opt  []float32
-}
-
-// failedWrite holds the buffers of a write-back that errored, pending a
-// Flush retry.
-type failedWrite struct {
-	data []float32
-	opt  []float32
-}
-
-type stagedPartition struct {
-	done chan struct{}
-	data []float32
-	opt  []float32
-	err  error
 }
 
 // DiskStoreConfig configures CreateDiskNodeStore.
@@ -217,32 +184,25 @@ type DiskStoreConfig struct {
 	FS fault.FS
 }
 
-// newDiskNodeStore builds the in-memory store state (empty buffer, full
-// free list) over an already-open table file.
+// newDiskNodeStore builds the in-memory store state (empty buffer, every
+// slot free) over an already-open table file.
 func newDiskNodeStore(cfg DiskStoreConfig, f fault.File) *DiskNodeStore {
 	s := &DiskNodeStore{
 		pt:        cfg.Part,
 		dim:       cfg.Dim,
 		learnable: cfg.Learnable,
 		f:         f,
-		capacity:  cfg.Capacity,
-		slotData:  make([]float32, cfg.Capacity*cfg.Part.PartSize*cfg.Dim),
-		resident:  make(map[int]int, cfg.Capacity),
-		slotPart:  make([]int, cfg.Capacity),
-		dirty:     make([]bool, cfg.Capacity),
-		staged:    make(map[int]*stagedPartition),
-		writeback: make(map[int]*pendingWrite),
-		failed:    make(map[int]*failedWrite),
+		b:         newBuffer(cfg.Part.NumPartitions, cfg.Capacity),
+		stride:    cfg.Part.PartSize * cfg.Dim,
+		bufs:      make([][]float32, cfg.Part.NumPartitions),
 		quant:     cfg.Quant,
 		throttle:  cfg.Throttle,
 	}
-	for i := range s.slotPart {
-		s.slotPart[i] = -1
-		s.free = append(s.free, i)
-	}
 	if cfg.Learnable {
-		s.slotOpt = make([]float32, cfg.Capacity*cfg.Part.PartSize)
+		s.stride += cfg.Part.PartSize
 	}
+	s.slots = make([]float32, cfg.Capacity*s.stride)
+	s.ioDone = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -270,21 +230,14 @@ func CreateDiskNodeStore(cfg DiskStoreConfig) (*DiskNodeStore, error) {
 		s.sf = sf
 	}
 	// Write the initial table partition by partition (sequential IO).
-	row := make([]float32, cfg.Dim)
-	buf := make([]float32, 0, cfg.Part.PartSize*cfg.Dim)
+	buf := make([]float32, cfg.Part.PartSize*cfg.Dim)
 	for p := 0; p < cfg.Part.NumPartitions; p++ {
 		start, end := cfg.Part.Range(p)
-		buf = buf[:0]
-		for id := start; id < end; id++ {
-			for i := range row {
-				row[i] = 0
-			}
-			if cfg.Init != nil {
-				cfg.Init(id, row)
-			}
-			buf = append(buf, row...)
+		clear(buf)
+		for id := start; cfg.Init != nil && id < end; id++ {
+			cfg.Init(id, buf[int(id-start)*cfg.Dim:][:cfg.Dim])
 		}
-		if err := writeFloats(f, int64(start)*int64(cfg.Dim)*4, buf, nil, nil); err != nil {
+		if err := writeFloats(f, int64(start)*int64(cfg.Dim)*4, buf[:int(end-start)*cfg.Dim], nil, nil); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -342,22 +295,10 @@ func OpenDiskNodeStore(cfg DiskStoreConfig, path string) (*DiskNodeStore, error)
 			f.Close()
 			return nil, fmt.Errorf("storage: open of %s: int8 table needs a scale sidecar", path)
 		}
-		sf, err := fsys.Open(cfg.ScalePath)
-		if err != nil {
+		s.qscale, s.qzero = make([]float32, cfg.Part.NumNodes), make([]float32, cfg.Part.NumNodes)
+		if err := readScales(fsys, cfg.ScalePath, s.qscale, s.qzero); err != nil {
 			f.Close()
 			return nil, err
-		}
-		pairs := make([]float32, 2*cfg.Part.NumNodes)
-		err = readFloats(sf, 0, pairs, nil, nil)
-		sf.Close()
-		if err != nil {
-			f.Close()
-			return nil, corrupt(filepath.Base(cfg.ScalePath), "short read: %v", err)
-		}
-		s.qscale = make([]float32, cfg.Part.NumNodes)
-		s.qzero = make([]float32, cfg.Part.NumNodes)
-		for i := range s.qscale {
-			s.qscale[i], s.qzero[i] = pairs[2*i], pairs[2*i+1]
 		}
 	}
 	return s, nil
@@ -375,46 +316,43 @@ func (s *DiskNodeStore) Stats() *Stats { return &s.stats }
 // Capacity returns the buffer capacity c in physical partitions, which
 // also bounds the reusable staging pool (the pipeline clamps its
 // lookahead so staging demand fits — policy.Plan.MaxLookahead).
-func (s *DiskNodeStore) Capacity() int { return s.capacity }
+func (s *DiskNodeStore) Capacity() int { return len(s.b.owner) }
 
 // Resident returns the sorted list of partitions currently buffered.
 func (s *DiskNodeStore) Resident() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]int, 0, len(s.resident))
-	for p := range s.resident {
-		out = append(out, p)
+	out := make([]int, 0, s.Capacity())
+	for p := range s.b.parts {
+		if s.b.slotOf(p) >= 0 {
+			out = append(out, p)
+		}
 	}
-	sortInts(out)
 	return out
 }
 
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func (s *DiskNodeStore) partFloatRange(p int) (off int64, count int) {
+// partitionIO reads partition p from disk into region, or writes region
+// to disk, in the slot and buffer layout (see stride).
+func (s *DiskNodeStore) partitionIO(p int, region []float32, write bool) error {
 	start, end := s.pt.Range(p)
-	return int64(start) * int64(s.dim) * 4, int(end-start) * s.dim
-}
-
-// readPartition loads partition p's floats (and optimizer state) from disk.
-func (s *DiskNodeStore) readPartition(p int, data, opt []float32) error {
-	if s.quant != tensor.QuantNone {
+	data := region[:int(end-start)*s.dim]
+	rw, verb := readFloats, "read"
+	switch {
+	case s.quant != tensor.QuantNone && write:
+		// Quantized tables are fixed at ingest; nothing marks them dirty.
+		return fmt.Errorf("storage: write partition %d: quantized table is read-only", p)
+	case s.quant != tensor.QuantNone:
 		return s.readQuantPartition(p, data)
+	case write:
+		rw, verb = writeFloats, "write"
 	}
-	off, _ := s.partFloatRange(p)
-	if err := readFloats(s.f, off, data, &s.stats, s.throttle); err != nil {
-		return fmt.Errorf("storage: read partition %d: %w", p, err)
+	if err := rw(s.f, int64(start)*int64(s.dim)*4, data, &s.stats, s.throttle); err != nil {
+		return fmt.Errorf("storage: %s partition %d: %w", verb, p, err)
 	}
 	if s.learnable {
-		start, _ := s.pt.Range(p)
-		if err := readFloats(s.sf, int64(start)*4, opt, &s.stats, s.throttle); err != nil {
-			return fmt.Errorf("storage: read opt state %d: %w", p, err)
+		opt := region[s.pt.PartSize*s.dim:][:end-start]
+		if err := rw(s.sf, int64(start)*4, opt, &s.stats, s.throttle); err != nil {
+			return fmt.Errorf("storage: %s opt state %d: %w", verb, p, err)
 		}
 	}
 	return nil
@@ -447,330 +385,130 @@ func (s *DiskNodeStore) readQuantPartition(p int, data []float32) error {
 	return nil
 }
 
-// writePartition flushes slot contents for partition p back to disk.
-func (s *DiskNodeStore) writePartition(p, slot int) error {
-	base := slot * s.pt.PartSize * s.dim
-	count := s.pt.Rows(p) * s.dim
-	var opt []float32
-	if s.learnable {
-		ob := slot * s.pt.PartSize
-		opt = s.slotOpt[ob : ob+s.pt.Rows(p)]
-	}
-	return s.writePartitionFrom(p, s.slotData[base:base+count], opt)
-}
+// slot returns slot i's region.
+func (s *DiskNodeStore) slot(i int) []float32 { return s.slots[i*s.stride:][:s.stride] }
 
-// writePartitionFrom writes partition p's representation rows (and, for
-// learnable stores, optimizer state) from the given buffers.
-func (s *DiskNodeStore) writePartitionFrom(p int, data, opt []float32) error {
-	if s.quant != tensor.QuantNone {
-		// Quantized tables are fixed at ingest; nothing marks them dirty.
-		return fmt.Errorf("storage: write partition %d: quantized table is read-only", p)
-	}
-	off, _ := s.partFloatRange(p)
-	if err := writeFloats(s.f, off, data, &s.stats, s.throttle); err != nil {
-		return fmt.Errorf("storage: write partition %d: %w", p, err)
-	}
-	if s.learnable {
-		start, _ := s.pt.Range(p)
-		if err := writeFloats(s.sf, int64(start)*4, opt, &s.stats, s.throttle); err != nil {
-			return fmt.Errorf("storage: write opt state %d: %w", p, err)
-		}
-	}
-	return nil
-}
-
-// waitWriteback blocks until no write-back for p is in flight. Safe to
-// call while holding s.mu: the writer goroutines never take it.
-func (s *DiskNodeStore) waitWriteback(p int) {
-	for {
-		s.wbMu.Lock()
-		wb := s.writeback[p]
-		s.wbMu.Unlock()
-		if wb == nil {
-			return
-		}
-		<-wb.done
-	}
-}
-
-// takeWbErr reports the sticky first async write-back failure.
-func (s *DiskNodeStore) takeWbErr() error {
-	s.wbMu.Lock()
-	defer s.wbMu.Unlock()
-	return s.wbErr
-}
-
-// evictAsync double-buffers the evict side of a swap: partition p's slot
-// contents are copied into staging buffers and written back by a
-// background goroutine, so the (throttled) write happens off the
-// trainer's critical path, overlapped with the next visit's compute. The
-// caller must hold s.mu.
-func (s *DiskNodeStore) evictAsync(p, slot int) {
-	s.waitWriteback(p) // an earlier evict of p must land first (write order)
-	rows := s.pt.Rows(p)
-	s.stagedMu.Lock()
-	data, opt := s.getStageBufs(p)
-	s.stagedMu.Unlock()
-	base := slot * s.pt.PartSize * s.dim
-	copy(data, s.slotData[base:base+rows*s.dim])
-	if s.learnable {
-		ob := slot * s.pt.PartSize
-		copy(opt, s.slotOpt[ob:ob+rows])
-	}
-	wb := &pendingWrite{done: make(chan struct{}), data: data, opt: opt}
-	s.wbMu.Lock()
-	s.writeback[p] = wb
-	s.wbMu.Unlock()
-	s.wbPending.Add(1)
-	go func() {
-		defer s.wbPending.Done()
-		t0 := time.Now()
-		err := s.writePartitionFrom(p, data, opt)
-		s.tracer.Load().Span("storage", "evict_writeback", obs.TIDEvict, t0, time.Since(t0))
-		// Delete the entry and signal completion in one critical section:
-		// a LoadSet serving a load from wb.data copies under wbMu, so the
-		// buffers cannot be recycled mid-copy.
-		var superseded *failedWrite
-		s.wbMu.Lock()
-		if err != nil {
-			if s.wbErr == nil {
-				s.wbErr = err
-			}
-			// Keep the buffers: they hold the only current copy of the
-			// partition (the disk write did not land). Flush retries
-			// them; meanwhile the sticky error surfaces on the next
-			// LoadSet, failing the epoch rather than being swallowed
-			// here.
-			superseded = s.failed[p]
-			s.failed[p] = &failedWrite{data: data, opt: opt}
-		} else if old := s.failed[p]; old != nil {
-			// This successful write carries newer data than the earlier
-			// failed one; the stale retry entry is obsolete.
-			superseded = old
-			delete(s.failed, p)
-		}
-		delete(s.writeback, p)
-		close(wb.done)
-		s.wbMu.Unlock()
-		s.stagedMu.Lock()
-		if err == nil {
-			s.putStageBufs(data, opt)
-		}
-		if superseded != nil {
-			s.putStageBufs(superseded.data, superseded.opt)
-		}
-		s.stagedMu.Unlock()
-	}()
-}
-
-// getStageBufs pops (or allocates) staging buffers for partition p; the
-// caller must hold stagedMu.
-func (s *DiskNodeStore) getStageBufs(p int) (data, opt []float32) {
-	rows := s.pt.Rows(p)
-	if k := len(s.stagePool); k > 0 {
-		data = s.stagePool[k-1][:rows*s.dim]
-		s.stagePool = s.stagePool[:k-1]
-	} else {
-		data = make([]float32, rows*s.dim, s.pt.PartSize*s.dim)
-	}
-	if s.learnable {
-		if k := len(s.stageOptPool); k > 0 {
-			opt = s.stageOptPool[k-1][:rows]
-			s.stageOptPool = s.stageOptPool[:k-1]
+// do performs the in-memory part of o for partition p; the caller holds
+// mu. Disk reads and write-backs are the caller's, to run outside the
+// lock where they can.
+func (s *DiskNodeStore) do(p int, o op) {
+	if o.io&(ioRead|ioCopyOut) != 0 {
+		if k := len(s.pool); k > 0 {
+			s.bufs[p], s.pool = s.pool[k-1], s.pool[:k-1]
 		} else {
-			opt = make([]float32, rows, s.pt.PartSize)
+			s.bufs[p] = make([]float32, s.stride)
 		}
 	}
-	return data, opt
+	switch {
+	case o.io&ioCopyOut != 0:
+		copy(s.bufs[p], s.slot(o.slot))
+	case o.io&ioCopyIn != 0:
+		copy(s.slot(o.slot), s.bufs[p])
+	}
+	if o.io&ioFree != 0 {
+		if len(s.pool) < s.Capacity() {
+			s.pool = append(s.pool, s.bufs[p])
+		}
+		s.bufs[p] = nil
+	}
 }
 
-// putStageBufs returns consumed staging buffers to the pool, keeping at
-// most capacity of each; the caller must hold stagedMu.
-func (s *DiskNodeStore) putStageBufs(data, opt []float32) {
-	if data != nil && len(s.stagePool) < s.capacity {
-		s.stagePool = append(s.stagePool, data[:cap(data)])
+// transfer reads partition p from disk into region (its buffer or its
+// reserved slot), or writes its buffer region back, and records the IO's
+// end; the caller must not hold mu. A write-back emits a span on tr (nil:
+// none), and its failure latches err.
+func (s *DiskNodeStore) transfer(p int, region []float32, write bool, tr *obs.Tracer) error {
+	t0 := time.Now()
+	err := s.partitionIO(p, region, write)
+	tr.Span("storage", "evict_writeback", obs.TIDEvict, t0, time.Since(t0))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	end := s.b.stageDone
+	if write {
+		s.err, end = cmp.Or(s.err, err), s.b.endWriteback
 	}
-	if opt != nil && len(s.stageOptPool) < s.capacity {
-		s.stageOptPool = append(s.stageOptPool, opt[:cap(opt)])
-	}
+	s.do(p, end(p, err == nil))
+	s.ioDone.Broadcast()
+	return err
 }
 
 // Prefetch begins loading the given partitions into staging memory in the
 // background (paper Fig. 2 step A: the buffer and IO manager prefetch the
-// next partition set while training proceeds on the current one). Staging
-// memory comes from a small reusable buffer pool; a later LoadSet of the
-// same partitions consumes the staged bytes off the critical path and
-// recycles the buffers. Safe to call concurrently with reads and with
-// LoadSet (the pipeline prefetcher runs it ahead of the trainer).
+// next partition set while training proceeds on the current one). Only
+// partitions with no copy in memory are read; a later LoadSet consumes
+// the staged bytes and recycles the buffers. Safe to call concurrently
+// with reads and with LoadSet (the pipeline prefetcher runs it ahead of
+// the trainer).
 func (s *DiskNodeStore) Prefetch(parts []int) {
-	s.mu.RLock()
-	need := make([]int, 0, len(parts))
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, p := range parts {
-		if _, ok := s.resident[p]; !ok {
-			need = append(need, p)
+		if o := s.b.stage(p); o.io != 0 {
+			s.do(p, o)
+			go s.transfer(p, s.bufs[p], false, nil)
 		}
-	}
-	s.mu.RUnlock()
-
-	s.stagedMu.Lock()
-	defer s.stagedMu.Unlock()
-	for _, p := range need {
-		if _, ok := s.staged[p]; ok {
-			continue
-		}
-		// Partitions with an in-flight write-back are not staged: the
-		// disk bytes are mid-rewrite, and a later LoadSet serves them
-		// straight from the write buffer anyway. The check lives inside
-		// the stagedMu section that inserts the entry so it cannot race
-		// an eviction: a write-back registered after this check implies
-		// the eviction's staged-entry invalidation (which needs stagedMu)
-		// runs after our insert and removes it.
-		s.wbMu.Lock()
-		_, busy := s.writeback[p]
-		s.wbMu.Unlock()
-		if busy {
-			continue
-		}
-		sp := &stagedPartition{done: make(chan struct{})}
-		sp.data, sp.opt = s.getStageBufs(p)
-		s.staged[p] = sp
-		s.pending.Add(1)
-		go func(p int, sp *stagedPartition) {
-			defer s.pending.Done()
-			sp.err = s.readPartition(p, sp.data, sp.opt)
-			close(sp.done)
-		}(p, sp)
 	}
 }
 
 // LoadSet swaps the buffer so that exactly the partitions in parts are
-// resident, writing back dirty evicted partitions and consuming any
-// prefetched data. len(parts) must not exceed the buffer capacity.
+// resident, writing back dirty evicted partitions in the background and
+// serving each load from the newest copy in memory (a staged read or an
+// in-flight write-back) before reading the disk. len(parts) must not
+// exceed the buffer capacity. A failed read leaves the buffer consistent:
+// the error is returned and a later LoadSet may retry.
 func (s *DiskNodeStore) LoadSet(parts []int) error {
-	if len(parts) > s.capacity {
-		return fmt.Errorf("storage: set of %d partitions exceeds capacity %d", len(parts), s.capacity)
-	}
-	want := make(map[int]bool, len(parts))
-	for _, p := range parts {
-		want[p] = true
+	if len(parts) > s.Capacity() {
+		return fmt.Errorf("storage: set of %d partitions exceeds capacity %d", len(parts), s.Capacity())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.takeWbErr(); err != nil {
-		return err
+	if s.err != nil {
+		return s.err
 	}
-	// Evict partitions not wanted; dirty ones are written back
-	// asynchronously (the evict side of the double buffer).
-	for p, slot := range s.resident {
-		if want[p] {
+	for {
+		p, from, o, done := s.b.swap(parts)
+		switch {
+		case done:
+			return nil
+		case p < 0:
+			s.ioDone.Wait()
 			continue
-		}
-		if s.dirty[slot] {
-			s.evictAsync(p, slot)
-		}
-		s.dirty[slot] = false
-		s.slotPart[slot] = -1
-		s.free = append(s.free, slot)
-		delete(s.resident, p)
-		s.stats.Swaps.Add(1)
-		// A prefetch raced with this partition's residency (staged while
-		// it was in the buffer): its bytes predate the write-back above,
-		// so the entry must never be consumed. Drop it; the in-flight
-		// read goroutine still owns the buffer, which is simply not
-		// returned to the pool.
-		s.stagedMu.Lock()
-		delete(s.staged, p)
-		s.stagedMu.Unlock()
-	}
-	// Load missing partitions: an in-flight write-back buffer is the
-	// freshest copy, then staged (prefetched) data, then a synchronous
-	// read.
-	for _, p := range parts {
-		if _, ok := s.resident[p]; ok {
-			continue
-		}
-		slot := s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
-		base := slot * s.pt.PartSize * s.dim
-		count := s.pt.Rows(p) * s.dim
-
-		s.wbMu.Lock()
-		if wb := s.writeback[p]; wb != nil {
-			// Copy under wbMu: the writer only recycles wb's buffers
-			// after deleting the entry in its own wbMu section.
-			copy(s.slotData[base:base+count], wb.data)
-			if s.learnable {
-				copy(s.slotOpt[slot*s.pt.PartSize:], wb.opt)
-			}
-			s.wbMu.Unlock()
+		case from == clean || from == dirty:
+			s.stats.Swaps.Add(1)
+		case from == absent || from == staging:
+			// The read lands on the critical path: a synchronous one, or
+			// a prefetch still in flight.
+			s.stats.PrefetchMisses.Add(1)
+		default:
 			s.stats.PrefetchHits.Add(1)
-			s.resident[p] = slot
-			s.slotPart[slot] = p
-			continue
 		}
-		s.wbMu.Unlock()
-
-		s.stagedMu.Lock()
-		sp := s.staged[p]
-		if sp != nil {
-			delete(s.staged, p)
-		}
-		s.stagedMu.Unlock()
-
-		if sp != nil {
-			// A hit means the staged read genuinely overlapped compute:
-			// it had already finished when the swap consumed it. A load
-			// that must block on an in-flight staged read spent the IO on
-			// the critical path and counts as a miss.
-			finished := false
-			select {
-			case <-sp.done:
-				finished = true
-			default:
-				<-sp.done
-			}
-			if sp.err != nil {
-				return sp.err
-			}
-			copy(s.slotData[base:base+count], sp.data)
-			if s.learnable {
-				copy(s.slotOpt[slot*s.pt.PartSize:], sp.opt)
-			}
-			s.stagedMu.Lock()
-			s.putStageBufs(sp.data, sp.opt)
-			s.stagedMu.Unlock()
-			if finished {
-				s.stats.PrefetchHits.Add(1)
-			} else {
-				s.stats.PrefetchMisses.Add(1)
-			}
-		} else {
-			var opt []float32
-			if s.learnable {
-				opt = s.slotOpt[slot*s.pt.PartSize : slot*s.pt.PartSize+s.pt.Rows(p)]
-			}
-			if err := s.readPartition(p, s.slotData[base:base+count], opt); err != nil {
+		s.do(p, o)
+		switch {
+		case o.io&ioReload != 0:
+			slot := s.slot(o.slot)
+			s.mu.Unlock()
+			err := s.transfer(p, slot, false, nil)
+			s.mu.Lock()
+			if err != nil {
 				return err
 			}
-			s.stats.PrefetchMisses.Add(1)
+		case o.io&ioWrite != 0:
+			go s.transfer(p, s.bufs[p], true, s.tracer.Load())
 		}
-		s.resident[p] = slot
-		s.slotPart[slot] = p
 	}
-	return nil
 }
 
-// rowSlice returns the in-buffer representation row for node id; the
-// caller must hold mu.
+// rowSlice returns the in-buffer representation row for node id and the
+// index of its accumulator in slots; the caller must hold mu.
 func (s *DiskNodeStore) rowSlice(id int32) ([]float32, int, error) {
 	p := s.pt.Of(id)
-	slot, ok := s.resident[p]
-	if !ok {
+	slot := s.b.slotOf(p)
+	if slot < 0 {
 		return nil, 0, fmt.Errorf("storage: node %d in partition %d is not resident", id, p)
 	}
 	start, _ := s.pt.Range(p)
-	idx := slot*s.pt.PartSize + int(id-start)
-	return s.slotData[idx*s.dim : (idx+1)*s.dim], idx, nil
+	r, base := int(id-start), slot*s.stride
+	return s.slots[base+r*s.dim:][:s.dim], base + s.pt.PartSize*s.dim + r, nil
 }
 
 // Gather implements NodeStore.
@@ -799,72 +537,38 @@ func (s *DiskNodeStore) ApplyGrads(ids []int32, grads *tensor.Tensor, opt *nn.Sp
 		if err != nil {
 			return err
 		}
-		s.slotOpt[idx] = opt.StepRow(row, grads.Row(i), s.slotOpt[idx])
-		s.dirty[s.resident[s.pt.Of(id)]] = true
+		s.slots[idx] = opt.StepRow(row, grads.Row(i), s.slots[idx])
+		s.b.dirty(s.pt.Of(id))
 	}
 	return nil
 }
 
-// retryFailed re-issues failed asynchronous write-backs synchronously,
-// recycling their buffers and clearing the sticky error once every
-// retained partition lands. Callers must have drained wbPending first.
-func (s *DiskNodeStore) retryFailed() error {
-	s.wbMu.Lock()
-	parts := make([]int, 0, len(s.failed))
-	for p := range s.failed {
-		parts = append(parts, p)
-	}
-	s.wbMu.Unlock()
-	sortInts(parts)
-	for _, p := range parts {
-		s.wbMu.Lock()
-		fw := s.failed[p]
-		s.wbMu.Unlock()
-		if fw == nil {
-			continue
-		}
-		if err := s.writePartitionFrom(p, fw.data, fw.opt); err != nil {
-			s.wbMu.Lock()
-			s.wbErr = err
-			s.wbMu.Unlock()
-			return err
-		}
-		s.wbMu.Lock()
-		delete(s.failed, p)
-		s.wbMu.Unlock()
-		s.stagedMu.Lock()
-		s.putStageBufs(fw.data, fw.opt)
-		s.stagedMu.Unlock()
-	}
-	s.wbMu.Lock()
-	defer s.wbMu.Unlock()
-	if len(s.failed) == 0 {
-		s.wbErr = nil
-	}
-	return s.wbErr
-}
-
-// Flush writes all dirty resident partitions back to disk and waits for
-// in-flight asynchronous write-backs, so on return every update is
-// durable. Write-backs that failed asynchronously are retried here from
-// their retained buffers; if they now land, the sticky error clears and
-// the store is fully consistent again.
+// Flush waits for in-flight reads and write-backs, then writes back every
+// retained failed write-back and every dirty resident partition, in
+// ascending partition order, so on return every update is durable. Once
+// all of them land the latched write-back error clears and the store is
+// fully consistent again.
 func (s *DiskNodeStore) Flush() error {
-	s.wbPending.Wait()
-	if err := s.retryFailed(); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for p, slot := range s.resident {
-		if s.dirty[slot] {
-			if err := s.writePartition(p, slot); err != nil {
-				return err
-			}
-			s.dirty[slot] = false
+	for s.b.busy() {
+		s.ioDone.Wait()
+	}
+	var err error
+	for p := range s.b.parts {
+		if o := s.b.beginWriteback(p); o.io != 0 {
+			s.do(p, o)
+			buf := s.bufs[p]
+			s.mu.Unlock()
+			e := s.transfer(p, buf, true, nil)
+			s.mu.Lock()
+			err = cmp.Or(err, e)
 		}
 	}
-	return nil
+	if err == nil {
+		s.err = nil
+	}
+	return err
 }
 
 // ReadAll loads the entire table from disk into a tensor (for evaluation
@@ -909,67 +613,52 @@ func (s *DiskNodeStore) Snapshot() (*tensor.Tensor, []float32, error) {
 }
 
 // Restore implements NodeStore: the on-disk table (and accumulators) are
-// overwritten and any resident partitions re-read so the buffer reflects
-// the restored state.
+// overwritten, superseding any staged copies and retained write-backs,
+// and resident partitions are re-read so the buffer reflects the restored
+// state. A restore of the wrong shape is rejected before anything
+// changes. The lock is held across the writes so no prefetch reads a
+// half-restored table.
 func (s *DiskNodeStore) Restore(table *tensor.Tensor, state []float32) error {
-	if s.quant != tensor.QuantNone {
+	switch {
+	case s.quant != tensor.QuantNone:
 		// Never reached in practice: only learnable tables are
 		// checkpointed with contents, and quantized stores are read-only.
 		return fmt.Errorf("storage: restore into a quantized (read-only) table")
-	}
-	s.pending.Wait()
-	s.wbPending.Wait()
-	s.stagedMu.Lock()
-	s.staged = make(map[int]*stagedPartition)
-	s.stagedMu.Unlock()
-	// The checkpoint overwrites the whole table below, superseding any
-	// retained failed write-backs; drop them and clear the sticky error.
-	s.wbMu.Lock()
-	for _, fw := range s.failed {
-		s.stagedMu.Lock()
-		s.putStageBufs(fw.data, fw.opt)
-		s.stagedMu.Unlock()
-	}
-	s.failed = make(map[int]*failedWrite)
-	s.wbErr = nil
-	s.wbMu.Unlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if table.Rows != s.pt.NumNodes || table.Cols != s.dim {
+	case table.Rows != s.pt.NumNodes || table.Cols != s.dim:
 		return fmt.Errorf("storage: restore shape %dx%d into %dx%d store",
 			table.Rows, table.Cols, s.pt.NumNodes, s.dim)
+	case s.learnable && state != nil && len(state) != s.pt.NumNodes:
+		return fmt.Errorf("storage: restore %d optimizer rows into %d", len(state), s.pt.NumNodes)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.b.busy() {
+		s.ioDone.Wait()
 	}
 	if err := writeFloats(s.f, 0, table.Data, &s.stats, s.throttle); err != nil {
 		return err
 	}
 	if s.learnable && state != nil {
-		if len(state) != s.pt.NumNodes {
-			return fmt.Errorf("storage: restore %d optimizer rows into %d", len(state), s.pt.NumNodes)
-		}
 		if err := writeFloats(s.sf, 0, state, &s.stats, s.throttle); err != nil {
 			return err
 		}
 	}
-	for p, slot := range s.resident {
-		base := slot * s.pt.PartSize * s.dim
-		count := s.pt.Rows(p) * s.dim
-		var opt []float32
-		if s.learnable {
-			opt = s.slotOpt[slot*s.pt.PartSize : slot*s.pt.PartSize+s.pt.Rows(p)]
+	s.err = nil
+	for p := range s.b.parts {
+		o := s.b.drop(p)
+		s.do(p, o)
+		if o.io&ioReload != 0 {
+			if err := s.partitionIO(p, s.slot(o.slot), false); err != nil {
+				return err
+			}
 		}
-		if err := s.readPartition(p, s.slotData[base:base+count], opt); err != nil {
-			return err
-		}
-		s.dirty[slot] = false
 	}
 	return nil
 }
 
-// Close flushes (including pending asynchronous write-backs) and closes
-// the underlying files.
+// Close flushes (waiting for every in-flight read and write-back) and
+// closes the underlying files.
 func (s *DiskNodeStore) Close() error {
-	s.pending.Wait()
 	err := s.Flush()
 	if e := s.f.Close(); err == nil {
 		err = e

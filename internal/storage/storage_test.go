@@ -1,12 +1,16 @@
 package storage
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
+	"syscall"
 	"testing"
-
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/partition"
@@ -139,48 +143,112 @@ func TestDiskNodeStorePrefetchMatchesDirectLoad(t *testing.T) {
 	}
 }
 
+// TestDiskMatchesMemoryStoreUnderRandomOps drives a disk store and a
+// memory store through the same random updates while another goroutine
+// prefetches. With a buffer smaller than the table it also swaps and
+// toggles a full disk: a LoadSet that reports a failed write-back is
+// followed by a Flush once the disk recovers, and every update must
+// survive.
 func TestDiskMatchesMemoryStoreUnderRandomOps(t *testing.T) {
-	dir := t.TempDir()
-	const n, dim, p, c = 50, 4, 5, 5 // capacity = all partitions
-	pt := partition.New(n, p)
-	table := tensor.New(n, dim)
-	rng := rand.New(rand.NewSource(1))
-	table.RandNormal(rng, 1)
-	memStore := NewMemoryNodeStore(table.Clone())
-	diskStore, err := CreateDiskNodeStore(DiskStoreConfig{
-		Dir: dir, Part: pt, Dim: dim, Capacity: c, Learnable: true,
-		Init: func(id int32, row []float32) { copy(row, table.Row(int(id))) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer diskStore.Close()
-	if err := diskStore.LoadSet([]int{0, 1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []int{5, 3, 2} {
+		t.Run(fmt.Sprintf("capacity=%d", c), func(t *testing.T) {
+			const n, dim, p = 50, 4, 5
+			pt := partition.New(n, p)
+			table := tensor.New(n, dim)
+			rng := rand.New(rand.NewSource(int64(c)))
+			table.RandNormal(rng, 1)
+			memStore := NewMemoryNodeStore(table.Clone())
+			var failing atomic.Bool
+			diskStore, err := CreateDiskNodeStore(DiskStoreConfig{
+				Dir: t.TempDir(), Part: pt, Dim: dim, Capacity: c, Learnable: true,
+				FS:   toggleFS{inner: fault.OS, fail: &failing},
+				Init: func(id int32, row []float32) { copy(row, table.Row(int(id))) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer diskStore.Close()
 
-	optM := nn.NewSparseAdaGrad(0.1)
-	optD := nn.NewSparseAdaGrad(0.1)
-	for step := 0; step < 50; step++ {
-		ids := make([]int32, rng.Intn(8)+1)
-		for i := range ids {
-			ids[i] = int32(rng.Intn(n))
-		}
-		grads := tensor.New(len(ids), dim)
-		grads.RandNormal(rng, 1)
-		if err := memStore.ApplyGrads(ids, grads, optM); err != nil {
-			t.Fatal(err)
-		}
-		if err := diskStore.ApplyGrads(ids, grads, optD); err != nil {
-			t.Fatal(err)
-		}
-	}
-	all, err := diskStore.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !all.Equal(memStore.Table(), 1e-5) {
-		t.Fatal("disk and memory stores diverged")
+			// A second goroutine prefetches throughout, as the pipeline's
+			// loader does while the trainer swaps and updates.
+			stop, prefetched := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(prefetched)
+				prng := rand.New(rand.NewSource(int64(-c)))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						diskStore.Prefetch(prng.Perm(p)[:prng.Intn(c)+1])
+						time.Sleep(50 * time.Microsecond)
+					}
+				}
+			}()
+			optM := nn.NewSparseAdaGrad(0.1)
+			optD := nn.NewSparseAdaGrad(0.1)
+			failures := 0
+			for step := 0; step < 400; step++ {
+				switch r := rng.Intn(10); {
+				case r < 2:
+					diskStore.Prefetch(rng.Perm(p)[:rng.Intn(c)+1])
+				case r < 3 && c < p:
+					failing.Store(rng.Intn(3) == 0)
+				case r < 5:
+					set := rng.Perm(p)[:c]
+					if err := diskStore.LoadSet(set); err != nil {
+						if !errors.Is(err, syscall.ENOSPC) {
+							t.Fatalf("step %d: LoadSet: %v", step, err)
+						}
+						failures++
+						failing.Store(false)
+						if err := diskStore.Flush(); err != nil {
+							t.Fatalf("step %d: Flush after recovery: %v", step, err)
+						}
+						if err := diskStore.LoadSet(set); err != nil {
+							t.Fatalf("step %d: LoadSet after recovery: %v", step, err)
+						}
+					}
+				default:
+					res := diskStore.Resident()
+					if len(res) == 0 {
+						continue
+					}
+					ids := make([]int32, rng.Intn(8)+1)
+					for i := range ids {
+						start, end := pt.Range(res[rng.Intn(len(res))])
+						ids[i] = start + int32(rng.Intn(int(end-start)))
+					}
+					grads := tensor.New(len(ids), dim)
+					grads.RandNormal(rng, 1)
+					if err := memStore.ApplyGrads(ids, grads, optM); err != nil {
+						t.Fatal(err)
+					}
+					if err := diskStore.ApplyGrads(ids, grads, optD); err != nil {
+						t.Fatal(err)
+					}
+					got, want := tensor.New(len(ids), dim), tensor.New(len(ids), dim)
+					memStore.Gather(ids, want)
+					if err := diskStore.Gather(ids, got); err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want, 0) {
+						t.Fatalf("step %d: rows %v diverged", step, ids)
+					}
+				}
+			}
+			close(stop)
+			<-prefetched
+			failing.Store(false)
+			all, err := diskStore.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !all.Equal(memStore.Table(), 0) {
+				t.Fatal("disk and memory stores diverged")
+			}
+			t.Logf("%d failed write-backs recovered", failures)
+		})
 	}
 }
 
@@ -353,9 +421,12 @@ func TestPrefetchHitMissCountersAndStagingPool(t *testing.T) {
 
 	// Completed prefetches count as hits when consumed (a load that
 	// blocks on a still-in-flight staged read would count as a miss, so
-	// wait for the staging reads to land first).
+	// let the staging reads land first: Flush waits for every IO in
+	// flight).
 	store.Prefetch([]int{4, 5})
-	store.pending.Wait()
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if err := store.LoadSet([]int{2, 4, 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -364,19 +435,31 @@ func TestPrefetchHitMissCountersAndStagingPool(t *testing.T) {
 		t.Fatalf("after prefetch: hits=%d misses=%d, want 2/0", d.PrefetchHits, d.PrefetchMisses)
 	}
 
+	// Prefetching resident partitions reads nothing.
+	before := store.Stats().Snapshot()
+	store.Prefetch([]int{2, 4, 5})
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if d := store.Stats().Snapshot().Sub(before); d.Reads != 0 {
+		t.Fatalf("prefetching resident partitions read %d times", d.Reads)
+	}
+
 	// The staging buffers were recycled: further prefetch cycles must not
 	// grow the pool beyond capacity.
 	for round := 0; round < 5; round++ {
 		a, b := (round*2)%p, (round*2+1)%p
 		store.Prefetch([]int{a, b})
-		store.pending.Wait()
+		if err := store.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		if err := store.LoadSet([]int{a, b}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	store.stagedMu.Lock()
-	poolLen := len(store.stagePool)
-	store.stagedMu.Unlock()
+	store.mu.Lock()
+	poolLen := len(store.pool)
+	store.mu.Unlock()
 	if poolLen == 0 {
 		t.Fatal("staging pool never recycled a buffer")
 	}
@@ -385,13 +468,15 @@ func TestPrefetchHitMissCountersAndStagingPool(t *testing.T) {
 	}
 }
 
-// A partition staged while resident must never be consumed after a dirty
-// eviction wrote newer bytes: the eviction drops the stale entry.
+// A prefetch of a resident partition must never be consumed after a
+// dirty eviction wrote newer bytes, nor may a prefetch racing the
+// write-back read the disk before it lands.
 func TestStaleStagedEntryDroppedOnEvict(t *testing.T) {
 	dir := t.TempDir()
 	const n, dim, p, c = 40, 4, 4, 2
 	pt := partition.New(n, p)
-	store, err := CreateDiskNodeStore(DiskStoreConfig{Dir: dir, Part: pt, Dim: dim, Capacity: c, Learnable: true})
+	store, err := CreateDiskNodeStore(DiskStoreConfig{Dir: dir, Part: pt, Dim: dim, Capacity: c, Learnable: true,
+		Throttle: NewThrottle(1 << 20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,48 +486,36 @@ func TestStaleStagedEntryDroppedOnEvict(t *testing.T) {
 	if err := store.LoadSet([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Stage partition 0 while it is resident (simulates a prefetcher
-	// racing LoadSet), then dirty it and evict it.
-	store.stagedMu.Lock()
-	delete(store.staged, 0)
-	store.stagedMu.Unlock()
-	store.mu.Lock()
-	delete(store.resident, 0) // make Prefetch believe 0 is not resident
-	store.mu.Unlock()
-	store.Prefetch([]int{0})
-	store.pending.Wait()
-	store.mu.Lock()
-	store.resident[0] = store.slotPart[0] // restore residency (slot 0 holds partition 0)
-	for slot, part := range store.slotPart {
-		if part == 0 {
-			store.resident[0] = slot
-		}
-	}
-	store.mu.Unlock()
-
 	grads := tensor.New(1, dim)
 	grads.Fill(1)
-	if err := store.ApplyGrads([]int32{0}, grads, opt); err != nil {
-		t.Fatal(err)
-	}
-	updated := tensor.New(1, dim)
-	if err := store.Gather([]int32{0}, updated); err != nil {
-		t.Fatal(err)
-	}
-	// Evict 0 (write-back) and bring it back: the stale staged bytes
-	// (pre-update zeros) must not resurface.
-	if err := store.LoadSet([]int{2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.LoadSet([]int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	back := tensor.New(1, dim)
-	if err := store.Gather([]int32{0}, back); err != nil {
-		t.Fatal(err)
-	}
-	if !updated.Equal(back, 0) {
-		t.Fatalf("stale staged data resurfaced: %v vs %v", updated, back)
+	for round := 0; round < 3; round++ {
+		// Stage partition 0 while it is resident (a prefetcher racing
+		// LoadSet), then dirty it.
+		store.Prefetch([]int{0})
+		if err := store.ApplyGrads([]int32{0}, grads, opt); err != nil {
+			t.Fatal(err)
+		}
+		updated := tensor.New(1, dim)
+		if err := store.Gather([]int32{0}, updated); err != nil {
+			t.Fatal(err)
+		}
+		// Evict 0 (a throttled write-back), prefetch it while the write
+		// is in flight, and bring it back: neither the pre-update bytes
+		// staged above nor those still on disk may resurface.
+		if err := store.LoadSet([]int{2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		store.Prefetch([]int{0, 1})
+		if err := store.LoadSet([]int{0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		back := tensor.New(1, dim)
+		if err := store.Gather([]int32{0}, back); err != nil {
+			t.Fatal(err)
+		}
+		if !updated.Equal(back, 0) {
+			t.Fatalf("round %d: stale data resurfaced: %v vs %v", round, updated, back)
+		}
 	}
 }
 
