@@ -67,10 +67,11 @@ fuzz-kernels:
 # full NC and LP epochs at WithPipeline(2)/WithWorkers(4) and, since every
 # geometry runs the same goroutines, at depth 0 too (the golden
 # trajectories run depth 0 and 2 at 1 and 4 workers; the nil-context test
-# runs depth 0 with one).
+# runs depth 0 with one), and the epochs that skip visits without
+# examples (NC at depth 0 and 2, LP at depth 2).
 race-pipeline:
 	$(GO) test -race ./internal/pipeline/
-	$(GO) test -race -run 'Pipeline|Golden|NilContext' ./marius/
+	$(GO) test -race -run 'Pipeline|Golden|NilContext|Walk' ./marius/
 
 # Short-mode pipeline benchmark with hard floors: >=1.5x epoch speedup
 # over the serial loop under a calibrated disk throttle, a loss

@@ -119,8 +119,15 @@
 // internal/pipeline is the epoch executor (paper Fig. 2, steps A-D):
 // every epoch, of either task and at every setting, runs as the same
 // three bounded produce/consume stages, driven by the one epoch driver in
-// internal/train (Trainer.TrainEpoch). The loader — one goroutine walking
-// the policy plan, holding at most WithPipeline(depth)+1 visits loaded
+// internal/train (Trainer.TrainEpoch). The epoch walks only the plan
+// visits with training examples (the task decides: a node-classification
+// visit that makes a training partition resident for the first time, a
+// link-prediction visit with buckets); a visit without examples is not
+// staged, admitted or indexed and costs no IO, and since every visit
+// still draws its seed in plan order the trajectory is the one the full
+// walk would take. EpochStats.Visits counts the plan's visits,
+// EpochStats.Walked the ones trained. The loader — one goroutine walking
+// those visits, holding at most WithPipeline(depth)+1 visits loaded
 // and unreleased — issues async node-partition loads for its lookahead
 // window into a small pool of reusable staging buffers
 // (storage.DiskNodeStore.Prefetch), collects the visit's training
@@ -171,7 +178,10 @@
 // in memory reads straight into its slot. Only an absent partition is
 // ever read from disk, so no read can return bytes older than a copy in
 // memory; a failed write-back is retained and its error latched until
-// Flush lands it. The buffer's own
+// Flush lands it. The trainer stages and admits only the partition sets
+// of visits with examples, so a visit without any reads nothing, and a
+// full-table read (ReadAll, Snapshot) copies resident partitions from
+// their slots and reads only the absent ones. The buffer's own
 // unsafe() predicate names the states that must never be reached (a
 // slot owned twice, a stale copy read or admitted, a dirty partition or a
 // retained buffer dropped before its bytes are on disk), and

@@ -366,7 +366,9 @@ func (c Comet) NewEpochPlan(rng *rand.Rand) *Plan {
 // train-first relabeling) stay cached for the whole epoch, and the
 // remaining buffer slots hold random disk partitions. When the training
 // nodes do not fit (TrainParts ≥ C), it degrades to random rotation until
-// every partition has been resident once.
+// every partition has been resident once. Only the rotation's visits that
+// bring in a training partition for the first time carry targets; the
+// trainer skips the others, so their partitions are never read.
 type NodeCache struct {
 	P          int
 	C          int

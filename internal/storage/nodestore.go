@@ -342,7 +342,10 @@ func (s *DiskNodeStore) partitionIO(p int, region []float32, write bool) error {
 		// Quantized tables are fixed at ingest; nothing marks them dirty.
 		return fmt.Errorf("storage: write partition %d: quantized table is read-only", p)
 	case s.quant != tensor.QuantNone:
-		return s.readQuantPartition(p, data)
+		if err := s.readQuantRows(start, end, data); err != nil {
+			return fmt.Errorf("storage: read partition %d: %w", p, err)
+		}
+		return nil
 	case write:
 		rw, verb = writeFloats, "write"
 	}
@@ -358,21 +361,20 @@ func (s *DiskNodeStore) partitionIO(p int, region []float32, write bool) error {
 	return nil
 }
 
-// readQuantPartition reads partition p's compressed bytes — only the
-// compressed size crosses the device (and counts toward Stats and the
-// Throttle; that is the partition-swap IO the quantization saves) — and
-// dequantizes row by row into the store's float32 buffer. Dequantization
-// is a pure element-wise function of bytes fixed at ingest, so the
-// buffer contents are identical on every load, worker count, and run.
-func (s *DiskNodeStore) readQuantPartition(p int, data []float32) error {
-	start, end := s.pt.Range(p)
+// readQuantRows reads the compressed bytes of rows [start, end) in one
+// read — only the compressed size crosses the device (and counts toward
+// Stats and the Throttle; that is the partition-swap IO the quantization
+// saves) — and dequantizes row by row into data. Dequantization is a pure
+// element-wise function of bytes fixed at ingest, so the rows are
+// identical on every load, worker count, and run.
+func (s *DiskNodeStore) readQuantRows(start, end int32, data []float32) error {
 	eb := s.quant.ElemBytes()
 	bp := getReadBuf(int(end-start) * s.dim * eb)
 	defer readBufs.Put(bp)
 	raw := *bp
 	off := int64(start) * int64(s.dim) * int64(eb)
 	if err := readBytes(s.f, off, raw, &s.stats, s.throttle); err != nil {
-		return fmt.Errorf("storage: read partition %d: %w", p, err)
+		return err
 	}
 	q := &tensor.QTable{Kind: s.quant, Rows: int(end - start), Cols: s.dim, Raw: raw}
 	if s.quant == tensor.QuantI8 {
@@ -571,32 +573,50 @@ func (s *DiskNodeStore) Flush() error {
 	return err
 }
 
-// ReadAll loads the entire table from disk into a tensor (for evaluation
-// of small graphs). The buffer state is unaffected but dirty resident
-// partitions are flushed first so the snapshot is current.
+// ReadAll returns the entire table as a tensor (for full-graph evaluation
+// and Snapshot). Dirty resident partitions are flushed first, so every
+// update is durable; then resident partitions are copied from their slots
+// and only the others are read from disk, one read per run of consecutive
+// absent partitions. The buffer state is unaffected, and holds still
+// while ReadAll reads.
 func (s *DiskNodeStore) ReadAll() (*tensor.Tensor, error) {
 	if err := s.Flush(); err != nil {
 		return nil, err
 	}
 	t := tensor.New(s.pt.NumNodes, s.dim)
-	if s.quant != tensor.QuantNone {
-		for p := 0; p < s.pt.NumPartitions; p++ {
-			start, end := s.pt.Range(p)
-			if err := s.readQuantPartition(p, t.Data[int(start)*s.dim:int(end)*s.dim]); err != nil {
-				return nil, err
-			}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for p := 0; p < s.pt.NumPartitions; {
+		start, end := s.pt.Range(p)
+		if slot := s.b.slotOf(p); slot >= 0 {
+			copy(t.Data[int(start)*s.dim:int(end)*s.dim], s.slot(slot))
+			p++
+			continue
 		}
-		return t, nil
-	}
-	if err := readFloats(s.f, 0, t.Data, &s.stats, s.throttle); err != nil {
-		return nil, err
+		for p++; p < s.pt.NumPartitions && s.b.slotOf(p) < 0; p++ {
+			_, end = s.pt.Range(p)
+		}
+		if start == end {
+			continue // empty trailing partitions: nothing to read
+		}
+		rows := t.Data[int(start)*s.dim : int(end)*s.dim]
+		var err error
+		if s.quant != tensor.QuantNone {
+			err = s.readQuantRows(start, end, rows)
+		} else {
+			err = readFloats(s.f, int64(start)*int64(s.dim)*4, rows, &s.stats, s.throttle)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("storage: read nodes [%d, %d): %w", start, end, err)
+		}
 	}
 	return t, nil
 }
 
-// Snapshot implements NodeStore: dirty resident partitions are flushed,
-// then the full table and (for learnable stores) the per-row AdaGrad
-// accumulators are read back from disk.
+// Snapshot implements NodeStore: the full table comes from ReadAll
+// (flushed, resident partitions served from the buffer), then for
+// learnable stores the per-row AdaGrad accumulators are read back from
+// disk.
 func (s *DiskNodeStore) Snapshot() (*tensor.Tensor, []float32, error) {
 	t, err := s.ReadAll()
 	if err != nil {

@@ -1,9 +1,13 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"syscall"
@@ -276,6 +280,139 @@ func TestDiskNodeStoreIOCounters(t *testing.T) {
 	if snap2.BytesRead != perPart || snap2.Swaps != 1 {
 		t.Fatalf("after swap: %+v", snap2)
 	}
+}
+
+// ReadAll copies resident partitions from their slots and reads only the
+// absent ones, one read per run of them: the table is bit-identical to a
+// cold read (nothing resident) for float32, fp16 and int8 tables and for a
+// learnable one with dirty partitions, the bytes read are exactly the
+// absent partitions', and the buffer keeps what it held.
+func TestDiskReadAllServesResidentPartitions(t *testing.T) {
+	const n, dim, p, c = 47, 3, 5, 2 // the last partition holds 7 nodes
+	pt := partition.New(n, p)
+	ref := tensor.New(n, dim)
+	ref.RandNormal(rand.New(rand.NewSource(5)), 1)
+	initRef := func(id int32, row []float32) { copy(row, ref.Row(int(id))) }
+	resident, absent := []int{1, 3}, []int{0, 2, 4}
+
+	for _, tc := range []struct {
+		name      string
+		quant     tensor.QuantKind
+		learnable bool
+	}{
+		{"float32", tensor.QuantNone, false},
+		{"learnable-dirty", tensor.QuantNone, true},
+		{"fp16", tensor.QuantF16, false},
+		{"int8", tensor.QuantI8, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var store *DiskNodeStore
+			want := ref
+			var err error
+			if tc.quant == tensor.QuantNone {
+				store, err = CreateDiskNodeStore(DiskStoreConfig{
+					Dir: dir, Part: pt, Dim: dim, Capacity: c, Learnable: tc.learnable, Init: initRef,
+				})
+			} else {
+				var q *tensor.QTable
+				store, q, err = openQuantStore(dir, pt, ref, tc.quant, c)
+				want = tensor.RefDequant(q)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			if err := store.LoadSet(resident); err != nil {
+				t.Fatal(err)
+			}
+			if tc.learnable {
+				// Dirty both resident partitions; the memory store is the
+				// table the disk one must end up with.
+				mem := NewMemoryNodeStore(ref.Clone())
+				ids := []int32{10, 19, 30, 34, 10}
+				grads := tensor.New(len(ids), dim)
+				grads.RandNormal(rand.New(rand.NewSource(6)), 1)
+				opt := nn.NewSparseAdaGrad(0.5)
+				for _, s := range []NodeStore{store, mem} {
+					if err := s.ApplyGrads(ids, grads, opt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want = mem.Table()
+			}
+			eb := int64(tc.quant.ElemBytes())
+			partBytes := func(parts ...int) (b int64) {
+				for _, q := range parts {
+					start, end := pt.Range(q)
+					b += int64(end-start) * dim * eb
+				}
+				return b
+			}
+
+			before := store.Stats().Snapshot()
+			warm, err := store.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := store.Stats().Snapshot().Sub(before)
+			if d.BytesRead != partBytes(absent...) || d.Reads != int64(len(absent)) {
+				t.Fatalf("ReadAll with %v resident read %d bytes in %d reads, want %d in %d",
+					resident, d.BytesRead, d.Reads, partBytes(absent...), len(absent))
+			}
+			if tc.learnable && d.BytesWritten == 0 {
+				t.Fatal("ReadAll did not flush the dirty partitions")
+			}
+			if got := store.Resident(); !reflect.DeepEqual(got, resident) {
+				t.Fatalf("ReadAll changed the buffer: resident %v, want %v", got, resident)
+			}
+
+			// Evicting everything writes nothing (the flush left the slots
+			// clean); the next ReadAll is a cold read of the whole table.
+			if err := store.LoadSet(nil); err != nil {
+				t.Fatal(err)
+			}
+			before = store.Stats().Snapshot()
+			cold, err := store.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = store.Stats().Snapshot().Sub(before)
+			if d.BytesRead != partBytes(0, 1, 2, 3, 4) || d.Reads != 1 || d.BytesWritten != 0 {
+				t.Fatalf("cold ReadAll: %+v, want %d bytes in one read", d, partBytes(0, 1, 2, 3, 4))
+			}
+			for i := range want.Data {
+				w := math.Float32bits(want.Data[i])
+				if math.Float32bits(warm.Data[i]) != w || math.Float32bits(cold.Data[i]) != w {
+					t.Fatalf("element %d: warm %v, cold %v, want %v", i, warm.Data[i], cold.Data[i], want.Data[i])
+				}
+			}
+		})
+	}
+}
+
+// openQuantStore writes ref quantized to kind, as ingest would, and opens
+// it as a read-only paged store; it also returns the quantized table.
+func openQuantStore(dir string, pt partition.Partitioning, ref *tensor.Tensor, kind tensor.QuantKind, c int) (*DiskNodeStore, *tensor.QTable, error) {
+	q := tensor.Quantize(ref, kind)
+	path := filepath.Join(dir, "features.bin")
+	if err := os.WriteFile(path, q.Raw, 0o644); err != nil {
+		return nil, nil, err
+	}
+	cfg := DiskStoreConfig{Part: pt, Dim: ref.Cols, Capacity: c, Quant: kind}
+	if kind == tensor.QuantI8 {
+		pairs := make([]byte, 8*len(q.Scale))
+		for i := range q.Scale {
+			binary.LittleEndian.PutUint32(pairs[8*i:], math.Float32bits(q.Scale[i]))
+			binary.LittleEndian.PutUint32(pairs[8*i+4:], math.Float32bits(q.Zero[i]))
+		}
+		cfg.ScalePath = filepath.Join(dir, "scales.bin")
+		if err := os.WriteFile(cfg.ScalePath, pairs, 0o644); err != nil {
+			return nil, nil, err
+		}
+	}
+	store, err := OpenDiskNodeStore(cfg, path)
+	return store, q, err
 }
 
 func TestEdgeStoreDiskMatchesMemory(t *testing.T) {

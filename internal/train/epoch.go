@@ -65,12 +65,16 @@ type settings struct {
 }
 
 // task is what differs between node classification and link prediction:
-// a visit's training examples, the task's part of a prepared batch, and
-// the training step.
+// which visits have training examples and what they are, the task's part
+// of a prepared batch, and the training step.
 type task interface {
+	// active returns the indices, in plan order, of the visits that have
+	// examples: the only ones an epoch loads and trains. It is called
+	// once per epoch, before any load, and starts the task's epoch.
+	active(visits []policy.Visit) []int
 	// load collects into v the examples plan visit pv trains on,
 	// shuffled with vrng, and returns how many there are. It runs in
-	// strict plan order (v.vi == 0 starts an epoch).
+	// strict plan order over the active visits.
 	load(t *Trainer, pv *policy.Visit, v *visit, vrng *rand.Rand) (int, error)
 	// prepare fills pb for examples [lo, hi) of v on builder b and
 	// returns the nodes whose representations the batch needs.
@@ -110,7 +114,6 @@ func (t *Trainer) SetEpoch(e int) { t.epoch = e }
 // refreshed, training examples collected and shuffled, per-batch seeds
 // derived.
 type visit struct {
-	vi         int
 	adj        graph.Index
 	n          int // training examples
 	batchSeeds []int64
@@ -168,6 +171,13 @@ type batcher struct {
 // completes: a canceled or failed epoch is retried from the same
 // (seed, epoch)-derived RNG stream on the next call.
 //
+// Only the visits with examples are walked: a visit without any builds
+// no batch, so it is not staged, admitted or indexed, and costs no IO.
+// Skipping it changes nothing a walked visit computes — every plan visit
+// still draws its seed in plan order, a visit's index view is a function
+// of its own partition set, and a visit without examples updates no
+// state a later one reads.
+//
 // Batches always compute in plan order with per-batch derived seeds, so
 // the epoch's trajectory is identical at every PipelineDepth and Workers
 // setting; concurrency only changes wall-clock overlap.
@@ -189,10 +199,18 @@ func (t *Trainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
 
 	rng := epochRNG(t.cfg.seed, epoch)
 	plan := t.Pol.NewEpochPlan(rng)
-	visits := plan.Visits
-	stats.Visits = len(visits)
-	seeds := deriveSeeds(rng, len(visits))
-	depth := clampDepth(t.cfg.depth, plan, disk)
+	planSeeds := deriveSeeds(rng, len(plan.Visits))
+	// From here on visits are the walked ones, each with its own plan
+	// visit's seed.
+	walked := &policy.Plan{NumPartitions: plan.NumPartitions}
+	var seeds []int64
+	for _, vi := range t.task.active(plan.Visits) {
+		walked.Visits = append(walked.Visits, plan.Visits[vi])
+		seeds = append(seeds, planSeeds[vi])
+	}
+	visits := walked.Visits
+	stats.Visits, stats.Walked = len(plan.Visits), len(visits)
+	depth := clampDepth(t.cfg.depth, walked, disk)
 	var sampleNS atomic.Int64
 	var lossSum float64
 	var metric eval.MeanAccumulator
@@ -220,7 +238,7 @@ func (t *Trainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
 			if err != nil {
 				return nil, err
 			}
-			v := &visit{vi: vi, adj: adj}
+			v := &visit{adj: adj}
 			vrng := rand.New(rand.NewSource(seeds[vi]))
 			if v.n, err = t.task.load(t, pv, v, vrng); err != nil {
 				return nil, err
@@ -367,11 +385,13 @@ func deriveSeeds(rng *rand.Rand, n int) []int64 {
 	return seeds
 }
 
-// clampDepth bounds the configured pipeline depth for one epoch's plan:
-// the loader stages the partitions of up to depth upcoming visits, and
-// that demand must fit the disk store's staging pool (one buffer per
-// buffer-capacity slot), per Plan.VerifyLookahead. In-memory sources
-// stage nothing, so the configured depth stands.
+// clampDepth bounds the configured pipeline depth for one epoch's walk:
+// the loader stages the partitions of up to depth upcoming walked visits,
+// and that demand must fit the disk store's staging pool (one buffer per
+// buffer-capacity slot), per Plan.VerifyLookahead. It must see the walked
+// visits, not the whole plan: with the visits between them skipped, two
+// consecutive walked visits can differ in every partition. In-memory
+// sources stage nothing, so the configured depth stands.
 func clampDepth(depth int, plan *policy.Plan, disk *storage.DiskNodeStore) int {
 	if depth <= 0 || disk == nil {
 		return depth

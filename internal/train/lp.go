@@ -61,6 +61,19 @@ func NewLP(cfg LPConfig, src *Source, pol policy.Policy) *Trainer {
 	}, src, pol, &lpTask{cfg: cfg})
 }
 
+// active returns the visits with at least one bucket. A bucket may hold
+// no edges, so this may walk a visit without examples, never skip one
+// with some; a skipped visit updates no representation.
+func (lp *lpTask) active(visits []policy.Visit) []int {
+	var walk []int
+	for vi, pv := range visits {
+		if len(pv.Buckets) > 0 {
+			walk = append(walk, vi)
+		}
+	}
+	return walk
+}
+
 // load reads the training-example buckets assigned to the visit (X_i)
 // and lists the resident nodes, to which negative sampling is restricted
 // (paper §3).

@@ -70,15 +70,38 @@ func NewNC(cfg NCConfig, src *Source, pol policy.Policy, labels []int32, trainNo
 	}, src, pol, nc)
 }
 
+// active returns the visits that make a training partition resident for
+// the first time this epoch, the rule load applies to done; it clears
+// done for the epoch's loads. Under the §5.2 NodeCache policy that is
+// the one visit; under the fallback rotation only the few visits that
+// bring in a training partition, and the rest are never loaded.
+func (nc *ncTask) active(visits []policy.Visit) []int {
+	clear(nc.done)
+	seen := make([]bool, len(nc.done))
+	var walk []int
+	for vi, pv := range visits {
+		n := 0
+		for _, p := range pv.Mem {
+			if !seen[p] {
+				seen[p] = true
+				n += len(nc.byPart[p])
+			}
+		}
+		if n > 0 {
+			walk = append(walk, vi)
+		}
+	}
+	return walk
+}
+
 // load collects the visit's targets: training nodes whose partition
 // became resident and has not been trained on yet this epoch. Under the
 // §5.2 NodeCache policy they all appear in the first visit's partitions;
 // under the fallback rotation each is consumed at the first visit where
-// its partition is resident.
+// its partition is resident. A skipped visit only makes partitions
+// without training nodes resident, so marking its partitions done here
+// instead, or never, changes no visit's targets.
 func (nc *ncTask) load(t *Trainer, pv *policy.Visit, v *visit, vrng *rand.Rand) (int, error) {
-	if v.vi == 0 {
-		clear(nc.done)
-	}
 	targets := nc.targets.get()[:0]
 	for _, p := range pv.Mem {
 		if !nc.done[p] {

@@ -19,6 +19,8 @@ type Obs struct {
 	epochs     *obs.Counter
 	examples   *obs.Counter
 	batches    *obs.Counter
+	visits     *obs.Counter
+	walked     *obs.Counter
 	lastLoss   *obs.Gauge
 	lastMetric *obs.Gauge
 	epochSec   *obs.Histogram
@@ -34,7 +36,10 @@ func NewObs(reg *obs.Registry, tracer *obs.Tracer) *Obs {
 		epochs: reg.Counter("train_epochs_total", "Training epochs completed."),
 		examples: reg.Counter("train_examples_total",
 			"Training examples (labeled nodes or positive edges) consumed."),
-		batches:    reg.Counter("train_batches_total", "Mini-batches computed."),
+		batches: reg.Counter("train_batches_total", "Mini-batches computed."),
+		visits:  reg.Counter("train_visits_total", "Partition-set visits planned by the policy."),
+		walked: reg.Counter("train_visits_walked_total",
+			"Planned visits with examples, loaded and trained; the others cost no IO."),
 		lastLoss:   reg.Gauge("train_last_loss", "Mean loss of the most recent epoch."),
 		lastMetric: reg.Gauge("train_last_metric", "Train metric (accuracy or MRR) of the most recent epoch."),
 		epochSec: reg.Histogram("train_epoch_seconds", "Wall-clock epoch duration.",
@@ -58,6 +63,8 @@ func (o *Obs) epochDone(st *EpochStats) {
 	o.epochs.Inc()
 	o.examples.Add(uint64(st.Examples))
 	o.batches.Add(uint64(st.Batches))
+	o.visits.Add(uint64(st.Visits))
+	o.walked.Add(uint64(st.Walked))
 	o.lastLoss.Set(st.Loss)
 	o.lastMetric.Set(st.Metric)
 	o.epochSec.Observe(st.Duration.Seconds())

@@ -1,15 +1,15 @@
 // Package train implements MariusGNN's processing layer: the mini-batch
 // lifecycle of paper Fig. 2 (steps 1-6) expressed as explicit
 // produce/consume stages over the internal/pipeline executor. One epoch
-// driver (Trainer.TrainEpoch) serves both tasks: it walks a policy's
-// partition-visit plan (steps A-D) with a loader preparing visits
-// (partition staging, examples, adjacency) up to PipelineDepth ahead of
-// the trainer, builder goroutines constructing batches from per-batch
-// derived seeds, and the compute stage consuming them in plan order —
-// the same trajectory at every depth and worker count. Node
-// classification (nc.go) and link prediction (lp.go) supply only what
-// differs: a visit's examples, their part of a batch, and the training
-// step.
+// driver (Trainer.TrainEpoch) serves both tasks: it walks the visits of
+// a policy's partition-visit plan that have examples (steps A-D), with a
+// loader preparing visits (partition staging, examples, adjacency) up to
+// PipelineDepth ahead of the trainer, builder goroutines constructing
+// batches from per-batch derived seeds, and the compute stage consuming
+// them in plan order — the same trajectory at every depth and worker
+// count. Node classification (nc.go) and link prediction (lp.go) supply
+// only what differs: which visits have examples and what they are, their
+// part of a batch, and the training step.
 package train
 
 import (
@@ -69,8 +69,11 @@ type EpochStats struct {
 	// IO is the node-store IO performed during the epoch (disk mode),
 	// including prefetch hit/miss counts for the partition buffer.
 	IO storage.StatsSnapshot
-	// Visits is the number of partition sets |S| walked.
+	// Visits is the number of partition sets |S| in the epoch's plan;
+	// Walked is how many of them had examples and were loaded and
+	// trained. The others cost no IO.
 	Visits int
+	Walked int
 	// Pipeline reports how the executor ran the epoch: effective depth
 	// and workers, visits loaded, and how long the compute stage waited
 	// on loads or batch construction.
@@ -78,8 +81,8 @@ type EpochStats struct {
 }
 
 func (s EpochStats) String() string {
-	return fmt.Sprintf("epoch %d: %.2fs loss=%.4f metric=%.4f batches=%d visits=%d io=%.1fMB",
-		s.Epoch, s.Duration.Seconds(), s.Loss, s.Metric, s.Batches, s.Visits,
+	return fmt.Sprintf("epoch %d: %.2fs loss=%.4f metric=%.4f batches=%d visits=%d walked=%d io=%.1fMB",
+		s.Epoch, s.Duration.Seconds(), s.Loss, s.Metric, s.Batches, s.Visits, s.Walked,
 		float64(s.IO.BytesRead+s.IO.BytesWritten)/1e6)
 }
 
