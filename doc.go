@@ -64,9 +64,11 @@
 // scalar math.Exp loop bit for bit. The kernels' own products and sums
 // never fuse.
 //
-// cmd/benchkernels measures the kernels against retained naive references
-// and writes BENCH_kernels.json (the checked-in baseline); `make
-// bench-kernels` re-runs it with hard floors.
+// The conformance tests hold every kernel to a retained naive reference,
+// bit for bit; the benchmark's tensor.matmul_gflops_w1/wN and
+// tensor.matmul_scaling report their speed parent against change, and
+// BenchmarkAxpyNTrainShapes and BenchmarkGatherMatMulTBDequant time axpyN
+// and the fused dequantizing kernel against the loops they replaced.
 //
 // # The arena
 //
@@ -109,10 +111,10 @@
 // DENSE results (Sampler.Recycle) so batch construction — including the
 // trainers' label gather, endpoint/negative dedup (stamp-based, not
 // map-based) and prepared-batch structs — performs zero allocations once
-// warm (enforced by testing.AllocsPerRun tests). cmd/benchsampler
-// measures the incremental refresh against the from-scratch rebuild and
-// writes BENCH_sampler.json (the checked-in baseline; >=2x per-visit
-// refresh and 0 allocs/batch enforced by `make bench-sampler`).
+// warm (enforced by testing.AllocsPerRun tests). That a swap fetches only
+// the admitted partitions' fragments is counted, not timed, by
+// TestSegmentedSwapIsIncremental; the benchmark reports its cost as
+// graph.swap_us_per_visit.
 //
 // # The pipeline
 //
@@ -148,10 +150,9 @@
 // on as the executor's test oracle, and as golden loss/checkpoint
 // digests in marius/golden_test.go). EpochStats.Pipeline reports the
 // depth, loaded visits, and stall times; EpochStats.IO counts partition
-// prefetch hits and misses. cmd/benchpipeline measures depth 2 / 4
-// workers against depth 0 / 1 worker under a calibrated disk throttle and
-// writes BENCH_pipeline.json (the checked-in baseline, >=1.5x epoch
-// speedup enforced by `make bench-pipeline`).
+// prefetch hits and misses. The benchmark reports what the overlap buys
+// on its throttled disk workloads as pipeline.overlap_speedup and
+// pipeline.stall_share.
 //
 // # The partition buffer
 //
@@ -238,10 +239,9 @@
 // The contract is exactness, not approximation: ingest(export(graph))
 // trains byte-identically — same per-epoch losses, same checkpoints —
 // to training the original in-memory graph at the same seed, serial and
-// pipelined (enforced by the internal/dataset round-trip tests and by
-// cmd/benchingest, whose `make bench-ingest` gate also requires the
-// external sort to spill >= 2 runs while staying under its memory cap;
-// BENCH_ingest.json is the checked-in baseline).
+// pipelined (enforced by the internal/dataset round-trip tests, which also
+// require the external sort to spill >= 2 runs while staying under its
+// memory cap).
 //
 // # Quantized storage
 //
@@ -312,10 +312,9 @@
 // sampling seed (explicit, or derived from request content), a
 // micro-batched response is byte-identical to the same request served
 // alone — and to the training-side evaluation forward at the same seed
-// (enforced by differential tests and by cmd/benchserve, whose `make
-// bench-serve` gate also enforces QPS floors; BENCH_serve.json is the
-// checked-in baseline). Checkpoints hot-reload without a restart
-// (SIGHUP or POST /reload): the new snapshot is atomically swapped in
+// (enforced by differential tests; the benchmark reports throughput as
+// serve_max_ok_rps and serve_p50_ms). Checkpoints hot-reload without a
+// restart (SIGHUP or POST /reload): the new snapshot is atomically swapped in
 // while in-flight batches finish on the old one, and every batch pins
 // exactly one snapshot so responses never mix epochs. Checkpoints also
 // record the dataset UUID they were trained on; serving a checkpoint
@@ -359,8 +358,8 @@
 // kernel and aggregates per-query ranks in a canonical order, so results
 // are bitwise independent of worker count, batch size and chunk width,
 // and match a brute-force per-candidate reference exactly (enforced by
-// tests and by cmd/bencheval, whose `make bench-eval` gate also enforces
-// throughput floors; BENCH_eval.json is the checked-in baseline).
+// TestRankingMatchesBruteForce; the benchmark reports throughput as
+// eval_queries_per_s).
 // cmd/mariusgnn prints MRR and Hits@1/10 per eval epoch with -ranking
 // (-filtered for the filtered protocol, -decoder to pick the scorer).
 //
@@ -397,8 +396,8 @@
 // contract: it reads clocks and bumps atomics but never touches RNG
 // streams, batch order, or parameter state, so trajectories and
 // checkpoints are byte-identical with it on or off (enforced by a
-// differential test) and its hot-path cost is gated under 2% by `make
-// bench-pipeline` and `make bench-serve`.
+// differential test) and the benchmark reports its hot-path cost as
+// trace.overhead_share.
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation section; `go run ./cmd/benchtables` prints them

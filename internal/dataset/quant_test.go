@@ -2,7 +2,9 @@ package dataset_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -189,7 +191,9 @@ func TestQuantIngestDeterministic(t *testing.T) {
 // worker counts and demands byte-identical trajectories — dequantization
 // happens once per partition load, so parallelism cannot reorder any
 // floating-point reduction — and that the loss lands near the float32
-// run (storage rounding perturbs inputs, not the learning dynamics).
+// run (storage rounding perturbs inputs, not the learning dynamics). The
+// checkpoint must serve the same bytes from paged and in-memory features,
+// and a disk epoch must page well under float32's feature bytes.
 func TestQuantTrainDeterministic(t *testing.T) {
 	const seed, epochs = int64(7), 2
 	dir := ingestQuant(t, "fp16")
@@ -223,7 +227,8 @@ func TestQuantTrainDeterministic(t *testing.T) {
 
 	// Float32 baseline at the same seed: fp16 storage rounding should
 	// move a converging loss by fractions of a percent, not wreck it.
-	f32, err := marius.FromDataset(ingestQuant(t, ""), opts(1)...)
+	f32Dir := ingestQuant(t, "")
+	f32, err := marius.FromDataset(f32Dir, opts(1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +237,63 @@ func TestQuantTrainDeterministic(t *testing.T) {
 	last, ref := l1[len(l1)-1], lf[len(lf)-1]
 	if diff := last - ref; diff < -0.05*ref || diff > 0.05*ref {
 		t.Errorf("fp16 final loss %v strays more than 5%% from float32 %v", last, ref)
+	}
+
+	// Served from the disk-paged store or from memory, the fp16 features
+	// dequantize from the same stored bytes: classes and logits agree bit
+	// for bit.
+	ckptPath := filepath.Join(t.TempDir(), "fp16.ckpt")
+	if err := s1.Save(ckptPath); err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]int32, 16)
+	for i := range nodes {
+		nodes[i] = int32(i * 37)
+	}
+	predict := func(inMemory bool) *marius.PredictResponse {
+		srv, err := marius.LoadForInference(dir, ckptPath, marius.ServeConfig{InMemory: inMemory, Workers: 2})
+		if err != nil {
+			t.Fatalf("serve (in memory %v): %v", inMemory, err)
+		}
+		defer srv.Close()
+		resp, err := srv.Predict(context.Background(), &marius.PredictRequest{Nodes: nodes, Seed: 9})
+		if err != nil {
+			t.Fatalf("predict (in memory %v): %v", inMemory, err)
+		}
+		return resp
+	}
+	paged, mem := predict(false), predict(true)
+	for i := range nodes {
+		if paged.Classes[i] != mem.Classes[i] {
+			t.Fatalf("node %d: class %d paged, %d in memory", nodes[i], paged.Classes[i], mem.Classes[i])
+		}
+		for j := range paged.Logits[i] {
+			if math.Float32bits(paged.Logits[i][j]) != math.Float32bits(mem.Logits[i][j]) {
+				t.Fatalf("node %d logit %d: %v paged, %v in memory", nodes[i], j, paged.Logits[i][j], mem.Logits[i][j])
+			}
+		}
+	}
+
+	// A disk epoch pages the fp16 features at half float32's row size.
+	// The node store's byte counters are deterministic at depth 0.
+	readBytes := func(dir string) int64 {
+		sess, err := marius.FromDataset(dir, marius.WithSeed(seed), marius.WithDim(8), marius.WithFanouts(4, 4),
+			marius.WithBatchSize(128), marius.WithWorkers(1),
+			marius.WithDisk(t.TempDir(), marius.Capacity(2)), marius.WithPipeline(0))
+		if err != nil {
+			t.Fatalf("disk session: %v", err)
+		}
+		defer sess.Close()
+		st, err := sess.TrainEpoch(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.IO.BytesRead
+	}
+	f16Read, f32Read := readBytes(dir), readBytes(f32Dir)
+	t.Logf("disk epoch node-store reads: fp16 %d B, float32 %d B", f16Read, f32Read)
+	if f32Read == 0 || float64(f16Read) >= 0.7*float64(f32Read) {
+		t.Errorf("fp16 disk epoch read %d node-store bytes, float32 %d: want < 0.7x", f16Read, f32Read)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package fault provides a deterministic, seeded fault-injection seam
 // for file IO. Storage, checkpointing, and ingest open their files
 // through a small FS interface; production code passes OS (a zero-cost
-// passthrough to the os package) while tests and the chaos harness pass
-// an Injector that returns transient errors, short reads and writes,
+// passthrough to the os package) while tests pass an Injector that
+// returns transient errors, short reads and writes,
 // torn writes, ENOSPC, latency spikes, or a hard "crash after N writes"
 // — every decision a pure function of the configured seed and a global
 // operation counter, so a failing schedule replays exactly from its

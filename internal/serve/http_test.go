@@ -2,13 +2,17 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -127,10 +131,27 @@ func TestHTTPMetricsAndDegradedHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := string(body)
+	// Prometheus text exposition: apart from comments, every line is one
+	// series, `name{labels} value`, whose value parses as a float.
+	series := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? `)
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			continue
+		}
+		name := series.FindString(line)
+		if name == "" {
+			t.Errorf("/metrics: malformed series line %q", line)
+			continue
+		}
+		if _, err := strconv.ParseFloat(line[len(name):], 64); err != nil {
+			t.Errorf("/metrics: unparseable value in %q", line)
+		}
+	}
 	for _, want := range []string{
 		"serve_requests_total",
 		"serve_batches_total",
 		`serve_latency_milliseconds_bucket{stage="total",le="+Inf"}`,
+		"serve_queue_depth",
 		"serve_snapshot_epoch",
 		"serve_snapshot_loaded_timestamp_seconds",
 		"serve_healthy 1",
@@ -189,6 +210,38 @@ func TestHTTPMetricsAndDegradedHealth(t *testing.T) {
 		t.Fatalf("/healthz after recovery: status %d, want 200", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// A server with Config.Tracer set writes its serving stages as a Chrome
+// Trace Event JSON array.
+func TestTracedServerWritesSpans(t *testing.T) {
+	dir := prepNC(t, 2)
+	ckptPath := train(t, dir, ncOpts, 1)[0]
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	srv := startServer(t, dir, ckptPath, serve.Config{Tracer: tr})
+	for seed := int64(1); seed <= 4; seed++ {
+		if _, err := srv.Predict(context.Background(), &serve.PredictRequest{Nodes: []int32{1, 2, 3}, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Close() // the dispatcher writes a batch's spans after answering it
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var spans []struct {
+		Cat  string `json:"cat"`
+		Name string `json:"name"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &spans); err != nil {
+		t.Fatalf("trace does not parse as JSON: %v\n%s", err, buf.String())
+	}
+	for _, sp := range spans {
+		if sp.Cat == "serve" && sp.Name == "sample" {
+			return
+		}
+	}
+	t.Fatalf("trace holds no serve/sample span among its %d spans", len(spans))
 }
 
 func mustPost(t *testing.T, url string, body any) *http.Response {

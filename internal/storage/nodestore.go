@@ -180,7 +180,7 @@ type DiskStoreConfig struct {
 	ScalePath string
 
 	// FS is the file-opening seam; nil means the real filesystem. Tests
-	// and the chaos harness pass a fault.Injector.
+	// pass a fault.Injector.
 	FS fault.FS
 }
 

@@ -66,14 +66,46 @@ func TestArenaZeroSizedTensors(t *testing.T) {
 	}
 }
 
+// trainStep runs the kernel sequence of one steady-state training batch —
+// fused embedding gather+aggregate, two linear layers with in-place ReLU,
+// the backward matmuls with in-place accumulation, and the gradient
+// write-back through the fused gather's backward into the caller-owned dh0
+// buffer.
+func trainStep(c *Compute, h0, w1, w2, dh0 *Tensor, idx, offsets []int32) {
+	agg := c.GatherSegmentSum(h0, idx, offsets) // [nseg x d]
+	z1 := c.MatMul(agg, w1)
+	for i, v := range z1.Data { // ReLU in place
+		if v < 0 {
+			z1.Data[i] = 0
+		}
+	}
+	z2 := c.MatMul(z1, w2)
+	// Backward: dz1 = dz2 @ w2ᵀ, dw2 += z1ᵀ @ dz2, dw1 += aggᵀ @ dz1
+	// (using z2 as its own seed gradient; the shapes and memory traffic
+	// match a real loss gradient).
+	dz1 := c.MatMulTransposeB(z2, w2)
+	dw2 := c.alloc(w2.Rows, w2.Cols)
+	c.MatMulTransposeAInto(dw2, z1, z2, true)
+	dw1 := c.alloc(w1.Rows, w1.Cols)
+	c.MatMulTransposeAInto(dw1, agg, dz1, true)
+	// Write-back: dagg scattered into dh0 through the fused gather+segment
+	// op's backward, touching every sampled row.
+	dagg := c.MatMulTransposeB(dz1, w1)
+	dh0.Zero()
+	for s := 0; s < dagg.Rows; s++ {
+		grow := dagg.Row(s)
+		end := segmentEnd(offsets, s, len(idx))
+		for r := int(offsets[s]); r < end; r++ {
+			axpy(dh0.Row(int(idx[r])), grow, 1)
+		}
+	}
+}
+
 // TestArenaSteadyStateZeroAllocs is the allocation contract of the arena:
-// once warmed up, a full per-batch kernel cycle (forward + backward +
-// write-back + Reset) performs zero heap allocations on the serial
-// deterministic path. The step body is BenchTrainStep — the exact
-// sequence cmd/benchkernels measures and CI gates. (Multi-worker kernels
-// additionally pay a few small allocations per kernel launch for
-// goroutine dispatch; that overhead is reported, not hidden, by
-// cmd/benchkernels.)
+// once warmed up, a full per-batch kernel cycle (trainStep's forward +
+// backward + write-back, then Reset) performs zero heap allocations on the
+// serial deterministic path. (Multi-worker kernels additionally pay a few
+// small allocations per kernel launch for goroutine dispatch.)
 func TestArenaSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	arena := NewArena()
@@ -88,7 +120,7 @@ func TestArenaSteadyStateZeroAllocs(t *testing.T) {
 		offsets[s] = offsets[s-1] + 15
 	}
 	step := func() {
-		BenchTrainStep(c, h0, w1, w2, dh0, idx, offsets)
+		trainStep(c, h0, w1, w2, dh0, idx, offsets)
 		arena.Reset()
 	}
 	step() // warm up the slabs and header pool

@@ -294,6 +294,64 @@ func FuzzAxpyN(f *testing.F) {
 	})
 }
 
+// BenchmarkAxpyNTrainShapes times the three kernels of a training step that
+// are narrow enough for a term's cost to show — the link-prediction
+// workload's batch 1024, 100 negatives, dim 32, and a hidden-16 layer — on
+// one worker, each as it runs (one axpyN per output row and k-block, the
+// sum held in registers) and as the loop of one axpy per term that axpyN
+// replaced. Without AVX2 both sides are the same Go loop.
+func BenchmarkAxpyNTrainShapes(b *testing.B) {
+	const batch, negs, dim, hid = 1024, 100, 32, 16
+	rng := rand.New(rand.NewSource(42))
+	g := randn(rng, batch, negs) // score gradients
+	e := randn(rng, batch, dim)  // encodings
+	w := randn(rng, negs, hid)   // a hidden-16 layer's weights
+	table := randn(rng, 4000, dim)
+	idx := randIdx(rng, negs, table.Rows)
+	c := NewCompute(1, nil)
+	for _, s := range []struct {
+		name    string
+		out     *Tensor
+		axpyN   func(out *Tensor)
+		perTerm func(out *Tensor, i int)
+	}{
+		// dW = Gᵀ @ E: [negatives x dim], batch-many terms per row.
+		{"matmulTA", New(negs, dim),
+			func(out *Tensor) { c.MatMulTransposeAInto(out, g, e, false) },
+			func(out *Tensor, i int) {
+				for p0 := 0; p0 < batch; p0 += blockK {
+					axpyTerms(out.Row(i), e.Data[p0*dim:], dim, nil, g.Data[p0*negs+i:], negs, min(blockK, batch-p0), true)
+				}
+			}},
+		// dQ = G @ table[idx]: the backward of fused negative scoring.
+		{"matmulGather", New(batch, dim),
+			func(out *Tensor) { out.Zero(); c.matMulGatherInto(out, g, table, idx) },
+			func(out *Tensor, i int) { axpyTerms(out.Row(i), table.Data, dim, idx, g.Row(i), 1, negs, true) }},
+		// H = G @ W with 16 output columns: one 16-wide step per term.
+		{"matmulM16", New(batch, hid),
+			func(out *Tensor) { c.MatMulInto(out, g, w, false) },
+			func(out *Tensor, i int) {
+				for p0 := 0; p0 < negs; p0 += blockK {
+					axpyTerms(out.Row(i), w.Data[p0*hid:], hid, nil, g.Row(i)[p0:], 1, min(blockK, negs-p0), true)
+				}
+			}},
+	} {
+		b.Run(s.name+"/axpyN", func(b *testing.B) {
+			for b.Loop() {
+				s.axpyN(s.out)
+			}
+		})
+		b.Run(s.name+"/perTerm", func(b *testing.B) {
+			for b.Loop() {
+				s.out.Zero()
+				for i := 0; i < s.out.Rows; i++ {
+					s.perTerm(s.out, i)
+				}
+			}
+		})
+	}
+}
+
 // kernelOutputs runs every kernel that sits on axpy once, with w as the
 // axpy width (and, for the matmuls, also as the reduction length), on
 // unaligned inputs drawn from seed. The result is keyed by kernel name.

@@ -157,7 +157,7 @@ func axpyN(y, x []float32, xstride int, idx []int32, coef []float32, cstride, n 
 
 // axpyTerms is axpyN one axpy call per term: what runs without the
 // assembly, the reference the assembly is tested against, and the loop
-// cmd/benchkernels times it against.
+// BenchmarkAxpyNTrainShapes times it against.
 func axpyTerms(y, x []float32, xstride int, idx []int32, coef []float32, cstride, n int, skip bool) {
 	for p := 0; p < n; p++ {
 		c := coef[p*cstride]

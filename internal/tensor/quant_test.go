@@ -160,3 +160,28 @@ func TestParseQuant(t *testing.T) {
 		t.Fatal("ParseQuant accepted int4")
 	}
 }
+
+// BenchmarkGatherMatMulTBDequant times negative scoring against a quantized
+// table, fused (only the rows each dot product touches are dequantized) and
+// materialized (the whole table is dequantized to float32, then scored —
+// what a reader without the dequantizing kernel would do per partition load
+// or snapshot): 256 queries by 500 negatives, dim 64, a 4000-row table.
+func BenchmarkGatherMatMulTBDequant(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	qry, table := randn(rng, 256, 64), randn(rng, 4000, 64)
+	idx := randIdx(rng, 500, table.Rows)
+	c := NewCompute(4, nil)
+	for _, kind := range quantKinds {
+		q := Quantize(table, kind)
+		b.Run(kind.String()+"/fused", func(b *testing.B) {
+			for b.Loop() {
+				c.GatherMatMulTBDequant(qry, q, idx)
+			}
+		})
+		b.Run(kind.String()+"/materialized", func(b *testing.B) {
+			for b.Loop() {
+				c.GatherMatMulTB(qry, q.Dequant(), idx)
+			}
+		})
+	}
+}

@@ -4,8 +4,9 @@ import "math"
 
 // Naive reference kernels, retained on purpose: the conformance tests check
 // every parallel, blocked, and fused kernel against these on randomized
-// shapes, and cmd/benchkernels reports optimized-vs-naive throughput so the
-// speedup of the real kernels stays measured rather than assumed.
+// shapes, and the benchmark's tensor.matmul_gflops_w1/wN probes report the
+// real kernels' throughput so their speed stays measured rather than
+// assumed.
 //
 // Each reference accumulates in the same element order as its optimized
 // counterpart (ascending reduction index), so conformance can demand exact

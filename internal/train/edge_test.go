@@ -2,6 +2,7 @@ package train
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -52,6 +53,8 @@ func TestLPGATTrainsEndToEnd(t *testing.T) {
 	}
 }
 
+// Throttling only delays IO: a throttled disk epoch consumes every edge
+// and computes the unthrottled epoch's loss bit for bit.
 func TestThrottledDiskTrainingStillCorrect(t *testing.T) {
 	g := gen.KG(gen.KGConfig{
 		NumEntities: 300, NumRelations: 4, NumEdges: 2500,
@@ -59,32 +62,39 @@ func TestThrottledDiskTrainingStillCorrect(t *testing.T) {
 	})
 	const dim = 8
 	pt := PrepareLP(g, 4, 37)
-	emb := RandomEmbeddings(g.NumNodes, dim, 37)
-	src, err := NewDiskSource(g, pt, dim, DiskSourceConfig{
-		Dir: t.TempDir(), Capacity: 2, Learnable: true, InitTable: emb,
-		Throttle: storage.NewThrottle(64 << 20), // 64 MiB/s simulated disk
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	epoch := func(th *storage.Throttle) EpochStats {
+		src, err := NewDiskSource(g, pt, dim, DiskSourceConfig{
+			Dir: t.TempDir(), Capacity: 2, Learnable: true,
+			InitTable: RandomEmbeddings(g.NumNodes, dim, 37), Throttle: th,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
 
-	rng := rand.New(rand.NewSource(37))
-	ps := nn.NewParamSet()
-	dec := decoder.NewDistMult(ps, g.NumRels, dim, rng)
-	tr := NewLP(LPConfig{
-		Params: ps, Decoder: dec,
-		BatchSize: 256, Negatives: 32,
-		DenseOpt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1),
-		Workers: 2, Seed: 37,
-	}, src, policy.Comet{P: 4, L: 4, C: 2})
-
-	st, err := tr.TrainEpoch(context.Background())
-	if err != nil {
-		t.Fatal(err)
+		rng := rand.New(rand.NewSource(37))
+		ps := nn.NewParamSet()
+		dec := decoder.NewDistMult(ps, g.NumRels, dim, rng)
+		tr := NewLP(LPConfig{
+			Params: ps, Decoder: dec,
+			BatchSize: 256, Negatives: 32,
+			DenseOpt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1),
+			Workers: 2, Seed: 37,
+		}, src, policy.Comet{P: 4, L: 4, C: 2})
+		st, err := tr.TrainEpoch(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
+
+	plain := epoch(nil)
+	st := epoch(storage.NewThrottle(64 << 20)) // 64 MiB/s simulated disk
 	if st.Examples != len(g.Edges) {
 		t.Fatalf("consumed %d/%d edges under throttling", st.Examples, len(g.Edges))
+	}
+	if math.Float64bits(st.Loss) != math.Float64bits(plain.Loss) {
+		t.Fatalf("throttled loss %v, unthrottled %v", st.Loss, plain.Loss)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/fault"
@@ -189,6 +190,61 @@ func TestCrashResumeDifferential(t *testing.T) {
 				if !bytes.Equal(gotCkpt, wantCkpt) {
 					t.Errorf("%s (kill at write %d): final checkpoint differs from the uninterrupted run's", label, kill)
 				}
+			}
+		})
+	}
+}
+
+// TestTransientWeatherMatchesClean trains each crash variant through an
+// injector that randomly fails and truncates IO: the bounded retry loops
+// must absorb every blip, leaving per-epoch losses and the final checkpoint
+// byte-identical to the clean run.
+func TestTransientWeatherMatchesClean(t *testing.T) {
+	for _, v := range crashVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			dataDir := v.prep(t, 11, 4)
+			wantRes, wantCkpt := runToCompletion(t, dataDir, t.TempDir(), t.TempDir(), v, nil)
+
+			inj := fault.NewInjector(nil, fault.Config{
+				Seed: 5, Transient: 0.08, Short: 0.04,
+				Latency: 100 * time.Microsecond, LatencyRate: 0.002,
+			})
+			sess, err := marius.FromDataset(dataDir, append(v.opts(t.TempDir()), marius.WithFaults(inj))...)
+			if err != nil {
+				t.Fatalf("FromDataset: %v", err)
+			}
+			defer sess.Close()
+			ckptPath := filepath.Join(t.TempDir(), "run.ckpt")
+			res, err := sess.Run(context.Background(), marius.Epochs(v.epochs), marius.CheckpointTo(ckptPath, v.ckEvery))
+			if err != nil {
+				t.Fatalf("Run under IO weather: %v", err)
+			}
+
+			transients, shorts, _ := inj.Injected()
+			if transients+shorts == 0 {
+				t.Fatal("the injector injected no faults; the run tested nothing")
+			}
+			t.Logf("%d transient and %d short IO faults injected", transients, shorts)
+			// Link prediction puts every partition and bucket read and every
+			// write-back through the stores' retry loops; node
+			// classification's few faults may land elsewhere.
+			if sess.Task().Name() == marius.TaskLP {
+				src := sess.Task().Source()
+				nodes, edges := src.Disk.Stats().Snapshot(), src.Edges.Stats().Snapshot()
+				if nodes.Retries+edges.Retries == 0 {
+					t.Errorf("no retries absorbed despite %d injected transients", transients)
+				}
+				if gaveup := nodes.Gaveup + edges.Gaveup; gaveup != 0 {
+					t.Errorf("%d operations exhausted their retries", gaveup)
+				}
+			}
+			sameLosses(t, v.name+"/weather", losses(res), losses(wantRes))
+			gotCkpt, err := os.ReadFile(ckptPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotCkpt, wantCkpt) {
+				t.Error("final checkpoint under IO weather differs from the clean run's")
 			}
 		})
 	}

@@ -78,8 +78,8 @@
 //
 // Every recovery path is driven by the deterministic fault injector in
 // internal/fault (WithFaults): seeded transient errors, short IO, torn
-// writes, ENOSPC, and kill -9 crash points, exercised end to end by the
-// cmd/benchfault chaos harness.
+// writes, ENOSPC, and kill -9 crash points, exercised end to end by
+// TestCrashResumeDifferential and TestTransientWeatherMatchesClean.
 package marius
 
 import (
