@@ -58,7 +58,6 @@ func main() {
 		parts     = flag.Int("partitions", 0, "physical partitions (0 = auto-tune)")
 		capacity  = flag.Int("capacity", 0, "buffer capacity (0 = auto-tune)")
 		logical   = flag.Int("logical", 0, "logical partitions (0 = auto-tune)")
-		baseline  = flag.Bool("baseline", false, "use DGL/PyG-style baseline execution")
 		pipeline  = flag.Int("pipeline", 0, "visits loaded ahead of the trainer (0 = load a visit only once the previous one is done)")
 		workers   = flag.Int("workers", marius.DefaultWorkers, "batch-construction workers / kernel fan-out")
 		mbps      = flag.Float64("disk-mbps", 0, "simulated disk bandwidth in MB/s (0 = unlimited)")
@@ -189,9 +188,6 @@ func main() {
 		opts = append(opts, marius.WithPolicy(marius.BETA))
 	default:
 		log.Fatalf("unknown policy %q", *policyF)
-	}
-	if *baseline {
-		opts = append(opts, marius.WithBaseline())
 	}
 	opts = append(opts, marius.WithWorkers(*workers))
 	if *pipeline > 0 {

@@ -399,9 +399,7 @@
 // differential test) and the benchmark reports its hot-path cost as
 // trace.overhead_share.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation section; `go run ./cmd/benchtables` prints them
-// at full scale in the paper's layout, and CHANGES.md records the old
-// internal/core → marius migration map (the shim itself was removed in
-// PR 2).
+// Timing is `bash bench/run.sh` (bench/README.md); the paper's mechanism
+// claims (Tables 6–7, Fig. 6b) are exact count tests in internal/sampler
+// and internal/policy.
 package repro

@@ -134,32 +134,3 @@ func feasibleL(p, c int) int {
 	}
 	return best
 }
-
-// GridPoint is one configuration evaluated by the Fig. 8 grid search.
-type GridPoint struct {
-	P, C, L int
-}
-
-// Grid enumerates every feasible (p, c, l) combination from the given
-// candidate lists, for the auto-tuning-vs-grid-search comparison.
-func Grid(ps, cs []int) []GridPoint {
-	var out []GridPoint
-	for _, p := range ps {
-		for _, c := range cs {
-			if c < 2 || c > p {
-				continue
-			}
-			for l := 1; l <= p; l++ {
-				if p%l != 0 {
-					continue
-				}
-				group := p / l
-				if c%group != 0 || c/group < 2 {
-					continue
-				}
-				out = append(out, GridPoint{P: p, C: c, L: l})
-			}
-		}
-	}
-	return out
-}

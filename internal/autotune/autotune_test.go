@@ -65,22 +65,6 @@ func TestTuneRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestGridOnlyFeasiblePoints(t *testing.T) {
-	pts := Grid([]int{8, 16}, []int{2, 4, 8})
-	if len(pts) == 0 {
-		t.Fatal("empty grid")
-	}
-	for _, gp := range pts {
-		if gp.P%gp.L != 0 {
-			t.Fatalf("infeasible point %+v", gp)
-		}
-		group := gp.P / gp.L
-		if gp.C%group != 0 || gp.C/group < 2 {
-			t.Fatalf("infeasible point %+v", gp)
-		}
-	}
-}
-
 func TestAlpha4Definition(t *testing.T) {
 	in := Input{
 		NumNodes: 1 << 20, NumEdges: 1 << 23, Dim: 64,

@@ -161,11 +161,11 @@ func (f *Forward) Encode(store Store, targets []int32) (*tensor.Node, error) {
 	return f.EncodeDense(store, f.Sample(targets))
 }
 
-// Apply dispatches the encoder forward over whichever sample structure a
-// training batch carries: DENSE (the paper's fused path), a layered
-// baseline sample, or neither (identity encode for decoder-only models).
-// It is the single dispatch point shared by both trainers' compute
-// stages.
+// Apply runs the encoder forward over a training batch's DENSE sample, or
+// is the identity encode for decoder-only models (d nil). A non-nil ls
+// runs gnn.BaselineForward, the per-layer re-sampled test reference; no
+// caller passes one. It is the single dispatch point shared by both
+// trainers' compute stages.
 func Apply(tp *tensor.Tape, params map[string]*tensor.Node, enc *gnn.Encoder, d *sampler.DENSE, ls *sampler.LayeredSample, h0 *tensor.Node) *tensor.Node {
 	switch {
 	case d != nil:

@@ -28,9 +28,9 @@ func blockOffsets(b *sampler.Block) []int32 {
 // BaselineForward runs an encoder over a per-layer re-sampled
 // LayeredSample using per-edge COO gather/scatter aggregation — the
 // execution strategy of the DGL/PyG baselines the paper compares against
-// (§7.4). The same layer parameters are used as in DENSE execution, so
-// the two paths are numerically comparable; only sampling semantics and
-// kernels differ.
+// (§7.4). It is a test reference, not a training path: with the same layer
+// parameters as DENSE execution the two are numerically comparable, and
+// at full fanout the tests require them to agree.
 func BaselineForward(tp *tensor.Tape, params map[string]*tensor.Node, enc *Encoder, ls *sampler.LayeredSample, h0 *tensor.Node) *tensor.Node {
 	if len(ls.Blocks) != len(enc.Layers) {
 		panic(fmt.Sprintf("gnn: sample has %d blocks, encoder %d layers", len(ls.Blocks), len(enc.Layers)))

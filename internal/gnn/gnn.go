@@ -1,6 +1,6 @@
 // Package gnn implements GNN encoder layers that compute directly on the
 // DENSE data structure with dense kernels (paper §4.2, Algorithm 3), plus
-// the per-edge COO execution used to model the DGL/PyG baselines.
+// the per-edge COO execution of the DGL/PyG baselines as a test reference.
 //
 // Layers implemented: GraphSage (mean or sum aggregation), GAT (segment
 // softmax attention), and GCN. All layers share one calling convention so

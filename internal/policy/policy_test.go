@@ -245,3 +245,25 @@ func TestCometOneSwapTransitions(t *testing.T) {
 		}
 	}
 }
+
+// TestCometLogicalPartitionsFig6b holds paper Fig. 6b's mechanism as exact
+// counts: at p = 32, c = 8, more logical partitions mean smaller transfer
+// groups, so the epoch visits more partition sets |S| while each swap
+// moves fewer partitions and the total IO falls. COMET randomises only
+// the order of a fixed cover, so both counts are the same for every seed.
+func TestCometLogicalPartitionsFig6b(t *testing.T) {
+	want := []struct{ l, visits, loads int }{{8, 33, 136}, {16, 46, 98}, {32, 82, 89}}
+	for _, w := range want {
+		comet := Comet{P: 32, L: w.l, C: 8}
+		for seed := int64(9); seed <= 13; seed++ {
+			pl := comet.NewEpochPlan(rand.New(rand.NewSource(seed)))
+			if err := pl.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			if len(pl.Visits) != w.visits || pl.TotalLoads() != w.loads {
+				t.Fatalf("l=%d seed %d: |S| = %d, loads = %d; want %d, %d",
+					w.l, seed, len(pl.Visits), pl.TotalLoads(), w.visits, w.loads)
+			}
+		}
+	}
+}

@@ -4,9 +4,8 @@
 // data structure from MariusGNN §4: one-hop neighbors are sampled once per
 // node and reused across GNN layers, and the resulting flat arrays let the
 // forward pass run on dense gather/segment kernels. The package also
-// provides the per-layer re-sampling baseline used by DGL/PyG (paper
-// Fig. 1) and an independent k-hop sampler standing in for NextDoor's
-// accelerated kernels (paper Table 7).
+// provides the per-layer re-sampling of DGL/PyG (paper Fig. 1) as a test
+// reference that DENSE's counts and forward pass are checked against.
 package sampler
 
 import (

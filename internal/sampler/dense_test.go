@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -172,24 +173,36 @@ func randomEdges(rng *rand.Rand, n, m int) []graph.Edge {
 	return edges
 }
 
+// TestDENSESamplesFewerThanLayered holds paper Table 6's mechanism as
+// exact counts: DENSE samples each node's neighbors once and reuses them
+// across layers, so it never materializes more nodes or edges than
+// per-layer re-sampling, and its advantage grows with depth.
 func TestDENSESamplesFewerThanLayered(t *testing.T) {
-	// The headline Table 6 property: with deep GNNs, DENSE samples fewer
-	// node entries than per-layer re-sampling on the same graph.
 	rng := rand.New(rand.NewSource(9))
 	adj := graph.BuildAdjacency(2000, randomEdges(rng, 2000, 30000))
-	fanouts := []int{10, 10, 10}
 	targets := uniqueTargets(rng, 2000, 64)
-
-	d := New(adj, fanouts, graph.Both, 1).Sample(targets)
-	ls := NewLayered(adj, fanouts, graph.Both, 1).Sample(targets)
-
-	if d.NumNodes() >= ls.NumNodesSampled() {
-		t.Fatalf("DENSE sampled %d node entries, layered %d; DENSE should be smaller",
-			d.NumNodes(), ls.NumNodesSampled())
-	}
-	if d.NumSampledEdges() >= ls.NumEdgesSampled() {
-		t.Fatalf("DENSE sampled %d edges, layered %d; DENSE should be smaller",
-			d.NumSampledEdges(), ls.NumEdgesSampled())
+	want := []struct{ dense, layered int }{{962, 1026}, {2000, 3026}, {2000, 5026}}
+	prevRatio := 0.0
+	for depth := 1; depth <= len(want); depth++ {
+		fanouts := make([]int, depth)
+		for i := range fanouts {
+			fanouts[i] = 10
+		}
+		d := New(adj, fanouts, graph.Both, 1).Sample(targets)
+		ls := NewLayered(adj, fanouts, graph.Both, 1).Sample(targets)
+		dn, ln := d.NumNodes(), ls.NumNodesSampled()
+		if w := want[depth-1]; dn != w.dense || ln != w.layered {
+			t.Fatalf("depth %d: DENSE %d, layered %d node entries; want %d, %d", depth, dn, ln, w.dense, w.layered)
+		}
+		if dn > ln || d.NumSampledEdges() > ls.NumEdgesSampled() {
+			t.Fatalf("depth %d: DENSE %d nodes %d edges exceeds layered %d nodes %d edges",
+				depth, dn, d.NumSampledEdges(), ln, ls.NumEdgesSampled())
+		}
+		ratio := float64(ln) / float64(dn)
+		if ratio <= prevRatio {
+			t.Fatalf("depth %d: layered/DENSE node ratio %.3f did not rise from %.3f", depth, ratio, prevRatio)
+		}
+		prevRatio = ratio
 	}
 }
 
@@ -231,23 +244,37 @@ func TestLayeredSampleStructure(t *testing.T) {
 	}
 }
 
+// TestKHopBudget holds paper Table 7's mechanism as exact counts: an
+// independent k-hop sample (NextDoor's, without reuse) grows
+// exponentially with depth and overruns a device-memory budget at depth 4
+// that it fits at depth 1, while DENSE stays within it at every depth.
 func TestKHopBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	adj := graph.BuildAdjacency(500, randomEdges(rng, 500, 20000))
-	targets := uniqueTargets(rng, 500, 32)
-
-	unlimited := NewKHop(adj, []int{10, 10, 10}, graph.Outgoing, 0, 1)
-	ks, err := unlimited.Sample(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks.TotalEntries() <= len(targets) {
-		t.Fatal("k-hop sample did not expand")
-	}
-
-	limited := NewKHop(adj, []int{10, 10, 10}, graph.Outgoing, len(targets)+1, 1)
-	if _, err := limited.Sample(targets); err != ErrBudget {
-		t.Fatalf("want ErrBudget, got %v", err)
+	const budget = 50_000
+	g := gen.PowerLaw(20_000, 12, 400)
+	adj := graph.BuildAdjacency(g.NumNodes, g.Edges)
+	targets := uniqueTargets(rand.New(rand.NewSource(400)), g.NumNodes, 64)
+	want := []struct{ khop, dense int }{{832, 287}, {5968, 532}, {29680, 696}, {103624, 789}}
+	for depth := 1; depth <= len(want); depth++ {
+		fanouts := make([]int, depth)
+		for i := range fanouts {
+			fanouts[i] = 20
+		}
+		d := New(adj, fanouts, graph.Outgoing, 400).Sample(targets)
+		ks, err := NewKHop(adj, fanouts, graph.Outgoing, 0, 400).Sample(targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := want[depth-1]; ks.TotalEntries() != w.khop || d.NumNodes() != w.dense {
+			t.Fatalf("depth %d: k-hop %d, DENSE %d entries; want %d, %d",
+				depth, ks.TotalEntries(), d.NumNodes(), w.khop, w.dense)
+		}
+		if d.NumNodes() > budget {
+			t.Fatalf("depth %d: DENSE %d entries exceed the budget %d", depth, d.NumNodes(), budget)
+		}
+		_, err = NewKHop(adj, fanouts, graph.Outgoing, budget, 400).Sample(targets)
+		if overrun := ks.TotalEntries() > budget; overrun != (err == ErrBudget) {
+			t.Fatalf("depth %d: %d entries against budget %d, Sample returned %v", depth, ks.TotalEntries(), budget, err)
+		}
 	}
 }
 

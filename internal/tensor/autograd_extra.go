@@ -171,8 +171,8 @@ func (tp *Tape) AddRowVec(a, v *Node) *Node {
 }
 
 // ScatterAddRows records out[idx[i]] += a[i] for an output with numRows
-// rows. It is the COO aggregation kernel used by the DGL/PyG baseline
-// execution mode (per-edge scatter instead of DENSE's segment sum).
+// rows. It is the COO aggregation kernel of the per-layer test reference
+// (gnn.BaselineForward: per-edge scatter instead of DENSE's segment sum).
 func (tp *Tape) ScatterAddRows(a *Node, idx []int32, numRows int) *Node {
 	if len(idx) != a.Value.Rows {
 		panic(fmt.Sprintf("tensor: ScatterAddRows %d indices for %d rows", len(idx), a.Value.Rows))

@@ -9,10 +9,10 @@ import (
 // goroutines a kernel may fan out to, and which Arena (if any) supplies its
 // output buffers. It is the CPU stand-in for the paper's GPU execution:
 // DENSE's layout lets every kernel split into independent row/segment
-// ranges (the property that makes it fast on SIMT hardware), whereas the
-// baseline's per-edge scatter-add must serialize its accumulation (the
-// property that makes sparse kernels underutilize GPUs). ScatterAdd is
-// therefore deliberately left single-threaded.
+// ranges (the property that makes it fast on SIMT hardware), whereas a
+// per-edge scatter-add must serialize its accumulation (the property that
+// makes sparse kernels underutilize GPUs). ScatterAdd, used only by the
+// per-layer test reference, is therefore left single-threaded.
 //
 // Determinism: parallelism only ever partitions *output* rows or segments
 // across goroutines — no kernel splits a floating-point reduction. Every

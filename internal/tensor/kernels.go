@@ -403,8 +403,8 @@ func (c *Compute) Gather(a *Tensor, idx []int32) *Tensor {
 
 // ScatterAdd accumulates each row of src into row idx[i] of dst. It is
 // single-threaded by design: duplicate indices make per-edge scatter an
-// inherently serialized reduction (the baseline-kernel property the paper
-// contrasts DENSE against).
+// inherently serialized reduction (the sparse-kernel property the paper
+// contrasts DENSE against; only the per-layer test reference uses it).
 func ScatterAdd(dst, src *Tensor, idx []int32) {
 	if src.Rows != len(idx) || src.Cols != dst.Cols {
 		panic("tensor: ScatterAdd shape mismatch")

@@ -42,7 +42,7 @@ func TestLPBatchConstructionZeroAlloc(t *testing.T) {
 // TestNCBatchConstructionZeroAlloc: same property for the NC batcher
 // (label gather + DENSE sampling over the incremental index).
 func TestNCBatchConstructionZeroAlloc(t *testing.T) {
-	tr, g := ncFixture(t, ModeDense, 52)
+	tr, g := ncFixture(t, 52)
 	if _, err := tr.TrainEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,6 @@ type settings struct {
 
 	batchSize, workers, depth int
 
-	mode Mode
 	seed int64
 	obs  *Obs
 }
@@ -92,9 +91,6 @@ func newTrainer(cfg settings, src *Source, pol policy.Policy, tk task) *Trainer 
 		cfg.workers = 4
 	}
 	cfg.depth = max(cfg.depth, 0)
-	if cfg.mode == ModeBaseline {
-		cfg.workers, cfg.depth = 1, 0
-	}
 	t := &Trainer{Src: src, Pol: pol, task: tk, cfg: cfg}
 	t.batchers = make([]batcher, cfg.workers)
 	t.arena = tensor.NewArena()
@@ -135,9 +131,8 @@ type visit struct {
 // uniq buffer) until the batch is consumed.
 type batch struct {
 	d   *sampler.DENSE
-	ls  *sampler.LayeredSample
 	smp *sampler.Sampler // owner of d, for recycling
-	ids []int32          // rows of h0: DENSE NodeIDs / layered input nodes / the nodes themselves
+	ids []int32          // rows of h0: DENSE NodeIDs / the nodes themselves
 	n   int
 
 	nodesSampled int64
@@ -158,8 +153,6 @@ type batch struct {
 // prediction) are reused across batches.
 type batcher struct {
 	smp  *sampler.Sampler
-	lsmp *sampler.LayeredSampler
-
 	neg  *sampler.NegativeSampler
 	negs []int32
 	ded  deduper
@@ -329,34 +322,23 @@ func (t *Trainer) prepare(w int, v *visit, bi int) *batch {
 	seed := v.batchSeeds[bi]
 	nodes := t.task.prepare(t, b, v, lo, hi, seed, pb)
 
-	// One DENSE sample (per-layer re-sampling in ModeBaseline) over the
-	// visit's adjacency; a model without an encoder trains on the nodes'
-	// own representations. Samplers are created on first use.
-	switch {
-	case !c.sampled:
+	// One DENSE sample over the visit's adjacency; a model without an
+	// encoder trains on the nodes' own representations. The sampler is
+	// created on first use.
+	if !c.sampled {
 		pb.ids = nodes
 		pb.nodesSampled = int64(len(nodes))
-	case c.mode == ModeBaseline:
-		if b.lsmp == nil {
-			b.lsmp = sampler.NewLayered(v.adj, c.fanouts, c.dirs, 0)
-		}
-		b.lsmp.Adj = v.adj
-		b.lsmp.Reseed(seed)
-		ls := b.lsmp.Sample(nodes)
-		pb.ls, pb.ids = ls, ls.Blocks[0].SrcNodes
-		pb.nodesSampled = int64(ls.NumNodesSampled())
-		pb.edgesSampled = int64(ls.NumEdgesSampled())
-	default:
-		if b.smp == nil {
-			b.smp = sampler.New(v.adj, c.fanouts, c.dirs, 0)
-		}
-		b.smp.Reset(v.adj)
-		b.smp.Reseed(seed)
-		d := b.smp.Sample(nodes)
-		pb.d, pb.smp, pb.ids = d, b.smp, d.NodeIDs
-		pb.nodesSampled = int64(len(d.NodeIDs))
-		pb.edgesSampled = int64(len(d.Nbrs))
+		return pb
 	}
+	if b.smp == nil {
+		b.smp = sampler.New(v.adj, c.fanouts, c.dirs, 0)
+	}
+	b.smp.Reset(v.adj)
+	b.smp.Reseed(seed)
+	d := b.smp.Sample(nodes)
+	pb.d, pb.smp, pb.ids = d, b.smp, d.NodeIDs
+	pb.nodesSampled = int64(len(d.NodeIDs))
+	pb.edgesSampled = int64(len(d.Nbrs))
 	return pb
 }
 
@@ -366,7 +348,7 @@ func (t *Trainer) recycle(pb *batch) {
 	if pb.smp != nil {
 		pb.smp.Recycle(pb.d)
 	}
-	pb.d, pb.ls, pb.smp, pb.ids = nil, nil, nil, nil
+	pb.d, pb.smp, pb.ids = nil, nil, nil
 	t.batches.put(pb)
 }
 

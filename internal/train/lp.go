@@ -30,12 +30,10 @@ type LPConfig struct {
 	EmbOpt   *nn.SparseAdaGrad
 	ClipNorm float64
 
-	// Workers, PipelineDepth and ModeBaseline's effect on them are as in
-	// NCConfig.
+	// Workers and PipelineDepth are as in NCConfig.
 	Workers       int
 	PipelineDepth int
 
-	Mode Mode
 	Seed int64
 
 	// Obs, when non-nil, attaches metrics and trace spans to every
@@ -57,7 +55,7 @@ func NewLP(cfg LPConfig, src *Source, pol policy.Policy) *Trainer {
 	return newTrainer(settings{
 		params: cfg.Params, sampled: cfg.Encoder != nil, fanouts: cfg.Fanouts, dirs: cfg.Dirs,
 		batchSize: cfg.BatchSize, workers: cfg.Workers, depth: cfg.PipelineDepth,
-		mode: cfg.Mode, seed: cfg.Seed, obs: cfg.Obs,
+		seed: cfg.Seed, obs: cfg.Obs,
 	}, src, pol, &lpTask{cfg: cfg})
 }
 
@@ -142,7 +140,7 @@ func (lp *lpTask) compute(t *Trainer, pb *batch) (loss, batchMRR float64, err er
 	}
 	h0 := tp.Leaf(h0t, true)
 
-	enc := encode.Apply(tp, params, cfg.Encoder, pb.d, pb.ls, h0)
+	enc := encode.Apply(tp, params, cfg.Encoder, pb.d, nil, h0)
 	lossNode, pos, negD, _ := cfg.Decoder.Loss(tp, params, enc, pb.srcIdx, pb.dstIdx, pb.negIdx, pb.rels)
 	tp.Backward(lossNode)
 

@@ -28,12 +28,9 @@ type NCConfig struct {
 	// kernel fan-out of the compute stage; default 4). PipelineDepth is
 	// how many visits the loader runs ahead of the trainer; at 0 (the
 	// default) a visit is loaded only once the previous one is done.
-	// ModeBaseline forces one worker and depth 0: every stage waits for
-	// the one before it.
 	Workers       int
 	PipelineDepth int
 
-	Mode Mode
 	Seed int64
 
 	// Obs, when non-nil, attaches metrics and trace spans to every
@@ -66,7 +63,7 @@ func NewNC(cfg NCConfig, src *Source, pol policy.Policy, labels []int32, trainNo
 	return newTrainer(settings{
 		params: cfg.Params, sampled: true, fanouts: cfg.Fanouts, dirs: cfg.Dirs,
 		batchSize: cfg.BatchSize, workers: cfg.Workers, depth: cfg.PipelineDepth,
-		mode: cfg.Mode, seed: cfg.Seed, obs: cfg.Obs,
+		seed: cfg.Seed, obs: cfg.Obs,
 	}, src, pol, nc)
 }
 
@@ -137,7 +134,7 @@ func (nc *ncTask) compute(t *Trainer, pb *batch) (loss, accuracy float64, err er
 	}
 	h0 := tp.Leaf(h0t, false) // fixed features: no base-representation updates
 
-	logits := encode.Apply(tp, params, nc.cfg.Encoder, pb.d, pb.ls, h0)
+	logits := encode.Apply(tp, params, nc.cfg.Encoder, pb.d, nil, h0)
 	lossNode := tp.SoftmaxCrossEntropy(logits, pb.labels)
 	tp.Backward(lossNode)
 	nn.Apply(nc.cfg.Opt, nc.cfg.Params, params, nc.cfg.ClipNorm)

@@ -30,26 +30,6 @@ func epochRNG(seed int64, epoch int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(epoch)*0x9E3779B9))
 }
 
-// Mode selects the execution strategy.
-type Mode int
-
-const (
-	// ModeDense is MariusGNN execution: DENSE sampling + dense kernels +
-	// overlapped stages.
-	ModeDense Mode = iota
-	// ModeBaseline models DGL/PyG: per-layer re-sampling + per-edge COO
-	// aggregation + synchronous execution (one worker, depth 0).
-	ModeBaseline
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	if m == ModeBaseline {
-		return "baseline"
-	}
-	return "dense"
-}
-
 // EpochStats reports one epoch of training.
 type EpochStats struct {
 	Epoch    int

@@ -14,7 +14,7 @@ import (
 )
 
 // ncFixture builds a small SBM graph plus an in-memory NC trainer.
-func ncFixture(t *testing.T, mode Mode, seed int64) (*Trainer, *graph.Graph) {
+func ncFixture(t *testing.T, seed int64) (*Trainer, *graph.Graph) {
 	t.Helper()
 	cfg := gen.SBMConfig{
 		NumNodes: 1500, NumClasses: 5, AvgDegree: 12, FeatureDim: 16,
@@ -35,13 +35,13 @@ func ncFixture(t *testing.T, mode Mode, seed int64) (*Trainer, *graph.Graph) {
 		Encoder: enc, Params: ps,
 		Fanouts: []int{10, 10}, Dirs: graph.Both,
 		BatchSize: 256, Opt: nn.NewAdam(0.01), ClipNorm: 5,
-		Workers: 2, Mode: mode, Seed: seed,
+		Workers: 2, Seed: seed,
 	}
 	return NewNC(ncfg, src, policy.InMemory{P: 4}, g.Labels, g.TrainNodes), g
 }
 
 func TestNCInMemoryLearns(t *testing.T) {
-	tr, g := ncFixture(t, ModeDense, 1)
+	tr, g := ncFixture(t, 1)
 	var last EpochStats
 	for e := 0; e < 4; e++ {
 		st, err := tr.TrainEpoch(context.Background())
@@ -60,24 +60,6 @@ func TestNCInMemoryLearns(t *testing.T) {
 	}
 	if acc < 0.5 {
 		t.Fatalf("valid accuracy %.3f; want > 0.5 (chance is 0.2)", acc)
-	}
-}
-
-func TestNCBaselineModeLearns(t *testing.T) {
-	tr, _ := ncFixture(t, ModeBaseline, 2)
-	var last EpochStats
-	for e := 0; e < 3; e++ {
-		st, err := tr.TrainEpoch(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = st
-	}
-	if last.Metric < 0.5 {
-		t.Fatalf("baseline-mode train accuracy %.3f", last.Metric)
-	}
-	if last.NodesSampled == 0 || last.EdgesSampled == 0 {
-		t.Fatal("sampling counters not populated")
 	}
 }
 

@@ -3,14 +3,17 @@ package marius_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -279,5 +282,46 @@ func TestJournaledRunResumesAfterCompletion(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join(ckptDir, "run.ckpt"))
 	if err != nil || !bytes.Equal(raw, wantCkpt) {
 		t.Fatalf("checkpoint disturbed by no-op resume (err=%v)", err)
+	}
+}
+
+// TestResumeRefusesUnknownJournalOption pins that Resume refuses a journal
+// recording an option this build cannot honour (here "mode", the removed
+// per-layer execution mode) instead of dropping it and resuming a
+// different trajectory: the error names the field and nothing retrains.
+func TestResumeRefusesUnknownJournalOption(t *testing.T) {
+	dataDir := prepNC(t, 3, 4)
+	v := crashVariants()[0] // nc-serial
+	ckptDir := t.TempDir()
+	_, wantCkpt := runToCompletion(t, dataDir, t.TempDir(), ckptDir, v, nil)
+
+	jpath, j, err := ckpt.FindJournal(ckptDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts map[string]json.RawMessage
+	if err := json.Unmarshal(j.Opts, &opts); err != nil {
+		t.Fatal(err)
+	}
+	opts["mode"] = json.RawMessage("1")
+	if j.Opts, err = json.Marshal(opts); err != nil {
+		t.Fatal(err)
+	}
+	j.Epochs++ // a Resume that accepted the journal would train one more epoch
+	if err := ckpt.WriteJournal(nil, jpath, j); err != nil {
+		t.Fatal(err)
+	}
+
+	sess, _, err := marius.Resume(context.Background(), ckptDir)
+	if err == nil {
+		sess.Close()
+		t.Fatal("Resume accepted a journal with an unknown option")
+	}
+	if !strings.Contains(err.Error(), `"mode"`) {
+		t.Fatalf("Resume error %q does not name the unknown field", err)
+	}
+	raw, err := os.ReadFile(filepath.Join(ckptDir, "run.ckpt"))
+	if err != nil || !bytes.Equal(raw, wantCkpt) {
+		t.Fatalf("checkpoint disturbed by a refused resume (err=%v)", err)
 	}
 }

@@ -208,7 +208,7 @@ type Task interface {
 	// fixed feature tables (node classification) are reproducible from
 	// the graph and are only shape-validated on restore.
 	LearnableTable() bool
-	// SetPolicy overrides the replacement policy (policy experiments).
+	// SetPolicy overrides the replacement policy.
 	SetPolicy(policy.Policy)
 }
 
@@ -282,8 +282,8 @@ func (s *Session) Evaluate(split Split, opts ...EvalOption) (EvalResult, error) 
 	return s.task.Evaluate(split, spec)
 }
 
-// SetPolicy overrides the replacement policy (used by policy-comparison
-// experiments to swap COMET/BETA on an otherwise identical session).
+// SetPolicy overrides the replacement policy, for example to swap COMET
+// for BETA on an otherwise identical session.
 func (s *Session) SetPolicy(pol policy.Policy) { s.task.SetPolicy(pol) }
 
 // Close releases the session's storage.

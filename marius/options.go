@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/policy"
 	"repro/internal/storage"
-	"repro/internal/train"
 )
 
 // StorageMode selects where base representations live.
@@ -194,7 +193,7 @@ type Options struct {
 	Model   ModelKind
 	Policy  PolicyKind
 	// PolicyImpl, when non-nil, overrides Policy with an exact policy
-	// instance (used by the policy-comparison experiments).
+	// instance (a policy no PolicyKind names, or one pinned for a test).
 	PolicyImpl policy.Policy
 
 	// Dir is the directory for disk-based storage.
@@ -230,7 +229,6 @@ type Options struct {
 
 	Throttle *storage.Throttle
 
-	Mode train.Mode
 	// Workers is the batch-construction worker count and kernel fan-out;
 	// PipelineDepth is how many partition visits the loader runs ahead of
 	// the trainer (0 = a visit is loaded only once the previous one is
@@ -505,15 +503,6 @@ func WithFaults(fsys fault.FS) Option {
 	}
 }
 
-// WithBaseline selects the DGL/PyG-like baseline execution (per-layer
-// re-sampling, per-edge aggregation, synchronous stages) for comparisons.
-func WithBaseline() Option {
-	return func(o *Options) error {
-		o.Mode = train.ModeBaseline
-		return nil
-	}
-}
-
 // WithPartitions sets the number of physical partitions for in-memory
 // training (disk training configures partitions through WithDisk).
 func WithPartitions(p int) Option {
@@ -538,7 +527,8 @@ func WithPolicy(k PolicyKind) Option {
 }
 
 // WithPolicyImpl installs an exact policy instance, bypassing the
-// kind-based construction (policy-comparison experiments).
+// kind-based construction (for a policy no PolicyKind names, such as a
+// hand-built COMET or NodeCache, or a plan a test pins).
 func WithPolicyImpl(p policy.Policy) Option {
 	return func(o *Options) error {
 		if p == nil {

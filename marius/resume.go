@@ -1,6 +1,7 @@
 package marius
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -44,10 +45,9 @@ type journalOpts struct {
 	CPUBytes          int64 `json:"cpu_bytes"`
 	BlockBytes        int64 `json:"block_bytes"`
 
-	Mode          train.Mode `json:"mode,omitempty"`
-	Workers       int        `json:"workers"`
-	PipelineDepth int        `json:"pipeline_depth,omitempty"`
-	Seed          int64      `json:"seed"`
+	Workers       int   `json:"workers"`
+	PipelineDepth int   `json:"pipeline_depth,omitempty"`
+	Seed          int64 `json:"seed"`
 }
 
 // withRestored replays a journal's recorded options onto a fresh
@@ -62,7 +62,7 @@ func withRestored(jo journalOpts) Option {
 		o.LR, o.EmbLR = jo.LR, jo.EmbLR
 		o.Partitions, o.BufferCapacity, o.LogicalPartitions = jo.Partitions, jo.BufferCapacity, jo.LogicalPartitions
 		o.CPUBytes, o.BlockBytes = jo.CPUBytes, jo.BlockBytes
-		o.Mode, o.Workers, o.PipelineDepth, o.Seed = jo.Mode, jo.Workers, jo.PipelineDepth, jo.Seed
+		o.Workers, o.PipelineDepth, o.Seed = jo.Workers, jo.PipelineDepth, jo.Seed
 		return nil
 	}
 }
@@ -89,7 +89,7 @@ func (s *Session) newJournal(rc *runConfig) (*ckpt.Journal, error) {
 		LR: o.LR, EmbLR: o.EmbLR,
 		Partitions: o.Partitions, BufferCapacity: o.BufferCapacity, LogicalPartitions: o.LogicalPartitions,
 		CPUBytes: o.CPUBytes, BlockBytes: o.BlockBytes,
-		Mode: o.Mode, Workers: o.Workers, PipelineDepth: o.PipelineDepth, Seed: o.Seed,
+		Workers: o.Workers, PipelineDepth: o.PipelineDepth, Seed: o.Seed,
 	}
 	raw, err := json.Marshal(jo)
 	if err != nil {
@@ -130,9 +130,10 @@ func (s *Session) newJournal(rc *runConfig) (*ckpt.Journal, error) {
 //
 // A directory without a journal returns ErrNoJournal — the crash (if
 // any) predates all durable state, so the caller just starts the run
-// fresh. Non-serializable options (WithPolicyImpl, Throttled, metrics,
-// tracing, WithFaults) are not journaled; pass them again through extra
-// to reattach them.
+// fresh. A journal recording an option this build does not know is
+// refused before anything trains. Non-serializable options
+// (WithPolicyImpl, Throttled, metrics, tracing, WithFaults) are not
+// journaled; pass them again through extra to reattach them.
 //
 // The caller owns the returned Session (Close it when done); it is
 // returned even when the continued run errors, alongside the progress
@@ -148,9 +149,14 @@ func Resume(ctx context.Context, dir string, extra ...Option) (*Session, *RunRes
 	if len(j.Opts) == 0 {
 		return nil, nil, fmt.Errorf("marius: journal %s records no session options", jpath)
 	}
+	// An option this build does not know cannot be honoured: dropping it
+	// could resume a different trajectory, so the decode refuses it and
+	// names the field.
 	var jo journalOpts
-	if err := json.Unmarshal(j.Opts, &jo); err != nil {
-		return nil, nil, fmt.Errorf("marius: journal %s: malformed options: %w", jpath, err)
+	dec := json.NewDecoder(bytes.NewReader(j.Opts))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&jo); err != nil {
+		return nil, nil, fmt.Errorf("marius: journal %s: unusable options: %w", jpath, err)
 	}
 	sess, err := FromDataset(j.DataDir, append([]Option{withRestored(jo)}, extra...)...)
 	if err != nil {

@@ -169,7 +169,7 @@ func (t *ncTask) assemble(g *graph.Graph, o *Options, src *train.Source, featDim
 		Encoder: enc, Params: ps,
 		Fanouts: o.Fanouts, Dirs: graph.Both,
 		BatchSize: o.BatchSize, Opt: nn.NewAdam(o.LR), ClipNorm: 5,
-		Workers: o.Workers, PipelineDepth: o.PipelineDepth, Mode: o.Mode, Seed: o.Seed,
+		Workers: o.Workers, PipelineDepth: o.PipelineDepth, Seed: o.Seed,
 		Obs: o.observe(src),
 	}
 	t.g, t.opts, t.src, t.ps, t.enc = g, o, src, ps, enc
@@ -384,7 +384,7 @@ func (t *lpTask) assemble(g *graph.Graph, o *Options, src *train.Source, p, c, l
 		Fanouts: o.Fanouts, Dirs: graph.Both,
 		BatchSize: o.BatchSize, Negatives: o.Negatives,
 		DenseOpt: nn.NewAdam(o.LR), EmbOpt: nn.NewSparseAdaGrad(o.EmbLR), ClipNorm: 5,
-		Workers: o.Workers, PipelineDepth: o.PipelineDepth, Mode: o.Mode, Seed: o.Seed,
+		Workers: o.Workers, PipelineDepth: o.PipelineDepth, Seed: o.Seed,
 		Obs: o.observe(src),
 	}
 	t.g, t.opts, t.src, t.ps, t.enc, t.dec = g, o, src, ps, enc, dec
