@@ -173,36 +173,64 @@ func randomEdges(rng *rand.Rand, n, m int) []graph.Edge {
 	return edges
 }
 
-// TestDENSESamplesFewerThanLayered holds paper Table 6's mechanism as
-// exact counts: DENSE samples each node's neighbors once and reuses them
-// across layers, so it never materializes more nodes or edges than
-// per-layer re-sampling, and its advantage grows with depth.
-func TestDENSESamplesFewerThanLayered(t *testing.T) {
+// denseVsLayered is one depth's sample sizes under DENSE and under
+// per-layer re-sampling.
+type denseVsLayered struct{ denseNodes, denseEdges, layeredNodes, layeredEdges int }
+
+// table6Sweep samples the same 64 targets with DENSE and with per-layer
+// re-sampling at depths 1..3, fanout 10 in both directions, on a seeded
+// 2 000-node graph (paper Table 6's setting, scaled down).
+func table6Sweep() []denseVsLayered {
 	rng := rand.New(rand.NewSource(9))
 	adj := graph.BuildAdjacency(2000, randomEdges(rng, 2000, 30000))
 	targets := uniqueTargets(rng, 2000, 64)
-	want := []struct{ dense, layered int }{{962, 1026}, {2000, 3026}, {2000, 5026}}
-	prevRatio := 0.0
-	for depth := 1; depth <= len(want); depth++ {
+	var out []denseVsLayered
+	for depth := 1; depth <= 3; depth++ {
 		fanouts := make([]int, depth)
 		for i := range fanouts {
 			fanouts[i] = 10
 		}
 		d := New(adj, fanouts, graph.Both, 1).Sample(targets)
 		ls := NewLayered(adj, fanouts, graph.Both, 1).Sample(targets)
-		dn, ln := d.NumNodes(), ls.NumNodesSampled()
-		if w := want[depth-1]; dn != w.dense || ln != w.layered {
-			t.Fatalf("depth %d: DENSE %d, layered %d node entries; want %d, %d", depth, dn, ln, w.dense, w.layered)
+		out = append(out, denseVsLayered{d.NumNodes(), d.NumSampledEdges(), ls.NumNodesSampled(), ls.NumEdgesSampled()})
+	}
+	return out
+}
+
+// TestDENSESamplesFewerThanLayered holds paper Table 6's mechanism as
+// exact counts: DENSE samples each node's neighbors once and reuses them
+// across layers, so it never materializes more nodes or edges than
+// per-layer re-sampling.
+func TestDENSESamplesFewerThanLayered(t *testing.T) {
+	want := []struct{ dense, layered int }{{962, 1026}, {2000, 3026}, {2000, 5026}}
+	for i, c := range table6Sweep() {
+		if w := want[i]; c.denseNodes != w.dense || c.layeredNodes != w.layered {
+			t.Fatalf("depth %d: DENSE %d, layered %d node entries; want %d, %d",
+				i+1, c.denseNodes, c.layeredNodes, w.dense, w.layered)
 		}
-		if dn > ln || d.NumSampledEdges() > ls.NumEdgesSampled() {
+		if c.denseNodes > c.layeredNodes || c.denseEdges > c.layeredEdges {
 			t.Fatalf("depth %d: DENSE %d nodes %d edges exceeds layered %d nodes %d edges",
-				depth, dn, d.NumSampledEdges(), ln, ls.NumEdgesSampled())
+				i+1, c.denseNodes, c.denseEdges, c.layeredNodes, c.layeredEdges)
 		}
-		ratio := float64(ln) / float64(dn)
+	}
+}
+
+// TestTable6SamplingAdvantageGrowsWithDepth holds paper Table 6's trend:
+// the layered/DENSE node ratio rises with every added layer, and at the
+// deepest GNN DENSE samples strictly fewer nodes.
+func TestTable6SamplingAdvantageGrowsWithDepth(t *testing.T) {
+	sweep := table6Sweep()
+	prevRatio := 0.0
+	for i, c := range sweep {
+		ratio := float64(c.layeredNodes) / float64(c.denseNodes)
 		if ratio <= prevRatio {
-			t.Fatalf("depth %d: layered/DENSE node ratio %.3f did not rise from %.3f", depth, ratio, prevRatio)
+			t.Fatalf("depth %d: layered/DENSE node ratio %.3f did not rise from %.3f", i+1, ratio, prevRatio)
 		}
 		prevRatio = ratio
+	}
+	if last := sweep[len(sweep)-1]; last.denseNodes >= last.layeredNodes {
+		t.Fatalf("at depth %d DENSE sampled %d nodes vs layered %d; reuse should win",
+			len(sweep), last.denseNodes, last.layeredNodes)
 	}
 }
 
@@ -244,17 +272,27 @@ func TestLayeredSampleStructure(t *testing.T) {
 	}
 }
 
-// TestKHopBudget holds paper Table 7's mechanism as exact counts: an
-// independent k-hop sample (NextDoor's, without reuse) grows
-// exponentially with depth and overruns a device-memory budget at depth 4
-// that it fits at depth 1, while DENSE stays within it at every depth.
-func TestKHopBudget(t *testing.T) {
-	const budget = 50_000
+// table7Budget stands in for the accelerator memory that NextDoor runs
+// out of in paper Table 7, in sampled entries.
+const table7Budget = 50_000
+
+// khopVsDense is one depth's sample sizes under independent k-hop
+// sampling (unlimited) and DENSE, plus the error k-hop sampling returns
+// under table7Budget.
+type khopVsDense struct {
+	khopEntries, denseEntries int
+	budgetErr                 error
+}
+
+// table7Sweep samples the same 64 targets at depths 1..4, fanout 20
+// outgoing, on PowerLaw(20 000, 12, 400) (paper Table 7's setting, scaled
+// down).
+func table7Sweep(t *testing.T) []khopVsDense {
 	g := gen.PowerLaw(20_000, 12, 400)
 	adj := graph.BuildAdjacency(g.NumNodes, g.Edges)
 	targets := uniqueTargets(rand.New(rand.NewSource(400)), g.NumNodes, 64)
-	want := []struct{ khop, dense int }{{832, 287}, {5968, 532}, {29680, 696}, {103624, 789}}
-	for depth := 1; depth <= len(want); depth++ {
+	var out []khopVsDense
+	for depth := 1; depth <= 4; depth++ {
 		fanouts := make([]int, depth)
 		for i := range fanouts {
 			fanouts[i] = 20
@@ -264,16 +302,44 @@ func TestKHopBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := want[depth-1]; ks.TotalEntries() != w.khop || d.NumNodes() != w.dense {
+		_, budgetErr := NewKHop(adj, fanouts, graph.Outgoing, table7Budget, 400).Sample(targets)
+		out = append(out, khopVsDense{ks.TotalEntries(), d.NumNodes(), budgetErr})
+	}
+	return out
+}
+
+// TestKHopBudget holds paper Table 7's mechanism as exact counts: an
+// independent k-hop sample (NextDoor's, without reuse) grows
+// exponentially with depth, and Sample returns ErrBudget exactly when the
+// sample would exceed the budget.
+func TestKHopBudget(t *testing.T) {
+	want := []struct{ khop, dense int }{{832, 287}, {5968, 532}, {29680, 696}, {103624, 789}}
+	for i, c := range table7Sweep(t) {
+		if w := want[i]; c.khopEntries != w.khop || c.denseEntries != w.dense {
 			t.Fatalf("depth %d: k-hop %d, DENSE %d entries; want %d, %d",
-				depth, ks.TotalEntries(), d.NumNodes(), w.khop, w.dense)
+				i+1, c.khopEntries, c.denseEntries, w.khop, w.dense)
 		}
-		if d.NumNodes() > budget {
-			t.Fatalf("depth %d: DENSE %d entries exceed the budget %d", depth, d.NumNodes(), budget)
+		if overrun := c.khopEntries > table7Budget; overrun != (c.budgetErr == ErrBudget) {
+			t.Fatalf("depth %d: %d entries against budget %d, Sample returned %v",
+				i+1, c.khopEntries, table7Budget, c.budgetErr)
 		}
-		_, err = NewKHop(adj, fanouts, graph.Outgoing, budget, 400).Sample(targets)
-		if overrun := ks.TotalEntries() > budget; overrun != (err == ErrBudget) {
-			t.Fatalf("depth %d: %d entries against budget %d, Sample returned %v", depth, ks.TotalEntries(), budget, err)
+	}
+}
+
+// TestTable7OOMShape holds paper Table 7's outcome: k-hop sampling fits
+// the budget at depth 1 and runs out of it at depth 4, while DENSE stays
+// within it at every depth.
+func TestTable7OOMShape(t *testing.T) {
+	sweep := table7Sweep(t)
+	if err := sweep[0].budgetErr; err != nil {
+		t.Fatalf("depth 1 should fit the budget, got %v", err)
+	}
+	if err := sweep[len(sweep)-1].budgetErr; err != ErrBudget {
+		t.Fatalf("independent k-hop sampling should exceed the budget at depth %d, got %v", len(sweep), err)
+	}
+	for i, c := range sweep {
+		if c.denseEntries > table7Budget {
+			t.Fatalf("depth %d: DENSE %d entries exceed the budget %d", i+1, c.denseEntries, table7Budget)
 		}
 	}
 }
