@@ -28,7 +28,9 @@
 // Disk-based out-of-core training (the paper's headline configuration)
 // swaps one option: marius.WithDisk(dir, marius.Partitions(16),
 // marius.Capacity(4)), with the §6 auto-tuner filling anything left
-// unset.
+// unset. Values set explicitly (and a prepared dataset's partition count)
+// are kept; a tuned capacity is clamped to [2, p], and a tuned logical
+// partition count COMET cannot group p and c by falls back to p.
 //
 // # Kernel parallelism
 //

@@ -22,7 +22,9 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/decoder"
 	"repro/internal/fault"
+	"repro/internal/gnn"
 	"repro/internal/nn"
 )
 
@@ -40,12 +42,13 @@ func Mismatch(field, format string, args ...any) error {
 	return fmt.Errorf("%w: %s: %s", ErrMismatch, field, fmt.Sprintf(format, args...))
 }
 
-// Model kind names recorded in ModelMeta.Kind.
+// Model kind names recorded in ModelMeta.Kind: the gnn encoder kinds, and
+// the decoder's name for decoder-only models.
 const (
-	KindSage     = "sage"
-	KindGAT      = "gat"
-	KindGCN      = "gcn"
-	KindDistMult = "distmult"
+	KindSage     = gnn.KindSage
+	KindGAT      = gnn.KindGAT
+	KindGCN      = gnn.KindGCN
+	KindDistMult = decoder.KindDistMult
 )
 
 // ModelMeta records the model shape a checkpoint's parameters were

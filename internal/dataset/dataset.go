@@ -267,7 +267,7 @@ func Ingest(cfg Config) (*Stats, error) {
 	}
 
 	// Stage 2: the seeded partition relabeling — the same call the
-	// in-memory path (train.PrepareNC/PrepareLP) applies, so final node
+	// in-memory path (marius.New's session source) applies, so final node
 	// IDs match it exactly. final[dictID] is the on-disk node ID.
 	var final []int32
 	if cfg.Task == "nc" {

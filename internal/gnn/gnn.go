@@ -216,6 +216,39 @@ func (e *Encoder) Forward(tp *tensor.Tape, params map[string]*tensor.Node, d *sa
 // OutDim returns the final layer's output dimensionality.
 func (e *Encoder) OutDim() int { return e.Layers[len(e.Layers)-1].OutDim() }
 
+// Encoder kind names: the strings checkpoints record in
+// ckpt.ModelMeta.Kind, so a forward-only loader rebuilds the same encoder.
+const (
+	KindSage = "sage"
+	KindGAT  = "gat"
+	KindGCN  = "gcn"
+)
+
+// Dims sizes an encoder of the given depth: the input width, hidden for
+// every inner layer, then the output width.
+func Dims(in, hidden, out, layers int) []int {
+	dims := []int{in}
+	for i := 0; i < layers-1; i++ {
+		dims = append(dims, hidden)
+	}
+	return append(dims, out)
+}
+
+// New builds the named encoder over dims, registering freshly initialized
+// parameters in ps. Unknown kinds return an error.
+func New(kind string, ps *nn.ParamSet, dims []int, rng *rand.Rand) (*Encoder, error) {
+	switch kind {
+	case KindSage:
+		return BuildSage(ps, dims, Mean, rng), nil
+	case KindGAT:
+		return BuildGAT(ps, dims, rng), nil
+	case KindGCN:
+		return BuildGCN(ps, dims, rng), nil
+	default:
+		return nil, fmt.Errorf("gnn: unknown encoder kind %q", kind)
+	}
+}
+
 // BuildSage constructs a GraphSage encoder with the given hidden sizes.
 // dims has length layers+1: input dim followed by each layer's output dim.
 func BuildSage(ps *nn.ParamSet, dims []int, agg Aggregation, rng *rand.Rand) *Encoder {

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -82,15 +83,22 @@ func TestHTTPSurface(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
+	// The dispatcher counts a batch after answering its requests, so the
+	// count may trail the response by a moment on a loaded machine.
 	var statz serve.Statz
-	resp, err := http.Get(hs.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(hs.URL + "/statz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&statz); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if statz.Requests > 0 && statz.Batches > 0 || time.Now().After(deadline) {
+			break
+		}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&statz); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 	if statz.Requests == 0 || statz.Batches == 0 {
 		t.Fatalf("statz shows no traffic: %+v", statz)
 	}

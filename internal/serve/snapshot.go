@@ -66,16 +66,6 @@ type Snapshot struct {
 	cmp *tensor.Compute
 }
 
-// encoderDims mirrors the training-side layer sizing: input dim, then
-// hidden for the middle layers, then the output dim.
-func encoderDims(in, hidden, out, layers int) []int {
-	dims := []int{in}
-	for i := 0; i < layers-1; i++ {
-		dims = append(dims, hidden)
-	}
-	return append(dims, out)
-}
-
 // Load reads the checkpoint at path, validates it against the serving
 // context's dataset — returning an error matching ckpt.ErrMismatch that
 // names the offending field, instead of letting the mismatch surface as
@@ -116,9 +106,9 @@ func Load(ctx *Context, path string, cfg Config) (*Snapshot, error) {
 		if meta.NumClasses != man.NumClasses {
 			return nil, ckpt.Mismatch("classes", "checkpoint has %d classes, dataset has %d", meta.NumClasses, man.NumClasses)
 		}
-		dims := encoderDims(meta.FeatureDim, meta.Dim, meta.NumClasses, meta.Layers)
-		if snap.Encoder, err = buildEncoder(meta.Kind, snap.Params, dims, rng); err != nil {
-			return nil, err
+		dims := gnn.Dims(meta.FeatureDim, meta.Dim, meta.NumClasses, meta.Layers)
+		if snap.Encoder, err = gnn.New(meta.Kind, snap.Params, dims, rng); err != nil {
+			return nil, ckpt.Mismatch("model", "%v", err)
 		}
 		snap.Store = ctx.Features
 	case "lp":
@@ -132,9 +122,9 @@ func Load(ctx *Context, path string, cfg Config) (*Snapshot, error) {
 			return nil, ckpt.Mismatch("table", "link-prediction checkpoint carries no embedding table")
 		}
 		if meta.Kind != ckpt.KindDistMult {
-			dims := encoderDims(meta.Dim, meta.Dim, meta.Dim, meta.Layers)
-			if snap.Encoder, err = buildEncoder(meta.Kind, snap.Params, dims, rng); err != nil {
-				return nil, err
+			dims := gnn.Dims(meta.Dim, meta.Dim, meta.Dim, meta.Layers)
+			if snap.Encoder, err = gnn.New(meta.Kind, snap.Params, dims, rng); err != nil {
+				return nil, ckpt.Mismatch("model", "%v", err)
 			}
 		}
 		// Decoder kind from the checkpoint metadata; checkpoints written
@@ -202,21 +192,6 @@ func Load(ctx *Context, path string, cfg Config) (*Snapshot, error) {
 		}
 	}
 	return snap, nil
-}
-
-// buildEncoder rebuilds a GNN encoder of the checkpointed kind with
-// freshly initialized parameters (overwritten by LoadState below).
-func buildEncoder(kind string, ps *nn.ParamSet, dims []int, rng *rand.Rand) (*gnn.Encoder, error) {
-	switch kind {
-	case ckpt.KindSage:
-		return gnn.BuildSage(ps, dims, gnn.Mean, rng), nil
-	case ckpt.KindGAT:
-		return gnn.BuildGAT(ps, dims, rng), nil
-	case ckpt.KindGCN:
-		return gnn.BuildGCN(ps, dims, rng), nil
-	default:
-		return nil, ckpt.Mismatch("model", "unknown encoder kind %q", kind)
-	}
 }
 
 // buildEncTable precomputes the encoded representation of every entity

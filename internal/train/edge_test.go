@@ -21,7 +21,7 @@ func TestLPGATTrainsEndToEnd(t *testing.T) {
 		ZipfS: 1.2, ValidFrac: 0.05, TestFrac: 0.05, Seed: 31,
 	})
 	const dim = 12
-	pt := PrepareLP(g, 4, 31)
+	pt := prepareLP(g, 4, 31)
 	emb := RandomEmbeddings(g.NumNodes, dim, 31)
 	src := NewMemorySource(g, pt, emb)
 
@@ -61,7 +61,7 @@ func TestThrottledDiskTrainingStillCorrect(t *testing.T) {
 		ZipfS: 1.2, ValidFrac: 0.05, TestFrac: 0.05, Seed: 37,
 	})
 	const dim = 8
-	pt := PrepareLP(g, 4, 37)
+	pt := prepareLP(g, 4, 37)
 	epoch := func(th *storage.Throttle) EpochStats {
 		src, err := NewDiskSource(g, pt, dim, DiskSourceConfig{
 			Dir: t.TempDir(), Capacity: 2, Learnable: true,
@@ -106,7 +106,7 @@ func TestNCEmptyVisitTargets(t *testing.T) {
 		Homophily: 0.8, FeatNoise: 1.5, TrainFrac: 0.02, ValidFrac: 0.02, TestFrac: 0.02,
 		Seed: 41,
 	})
-	pt, trainParts := PrepareNC(g, 8, 41)
+	pt, trainParts := prepareNC(g, 8, 41)
 	src, err := NewDiskSource(g, pt, g.Features.Cols, DiskSourceConfig{
 		Dir: t.TempDir(), Capacity: 3, InitTable: g.Features,
 	})

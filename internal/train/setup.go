@@ -10,28 +10,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// PrepareLP relabels g for link-prediction training: nodes are assigned to
-// p contiguous partitions uniformly at random (paper §3). Returns the
-// partitioning.
-func PrepareLP(g *graph.Graph, p int, seed int64) partition.Partitioning {
-	partition.Apply(g, partition.RandomOrder(g.NumNodes, seed))
-	return partition.New(g.NumNodes, p)
-}
-
-// PrepareNC relabels g for node classification: training nodes first so
-// they occupy the leading partitions and can be statically cached
-// (paper §5.2). Returns the partitioning and the number of partitions
-// holding training nodes.
-func PrepareNC(g *graph.Graph, p int, seed int64) (partition.Partitioning, int) {
-	partition.Apply(g, partition.TrainFirstOrder(g.NumNodes, g.TrainNodes, seed))
-	pt := partition.New(g.NumNodes, p)
-	trainParts := (len(g.TrainNodes) + pt.PartSize - 1) / pt.PartSize
-	if trainParts == 0 {
-		trainParts = 1
-	}
-	return pt, trainParts
-}
-
 // RandomEmbeddings returns a uniformly-initialized base-representation
 // table for learnable embeddings (link prediction).
 func RandomEmbeddings(numNodes, dim int, seed int64) *tensor.Tensor {
@@ -72,20 +50,7 @@ type DiskSourceConfig struct {
 // representations and edge buckets are written to files under cfg.Dir and
 // paged through a partition buffer of cfg.Capacity partitions.
 func NewDiskSource(g *graph.Graph, pt partition.Partitioning, dim int, cfg DiskSourceConfig) (*Source, error) {
-	var initFn func(int32, []float32)
-	if cfg.InitTable != nil {
-		initFn = func(id int32, row []float32) { copy(row, cfg.InitTable.Row(int(id))) }
-	}
-	nodes, err := storage.CreateDiskNodeStore(storage.DiskStoreConfig{
-		Dir:       cfg.Dir,
-		Part:      pt,
-		Dim:       dim,
-		Capacity:  cfg.Capacity,
-		Learnable: cfg.Learnable,
-		Throttle:  cfg.Throttle,
-		Init:      initFn,
-		FS:        cfg.FS,
-	})
+	nodes, err := cfg.nodeStore(pt, dim)
 	if err != nil {
 		return nil, err
 	}
@@ -104,6 +69,25 @@ func NewDiskSource(g *graph.Graph, pt partition.Partitioning, dim int, cfg DiskS
 	}
 	src.FragCache()
 	return src, nil
+}
+
+// nodeStore creates the node-representation files cfg describes under
+// cfg.Dir, rows seeded from cfg.InitTable (nil zero-fills).
+func (cfg DiskSourceConfig) nodeStore(pt partition.Partitioning, dim int) (*storage.DiskNodeStore, error) {
+	var initFn func(int32, []float32)
+	if cfg.InitTable != nil {
+		initFn = func(id int32, row []float32) { copy(row, cfg.InitTable.Row(int(id))) }
+	}
+	return storage.CreateDiskNodeStore(storage.DiskStoreConfig{
+		Dir:       cfg.Dir,
+		Part:      pt,
+		Dim:       dim,
+		Capacity:  cfg.Capacity,
+		Learnable: cfg.Learnable,
+		Throttle:  cfg.Throttle,
+		Init:      initFn,
+		FS:        cfg.FS,
+	})
 }
 
 // DatasetSourceConfig configures NewDatasetSource.
@@ -158,20 +142,10 @@ func NewDatasetSource(ds *storage.Dataset, cfg DatasetSourceConfig) (*Source, er
 		}
 		src.Nodes = storage.NewMemoryNodeStore(table)
 	case cfg.Learnable:
-		var initFn func(int32, []float32)
-		if cfg.InitTable != nil {
-			initFn = func(id int32, row []float32) { copy(row, cfg.InitTable.Row(int(id))) }
-		}
-		nodes, err := storage.CreateDiskNodeStore(storage.DiskStoreConfig{
-			Dir:       cfg.WorkDir,
-			Part:      pt,
-			Dim:       cfg.InitTable.Cols,
-			Capacity:  cfg.Capacity,
-			Learnable: true,
-			Throttle:  cfg.Throttle,
-			Init:      initFn,
-			FS:        cfg.FS,
-		})
+		nodes, err := DiskSourceConfig{
+			Dir: cfg.WorkDir, Capacity: cfg.Capacity, Learnable: true,
+			Throttle: cfg.Throttle, InitTable: cfg.InitTable, FS: cfg.FS,
+		}.nodeStore(pt, cfg.InitTable.Cols)
 		if err != nil {
 			edges.Close()
 			return nil, err

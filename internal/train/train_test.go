@@ -10,8 +10,26 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/nn"
+	"repro/internal/partition"
 	"repro/internal/policy"
 )
+
+// prepareLP relabels g for link-prediction training, nodes assigned to
+// p contiguous partitions uniformly at random (paper §3), as marius does.
+func prepareLP(g *graph.Graph, p int, seed int64) partition.Partitioning {
+	partition.Apply(g, partition.RandomOrder(g.NumNodes, seed))
+	return partition.New(g.NumNodes, p)
+}
+
+// prepareNC relabels g for node classification, training nodes first so
+// they occupy the leading partitions (paper §5.2), as marius does. It
+// returns the partitioning and the number of partitions holding training
+// nodes.
+func prepareNC(g *graph.Graph, p int, seed int64) (partition.Partitioning, int) {
+	partition.Apply(g, partition.TrainFirstOrder(g.NumNodes, g.TrainNodes, seed))
+	pt := partition.New(g.NumNodes, p)
+	return pt, max((len(g.TrainNodes)+pt.PartSize-1)/pt.PartSize, 1)
+}
 
 // ncFixture builds a small SBM graph plus an in-memory NC trainer.
 func ncFixture(t *testing.T, seed int64) (*Trainer, *graph.Graph) {
@@ -25,7 +43,7 @@ func ncFixture(t *testing.T, seed int64) (*Trainer, *graph.Graph) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	pt, _ := PrepareNC(g, 4, seed)
+	pt, _ := prepareNC(g, 4, seed)
 	src := NewMemorySource(g, pt, g.Features)
 
 	rng := rand.New(rand.NewSource(seed))
@@ -71,7 +89,7 @@ func TestNCDiskMatchesMemoryQuality(t *testing.T) {
 		Seed: seed,
 	}
 	g := gen.SBM(cfg)
-	pt, trainParts := PrepareNC(g, 8, seed)
+	pt, trainParts := prepareNC(g, 8, seed)
 	src, err := NewDiskSource(g, pt, g.Features.Cols, DiskSourceConfig{
 		Dir: t.TempDir(), Capacity: 4, InitTable: g.Features,
 	})
@@ -118,7 +136,7 @@ func lpFixture(t *testing.T, pol policy.Policy, disk bool, p, c int, seed int64)
 		t.Fatal(err)
 	}
 	const dim = 16
-	pt := PrepareLP(g, p, seed)
+	pt := prepareLP(g, p, seed)
 	emb := RandomEmbeddings(g.NumNodes, dim, seed)
 
 	var src *Source
@@ -218,7 +236,7 @@ func TestLPDecoderOnlyDistMult(t *testing.T) {
 		ZipfS: 1.2, ValidFrac: 0.05, TestFrac: 0.05, Seed: 23,
 	})
 	const dim = 16
-	pt := PrepareLP(g, 4, 23)
+	pt := prepareLP(g, 4, 23)
 	emb := RandomEmbeddings(g.NumNodes, dim, 23)
 	src := NewMemorySource(g, pt, emb)
 

@@ -67,6 +67,9 @@ func crashVariants() []crashVariant {
 		{name: "nc-pipelined", prep: prepNC, opts: base(8, ncDisk, marius.WithPipeline(2)), epochs: 3, ckEvery: 1},
 		{name: "lp-serial", prep: prepLP, opts: base(8, lpDisk, marius.WithNegatives(16)), epochs: 3, ckEvery: 1},
 		{name: "lp-pipelined", prep: prepLP, opts: base(8, lpDisk, marius.WithNegatives(16), marius.WithPipeline(2)), epochs: 3, ckEvery: 1},
+		// Resume rebuilds the session from the journal alone, so the
+		// decoder must be journaled too.
+		{name: "lp-complex", prep: prepLP, opts: base(8, lpDisk, marius.WithNegatives(16), marius.WithDecoder(marius.ComplEx)), epochs: 3, ckEvery: 1},
 	}
 }
 
@@ -285,15 +288,19 @@ func TestJournaledRunResumesAfterCompletion(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesUnknownJournalOption pins that Resume refuses a journal
-// recording an option this build cannot honour (here "mode", the removed
-// per-layer execution mode) instead of dropping it and resuming a
-// different trajectory: the error names the field and nothing retrains.
-func TestResumeRefusesUnknownJournalOption(t *testing.T) {
-	dataDir := prepNC(t, 3, 4)
-	v := crashVariants()[0] // nc-serial
+// TestResumeAcceptsParentJournal pins that a journal recording exactly
+// the option keys journals carried before Options journaled itself (no
+// "decoder", no "relations") still resumes, and trains the DistMult run it
+// recorded: one more target epoch lands on the losses and checkpoint of an
+// uninterrupted run that long.
+func TestResumeAcceptsParentJournal(t *testing.T) {
+	dataDir := prepLP(t, 3, 4)
+	v := crashVariants()[2] // lp-serial
 	ckptDir := t.TempDir()
-	_, wantCkpt := runToCompletion(t, dataDir, t.TempDir(), ckptDir, v, nil)
+	runToCompletion(t, dataDir, t.TempDir(), ckptDir, v, nil)
+	longer := v
+	longer.epochs++
+	wantRes, wantCkpt := runToCompletion(t, dataDir, t.TempDir(), t.TempDir(), longer, nil)
 
 	jpath, j, err := ckpt.FindJournal(ckptDir)
 	if err != nil {
@@ -303,25 +310,90 @@ func TestResumeRefusesUnknownJournalOption(t *testing.T) {
 	if err := json.Unmarshal(j.Opts, &opts); err != nil {
 		t.Fatal(err)
 	}
-	opts["mode"] = json.RawMessage("1")
+	// The parent's keys, true where it always wrote the key (false:
+	// omitempty).
+	parent := map[string]bool{
+		"storage": true, "model": true, "policy": true, "dir": false,
+		"dim": true, "layers": true, "fanouts": true, "batch_size": true, "negatives": true,
+		"lr": true, "emb_lr": true, "partitions": true, "buffer_capacity": false,
+		"logical_partitions": false, "cpu_bytes": true, "block_bytes": true,
+		"workers": true, "pipeline_depth": false, "seed": true,
+	}
+	for k, always := range parent {
+		if _, ok := opts[k]; always && !ok {
+			t.Fatalf("journal no longer records %q", k)
+		}
+	}
+	for k := range opts {
+		if _, ok := parent[k]; !ok {
+			delete(opts, k)
+		}
+	}
 	if j.Opts, err = json.Marshal(opts); err != nil {
 		t.Fatal(err)
 	}
-	j.Epochs++ // a Resume that accepted the journal would train one more epoch
+	j.Epochs++
 	if err := ckpt.WriteJournal(nil, jpath, j); err != nil {
 		t.Fatal(err)
 	}
 
-	sess, _, err := marius.Resume(context.Background(), ckptDir)
-	if err == nil {
-		sess.Close()
-		t.Fatal("Resume accepted a journal with an unknown option")
+	sess, res, err := marius.Resume(context.Background(), ckptDir)
+	if err != nil {
+		t.Fatalf("Resume of a parent-keyed journal: %v", err)
 	}
-	if !strings.Contains(err.Error(), `"mode"`) {
-		t.Fatalf("Resume error %q does not name the unknown field", err)
-	}
+	defer sess.Close()
+	sameLosses(t, "parent-journal", losses(res), losses(wantRes))
 	raw, err := os.ReadFile(filepath.Join(ckptDir, "run.ckpt"))
 	if err != nil || !bytes.Equal(raw, wantCkpt) {
-		t.Fatalf("checkpoint disturbed by a refused resume (err=%v)", err)
+		t.Fatalf("resumed checkpoint differs from the uninterrupted run's (err=%v)", err)
+	}
+}
+
+// TestResumeRefusesUnknownJournalOption pins that Resume refuses a journal
+// recording an option this build cannot honour (an unknown key such as
+// "mode", the removed per-layer execution mode, or a model kind outside
+// the enum) instead of dropping it and resuming a different trajectory:
+// the error names what it refused and nothing retrains.
+func TestResumeRefusesUnknownJournalOption(t *testing.T) {
+	dataDir := prepNC(t, 3, 4)
+	for _, tc := range []struct{ key, value, named string }{
+		{"mode", "1", `"mode"`},
+		{"model", "9", "model(9)"},
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			v := crashVariants()[0] // nc-serial
+			ckptDir := t.TempDir()
+			_, wantCkpt := runToCompletion(t, dataDir, t.TempDir(), ckptDir, v, nil)
+
+			jpath, j, err := ckpt.FindJournal(ckptDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opts map[string]json.RawMessage
+			if err := json.Unmarshal(j.Opts, &opts); err != nil {
+				t.Fatal(err)
+			}
+			opts[tc.key] = json.RawMessage(tc.value)
+			if j.Opts, err = json.Marshal(opts); err != nil {
+				t.Fatal(err)
+			}
+			j.Epochs++ // a Resume that accepted the journal would train one more epoch
+			if err := ckpt.WriteJournal(nil, jpath, j); err != nil {
+				t.Fatal(err)
+			}
+
+			sess, _, err := marius.Resume(context.Background(), ckptDir)
+			if err == nil {
+				sess.Close()
+				t.Fatalf("Resume accepted a journal with %s: %s", tc.key, tc.value)
+			}
+			if !strings.Contains(err.Error(), tc.named) {
+				t.Fatalf("Resume error %q does not name %s", err, tc.named)
+			}
+			raw, err := os.ReadFile(filepath.Join(ckptDir, "run.ckpt"))
+			if err != nil || !bytes.Equal(raw, wantCkpt) {
+				t.Fatalf("checkpoint disturbed by a refused resume (err=%v)", err)
+			}
+		})
 	}
 }

@@ -87,6 +87,10 @@ func FromDataset(dir string, opts ...Option) (*Session, error) {
 	if err := o.resolve(task.Name()); err != nil {
 		return nil, err
 	}
+	if o.Relations > 0 && o.Relations != max(man.NumRels, 1) {
+		return nil, optErr("WithRelations", ErrDatasetMismatch,
+			"dataset has %d relation types, WithRelations(%d)", man.NumRels, o.Relations)
+	}
 	o.dataset = ds
 
 	// The session graph carries only the dataset's node-level metadata

@@ -39,9 +39,12 @@ const (
 
 // kindName maps a ModelKind to the stable name checkpoints record in
 // their ModelMeta, so a forward-only loader can rebuild the encoder
-// without the options API.
+// without the options API. A kind outside the enum (a hand-edited
+// journal) names nothing gnn.New builds.
 func (m ModelKind) kindName() string {
 	switch m {
+	case GraphSage:
+		return ckpt.KindSage
 	case GAT:
 		return ckpt.KindGAT
 	case GCN:
@@ -49,7 +52,7 @@ func (m ModelKind) kindName() string {
 	case DistMultOnly:
 		return ckpt.KindDistMult
 	default:
-		return ckpt.KindSage
+		return fmt.Sprintf("model(%d)", int(m))
 	}
 }
 
@@ -71,15 +74,18 @@ const (
 )
 
 // kindName maps a DecoderKind to the stable name checkpoints and serving
-// snapshots record.
+// snapshots record; a kind outside the enum names nothing decoder.New
+// builds.
 func (d DecoderKind) kindName() string {
 	switch d {
+	case DistMult:
+		return decoder.KindDistMult
 	case ComplEx:
 		return decoder.KindComplEx
 	case TransE:
 		return decoder.KindTransE
 	default:
-		return decoder.KindDistMult
+		return fmt.Sprintf("decoder(%d)", int(d))
 	}
 }
 
@@ -187,67 +193,71 @@ func optErr(option string, err error, format string, args ...any) *OptionError {
 
 // Options is the fully-resolved session configuration produced by applying
 // functional options over the paper defaults. Task implementations read it
-// in Prepare; most callers never touch it directly.
+// in Prepare; most callers never touch it directly. A checkpointed dataset
+// run journals every field not tagged `json:"-"`, and Resume decodes them
+// back; the attachments tagged `json:"-"` are reattached through Resume's
+// options.
 type Options struct {
-	Storage StorageMode
-	Model   ModelKind
-	Policy  PolicyKind
+	Storage StorageMode `json:"storage"`
+	Model   ModelKind   `json:"model"`
+	Policy  PolicyKind  `json:"policy"`
 	// PolicyImpl, when non-nil, overrides Policy with an exact policy
 	// instance (a policy no PolicyKind names, or one pinned for a test).
-	PolicyImpl policy.Policy
+	PolicyImpl policy.Policy `json:"-"`
 
 	// Dir is the directory for disk-based storage.
-	Dir string
+	Dir string `json:"dir,omitempty"`
 
 	// Decoder selects the link-prediction scoring function (WithDecoder);
 	// decoderSet records whether it was chosen explicitly, so resolve can
 	// reject the option on tasks that have no decoder.
-	Decoder    DecoderKind
+	Decoder    DecoderKind `json:"decoder,omitempty"`
 	decoderSet bool
 	// Relations, when non-zero, fixes the relation-table height
 	// (WithRelations). 0 resolves to the graph's relation count (at
 	// least 1).
-	Relations int
+	Relations int `json:"relations,omitempty"`
 
-	Dim     int
-	Layers  int   // 0 resolves to the task default
-	Fanouts []int // empty resolves to the task default
+	Dim     int   `json:"dim"`
+	Layers  int   `json:"layers"`  // 0 resolves to the task default
+	Fanouts []int `json:"fanouts"` // empty resolves to the task default
 
-	BatchSize int
-	Negatives int
+	BatchSize int `json:"batch_size"`
+	Negatives int `json:"negatives"`
 
-	LR    float32
-	EmbLR float32
+	LR    float32 `json:"lr"`
+	EmbLR float32 `json:"emb_lr"`
 
 	// Partitions (p), BufferCapacity (c), LogicalPartitions (l); 0 lets
-	// the §6 auto-tuner pick them from CPUBytes/BlockBytes.
-	Partitions        int
-	BufferCapacity    int
-	LogicalPartitions int
-	CPUBytes          int64
-	BlockBytes        int64
+	// the §6 auto-tuner pick them from CPUBytes/BlockBytes (a tuned c is
+	// clamped to [2, p]).
+	Partitions        int   `json:"partitions"`
+	BufferCapacity    int   `json:"buffer_capacity,omitempty"`
+	LogicalPartitions int   `json:"logical_partitions,omitempty"`
+	CPUBytes          int64 `json:"cpu_bytes"`
+	BlockBytes        int64 `json:"block_bytes"`
 
-	Throttle *storage.Throttle
+	Throttle *storage.Throttle `json:"-"`
 
 	// Workers is the batch-construction worker count and kernel fan-out;
 	// PipelineDepth is how many partition visits the loader runs ahead of
 	// the trainer (0 = a visit is loaded only once the previous one is
 	// done).
-	Workers       int
-	PipelineDepth int
-	Seed          int64
+	Workers       int   `json:"workers"`
+	PipelineDepth int   `json:"pipeline_depth,omitempty"`
+	Seed          int64 `json:"seed"`
 
 	// Metrics and Tracer attach observability (see WithMetrics and
 	// WithTrace). Either may be nil; instrumentation never changes the
 	// training trajectory.
-	Metrics *Metrics
-	Tracer  *Tracer
+	Metrics *Metrics `json:"-"`
+	Tracer  *Tracer  `json:"-"`
 
 	// FS, when non-nil, routes the session's file IO (dataset reads, the
 	// disk-mode node/edge stores, checkpoints and run journals) through an
 	// injectable filesystem (see WithFaults). nil means the real
 	// filesystem with zero overhead.
-	FS fault.FS
+	FS fault.FS `json:"-"`
 
 	// dataset, when non-nil, is the opened preprocessed dataset the
 	// session trains from (set by FromDataset): tasks then skip the

@@ -19,50 +19,19 @@ import (
 // fresh.
 var ErrNoJournal = ckpt.ErrNoJournal
 
-// journalOpts is the serializable subset of Options a run journal
-// records, enough for Resume to rebuild the session identically.
-// Non-serializable attachments (PolicyImpl, Throttle, Metrics, Tracer,
-// WithFaults) are not recorded; Resume's extra options reattach them.
-type journalOpts struct {
-	Storage StorageMode `json:"storage"`
-	Model   ModelKind   `json:"model"`
-	Policy  PolicyKind  `json:"policy"`
-	Dir     string      `json:"dir,omitempty"`
-
-	Dim     int   `json:"dim"`
-	Layers  int   `json:"layers"`
-	Fanouts []int `json:"fanouts"`
-
-	BatchSize int `json:"batch_size"`
-	Negatives int `json:"negatives"`
-
-	LR    float32 `json:"lr"`
-	EmbLR float32 `json:"emb_lr"`
-
-	Partitions        int   `json:"partitions"`
-	BufferCapacity    int   `json:"buffer_capacity,omitempty"`
-	LogicalPartitions int   `json:"logical_partitions,omitempty"`
-	CPUBytes          int64 `json:"cpu_bytes"`
-	BlockBytes        int64 `json:"block_bytes"`
-
-	Workers       int   `json:"workers"`
-	PipelineDepth int   `json:"pipeline_depth,omitempty"`
-	Seed          int64 `json:"seed"`
-}
-
-// withRestored replays a journal's recorded options onto a fresh
+// withRestored decodes a run journal's recorded options over a fresh
 // Options, so the resumed session is configured identically to the
-// crashed one (same storage mode, model shape, batch schedule, seed).
-func withRestored(jo journalOpts) Option {
+// crashed one (same storage mode, model shape, decoder, batch schedule,
+// seed). An option this build does not know cannot be honoured: dropping
+// it could resume a different trajectory, so the decode refuses it and
+// names the field.
+func withRestored(jpath string, raw json.RawMessage) Option {
 	return func(o *Options) error {
-		o.Storage, o.Model, o.Policy, o.Dir = jo.Storage, jo.Model, jo.Policy, jo.Dir
-		o.Dim, o.Layers = jo.Dim, jo.Layers
-		o.Fanouts = append([]int(nil), jo.Fanouts...)
-		o.BatchSize, o.Negatives = jo.BatchSize, jo.Negatives
-		o.LR, o.EmbLR = jo.LR, jo.EmbLR
-		o.Partitions, o.BufferCapacity, o.LogicalPartitions = jo.Partitions, jo.BufferCapacity, jo.LogicalPartitions
-		o.CPUBytes, o.BlockBytes = jo.CPUBytes, jo.BlockBytes
-		o.Workers, o.PipelineDepth, o.Seed = jo.Workers, jo.PipelineDepth, jo.Seed
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(o); err != nil {
+			return fmt.Errorf("marius: journal %s: unusable options: %w", jpath, err)
+		}
 		return nil
 	}
 }
@@ -78,20 +47,11 @@ func withJournal(path string, j *ckpt.Journal) RunOption {
 
 // newJournal builds the durable run journal for a fresh checkpointed
 // dataset run: run identity (task, seed, dataset directory), the epoch
-// target and checkpoint location, and the serializable options Resume
+// target and checkpoint location, and the journaled Options fields Resume
 // needs to rebuild the session.
 func (s *Session) newJournal(rc *runConfig) (*ckpt.Journal, error) {
 	o := &s.opts
-	jo := journalOpts{
-		Storage: o.Storage, Model: o.Model, Policy: o.Policy, Dir: o.Dir,
-		Dim: o.Dim, Layers: o.Layers, Fanouts: o.Fanouts,
-		BatchSize: o.BatchSize, Negatives: o.Negatives,
-		LR: o.LR, EmbLR: o.EmbLR,
-		Partitions: o.Partitions, BufferCapacity: o.BufferCapacity, LogicalPartitions: o.LogicalPartitions,
-		CPUBytes: o.CPUBytes, BlockBytes: o.BlockBytes,
-		Workers: o.Workers, PipelineDepth: o.PipelineDepth, Seed: o.Seed,
-	}
-	raw, err := json.Marshal(jo)
+	raw, err := json.Marshal(o)
 	if err != nil {
 		return nil, fmt.Errorf("marius: run journal: %w", err)
 	}
@@ -130,10 +90,12 @@ func (s *Session) newJournal(rc *runConfig) (*ckpt.Journal, error) {
 //
 // A directory without a journal returns ErrNoJournal — the crash (if
 // any) predates all durable state, so the caller just starts the run
-// fresh. A journal recording an option this build does not know is
-// refused before anything trains. Non-serializable options
-// (WithPolicyImpl, Throttled, metrics, tracing, WithFaults) are not
-// journaled; pass them again through extra to reattach them.
+// fresh. Every Options field not tagged `json:"-"` is journaled, the
+// decoder and relation count included; a journal recording an option
+// this build does not know is refused before anything trains. The
+// attachments tagged `json:"-"` (WithPolicyImpl, Throttled, metrics,
+// tracing, WithFaults) are not; pass them again through extra to
+// reattach them.
 //
 // The caller owns the returned Session (Close it when done); it is
 // returned even when the continued run errors, alongside the progress
@@ -149,16 +111,7 @@ func Resume(ctx context.Context, dir string, extra ...Option) (*Session, *RunRes
 	if len(j.Opts) == 0 {
 		return nil, nil, fmt.Errorf("marius: journal %s records no session options", jpath)
 	}
-	// An option this build does not know cannot be honoured: dropping it
-	// could resume a different trajectory, so the decode refuses it and
-	// names the field.
-	var jo journalOpts
-	dec := json.NewDecoder(bytes.NewReader(j.Opts))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jo); err != nil {
-		return nil, nil, fmt.Errorf("marius: journal %s: unusable options: %w", jpath, err)
-	}
-	sess, err := FromDataset(j.DataDir, append([]Option{withRestored(jo)}, extra...)...)
+	sess, err := FromDataset(j.DataDir, append([]Option{withRestored(jpath, j.Opts)}, extra...)...)
 	if err != nil {
 		return nil, nil, err
 	}

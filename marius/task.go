@@ -12,31 +12,105 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/nn"
+	"repro/internal/partition"
 	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
-func encoderDims(in, hidden, out, layers int) []int {
-	dims := []int{in}
-	for i := 0; i < layers-1; i++ {
-		dims = append(dims, hidden)
+// layout resolves the physical partition count p, the buffer capacity c
+// and the logical partition count l for a session over nodes and edges
+// whose base representations are dim elements of elemBytes bytes each (0
+// means float32). In memory p defaults to 4 and c = l = p. On disk every
+// value set through options is kept (a prepared dataset's p always is)
+// and the §6 auto-tuner fills the rest: a tuned c is clamped to [2, p],
+// and a tuned l by which COMET cannot group p and c falls back to p.
+// Without a COMET plan to group (node classification, WithPolicyImpl) an
+// unset l is p, and the tuner runs only for p or c.
+func (o *Options) layout(task string, nodes, edges, dim, elemBytes int) (p, c, l int, err error) {
+	p, c, l = o.Partitions, o.BufferCapacity, o.LogicalPartitions
+	if o.Storage == InMemory {
+		if p == 0 {
+			p = 4
+		}
+		return p, p, p, nil
 	}
-	return append(dims, out)
+	if l == 0 && p > 0 && (task == TaskNC || o.PolicyImpl != nil) {
+		l = p
+	}
+	if p > 0 && c > 0 && l > 0 {
+		return p, c, l, nil
+	}
+	tuned, err := autotune.Tune(autotune.Input{
+		NumNodes: nodes, NumEdges: edges, Dim: dim, NodeElemBytes: elemBytes,
+		CPUBytes: o.CPUBytes, BlockBytes: o.BlockBytes,
+	})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if p == 0 {
+		p = tuned.P
+	}
+	if c == 0 {
+		c = min(max(tuned.C, 2), p)
+	}
+	if l == 0 {
+		if l = tuned.L; (policy.Comet{P: p, L: l, C: c}).Validate() != nil {
+			l = p
+		}
+	}
+	return p, c, l, nil
 }
 
-func buildEncoder(kind ModelKind, ps *nn.ParamSet, dims []int, rng *rand.Rand) (*gnn.Encoder, error) {
-	switch kind {
-	case GraphSage:
-		return gnn.BuildSage(ps, dims, gnn.Mean, rng), nil
-	case GAT:
-		return gnn.BuildGAT(ps, dims, rng), nil
-	case GCN:
-		return gnn.BuildGCN(ps, dims, rng), nil
-	default:
-		return nil, optErr("WithModel", ErrBadValue, "model kind %d has no encoder", kind)
+// numEdges is the session's training edge count: the graph's, or the
+// prepared dataset's, whose edges stay on disk.
+func (o *Options) numEdges(g *graph.Graph) int {
+	if o.dataset != nil {
+		return int(o.dataset.Man.NumEdges)
 	}
+	return len(g.Edges)
+}
+
+// source builds the session's storage. A dataset session serves the
+// dataset's files, which ingest already relabeled. A graph session first
+// relabels g with the task's order, the one ingest applies
+// (TrainFirstOrder for node classification, RandomOrder for link
+// prediction), then splits it into p partitions, held in memory or paged
+// through a disk buffer of c. emb, when non-nil, seeds a learnable table
+// (link prediction); nil serves the node features.
+func (o *Options) source(task string, g *graph.Graph, emb *tensor.Tensor, p, c int) (*train.Source, error) {
+	if o.dataset != nil {
+		return train.NewDatasetSource(o.dataset, train.DatasetSourceConfig{
+			InMemory: o.Storage == InMemory, Capacity: c,
+			Learnable: emb != nil, WorkDir: o.Dir, InitTable: emb, Throttle: o.Throttle, FS: o.FS,
+		})
+	}
+	if task == TaskNC {
+		partition.Apply(g, partition.TrainFirstOrder(g.NumNodes, g.TrainNodes, o.Seed))
+	} else {
+		partition.Apply(g, partition.RandomOrder(g.NumNodes, o.Seed))
+	}
+	pt := partition.New(g.NumNodes, p)
+	table := emb
+	if table == nil {
+		table = g.Features
+	}
+	if o.Storage == InMemory {
+		return train.NewMemorySource(g, pt, table), nil
+	}
+	return train.NewDiskSource(g, pt, table.Cols, train.DiskSourceConfig{
+		Dir: o.Dir, Capacity: c, Learnable: emb != nil, InitTable: table, Throttle: o.Throttle, FS: o.FS,
+	})
+}
+
+// newEncoder builds the WithModel encoder from in to out features.
+func (o *Options) newEncoder(ps *nn.ParamSet, in, out int, rng *rand.Rand) (*gnn.Encoder, error) {
+	enc, err := gnn.New(o.Model.kindName(), ps, gnn.Dims(in, o.Dim, out, o.Layers), rng)
+	if err != nil {
+		return nil, optErr("WithModel", ErrBadValue, "%v", err)
+	}
+	return enc, nil
 }
 
 // taskBase is the part of a built-in Task that does not depend on what
@@ -94,76 +168,43 @@ type ncTask struct {
 
 func (t *ncTask) Name() string { return TaskNC }
 
+// Prepare builds the trainer the same way for a graph and a prepared
+// dataset: resolve the layout, build the encoder, then the source. Sharing
+// the one path is what keeps the two sessions byte-identical.
 func (t *ncTask) Prepare(g *graph.Graph, o *Options) error {
 	if t.tr != nil {
 		return optErr("New", ErrBadValue, "task already prepared; tasks are single-use")
 	}
-	if o.dataset != nil {
-		return t.prepareDataset(g, o, o.dataset)
+	features, featDim, elemBytes := g.Features != nil, g.FeatureDim(), 0
+	if ds := o.dataset; ds != nil {
+		// Quantized tables swap fewer bytes per partition, which the §6
+		// cost model sees through the element size.
+		features, featDim, elemBytes = ds.Man.Features != nil, ds.Man.FeatureDim, ds.Man.FeatureElemBytes()
 	}
-	if g.Features == nil || g.Labels == nil || len(g.TrainNodes) == 0 {
+	if !features || g.Labels == nil || len(g.TrainNodes) == 0 {
 		return &OptionError{Option: "NodeClassification",
 			Err: fmt.Errorf("%w: node classification needs features, labels and training nodes", ErrTaskGraph)}
 	}
-	rng := rand.New(rand.NewSource(o.Seed))
-
-	p, c := o.Partitions, o.BufferCapacity
-	if o.Storage == InMemory {
-		if p == 0 {
-			p = 4
-		}
-		c = p
-	} else if p == 0 || c == 0 {
-		tuned, err := autotune.Tune(autotune.Input{
-			NumNodes: g.NumNodes, NumEdges: len(g.Edges), Dim: g.FeatureDim(),
-			CPUBytes: o.CPUBytes, BlockBytes: o.BlockBytes,
-		})
-		if err != nil {
-			return err
-		}
-		if p == 0 {
-			p = tuned.P
-		}
-		if c == 0 {
-			c = tuned.C
-		}
-	}
-
-	pt, trainParts := train.PrepareNC(g, p, o.Seed)
-	var src *train.Source
-	var err error
-	if o.Storage == OnDisk {
-		src, err = train.NewDiskSource(g, pt, g.FeatureDim(), train.DiskSourceConfig{
-			Dir: o.Dir, Capacity: c, InitTable: g.Features, Throttle: o.Throttle, FS: o.FS,
-		})
-		if err != nil {
-			return err
-		}
-	} else {
-		src = train.NewMemorySource(g, pt, g.Features)
-	}
-	return t.assemble(g, o, src, g.FeatureDim(), p, c, trainParts, rng)
-}
-
-// assemble is the shared tail of both preparation paths: it builds the
-// encoder, selects the replacement policy, and constructs the trainer
-// over an already-built source. Keeping it single-sourced is part of the
-// byte-identity contract between in-memory and dataset sessions.
-func (t *ncTask) assemble(g *graph.Graph, o *Options, src *train.Source, featDim, p, c, trainParts int, rng *rand.Rand) error {
-	ps := nn.NewParamSet()
-	dims := encoderDims(featDim, o.Dim, g.NumClasses, o.Layers)
-	enc, err := buildEncoder(o.Model, ps, dims, rng)
+	p, c, _, err := o.layout(TaskNC, g.NumNodes, o.numEdges(g), featDim, elemBytes)
 	if err != nil {
-		src.Close()
 		return err
 	}
-	var pol policy.Policy
+	ps := nn.NewParamSet()
+	enc, err := o.newEncoder(ps, featDim, g.NumClasses, rand.New(rand.NewSource(o.Seed)))
+	if err != nil {
+		return err
+	}
+	src, err := o.source(TaskNC, g, nil, p, c)
+	if err != nil {
+		return err
+	}
+	var pol policy.Policy = policy.InMemory{P: p}
 	if o.PolicyImpl != nil {
 		pol = o.PolicyImpl
 	} else if o.Storage == OnDisk {
+		// Training nodes occupy the leading partitions (TrainFirstOrder).
+		trainParts := max((len(g.TrainNodes)+src.Part.PartSize-1)/src.Part.PartSize, 1)
 		pol = policy.NodeCache{P: p, C: c, TrainParts: trainParts}
-	} else {
-		pol = policy.InMemory{P: p}
 	}
 	t.cfg = train.NCConfig{
 		Encoder: enc, Params: ps,
@@ -175,50 +216,6 @@ func (t *ncTask) assemble(g *graph.Graph, o *Options, src *train.Source, featDim
 	t.g, t.opts, t.src, t.ps, t.enc = g, o, src, ps, enc
 	t.tr = train.NewNC(t.cfg, src, pol, g.Labels, g.TrainNodes)
 	return nil
-}
-
-// prepareDataset builds the trainer over a preprocessed dataset: no
-// relabeling (the ingest step already applied it) and no edge
-// materialization — buckets are served straight off the dataset files.
-// g carries the dataset's metadata (labels, splits), loaded by
-// FromDataset.
-func (t *ncTask) prepareDataset(g *graph.Graph, o *Options, ds *storage.Dataset) error {
-	man := ds.Man
-	if man.Features == nil || g.Labels == nil || len(g.TrainNodes) == 0 {
-		return &OptionError{Option: "FromDataset",
-			Err: fmt.Errorf("%w: node classification needs features, labels and train nodes in the dataset", ErrTaskGraph)}
-	}
-	rng := rand.New(rand.NewSource(o.Seed))
-	pt := ds.Partitioning()
-	p, c := man.Partitions, o.BufferCapacity
-	if o.Storage == OnDisk && c == 0 {
-		tuned, err := autotune.Tune(autotune.Input{
-			NumNodes: man.NumNodes, NumEdges: int(man.NumEdges), Dim: man.FeatureDim,
-			// Quantized tables swap fewer bytes per partition, which the
-			// §6 cost model sees through NO.
-			NodeElemBytes: man.FeatureElemBytes(),
-			CPUBytes:      o.CPUBytes, BlockBytes: o.BlockBytes,
-		})
-		if err != nil {
-			return err
-		}
-		// p is baked into the dataset layout; clamp the tuned capacity
-		// to it.
-		c = min(max(tuned.C, 2), p)
-	}
-	src, err := train.NewDatasetSource(ds, train.DatasetSourceConfig{
-		InMemory: o.Storage == InMemory, Capacity: c, Throttle: o.Throttle, FS: o.FS,
-	})
-	if err != nil {
-		return err
-	}
-	// Same formula as train.PrepareNC (which also relabels, already done
-	// at ingest time): training nodes occupy the leading partitions.
-	trainParts := (len(g.TrainNodes) + pt.PartSize - 1) / pt.PartSize
-	if trainParts == 0 {
-		trainParts = 1
-	}
-	return t.assemble(g, o, src, man.FeatureDim, p, c, trainParts, rng)
 }
 
 // Evaluate computes accuracy over the full graph; with disk storage the
@@ -278,107 +275,57 @@ type lpTask struct {
 
 func (t *lpTask) Name() string { return TaskLP }
 
+// Prepare builds the trainer the same way for a graph and a prepared
+// dataset: resolve the layout, build the encoder, decoder and policy, then
+// the source, so no error path has storage to close.
 func (t *lpTask) Prepare(g *graph.Graph, o *Options) error {
 	if t.tr != nil {
 		return optErr("New", ErrBadValue, "task already prepared; tasks are single-use")
 	}
-	if o.dataset != nil {
-		return t.prepareDataset(g, o, o.dataset)
+	p, c, l, err := o.layout(TaskLP, g.NumNodes, o.numEdges(g), o.Dim, 0)
+	if err != nil {
+		return err
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
-
-	p, c, l := o.Partitions, o.BufferCapacity, o.LogicalPartitions
-	if l == 0 && o.PolicyImpl != nil && p > 0 {
-		l = p // unused under an explicit policy; skip the auto-tuner
-	}
-	if o.Storage == InMemory {
-		if p == 0 {
-			p = 4
-		}
-		c, l = p, p
-	} else if p == 0 || c == 0 || l == 0 {
-		tuned, err := autotune.Tune(autotune.Input{
-			NumNodes: g.NumNodes, NumEdges: len(g.Edges), Dim: o.Dim,
-			CPUBytes: o.CPUBytes, BlockBytes: o.BlockBytes,
-		})
-		if err != nil {
-			return err
-		}
-		if p == 0 {
-			p = tuned.P
-		}
-		if c == 0 {
-			c = tuned.C
-		}
-		if l == 0 {
-			l = tuned.L
-		}
-	}
-
-	pt := train.PrepareLP(g, p, o.Seed)
-	emb := train.RandomEmbeddings(g.NumNodes, o.Dim, o.Seed)
-	var src *train.Source
-	var err error
-	if o.Storage == OnDisk {
-		src, err = train.NewDiskSource(g, pt, o.Dim, train.DiskSourceConfig{
-			Dir: o.Dir, Capacity: c, Learnable: true, InitTable: emb, Throttle: o.Throttle, FS: o.FS,
-		})
-		if err != nil {
-			return err
-		}
-	} else {
-		src = train.NewMemorySource(g, pt, emb)
-	}
-	return t.assemble(g, o, src, p, c, l, rng)
-}
-
-// assemble is the shared tail of both preparation paths: it builds the
-// encoder/decoder, selects and validates the replacement policy, and
-// constructs the trainer over an already-built source. Keeping it
-// single-sourced is part of the byte-identity contract between
-// in-memory and dataset sessions.
-func (t *lpTask) assemble(g *graph.Graph, o *Options, src *train.Source, p, c, l int, rng *rand.Rand) error {
 	ps := nn.NewParamSet()
 	var enc *gnn.Encoder
-	var err error
 	if o.Model != DistMultOnly {
-		dims := encoderDims(o.Dim, o.Dim, o.Dim, o.Layers)
-		enc, err = buildEncoder(o.Model, ps, dims, rng)
-		if err != nil {
-			src.Close()
+		if enc, err = o.newEncoder(ps, o.Dim, o.Dim, rng); err != nil {
 			return err
 		}
 	}
 	numRels := o.numRels(g)
 	if numRels < max(g.NumRels, 1) {
-		src.Close()
 		return optErr("WithRelations", ErrBadValue,
 			"graph has %d relation types, relation table sized %d", g.NumRels, numRels)
 	}
 	dec, err := decoder.New(o.Decoder.kindName(), ps, numRels, o.Dim, rng)
 	if err != nil {
-		src.Close()
 		return optErr("WithDecoder", ErrBadValue, "%v", err)
 	}
 
-	var pol policy.Policy
-	if o.PolicyImpl != nil {
+	var pol policy.Policy = policy.InMemory{P: p}
+	switch {
+	case o.PolicyImpl != nil:
 		pol = o.PolicyImpl
-	} else if o.Storage == OnDisk {
-		if o.Policy == BETA {
-			pol = policy.Beta{P: p, C: c}
-		} else {
-			comet := policy.Comet{P: p, L: l, C: c}
-			if err := comet.Validate(); err != nil {
-				src.Close()
-				return &OptionError{Option: "WithDisk", Err: fmt.Errorf("%w: %v", ErrBadBuffer, err)}
-			}
-			pol = comet
+	case o.Storage == InMemory:
+	case o.Policy == BETA:
+		pol = policy.Beta{P: p, C: c}
+	default:
+		comet := policy.Comet{P: p, L: l, C: c}
+		if err := comet.Validate(); err != nil {
+			return &OptionError{Option: "WithDisk", Err: fmt.Errorf("%w: %v", ErrBadBuffer, err)}
 		}
-	} else {
-		pol = policy.InMemory{P: p}
+		pol = comet
 	}
 
+	// The learnable table starts from the same seeded rows in every
+	// session; a dataset session creates its files under the WithDisk
+	// directory, never in the read-only dataset.
+	src, err := o.source(TaskLP, g, train.RandomEmbeddings(g.NumNodes, o.Dim, o.Seed), p, c)
+	if err != nil {
+		return err
+	}
 	lcfg := train.LPConfig{
 		Encoder: enc, Params: ps, Decoder: dec,
 		Fanouts: o.Fanouts, Dirs: graph.Both,
@@ -390,55 +337,6 @@ func (t *lpTask) assemble(g *graph.Graph, o *Options, src *train.Source, p, c, l
 	t.g, t.opts, t.src, t.ps, t.enc, t.dec = g, o, src, ps, enc, dec
 	t.tr = train.NewLP(lcfg, src, pol)
 	return nil
-}
-
-// prepareDataset builds the trainer over a preprocessed dataset. The
-// learnable embedding table is initialized fresh (same seeded init as
-// the in-memory path); only the edge buckets and held-out splits come
-// from the dataset, which stays read-only — disk storage creates the
-// embedding files under the WithDisk directory.
-func (t *lpTask) prepareDataset(g *graph.Graph, o *Options, ds *storage.Dataset) error {
-	man := ds.Man
-	if o.Relations > 0 && o.Relations != max(man.NumRels, 1) {
-		return optErr("WithRelations", ErrDatasetMismatch,
-			"dataset has %d relation types, WithRelations(%d)", man.NumRels, o.Relations)
-	}
-	rng := rand.New(rand.NewSource(o.Seed))
-	p, c, l := man.Partitions, o.BufferCapacity, o.LogicalPartitions
-	if l == 0 && o.PolicyImpl != nil {
-		l = p // unused under an explicit policy; skip the auto-tuner
-	}
-	if o.Storage == InMemory {
-		c, l = p, p
-	} else if c == 0 || l == 0 {
-		tuned, err := autotune.Tune(autotune.Input{
-			NumNodes: man.NumNodes, NumEdges: int(man.NumEdges), Dim: o.Dim,
-			CPUBytes: o.CPUBytes, BlockBytes: o.BlockBytes,
-		})
-		if err != nil {
-			return err
-		}
-		// p is baked into the dataset layout: clamp the tuned capacity
-		// to it, and fall back to l = p when the tuned grouping does not
-		// divide it.
-		if c == 0 {
-			c = min(max(tuned.C, 2), p)
-		}
-		if l == 0 {
-			if l = tuned.L; l > p || p%l != 0 {
-				l = p
-			}
-		}
-	}
-	emb := train.RandomEmbeddings(man.NumNodes, o.Dim, o.Seed)
-	src, err := train.NewDatasetSource(ds, train.DatasetSourceConfig{
-		InMemory: o.Storage == InMemory, Capacity: c,
-		Learnable: true, WorkDir: o.Dir, InitTable: emb, Throttle: o.Throttle, FS: o.FS,
-	})
-	if err != nil {
-		return err
-	}
-	return t.assemble(g, o, src, p, c, l, rng)
 }
 
 // Evaluate computes sampled-negative MRR (or full ranking for small
