@@ -64,13 +64,19 @@
 // (on amd64, exactly when the CPU has FMA), and adds the lanes to the
 // float64 sum one at a time in order, so the losses are those of the
 // scalar math.Exp loop bit for bit. The kernels' own products and sums
-// never fuse.
+// never fuse. One more primitive is the row dequantizer under every read
+// of a quantized table: fp16 widens eight halves per F16C VCVTPH2PS, used
+// where CPUID.1:ECX bit 29 reports F16C beside AVX2, and int8 widens eight
+// bytes, converts them, then multiplies by the row's scale and adds its zero
+// under the same no-FMA rule. Both are exact against the element functions,
+// which still do rows' last few elements and every element off amd64.
 //
 // The conformance tests hold every kernel to a retained naive reference,
 // bit for bit; the benchmark's tensor.matmul_gflops_w1/wN and
 // tensor.matmul_scaling report their speed parent against change, and
-// BenchmarkAxpyNTrainShapes and BenchmarkGatherMatMulTBDequant time axpyN
-// and the fused dequantizing kernel against the loops they replaced.
+// BenchmarkAxpyNTrainShapes, BenchmarkGatherMatMulTBDequant and
+// BenchmarkGatherDequant time axpyN, the fused dequantizing kernel and the
+// dequantizing gather against the loops they replaced.
 //
 // # The arena
 //
@@ -264,12 +270,17 @@
 // exactly once, at ingest: readers dequantize the same stored bytes on
 // every load — storage.DiskNodeStore pages compressed bytes and expands
 // them into the float32 partition buffer; Dataset.ReadFeatures expands
-// the whole table; serving scores straight off the compressed form with
-// fused dequantizing kernels (tensor.GatherDequant and
-// tensor.GatherMatMulTBDequant, exact-equality-tested against their
-// naive references at every worker count). Training and serving from a
-// quantized dataset are therefore bit-reproducible across runs, worker
-// counts, and pipeline depths, exactly like float32 — the accuracy cost
+// the whole table; serving reads straight off the compressed form:
+// encode.QuantStore gathers a sample's base rows through
+// tensor.GatherDequantInto, and /v1/topk scores an int8 encoding table
+// with tensor.GatherMatMulTBDequant, both exact-equality-tested against
+// their scalar references at every worker count. All of them widen a row
+// through the same SIMD dequantizer. A stored fp16 NaN widens quiet
+// (float32 bit 22 set), as the F16C instruction widens it; ingest writes
+// only the quiet 0x7e00, so the rule changes no stored value. Training
+// and serving from a quantized dataset are therefore bit-reproducible
+// across runs, worker counts, and pipeline depths, exactly like float32 —
+// the accuracy cost
 // is a one-time storage rounding of the inputs (fp16: ~3 decimal digits;
 // int8: 1/255 of each row's range), not run-to-run noise. Link
 // prediction's learnable embedding table stays float32 (it is written,

@@ -53,10 +53,7 @@ func (s QuantStore) Dim() int { return s.Q.Cols }
 
 // Gather dequantizes the selected rows of Q into out.
 func (s QuantStore) Gather(ids []int32, out *tensor.Tensor) error {
-	d := s.Q.Cols
-	for i, id := range ids {
-		s.Q.DequantRowInto(int(id), out.Data[i*d:(i+1)*d])
-	}
+	tensor.GatherDequantInto(out, s.Q, ids)
 	return nil
 }
 

@@ -23,3 +23,19 @@ func axpyNAVX2(y *float32, w int, x *float32, xstride, last int, idx *int32, coe
 //
 //go:noescape
 func expRowAVX2(o, a []float32, m float32, sum float64) (n int, s float64)
+
+// hasF16C reports whether the CPU has the half-precision conversions
+// (axpy_amd64.s).
+func hasF16C() bool
+
+// dequantF16AVX2 is dequantRow's fp16 vector path in F16C assembly
+// (dequant_amd64.s): whole groups of eight; len(raw) >= 2*len(dst).
+//
+//go:noescape
+func dequantF16AVX2(dst []float32, raw []byte)
+
+// dequantI8AVX2 is dequantRow's int8 vector path in AVX2 assembly
+// (dequant_amd64.s): whole groups of eight; len(raw) >= len(dst).
+//
+//go:noescape
+func dequantI8AVX2(dst []float32, raw []byte, scale, zero float32)

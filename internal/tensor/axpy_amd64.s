@@ -235,3 +235,16 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	MOVB BX, ret+0(FP)
 no:
 	RET
+
+// func hasF16C() bool
+//
+// CPUID.1:ECX bit 29: the CPU has VCVTPH2PS. Like every VEX instruction it
+// also needs what hasAVX2 checks, so it is used only where both hold.
+TEXT ·hasF16C(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	SHRL $29, CX
+	ANDL $1, CX
+	MOVB CX, ret+0(FP)
+	RET

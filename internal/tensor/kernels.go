@@ -40,6 +40,11 @@ import (
 // fuses as well and the two agree bit for bit. The kernels' own products
 // and sums never fuse.
 //
+// Every read of a quantized table goes through dequantRow (quant.go), eight
+// elements per instruction: fp16 by F16C's exact VCVTPH2PS, int8 widened,
+// converted, then multiplied and added under the lane rule above. Rows
+// shorter than eight elements, and their tails, take the element functions.
+//
 // Each kernel's loop body lives in a named range function; the serial path
 // calls it directly so that single-worker execution — the deterministic
 // training path and the arena's zero-allocation contract — creates no
@@ -115,6 +120,10 @@ var useFMA = hasFMA()
 // softmaxes' exponentials, and so every loss, round differently without
 // it: a test pinned to loss digests captured on such a machine checks this.
 func HasFMA() bool { return useFMA }
+
+// useF16C is whether the CPU converts halves; dequantRow's fp16 assembly
+// runs only where it does and useAVX2 holds.
+var useF16C = hasF16C()
 
 // axpy computes y[j] += a*x[j] for j < len(x): the assembly when the CPU
 // has AVX2, else the Go loop. Both round the product, then the sum, one

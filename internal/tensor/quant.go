@@ -11,8 +11,9 @@ import (
 // affine uint8 ("int8") — alongside the per-row dequantization parameters.
 //
 // Quantization happens exactly once, when a dataset is ingested; every
-// consumer dequantizes the same stored bytes through the same pure
-// element function. The fused kernels below (GatherDequant,
+// consumer dequantizes the same stored bytes through one row function,
+// dequantRow, whose vector path equals the pure element functions bit for
+// bit. The kernels below (GatherDequant, GatherDequantInto,
 // GatherMatMulTBDequant) therefore satisfy the package's bitwise
 // determinism contract: their results are exactly equal to dequantizing
 // the whole table to float32 and running the plain kernels, at every
@@ -108,14 +109,20 @@ func F16FromF32(f float32) uint16 {
 }
 
 // F16ToF32 widens a binary16 bit pattern to float32 exactly (every
-// binary16 value is representable in float32).
+// binary16 value is representable in float32). A NaN keeps its sign and
+// payload and comes out quiet (float32 bit 22 set), as F16C's VCVTPH2PS
+// widens it, so the element function and the instruction agree on all
+// 65 536 patterns. Ingest writes no signalling NaN (F16FromF32 emits
+// 0x7e00), so this changes no stored value.
 func F16ToF32(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h>>10) & 0x1f
 	man := uint32(h & 0x3ff)
 	switch {
-	case exp == 0x1f: // Inf or NaN
-		return math.Float32frombits(sign | 0x7f800000 | man<<13)
+	case exp == 0x1f && man != 0: // NaN, quieted
+		return math.Float32frombits(sign | 0x7fc00000 | man<<13)
+	case exp == 0x1f: // Inf
+		return math.Float32frombits(sign | 0x7f800000)
 	case exp != 0: // normal
 		return math.Float32frombits(sign | (exp+112)<<23 | man<<13)
 	case man == 0: // zero
@@ -130,16 +137,46 @@ func F16ToF32(h uint16) float32 {
 	}
 }
 
-// deqF16 dequantizes one little-endian binary16 element. Shared by the
-// fused kernels and the Ref* references so both walk the identical
-// element function.
+// deqF16 dequantizes one little-endian binary16 element: dequantRow's
+// tail and Go path, and the definition the Ref* references and the
+// assembly are held to.
 func deqF16(raw []byte) float32 {
 	return F16ToF32(binary.LittleEndian.Uint16(raw))
 }
 
-// deqI8 dequantizes one affine uint8 element.
+// deqI8 dequantizes one affine uint8 element, product and sum rounded
+// separately (the conversion keeps a compiler from fusing them), as the
+// assembly's VMULPS and VADDPS do.
 func deqI8(q byte, scale, zero float32) float32 {
-	return zero + scale*float32(q)
+	return zero + float32(scale*float32(q))
+}
+
+// dequantRow sets dst[j] to element j of raw, a row of kind's encoding
+// (scale and zero are int8's row parameters): whole groups of eight in
+// assembly when the CPU has it, the rest through the element functions, with
+// the same bits either way.
+func dequantRow(dst []float32, raw []byte, kind QuantKind, scale, zero float32) {
+	n := 0
+	switch kind {
+	case QuantF16:
+		raw = raw[:2*len(dst)]
+		if useAVX2 && useF16C {
+			n = len(dst) &^ 7
+			dequantF16AVX2(dst[:n], raw)
+		}
+		for j := n; j < len(dst); j++ {
+			dst[j] = deqF16(raw[2*j:])
+		}
+	case QuantI8:
+		raw = raw[:len(dst)]
+		if useAVX2 {
+			n = len(dst) &^ 7
+			dequantI8AVX2(dst[:n], raw, scale, zero)
+		}
+		for j := n; j < len(dst); j++ {
+			dst[j] = deqI8(raw[j], scale, zero)
+		}
+	}
 }
 
 // QTable is a quantized read-only table: Raw holds Rows*Cols elements of
@@ -230,16 +267,9 @@ func (q *QTable) DequantRowInto(i int, dst []float32) {
 	}
 	switch q.Kind {
 	case QuantF16:
-		raw := q.Raw[i*q.Cols*2:]
-		for j := range dst {
-			dst[j] = deqF16(raw[j*2:])
-		}
+		dequantRow(dst, q.Raw[i*q.Cols*2:], QuantF16, 0, 0)
 	case QuantI8:
-		raw := q.Raw[i*q.Cols : i*q.Cols+q.Cols]
-		scale, zero := q.Scale[i], q.Zero[i]
-		for j, u := range raw {
-			dst[j] = deqI8(u, scale, zero)
-		}
+		dequantRow(dst, q.Raw[i*q.Cols:], QuantI8, q.Scale[i], q.Zero[i])
 	}
 }
 
@@ -259,21 +289,26 @@ func GatherDequant(q *QTable, idx []int32) *Tensor {
 	return (*Compute)(nil).GatherDequant(q, idx)
 }
 
-func gatherDequantRange(out *Tensor, q *QTable, idx []int32, start, end int) {
-	for i := start; i < end; i++ {
-		q.DequantRowInto(int(idx[i]), out.Data[i*q.Cols:(i+1)*q.Cols])
-	}
-}
-
-// GatherDequant returns the dequantized rows of q selected by idx.
+// GatherDequant returns the dequantized rows of q selected by idx, from the
+// context's arena.
 func (c *Compute) GatherDequant(q *QTable, idx []int32) *Tensor {
 	out := c.alloc(len(idx), q.Cols)
-	if c.serialFor(len(idx), len(idx)*q.Cols) {
-		gatherDequantRange(out, q, idx, 0, len(idx))
-		return out
-	}
-	c.fanOut(len(idx), func(s, e int) { gatherDequantRange(out, q, idx, s, e) })
+	GatherDequantInto(out, q, idx)
 	return out
+}
+
+// GatherDequantInto dequantizes the rows of q selected by idx into out
+// [len(idx) x q.Cols], in order: the one quantized gather, which serving's
+// encode.QuantStore runs. It stays on the calling goroutine: with rows
+// dequantized at copy speed, splitting a serving-sized gather between two
+// workers measured no faster.
+func GatherDequantInto(out *Tensor, q *QTable, idx []int32) {
+	if out.Rows != len(idx) || out.Cols != q.Cols {
+		panic(fmt.Sprintf("tensor: GatherDequantInto output %dx%d for %d rows of width %d", out.Rows, out.Cols, len(idx), q.Cols))
+	}
+	for i, r := range idx {
+		q.DequantRowInto(int(r), out.Row(i))
+	}
 }
 
 // GatherMatMulTBDequant is GatherMatMulTB against a quantized table:

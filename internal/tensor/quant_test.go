@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -85,8 +86,120 @@ func TestQuantizeRowI8(t *testing.T) {
 // quantKinds are the quantized encodings the conformance loops cover.
 var quantKinds = []QuantKind{QuantF16, QuantI8}
 
+// dequantMismatch runs dequantRow on the chosen path into a row of w
+// elements followed by a guard element, and describes the first element
+// whose bits differ from the element function's; "" when none does. An
+// int8 NaN may carry either operand's payload (see sameBits); an fp16 one
+// must match exactly.
+func dequantMismatch(avx2 bool, kind QuantKind, raw []byte, scale, zero float32, w int) string {
+	saved := useAVX2
+	useAVX2 = avx2
+	defer func() { useAVX2 = saved }()
+	got := make([]float32, 1+w+1)[1:] // off the 8-byte boundary
+	got[w] = 7
+	dequantRow(got[:w:w], raw, kind, scale, zero)
+	if got[w] != 7 {
+		return "dequantRow wrote past the row"
+	}
+	for j, v := range got[:w] {
+		var want float32
+		if kind == QuantF16 {
+			want = deqF16(raw[2*j:])
+		} else {
+			want = deqI8(raw[j], scale, zero)
+		}
+		if math.Float32bits(v) != math.Float32bits(want) && (kind == QuantF16 || !(v != v && want != want)) {
+			return fmt.Sprintf("%s w=%d scale=%v zero=%v element %d: %#08x, element function %#08x",
+				kind, w, scale, zero, j, math.Float32bits(v), math.Float32bits(want))
+		}
+	}
+	return ""
+}
+
+// checkDequantRow holds dequantRow to the element functions on every path
+// this machine has.
+func checkDequantRow(t testing.TB, kind QuantKind, raw []byte, scale, zero float32, w int) {
+	t.Helper()
+	for _, avx2 := range axpyPaths() {
+		if msg := dequantMismatch(avx2, kind, raw, scale, zero, w); msg != "" {
+			t.Fatalf("avx2=%v: %s", avx2, msg)
+		}
+	}
+}
+
+// TestDequantRowExhaustive holds the vector dequantizer to the element
+// functions bit for bit: all 65 536 binary16 patterns (every NaN quiet),
+// every byte under edge-valued int8 parameters, and every width from 0 to
+// 67 cut at odd byte offsets, so the eight-wide body and the scalar tail
+// both run on misaligned rows.
+func TestDequantRowExhaustive(t *testing.T) {
+	halves := make([]byte, 1+2<<16)
+	for h := 0; h < 1<<16; h++ {
+		binary.LittleEndian.PutUint16(halves[1+2*h:], uint16(h))
+	}
+	checkDequantRow(t, QuantF16, halves[1:], 0, 0, 1<<16)
+	for h := range 1 << 16 {
+		if f := F16ToF32(uint16(h)); f != f && math.Float32bits(f)&0x7fc00000 != 0x7fc00000 {
+			t.Fatalf("F16ToF32(%#04x) = %#08x, not a quiet NaN", h, math.Float32bits(f))
+		}
+	}
+
+	all := make([]byte, 1+256)
+	for b := range 256 {
+		all[1+b] = byte(b)
+	}
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for _, scale := range []float32{0, 1, -1, 1.0 / 255, denormal, 1e30, inf, nan} {
+		for _, zero := range []float32{0, negZero, -1, 0.25, 1e30, -inf} {
+			checkDequantRow(t, QuantI8, all[1:], scale, zero, 256)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(501))
+	pool := make([]byte, 1024)
+	rng.Read(pool)
+	for w := 0; w <= 67; w++ {
+		for off := 1; off < 8; off += 2 {
+			checkDequantRow(t, QuantF16, pool[off:], 0, 0, w)
+			checkDequantRow(t, QuantI8, pool[off:], float32(rng.NormFloat64()), float32(rng.NormFloat64()), w)
+		}
+	}
+}
+
+// FuzzDequantRow decodes bytes into a kind, a width, an offset, the int8
+// parameters as raw float32 bits, and the row's stored bytes, and holds the
+// vector dequantizer to the element functions.
+func FuzzDequantRow(f *testing.F) {
+	f.Add([]byte{0, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x7c, 0xff, 0x7d, 0x00, 0x7e, 0x00, 0x04, 0xff, 0x03})
+	f.Add([]byte{1, 17, 3, 0x81, 0x80, 0x80, 0x3b, 0, 0, 0x80, 0xbf, 0, 1, 2, 127, 128, 200, 254, 255})
+	f.Add([]byte{1, 8, 0, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 7, 6, 5, 4, 3, 2, 1, 0})
+	f.Add([]byte{0, 79, 2})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		bits := func() float32 {
+			return math.Float32frombits(uint32(next()) | uint32(next())<<8 | uint32(next())<<16 | uint32(next())<<24)
+		}
+		kind := quantKinds[next()&1]
+		w, off := int(next())%80, int(next())%4
+		scale, zero := bits(), bits()
+		raw := make([]byte, off+w*kind.ElemBytes())
+		for i := off; i < len(raw); i++ {
+			raw[i] = next()
+		}
+		checkDequantRow(t, kind, raw[off:], scale, zero, w)
+	})
+}
+
 // TestConformanceGatherDequant checks the fused dequantizing gather
-// against the unfused reference composition, exactly, across contexts.
+// against the unfused scalar reference, exactly, across contexts.
 func TestConformanceGatherDequant(t *testing.T) {
 	forEachContext(t, func(t *testing.T, c *Compute) {
 		rng := rand.New(rand.NewSource(71))
@@ -105,7 +218,7 @@ func TestConformanceGatherDequant(t *testing.T) {
 }
 
 // TestConformanceGatherMatMulTBDequant checks the fused dequantizing
-// score kernel against the unfused reference composition, exactly.
+// score kernel against the unfused scalar reference, exactly.
 func TestConformanceGatherMatMulTBDequant(t *testing.T) {
 	forEachContext(t, func(t *testing.T, c *Compute) {
 		rng := rand.New(rand.NewSource(72))
@@ -183,5 +296,33 @@ func BenchmarkGatherMatMulTBDequant(b *testing.B) {
 				c.GatherMatMulTB(qry, q.Dequant(), idx)
 			}
 		})
+	}
+}
+
+// BenchmarkGatherDequant times serving's quantized gather at its shape:
+// 24 000 random rows of a 100 000 x 64 table, per encoding, on the vector
+// path and on the element loop, beside a float32 copy of the same rows.
+func BenchmarkGatherDequant(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	table := randn(rng, 100000, 64)
+	idx := randIdx(rng, 24000, table.Rows)
+	out := New(len(idx), table.Cols)
+	b.Run("float32/copy", func(b *testing.B) {
+		for b.Loop() {
+			for i, r := range idx {
+				copy(out.Row(i), table.Row(int(r)))
+			}
+		}
+	})
+	for _, kind := range quantKinds {
+		q := Quantize(table, kind)
+		for _, avx2 := range axpyPaths() {
+			b.Run(fmt.Sprintf("%s/avx2=%v", kind, avx2), func(b *testing.B) {
+				setAVX2(b, avx2)
+				for b.Loop() {
+					GatherDequantInto(out, q, idx)
+				}
+			})
+		}
 	}
 }

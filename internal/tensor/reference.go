@@ -156,12 +156,20 @@ func refSoftmax(o, a []float32) {
 	}
 }
 
-// RefDequant is the unfused full-table dequantization: every element
-// through the same pure element function the fused kernels use.
+// RefDequant is the unfused full-table dequantization, one element
+// function call per element: the scalar definition the kernels' vector
+// path is held to.
 func RefDequant(q *QTable) *Tensor {
 	out := New(q.Rows, q.Cols)
 	for i := 0; i < q.Rows; i++ {
-		q.DequantRowInto(i, out.Row(i))
+		for j := range out.Row(i) {
+			e := i*q.Cols + j
+			if q.Kind == QuantF16 {
+				out.Data[e] = deqF16(q.Raw[2*e:])
+			} else {
+				out.Data[e] = deqI8(q.Raw[e], q.Scale[i], q.Zero[i])
+			}
+		}
 	}
 	return out
 }
