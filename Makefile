@@ -78,11 +78,14 @@ race-pipeline:
 # buffer's model (its -short bound: the model is single-goroutine, so the
 # race detector only slows it) and the store's restore/flush/prefetch and
 # random-operation tests, serve resilience (shedding, deadlines, panic
-# containment), and the crash-resume and transient-weather differentials.
+# containment, reload), the serve dispatch rule (what is queued is taken
+# at once, an idle request never waits) with the three gated co-batch
+# differentials, and the crash-resume and transient-weather
+# differentials.
 race-fault:
 	$(GO) test -race ./internal/fault/
 	$(GO) test -race -short -run 'Fault|Evict|Retry|Buffer|Restore|Flush|Prefetch|Disk' ./internal/storage/
-	$(GO) test -race -run 'Shed|Timeout|Panic|Reload' ./internal/serve/
+	$(GO) test -race -run 'Shed|Timeout|Panic|Reload|Dispatch|Idle|MicroBatched|TopKGNNDeterministic|TopKFiltered' ./internal/serve/
 	$(GO) test -race -run 'Crash|Resume|Journal|Weather' ./internal/ckpt/ ./internal/dataset/ ./marius/
 
 # The full local gate: everything CI runs.

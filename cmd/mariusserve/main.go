@@ -35,7 +35,6 @@ func main() {
 		ckpt     = flag.String("checkpoint", "", "checkpoint to serve (required); SIGHUP re-reads it")
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		maxBatch = flag.Int("max-batch", 32, "micro-batch size cap")
-		maxWait  = flag.Duration("max-wait", 2*time.Millisecond, "max wait for co-batched requests")
 		queue    = flag.Int("queue", 0, "request queue capacity (0 = 4*max-batch); requests beyond it are shed with 503 + Retry-After")
 		reqTO    = flag.Duration("request-timeout", 0, "per-request deadline covering queue wait plus micro-batch (0 = none); expiry returns 504")
 		drain    = flag.Duration("drain", 5*time.Second, "max time to drain in-flight requests on SIGTERM/SIGINT before exiting")
@@ -52,7 +51,7 @@ func main() {
 	}
 
 	cfg := marius.ServeConfig{
-		MaxBatch: *maxBatch, MaxWait: *maxWait, QueueCap: *queue,
+		MaxBatch: *maxBatch, QueueCap: *queue,
 		Workers: *workers, Seed: *seed, InMemory: *mem, QuantizeTable: *qtable,
 		RequestTimeout: *reqTO,
 	}

@@ -316,9 +316,10 @@
 // marius.ErrCheckpointMismatch naming the offending field), and serves
 // node-classification predictions and link-prediction top-k over
 // HTTP/JSON through cmd/mariusserve. Requests are micro-batched
-// server-side: a single dispatcher collects calls from a bounded queue
-// until -max-batch or -max-wait, merges their DENSE samples into one
-// deltas structure, and runs one fused forward per batch — LP top-k
+// server-side: a single dispatcher takes whatever calls are queued, up
+// to -max-batch, without waiting for more (calls arriving meanwhile form
+// the next batch), merges their DENSE samples into one deltas
+// structure, and runs one fused forward per batch — LP top-k
 // scores all candidates with a single GatherMatMulTB against an
 // encoding table precomputed at snapshot load. Because kernels are
 // bitwise deterministic (see above) and every request carries its own

@@ -21,17 +21,13 @@ import (
 	"repro/internal/serve"
 )
 
-// stallServer starts a server whose dispatcher blocks inside
-// Hooks.BeforeBatch until gate is closed. MaxBatch 1 and QueueCap 1
-// make the saturation arithmetic exact: one request stuck in its
-// batch, one queued, everything else shed.
-func stallServer(t *testing.T, dir, ckptPath string, cfg serve.Config) (srv *serve.Server, unstall func(), stalled <-chan struct{}) {
+// gatedServer starts a server whose dispatcher blocks inside
+// Hooks.BeforeBatch until unstall is called; stalled receives once the
+// first batch is held there. Later batches pass the opened gate freely.
+func gatedServer(t *testing.T, dir, ckptPath string, cfg serve.Config) (srv *serve.Server, unstall func(), stalled <-chan struct{}) {
 	t.Helper()
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1) // holds the first batch's arrival
-	cfg.MaxBatch = 1
-	cfg.MaxWait = time.Millisecond
-	cfg.QueueCap = 1
 	cfg.Hooks = &serve.Hooks{BeforeBatch: func(int) {
 		select {
 		case entered <- struct{}{}:
@@ -44,6 +40,58 @@ func stallServer(t *testing.T, dir, ckptPath string, cfg serve.Config) (srv *ser
 	unstall = func() { once.Do(func() { close(gate) }) }
 	t.Cleanup(unstall)
 	return srv, unstall, entered
+}
+
+// stallServer is gatedServer with MaxBatch 1 and QueueCap 1, which make
+// the saturation arithmetic exact: one request stuck in its batch, one
+// queued, everything else shed.
+func stallServer(t *testing.T, dir, ckptPath string, cfg serve.Config) (srv *serve.Server, unstall func(), stalled <-chan struct{}) {
+	t.Helper()
+	cfg.MaxBatch = 1
+	cfg.QueueCap = 1
+	return gatedServer(t, dir, ckptPath, cfg)
+}
+
+// coBatch runs plug alone in the gated server's first batch, holds that
+// batch until every call in rest is queued behind it, then releases the
+// gate and waits for all of them, stopping the test if any failed. A
+// work-conserving dispatcher then serves rest in batches of up to
+// MaxBatch.
+func coBatch(t *testing.T, srv *serve.Server, unstall func(), stalled <-chan struct{}, plug func(), rest ...func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	run := func(f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+	run(plug)
+	<-stalled
+	for _, f := range rest {
+		run(f)
+	}
+	waitQueueDepth(t, srv, len(rest))
+	unstall()
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+}
+
+// requireCoBatched fails unless the server dispatched at least one
+// micro-batch of more than one request. The dispatcher records a batch
+// only after answering it, so this sees every batch but the last.
+func requireCoBatched(t *testing.T, srv *serve.Server) {
+	t.Helper()
+	hist := srv.Statz().BatchSizeHist
+	for bucket := range hist {
+		if bucket != "<=1" {
+			return
+		}
+	}
+	t.Fatalf("no micro-batch held more than one request: batch sizes %v", hist)
 }
 
 // waitQueueDepth polls until the server's queue holds want requests.
@@ -189,7 +237,6 @@ func TestPanicContained(t *testing.T) {
 	var poison atomic.Bool
 	cfg := serve.Config{
 		MaxBatch: 1,
-		MaxWait:  time.Millisecond,
 		Hooks: &serve.Hooks{BeforeBatch: func(int) {
 			if poison.Load() {
 				panic("injected chaos panic")

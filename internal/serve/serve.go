@@ -9,9 +9,10 @@
 // # Request lifecycle
 //
 // A request enqueues into a bounded channel and blocks until answered.
-// A single dispatcher goroutine collects up to Config.MaxBatch requests
-// (waiting at most Config.MaxWait after the first), pins the current
-// model snapshot, samples each request's neighborhood with a
+// A single dispatcher goroutine blocks for the first request, takes
+// whatever else is already queued up to Config.MaxBatch without waiting
+// for more (requests arriving meanwhile form the next batch), pins the
+// current model snapshot, samples each request's neighborhood with a
 // request-derived seed, concatenates the per-request DENSE structures
 // into one merged DENSE, and runs one encoder forward + one decode
 // kernel launch for the whole micro-batch.
@@ -52,12 +53,10 @@ import (
 // Config tunes the server. The zero value resolves to the defaults
 // below.
 type Config struct {
-	// MaxBatch is the micro-batch size cap (default 32): the dispatcher
-	// launches a batch as soon as this many requests are queued.
+	// MaxBatch is the micro-batch size cap (default 32). The dispatcher
+	// never waits to fill a batch: it serves whatever is queued, up to
+	// this many, as soon as it is free.
 	MaxBatch int
-	// MaxWait bounds how long the dispatcher waits for co-batched
-	// requests after the first one arrives (default 2ms).
-	MaxWait time.Duration
 	// QueueCap is the bounded request queue length (default 4*MaxBatch).
 	// A request arriving at a full queue is shed immediately with
 	// ErrOverloaded (HTTP 503 + Retry-After) instead of queueing without
@@ -111,9 +110,6 @@ type Hooks struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4 * c.MaxBatch

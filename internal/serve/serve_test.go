@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -266,21 +267,17 @@ func TestServeTopKGNNDeterministic(t *testing.T) {
 		marius.WithDim(8), marius.WithNegatives(16), marius.WithBatchSize(256),
 	}
 	ckptPath := train(t, dir, opts, 1)[0]
-	srv := startServer(t, dir, ckptPath, serve.Config{MaxBatch: 4, MaxWait: 20 * time.Millisecond})
+	srv, unstall, stalled := gatedServer(t, dir, ckptPath, serve.Config{MaxBatch: 4})
 
+	// The first request runs alone in the held batch; behind it the same
+	// request queues with different traffic, so its instances co-batch
+	// with other sources.
 	req := &serve.TopKRequest{Src: 42, Rel: relp(2), K: 5, Seed: 99}
-	first, err := srv.TopK(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fire the same request concurrently with different traffic so some
-	// instances co-batch with other sources.
-	var wg sync.WaitGroup
+	var first *serve.TopKResponse
 	results := make([]*serve.TopKResponse, 8)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	rest := make([]func(), len(results))
+	for i := range rest {
+		rest[i] = func() {
 			var err error
 			if i%2 == 0 {
 				results[i], err = srv.TopK(context.Background(), req)
@@ -290,9 +287,15 @@ func TestServeTopKGNNDeterministic(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-		}(i)
+		}
 	}
-	wg.Wait()
+	coBatch(t, srv, unstall, stalled, func() {
+		var err error
+		if first, err = srv.TopK(context.Background(), req); err != nil {
+			t.Error(err)
+		}
+	}, rest...)
+	requireCoBatched(t, srv)
 	for i := 0; i < len(results); i += 2 {
 		r := results[i]
 		for j := range first.Nodes {
@@ -304,14 +307,15 @@ func TestServeTopKGNNDeterministic(t *testing.T) {
 }
 
 // TestMicroBatchedEqualsSequential issues the same explicitly-seeded
-// requests once sequentially (each alone in its micro-batch) and once
-// all concurrently (co-batched), and requires bitwise-equal responses —
-// the user-facing face of the merge determinism property. Run under
-// -race this is also the serving concurrency test.
+// requests once all concurrently (queued behind a held batch, so they
+// co-batch) and once sequentially (each alone in its micro-batch), and
+// requires bitwise-equal responses — the user-facing face of the merge
+// determinism property. Run under -race this is also the serving
+// concurrency test.
 func TestMicroBatchedEqualsSequential(t *testing.T) {
 	dir := prepNC(t, 2)
 	ckptPath := train(t, dir, ncOpts, 1)[0]
-	srv := startServer(t, dir, ckptPath, serve.Config{MaxBatch: 8, MaxWait: 20 * time.Millisecond})
+	srv, unstall, stalled := gatedServer(t, dir, ckptPath, serve.Config{MaxBatch: 8})
 
 	reqs := make([]*serve.PredictRequest, 16)
 	rng := rand.New(rand.NewSource(4))
@@ -323,6 +327,19 @@ func TestMicroBatchedEqualsSequential(t *testing.T) {
 		reqs[i] = &serve.PredictRequest{Nodes: nodes, Seed: int64(1000 + i)}
 	}
 
+	concurrent := make([]*serve.PredictResponse, len(reqs))
+	calls := make([]func(), len(reqs))
+	for i, r := range reqs {
+		calls[i] = func() {
+			var err error
+			if concurrent[i], err = srv.Predict(context.Background(), r); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	coBatch(t, srv, unstall, stalled, calls[0], calls[1:]...)
+	requireCoBatched(t, srv)
+
 	sequential := make([]*serve.PredictResponse, len(reqs))
 	for i, r := range reqs {
 		var err error
@@ -330,29 +347,59 @@ func TestMicroBatchedEqualsSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	concurrent := make([]*serve.PredictResponse, len(reqs))
-	var wg sync.WaitGroup
-	for i, r := range reqs {
-		wg.Add(1)
-		go func(i int, r *serve.PredictRequest) {
-			defer wg.Done()
-			var err error
-			if concurrent[i], err = srv.Predict(context.Background(), r); err != nil {
-				t.Error(err)
-			}
-		}(i, r)
-	}
-	wg.Wait()
 	for i := range reqs {
 		if !eqPredict(sequential[i], concurrent[i]) {
 			t.Fatalf("request %d: micro-batched response differs from sequential", i)
 		}
 	}
-	// The histogram must show at least one true micro-batch formed.
-	statz := srv.Statz()
-	if statz.Requests < uint64(2*len(reqs)) {
-		t.Fatalf("statz lost requests: %d", statz.Requests)
+	srv.Close() // the dispatcher records a batch after answering it
+	if n := srv.Statz().Requests; n != uint64(2*len(reqs)) {
+		t.Fatalf("statz counted %d requests, want %d", n, 2*len(reqs))
+	}
+}
+
+// TestDispatchTakesWhatIsQueued pins the dispatch rule: a free
+// dispatcher serves whatever is queued, up to MaxBatch, at once. Nine
+// requests queued behind a held single-request batch with MaxBatch 4
+// must run as batches of 4, 4 and 1.
+func TestDispatchTakesWhatIsQueued(t *testing.T) {
+	dir := prepNC(t, 2)
+	ckptPath := train(t, dir, ncOpts, 1)[0]
+	srv, unstall, stalled := gatedServer(t, dir, ckptPath, serve.Config{MaxBatch: 4})
+
+	predict := func(seed int64) func() {
+		return func() {
+			if _, err := srv.Predict(context.Background(), &serve.PredictRequest{Nodes: []int32{1, 2}, Seed: seed}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	rest := make([]func(), 9)
+	for i := range rest {
+		rest[i] = predict(int64(i + 2))
+	}
+	coBatch(t, srv, unstall, stalled, predict(1), rest...)
+	srv.Close() // the dispatcher records a batch after answering it
+	want := map[string]uint64{"<=1": 2, "<=4": 2}
+	if got := srv.Statz().BatchSizeHist; !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch sizes %v, want %v", got, want)
+	}
+}
+
+// TestIdleServerDoesNotWait: at an idle server a request starts its
+// batch as soon as the dispatcher receives it — no window waits for
+// co-batched company, so the median queue wait is a channel handoff.
+func TestIdleServerDoesNotWait(t *testing.T) {
+	dir := prepNC(t, 2)
+	ckptPath := train(t, dir, ncOpts, 1)[0]
+	srv := startServer(t, dir, ckptPath, serve.Config{})
+	for seed := int64(1); seed <= 20; seed++ {
+		if _, err := srv.Predict(context.Background(), &serve.PredictRequest{Nodes: []int32{3, 5}, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p50 := srv.Statz().Latency["queue_wait"].P50; p50 >= 1 {
+		t.Fatalf("idle server queue wait p50 = %.3f ms, want < 1 ms", p50)
 	}
 }
 
@@ -363,7 +410,7 @@ func TestMicroBatchedEqualsSequential(t *testing.T) {
 func TestHotReloadSnapshotIsolation(t *testing.T) {
 	dir := prepNC(t, 2)
 	paths := train(t, dir, ncOpts, 1, 2)
-	srv := startServer(t, dir, paths[0], serve.Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv := startServer(t, dir, paths[0], serve.Config{MaxBatch: 4})
 
 	req := &serve.PredictRequest{Nodes: []int32{3, 5, 7, 11, 13}, Seed: 42}
 	expA, err := srv.Predict(context.Background(), req)
@@ -611,7 +658,7 @@ func TestTopKLegacyJSONCompat(t *testing.T) {
 func TestTopKFilteredMatchesReference(t *testing.T) {
 	dir := prepLP(t)
 	ckptPath := train(t, dir, lpOpts, 1)[0]
-	srv := startServer(t, dir, ckptPath, serve.Config{MaxBatch: 4, MaxWait: 20 * time.Millisecond})
+	srv, unstall, stalled := gatedServer(t, dir, ckptPath, serve.Config{MaxBatch: 4})
 	snap := srv.Snapshot()
 
 	sctx, err := serve.Open(dir, serve.Config{InMemory: true})
@@ -656,10 +703,33 @@ func TestTopKFilteredMatchesReference(t *testing.T) {
 		t.Fatal("no (src, rel) ranks a known tail in its top-10; filtering test would be vacuous")
 	}
 
-	solo, err := srv.TopK(context.Background(), &serve.TopKRequest{Src: qsrc, Relation: relp(qrel), K: k, Filter: true})
-	if err != nil {
-		t.Fatal(err)
+	// The solo request runs alone in the held batch; behind it the same
+	// filtered request queues with unfiltered traffic for other
+	// relations, and its answer must not move.
+	filtered := &serve.TopKRequest{Src: qsrc, Relation: relp(qrel), K: k, Filter: true}
+	var solo *serve.TopKResponse
+	results := make([]*serve.TopKResponse, 8)
+	rest := make([]func(), len(results))
+	for i := range rest {
+		rest[i] = func() {
+			var err error
+			if i%2 == 0 {
+				results[i], err = srv.TopK(context.Background(), filtered)
+			} else {
+				_, err = srv.TopK(context.Background(), &serve.TopKRequest{Src: int32(i), Relation: relp(int32(i % 4)), K: 3})
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}
 	}
+	coBatch(t, srv, unstall, stalled, func() {
+		var err error
+		if solo, err = srv.TopK(context.Background(), filtered); err != nil {
+			t.Error(err)
+		}
+	}, rest...)
+	requireCoBatched(t, srv)
 	if !solo.Filtered {
 		t.Fatal("response does not acknowledge filtering")
 	}
@@ -678,27 +748,6 @@ func TestTopKFilteredMatchesReference(t *testing.T) {
 			t.Fatalf("rank %d: filtered response contains known tail %d", i, solo.Nodes[i])
 		}
 	}
-
-	// Co-batched with unfiltered traffic for other relations, the
-	// filtered answer must not move.
-	var wg sync.WaitGroup
-	results := make([]*serve.TopKResponse, 8)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var err error
-			if i%2 == 0 {
-				results[i], err = srv.TopK(context.Background(), &serve.TopKRequest{Src: qsrc, Relation: relp(qrel), K: k, Filter: true})
-			} else {
-				_, err = srv.TopK(context.Background(), &serve.TopKRequest{Src: int32(i), Relation: relp(int32(i % 4)), K: 3})
-			}
-			if err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
 	for i := 0; i < len(results); i += 2 {
 		r := results[i]
 		for j := range solo.Nodes {

@@ -87,20 +87,22 @@ type TopKResponse struct {
 
 // call is one enqueued request awaiting its micro-batch. rel is the
 // resolved relation of a top-k call (Relation/Rel precedence and
-// single-relation defaulting applied at admission).
+// single-relation defaulting applied at admission). wait is its time in
+// the queue, stamped by the dispatcher when the batch starts and read
+// by the caller after its result arrives on resp.
 type call struct {
 	pred *PredictRequest
 	topk *TopKRequest
 	rel  int32
 	resp chan callResult
 	enq  time.Time
+	wait time.Duration
 }
 
 type callResult struct {
 	pred *PredictResponse
 	topk *TopKResponse
 	err  error
-	wait time.Duration // time in queue, stamped by the dispatcher
 }
 
 // Server aggregates concurrent Predict/TopK calls through a bounded
@@ -351,7 +353,7 @@ func (s *Server) do(ctx context.Context, c *call) (callResult, error) {
 	}
 	select {
 	case r := <-c.resp:
-		s.stats.recordCall(r.wait, time.Since(c.enq), r.err != nil)
+		s.stats.recordCall(c.wait, time.Since(c.enq), r.err != nil)
 		return r, r.err
 	case <-ctx.Done():
 		// The dispatcher still completes the call into the buffered
@@ -363,9 +365,12 @@ func (s *Server) do(ctx context.Context, c *call) (callResult, error) {
 	}
 }
 
-// dispatch is the single batching loop: block for the first request,
-// collect co-batched ones until MaxBatch or MaxWait, pin one snapshot,
-// run the batch.
+// dispatch is the single batching loop, and it is work-conserving:
+// block for the first request, take whatever else is already queued (up
+// to MaxBatch, never waiting for more), pin one snapshot, run the batch.
+// Requests arriving while a batch runs queue up and form the next one,
+// so batches fill under load while a request at an idle server starts
+// at once.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
 	for {
@@ -376,20 +381,12 @@ func (s *Server) dispatch() {
 			s.drain()
 			return
 		}
+		// The dispatcher is the queue's only receiver, so a nonempty
+		// queue never blocks the receive.
 		batch := append(make([]*call, 0, s.cfg.MaxBatch), first)
-		timer := time.NewTimer(s.cfg.MaxWait)
-	collect:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case c := <-s.reqs:
-				batch = append(batch, c)
-			case <-timer.C:
-				break collect
-			case <-s.quit:
-				break collect
-			}
+		for len(batch) < s.cfg.MaxBatch && len(s.reqs) > 0 {
+			batch = append(batch, <-s.reqs)
 		}
-		timer.Stop()
 		s.noteSaturation(len(batch) >= s.cfg.MaxBatch && len(s.reqs) >= cap(s.reqs))
 		s.runBatch(batch)
 	}
@@ -438,10 +435,9 @@ func (s *Server) runBatch(batch []*call) {
 	}
 	snap := s.snap.Load()
 	started := time.Now()
-	wait := make(map[*call]time.Duration, len(batch))
 	var preds, topks []*call
 	for _, c := range batch {
-		wait[c] = started.Sub(c.enq)
+		c.wait = started.Sub(c.enq)
 		if c.pred != nil {
 			preds = append(preds, c)
 		} else {
@@ -450,17 +446,17 @@ func (s *Server) runBatch(batch []*call) {
 	}
 	var sampleT, encodeT, decodeT time.Duration
 	if len(preds) > 0 {
-		st, et, dt := s.runPredict(snap, preds, wait)
+		st, et, dt := s.runPredict(snap, preds)
 		sampleT, encodeT, decodeT = sampleT+st, encodeT+et, decodeT+dt
 	}
 	if len(topks) > 0 {
-		st, et, dt := s.runTopK(snap, topks, wait)
+		st, et, dt := s.runTopK(snap, topks)
 		sampleT, encodeT, decodeT = sampleT+st, encodeT+et, decodeT+dt
 	}
 	s.stats.recordBatch(len(batch), sampleT, encodeT, decodeT)
 	if s.tracer != nil {
 		for _, c := range batch {
-			s.tracer.Span("serve", "queue_wait", obs.TIDServe, c.enq, wait[c])
+			s.tracer.Span("serve", "queue_wait", obs.TIDServe, c.enq, c.wait)
 		}
 		s.tracer.Span("serve", "sample", obs.TIDServe, started, sampleT)
 		s.tracer.Span("serve", "encode", obs.TIDServe, started.Add(sampleT), encodeT)
@@ -469,9 +465,9 @@ func (s *Server) runBatch(batch []*call) {
 }
 
 // fail completes every call in group with err.
-func fail(group []*call, wait map[*call]time.Duration, err error) {
+func fail(group []*call, err error) {
 	for _, c := range group {
-		c.resp <- callResult{err: err, wait: wait[c]}
+		c.resp <- callResult{err: err}
 	}
 }
 
@@ -482,7 +478,7 @@ func fail(group []*call, wait map[*call]time.Duration, err error) {
 // request's logits. Per-request sampling seeds plus row-parallel kernels
 // make each request's rows independent of its co-batch, so results equal
 // the sequential single-request run bitwise.
-func (s *Server) runPredict(snap *Snapshot, group []*call, wait map[*call]time.Duration) (sampleT, encodeT, decodeT time.Duration) {
+func (s *Server) runPredict(snap *Snapshot, group []*call) (sampleT, encodeT, decodeT time.Duration) {
 	t0 := time.Now()
 	type predPlan struct {
 		uniq []int32 // first-occurrence order
@@ -512,7 +508,7 @@ func (s *Server) runPredict(snap *Snapshot, group []*call, wait map[*call]time.D
 
 	out, err := snap.fwd.EncodeDense(snap.Store, merged)
 	if err != nil {
-		fail(group, wait, err)
+		fail(group, err)
 		for _, b := range blocks {
 			snap.fwd.Recycle(b)
 		}
@@ -535,7 +531,7 @@ func (s *Server) runPredict(snap *Snapshot, group []*call, wait map[*call]time.D
 			resp.Classes[j] = argmax(src)
 		}
 		base += len(p.uniq)
-		c.resp <- callResult{pred: resp, wait: wait[c]}
+		c.resp <- callResult{pred: resp}
 	}
 	// Recycle only after every response row was copied out: the blocks'
 	// arrays (and, single-block case, the merged view of them) go back
@@ -554,7 +550,7 @@ func (s *Server) runPredict(snap *Snapshot, group []*call, wait map[*call]time.D
 // evaluation's ranking protocol uses, one launch per micro-batch instead
 // of one per request. Decoders with a norm completion (TransE) finish
 // scores against the snapshot's cached entity norms.
-func (s *Server) runTopK(snap *Snapshot, group []*call, wait map[*call]time.Duration) (sampleT, encodeT, decodeT time.Duration) {
+func (s *Server) runTopK(snap *Snapshot, group []*call) (sampleT, encodeT, decodeT time.Duration) {
 	t0 := time.Now()
 	dim := snap.Meta.Dim
 	srcRows := tensor.New(len(group), dim)
@@ -570,7 +566,7 @@ func (s *Server) runTopK(snap *Snapshot, group []*call, wait map[*call]time.Dura
 		merged := mergeDense(blocks)
 		out, err := snap.fwd.EncodeDense(snap.Store, merged)
 		if err != nil {
-			fail(group, wait, err)
+			fail(group, err)
 			for _, b := range blocks {
 				snap.fwd.Recycle(b)
 			}
@@ -629,7 +625,7 @@ func (s *Server) runTopK(snap *Snapshot, group []*call, wait map[*call]time.Dura
 		for j, id := range ids {
 			resp.Scores[j] = row[id]
 		}
-		c.resp <- callResult{topk: resp, wait: wait[c]}
+		c.resp <- callResult{topk: resp}
 	}
 	return sampleT, encodeT, time.Since(t2)
 }

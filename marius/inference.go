@@ -11,14 +11,12 @@ import (
 )
 
 // ServeConfig tunes the inference server; the zero value is usable
-// (micro-batches of up to 32 requests, 2ms batching window).
+// (micro-batches of up to 32 requests). Batching never delays a request:
+// the server serves whatever is queued as soon as it is free.
 type ServeConfig struct {
-	// MaxBatch caps the micro-batch size; concurrent requests aggregate
-	// into one forward pass up to this many.
+	// MaxBatch caps the micro-batch size; requests queued while a batch
+	// runs aggregate into the next forward pass, up to this many.
 	MaxBatch int
-	// MaxWait bounds how long a request waits for co-batched requests
-	// after arriving at an idle server.
-	MaxWait time.Duration
 	// QueueCap bounds the request queue; a request arriving at a full
 	// queue is shed with HTTP 503 + Retry-After instead of queueing
 	// without bound.
