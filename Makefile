@@ -48,17 +48,21 @@ race:
 	$(GO) test -race ./...
 
 # Twenty seconds of native fuzzing on each SIMD primitive with a loop
-# inside the assembly: bytes become an axpyN call (width, term count,
-# strides, index, skip flag, edge values) whose assembly result must equal
-# the scalar definition bit for bit, an expRow call (length, maximum,
-# values around math.Exp's branch points) whose outputs and sum must equal
-# the math.Exp loop's, and a dequantRow call (kind, width, offset, int8
-# scale and zero as raw bits, stored bytes) whose output must equal the
-# element functions'. The seed corpora alone run in every plain `go test`.
+# inside the assembly, and on the fused loss built over them: bytes become
+# an axpyN call (width, term count, strides, index, skip flag, edge values)
+# whose assembly result must equal the scalar definition bit for bit, an
+# expRow call (length, maximum, values around math.Exp's branch points)
+# whose outputs and sum must equal the math.Exp loop's, a dequantRow call
+# (kind, width, offset, int8 scale and zero as raw bits, stored bytes)
+# whose output must equal the element functions', and a link-prediction
+# batch (rows, negatives, scores with edge values and ties) whose PosNegCE
+# loss, gradients and MRR must equal the concatenated softmax
+# cross-entropy's. The seed corpora alone run in every plain `go test`.
 fuzz-kernels:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz='^FuzzAxpyN$$' -fuzztime=20s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz='^FuzzExpRow$$' -fuzztime=20s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz='^FuzzDequantRow$$' -fuzztime=20s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz='^FuzzPosNegCE$$' -fuzztime=20s
 
 # A local shortcut; `race` covers it. The epoch executor under the race
 # detector: its ordering/bounding tests and the every-small-configuration

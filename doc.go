@@ -88,7 +88,16 @@
 // Reset — optimizer updates, metrics, and representation write-back all
 // happen before the trainer resets; anything kept longer must be cloned.
 // The arena belongs to exactly one goroutine (the compute stage); sampling
-// workers heap-allocate their own batch buffers.
+// workers heap-allocate their own batch buffers. Arena.Alloc zeroes what it
+// hands out, as a fresh tensor is: accumulating kernels (the matmuls, the
+// segment sums) and every gradient buffer fold onto that zero.
+// Arena.AllocRaw does not, and is for outputs the kernel overwrites in full
+// before reading any element — copies, gathers, softmaxes, the a@bᵀ
+// products and their scratch — so the memory is not cleared only to be
+// written again. A raw tensor carries the same ownership as any other, and
+// its contents are undefined until written: it must not reach code that
+// assumes zeros. A test hook fills raw allocations with NaN, and training
+// under it must match training without it bit for bit.
 //
 // # The adjacency index and sampling
 //
@@ -354,6 +363,11 @@
 // (TransE's negative squared distance via a norm completion), so every
 // decoder inherits the kernels' bitwise determinism — scalar reference
 // scorers (decoder.RefScore) reproduce the fused path bit for bit.
+// Every decoder trains through the same loss, tensor.Tape.PosNegCE: one
+// pass over each row of scores computes the softmax cross-entropy of the
+// positive against its negatives and counts the positive's rank for the
+// batch MRR, equal bit for bit to the softmax cross-entropy of the
+// concatenated row it replaced.
 // Sessions select one with marius.WithDecoder(marius.DistMult |
 // marius.ComplEx | marius.TransE); marius.WithRelations overrides the
 // relation-count a generated graph declares. Checkpoints record the

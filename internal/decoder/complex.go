@@ -66,11 +66,17 @@ func (d *ComplEx) HeadQueryInto(q, dst, rel []float32) {
 	}
 }
 
-// Loss implements Decoder. The tape mirrors the folded-query scoring:
+// Loss implements Decoder.
+func (d *ComplEx) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (loss, pos, negDst *tensor.Node, mrr float64) {
+	pos, negDst, negSrc := d.scores(tp, params, enc, srcIdx, dstIdx, negIdx, rels)
+	return ceLoss(tp, pos, negDst, negSrc)
+}
+
+// scores implements Decoder. The tape mirrors the folded-query scoring:
 // SliceCols splits the gathered embeddings into halves, the elementwise
 // complex product builds the tail and head queries, and the fused
 // gather+matmul streams both negative sets out of enc.
-func (d *ComplEx) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (loss, posScores, negDst, negSrc *tensor.Node) {
+func (d *ComplEx) scores(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (posScores, negDst, negSrc *tensor.Node) {
 	relRows := tp.Gather(params[d.Rel.Name], rels) // [B x dim]
 	srcEnc := tp.Gather(enc, srcIdx)
 	dstEnc := tp.Gather(enc, dstIdx)
@@ -95,6 +101,5 @@ func (d *ComplEx) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *ten
 	negDst = tp.GatherMatMulTB(tailQ, enc, negIdx) // [B x N] corrupt destination
 	negSrc = tp.GatherMatMulTB(headQ, enc, negIdx) // [B x N] corrupt source
 
-	loss = ceLoss(tp, posScores, negDst, negSrc)
-	return loss, posScores, negDst, negSrc
+	return posScores, negDst, negSrc
 }

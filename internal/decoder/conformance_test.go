@@ -199,7 +199,11 @@ func TestLossMatchesFoldedScores(t *testing.T) {
 		tp := tensor.NewTape()
 		params := ps.Bind(tp)
 		encN := tp.Leaf(enc, true)
-		loss, pos, negD, negS := d.Loss(tp, params, encN, srcIdx, dstIdx, negIdx, rels)
+		loss, pos, negD, mrr := d.Loss(tp, params, encN, srcIdx, dstIdx, negIdx, rels)
+		if want := BatchMRR(pos.Value, negD.Value); mrr != want {
+			t.Fatalf("%s: Loss's mrr %v, BatchMRR %v", kind, mrr, want)
+		}
+		_, _, negS := d.scores(tp, params, encN, srcIdx, dstIdx, negIdx, rels)
 
 		for i := range srcIdx {
 			s, dsts, r := enc.Row(int(srcIdx[i])), enc.Row(int(dstIdx[i])), rel.Row(int(rels[i]))

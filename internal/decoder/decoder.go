@@ -4,7 +4,10 @@
 // decoder over encoder outputs — DistMult (Yang et al.), ComplEx
 // (Trouillon et al.) or TransE (Bordes et al.) — trained with softmax
 // cross-entropy against a shared set of negative samples per batch, and
-// reports filtered MRR/Hits@k.
+// reports filtered MRR/Hits@k. The loss is one fused pass per score row
+// (tensor.Tape.PosNegCE): the positive's score and its row of negative
+// scores are never concatenated, and the pass that normalizes the row also
+// counts the positive's rank for the batch MRR.
 //
 // Every decoder scores through the same fused kernel: an edge query is
 // folded into a single vector q (TailQueryInto/HeadQueryInto) such that a
@@ -50,9 +53,11 @@ type Decoder interface {
 	// enc holds the encoded node representations; srcIdx/dstIdx select the
 	// endpoint rows of the B positive edges, rels are the edge relation
 	// IDs, and negIdx selects the N negative nodes shared across the
-	// batch. Both endpoints are corrupted. The returned node is the scalar
-	// loss; posScores/negDst/negSrc are returned for metric computation.
-	Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (loss, posScores, negDst, negSrc *tensor.Node)
+	// batch. Both endpoints are corrupted. It returns the scalar loss node,
+	// the positive [B x 1] and corrupted-destination [B x N] scores for
+	// other metrics, and the batch MRR of the positives against their
+	// corrupted destinations (BatchMRR's value), counted in the loss's pass.
+	Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (loss, pos, negDst *tensor.Node, mrr float64)
 	// TailQueryInto folds (src, rel) into q (length Dim) such that every
 	// candidate tail t scores as ⟨q, e_t⟩ (+ norm completion).
 	// q must not alias src or rel.
@@ -62,6 +67,10 @@ type Decoder interface {
 	// Norms reports whether scores need the squared-norm completion
 	// s = 2·dot − ‖q‖² − ‖e‖² on top of the raw dot product.
 	Norms() bool
+
+	// scores records Loss's score blocks on tp: the positives [B x 1] and
+	// the corrupted destinations and sources [B x N].
+	scores(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (pos, negDst, negSrc *tensor.Node)
 }
 
 // New builds the named decoder, registering its relation table in ps.
@@ -82,11 +91,12 @@ func New(kind string, ps *nn.ParamSet, numRels, dim int, rng *rand.Rand) (Decode
 }
 
 // ceLoss combines positive and corrupted scores into the symmetric
-// softmax cross-entropy loss (the positive sits in column 0).
-func ceLoss(tp *tensor.Tape, pos, negDst, negSrc *tensor.Node) *tensor.Node {
-	lossDst := tp.SoftmaxCrossEntropy(tp.ConcatCols(pos, negDst), nil)
-	lossSrc := tp.SoftmaxCrossEntropy(tp.ConcatCols(pos, negSrc), nil)
-	return tp.Scale(tp.Add(lossDst, lossSrc), 0.5)
+// softmax cross-entropy loss, each side one fused pass per score row
+// (tensor.Tape.PosNegCE), and returns Loss's results.
+func ceLoss(tp *tensor.Tape, pos, negDst, negSrc *tensor.Node) (loss, posOut, negDstOut *tensor.Node, mrr float64) {
+	lossDst := tp.PosNegCE(pos, negDst, &mrr)
+	lossSrc := tp.PosNegCE(pos, negSrc, nil)
+	return tp.Scale(tp.Add(lossDst, lossSrc), 0.5), pos, negDst, mrr
 }
 
 // SqNorm returns ‖row‖², accumulated in ascending index order.

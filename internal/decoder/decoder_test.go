@@ -26,7 +26,7 @@ func TestDistMultScoreMatchesDefinition(t *testing.T) {
 
 	tp := tensor.NewTape()
 	params := ps.Bind(tp)
-	_, pos, negD, negS := d.Loss(tp, params, tp.Constant(enc), srcIdx, dstIdx, negIdx, rels)
+	pos, negD, negS := d.scores(tp, params, tp.Constant(enc), srcIdx, dstIdx, negIdx, rels)
 
 	relT := d.Rel.Value
 	for i := 0; i < 2; i++ {

@@ -48,10 +48,16 @@ func (d *DistMult) HeadQueryInto(q, dst, rel []float32) {
 	}
 }
 
-// Loss implements Decoder. Negative scoring uses the fused gather+matmul
+// Loss implements Decoder.
+func (d *DistMult) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (loss, pos, negDst *tensor.Node, mrr float64) {
+	pos, negDst, negSrc := d.scores(tp, params, enc, srcIdx, dstIdx, negIdx, rels)
+	return ceLoss(tp, pos, negDst, negSrc)
+}
+
+// scores implements Decoder. Negative scoring uses the fused gather+matmul
 // kernel: the looked-up negative embeddings are streamed straight out of
 // enc, never materialized as a [N x dim] matrix.
-func (d *DistMult) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (loss, posScores, negDst, negSrc *tensor.Node) {
+func (d *DistMult) scores(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (posScores, negDst, negSrc *tensor.Node) {
 	relRows := tp.Gather(params[d.Rel.Name], rels) // [B x dim]
 
 	srcEnc := tp.Gather(enc, srcIdx)
@@ -63,6 +69,5 @@ func (d *DistMult) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *te
 	negDst = tp.GatherMatMulTB(srcRel, enc, negIdx) // [B x N] corrupt destination
 	negSrc = tp.GatherMatMulTB(dstRel, enc, negIdx) // [B x N] corrupt source
 
-	loss = ceLoss(tp, posScores, negDst, negSrc)
-	return loss, posScores, negDst, negSrc
+	return posScores, negDst, negSrc
 }

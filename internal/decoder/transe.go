@@ -55,11 +55,17 @@ func (d *TransE) HeadQueryInto(q, dst, rel []float32) {
 	}
 }
 
-// Loss implements Decoder. The fused kernel supplies the ⟨q, e⟩ dots for
+// Loss implements Decoder.
+func (d *TransE) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (loss, pos, negDst *tensor.Node, mrr float64) {
+	pos, negDst, negSrc := d.scores(tp, params, enc, srcIdx, dstIdx, negIdx, rels)
+	return ceLoss(tp, pos, negDst, negSrc)
+}
+
+// scores implements Decoder. The fused kernel supplies the ⟨q, e⟩ dots for
 // all negatives; AddColVec/AddRowVec complete them with the per-query and
 // per-candidate squared-norm biases on the tape (the only place the
 // negative rows materialize is the norm computation itself).
-func (d *TransE) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (loss, posScores, negDst, negSrc *tensor.Node) {
+func (d *TransE) scores(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (posScores, negDst, negSrc *tensor.Node) {
 	relRows := tp.Gather(params[d.Rel.Name], rels) // [B x dim]
 	srcEnc := tp.Gather(enc, srcIdx)
 	dstEnc := tp.Gather(enc, dstIdx)
@@ -83,6 +89,5 @@ func (d *TransE) Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tens
 		tp.Scale(en, -1),
 	) // [B x N] corrupt source
 
-	loss = ceLoss(tp, posScores, negDst, negSrc)
-	return loss, posScores, negDst, negSrc
+	return posScores, negDst, negSrc
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -208,13 +209,18 @@ func (o *AdaGrad) Step(p *Param, g *tensor.Tensor) {
 type SparseAdaGrad struct {
 	LR  float32
 	Eps float32
+	// Workers caps the goroutines StepRows steps rows on; at most 1 keeps
+	// every row on the caller's. A training session sets its worker count.
+	Workers int
 }
 
 // NewSparseAdaGrad returns a sparse AdaGrad with eps 1e-10.
 func NewSparseAdaGrad(lr float32) *SparseAdaGrad { return &SparseAdaGrad{LR: lr, Eps: 1e-10} }
 
 // StepRow updates one embedding row in place given its gradient and the
-// row's accumulated state, returning the new state.
+// row's accumulated state, returning the new state. The update is one axpy
+// of the gradient by −scale: row[i] + (−scale)·g[i] is row[i] − scale·g[i]
+// bit for bit.
 func (o *SparseAdaGrad) StepRow(row, grad []float32, state float32) float32 {
 	var sq float64
 	for _, gv := range grad {
@@ -222,8 +228,42 @@ func (o *SparseAdaGrad) StepRow(row, grad []float32, state float32) float32 {
 	}
 	state += float32(sq / float64(len(grad)))
 	scale := o.LR / (float32(math.Sqrt(float64(state))) + o.Eps)
-	for i, gv := range grad {
-		row[i] -= scale * gv
-	}
+	tensor.Axpy(row, grad, -scale)
 	return state
+}
+
+// stepRowsWork is the least rows × dim for which StepRows fans out.
+const stepRowsWork = 1 << 14
+
+// StepRows runs StepRow on the rows a store resolved for one update: row i
+// is table[rowAt[i]:][:grads.Cols], with accumulator state[stateAt[i]] and
+// gradient grads.Row(i). With Workers > 1 and enough work, disjoint ranges
+// of i step concurrently, so the rows must then be distinct (DENSE's node
+// IDs are); a row's arithmetic is StepRow's either way, so the result does
+// not depend on Workers. The serial path allocates nothing.
+func (o *SparseAdaGrad) StepRows(table []float32, rowAt []int, state []float32, stateAt []int, grads *tensor.Tensor) {
+	n := len(rowAt)
+	w := min(o.Workers, n)
+	if w <= 1 || n*grads.Cols < stepRowsWork {
+		o.stepRange(table, rowAt, state, stateAt, grads, 0, n)
+		return
+	}
+	chunk := (n + w - 1) / w
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			o.stepRange(table, rowAt, state, stateAt, grads, lo, hi)
+		}(lo, min(lo+chunk, n))
+	}
+	wg.Wait()
+}
+
+func (o *SparseAdaGrad) stepRange(table []float32, rowAt []int, state []float32, stateAt []int, grads *tensor.Tensor, lo, hi int) {
+	d := grads.Cols
+	for i := lo; i < hi; i++ {
+		st := stateAt[i]
+		state[st] = o.StepRow(table[rowAt[i]:][:d], grads.Row(i), state[st])
+	}
 }

@@ -76,6 +76,60 @@ func TestSparseAdaGradShrinksSteps(t *testing.T) {
 	}
 }
 
+// TestStepRowIsTheScalarUpdate holds StepRow's axpy update to the scalar
+// statement row[i] -= scale·g[i], bit for bit, signed zeros included.
+func TestStepRowIsTheScalarUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	opt := NewSparseAdaGrad(0.7)
+	for trial := 0; trial < 60; trial++ {
+		d := 1 + rng.Intn(70)
+		row, grad := make([]float32, d), make([]float32, d)
+		for j := range row {
+			row[j], grad[j] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
+		}
+		if trial%3 == 0 {
+			row[rng.Intn(d)], grad[rng.Intn(d)] = float32(math.Copysign(0, -1)), 0
+		}
+		state := float32(rng.Float64())
+		var sq float64
+		for _, g := range grad {
+			sq += float64(g) * float64(g)
+		}
+		wantState := state + float32(sq/float64(d))
+		scale := opt.LR / (float32(math.Sqrt(float64(wantState))) + opt.Eps)
+		want := append([]float32(nil), row...)
+		for j, g := range grad {
+			want[j] -= float32(scale * g)
+		}
+		if got := opt.StepRow(row, grad, state); got != wantState {
+			t.Fatalf("trial %d: state %v, want %v", trial, got, wantState)
+		}
+		for j := range want {
+			if math.Float32bits(row[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("trial %d: row[%d] = %v, want %v", trial, j, row[j], want[j])
+			}
+		}
+	}
+}
+
+// TestStepRowsSerialAllocatesNothing is the write-back's allocation
+// contract: with one worker, StepRows touches no heap.
+func TestStepRowsSerialAllocatesNothing(t *testing.T) {
+	const rows, dim = 64, 8
+	table, state := make([]float32, rows*dim), make([]float32, rows)
+	rowAt, stateAt := make([]int, rows), make([]int, rows)
+	for i := range rowAt {
+		rowAt[i], stateAt[i] = (rows-1-i)*dim, rows-1-i
+	}
+	grads := tensor.New(rows, dim)
+	grads.Fill(0.5)
+	opt := NewSparseAdaGrad(0.1)
+	opt.Workers = 1
+	if a := testing.AllocsPerRun(20, func() { opt.StepRows(table, rowAt, state, stateAt, grads) }); a != 0 {
+		t.Fatalf("serial StepRows made %v allocations, want 0", a)
+	}
+}
+
 func TestApplyClipsGradients(t *testing.T) {
 	ps := NewParamSet()
 	p := ps.New("w", 1, 2)

@@ -26,7 +26,9 @@ type NodeStore interface {
 	// Gather copies the representations of ids into out ([len(ids) x Dim]).
 	Gather(ids []int32, out *tensor.Tensor) error
 	// ApplyGrads applies sparse AdaGrad updates to the given rows
-	// (paper Fig. 2 step 6). ids may repeat.
+	// (paper Fig. 2 step 6). ids may repeat when opt.Workers is at most 1;
+	// above that, rows step concurrently and ids must be distinct, as
+	// DENSE's node IDs are.
 	ApplyGrads(ids []int32, grads *tensor.Tensor, opt *nn.SparseAdaGrad) error
 	// Snapshot returns a copy of the full representation table and the
 	// per-row sparse-AdaGrad accumulators (nil when the store maintains
@@ -46,6 +48,18 @@ type MemoryNodeStore struct {
 	mu    sync.RWMutex
 	table *tensor.Tensor
 	state []float32
+	rows  resolved
+}
+
+// resolved is an ApplyGrads' rows, all located before any is stepped: row
+// i's offset in the table and its accumulator's index (nn.StepRows). A
+// store reuses it under its lock.
+type resolved struct{ rowAt, stateAt []int }
+
+func (r *resolved) reset() { r.rowAt, r.stateAt = r.rowAt[:0], r.stateAt[:0] }
+
+func (r *resolved) add(row, state int) {
+	r.rowAt, r.stateAt = append(r.rowAt, row), append(r.stateAt, state)
 }
 
 // NewMemoryNodeStore wraps table (used directly, not copied).
@@ -77,9 +91,11 @@ func (m *MemoryNodeStore) Gather(ids []int32, out *tensor.Tensor) error {
 func (m *MemoryNodeStore) ApplyGrads(ids []int32, grads *tensor.Tensor, opt *nn.SparseAdaGrad) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, id := range ids {
-		m.state[id] = opt.StepRow(m.table.Row(int(id)), grads.Row(i), m.state[id])
+	m.rows.reset()
+	for _, id := range ids {
+		m.rows.add(int(id)*m.table.Cols, int(id))
 	}
+	opt.StepRows(m.table.Data, m.rows.rowAt, m.state, m.rows.stateAt, grads)
 	return nil
 }
 
@@ -146,6 +162,8 @@ type DiskNodeStore struct {
 	// err latches the first failed write-back. LoadSet surfaces it until
 	// a Flush lands every write (or Restore replaces the table).
 	err error
+	// rows is ApplyGrads' scratch.
+	rows resolved
 
 	// Quantized (read-only) tables: the file holds quant-encoded
 	// elements; partitionIO moves only the compressed bytes across the
@@ -500,17 +518,17 @@ func (s *DiskNodeStore) LoadSet(parts []int) error {
 	}
 }
 
-// rowSlice returns the in-buffer representation row for node id and the
-// index of its accumulator in slots; the caller must hold mu.
-func (s *DiskNodeStore) rowSlice(id int32) ([]float32, int, error) {
+// rowAt returns where node id's representation row starts in slots and
+// the index of its accumulator there; the caller must hold mu.
+func (s *DiskNodeStore) rowAt(id int32) (int, int, error) {
 	p := s.pt.Of(id)
 	slot := s.b.slotOf(p)
 	if slot < 0 {
-		return nil, 0, fmt.Errorf("storage: node %d in partition %d is not resident", id, p)
+		return 0, 0, fmt.Errorf("storage: node %d in partition %d is not resident", id, p)
 	}
 	start, _ := s.pt.Range(p)
 	r, base := int(id-start), slot*s.stride
-	return s.slots[base+r*s.dim:][:s.dim], base + s.pt.PartSize*s.dim + r, nil
+	return base + r*s.dim, base + s.pt.PartSize*s.dim + r, nil
 }
 
 // Gather implements NodeStore.
@@ -518,30 +536,36 @@ func (s *DiskNodeStore) Gather(ids []int32, out *tensor.Tensor) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i, id := range ids {
-		row, _, err := s.rowSlice(id)
+		at, _, err := s.rowAt(id)
 		if err != nil {
 			return err
 		}
-		copy(out.Data[i*s.dim:(i+1)*s.dim], row)
+		copy(out.Data[i*s.dim:(i+1)*s.dim], s.slots[at:at+s.dim])
 	}
 	return nil
 }
 
-// ApplyGrads implements NodeStore.
+// ApplyGrads implements NodeStore. It is all or nothing: every row is
+// located before any is stepped, so a non-resident id leaves the table,
+// the accumulators and the dirty set as they were.
 func (s *DiskNodeStore) ApplyGrads(ids []int32, grads *tensor.Tensor, opt *nn.SparseAdaGrad) error {
 	if !s.learnable {
 		return fmt.Errorf("storage: ApplyGrads on a read-only store")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, id := range ids {
-		row, idx, err := s.rowSlice(id)
+	s.rows.reset()
+	for _, id := range ids {
+		row, st, err := s.rowAt(id)
 		if err != nil {
 			return err
 		}
-		s.slots[idx] = opt.StepRow(row, grads.Row(i), s.slots[idx])
+		s.rows.add(row, st)
+	}
+	for _, id := range ids {
 		s.b.dirty(s.pt.Of(id))
 	}
+	opt.StepRows(s.slots, s.rows.rowAt, s.slots, s.rows.stateAt, grads)
 	return nil
 }
 

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Arena is a bump allocator for the tensors of one training step. A trainer
 // owns one Arena per compute stage: every activation and gradient buffer of
 // a mini batch is carved out of the arena's slabs, and Reset at the end of
@@ -19,7 +21,13 @@ package tensor
 //     workers heap-allocate their own batch buffers.
 //
 // Alloc zeroes the returned buffer, matching New's semantics, so kernels
-// that accumulate into fresh outputs behave identically on both paths.
+// that accumulate into fresh outputs (the matmuls, the segment sums, every
+// gradient buffer) behave identically on both paths. AllocRaw skips the
+// zeroing and hands back whatever the slab last held: its caller must
+// write every element before any is read, and must not let a raw tensor
+// escape to code that assumes zeros. Within this package it backs only
+// outputs a kernel overwrites in full (copies, gathers, softmaxes, the
+// a@bᵀ products and their scratch).
 type Arena struct {
 	slabs [][]float32
 	slab  int // index of the slab currently carved
@@ -30,8 +38,6 @@ type Arena struct {
 	hdrs   [][]Tensor
 	hchunk int
 	hoff   int
-
-	resets int64
 }
 
 const (
@@ -45,13 +51,19 @@ const (
 func NewArena() *Arena { return &Arena{} }
 
 // Alloc returns a zeroed rows x cols tensor owned by the arena.
-func (a *Arena) Alloc(rows, cols int) *Tensor {
+func (a *Arena) Alloc(rows, cols int) *Tensor { return a.alloc(rows, cols, true) }
+
+// AllocRaw returns a rows x cols tensor owned by the arena whose contents
+// are undefined; the caller writes every element before reading any.
+func (a *Arena) AllocRaw(rows, cols int) *Tensor { return a.alloc(rows, cols, false) }
+
+func (a *Arena) alloc(rows, cols int, zero bool) *Tensor {
 	if rows < 0 || cols < 0 {
 		panic("tensor: Arena.Alloc negative shape")
 	}
 	t := a.hdr()
 	t.Rows, t.Cols = rows, cols
-	t.Data = a.take(rows * cols)
+	t.Data = a.take(rows*cols, zero)
 	return t
 }
 
@@ -61,24 +73,11 @@ func (a *Arena) Alloc(rows, cols int) *Tensor {
 func (a *Arena) Reset() {
 	a.slab, a.off = 0, 0
 	a.hchunk, a.hoff = 0, 0
-	a.resets++
 }
 
-// Footprint returns the total bytes held by the arena's slabs.
-func (a *Arena) Footprint() int {
-	n := 0
-	for _, s := range a.slabs {
-		n += len(s) * 4
-	}
-	return n
-}
-
-// Resets returns the number of completed Reset cycles (one per batch in
-// steady-state training), for tests and diagnostics.
-func (a *Arena) Resets() int64 { return a.resets }
-
-// take carves n zeroed floats out of the slab list, growing it if needed.
-func (a *Arena) take(n int) []float32 {
+// take carves n floats out of the slab list, growing it if needed, and
+// zeroes them when zero is set.
+func (a *Arena) take(n int, zero bool) []float32 {
 	if n == 0 {
 		return nil
 	}
@@ -96,8 +95,27 @@ func (a *Arena) take(n int) []float32 {
 	}
 	buf := a.slabs[a.slab][a.off : a.off+n : a.off+n]
 	a.off += n
-	clear(buf)
+	if zero {
+		clear(buf)
+	} else {
+		poison(buf)
+	}
 	return buf
+}
+
+// poisonRaw makes every raw arena allocation start as NaN. It is a test
+// hook: a kernel that reads an element of a raw output before writing it
+// then turns its result into NaN instead of silently relying on whatever
+// the slab held.
+var poisonRaw bool
+
+// poison fills buf with NaN when poisonRaw is set.
+func poison(buf []float32) {
+	if poisonRaw {
+		for i := range buf {
+			buf[i] = float32(math.NaN())
+		}
+	}
 }
 
 // hdr returns a pooled Tensor header.

@@ -43,6 +43,35 @@ func TestArenaAllocZeroedAndStable(t *testing.T) {
 	}
 }
 
+// poisoned runs f with every raw allocation filled with NaN.
+func poisoned(f func()) {
+	saved := poisonRaw
+	poisonRaw = true
+	defer func() { poisonRaw = saved }()
+	f()
+}
+
+// TestArenaAllocRawPoisoned checks the poison hook itself: raw arena
+// allocations and scratch come back NaN under it, zeroed ones still zero.
+func TestArenaAllocRawPoisoned(t *testing.T) {
+	a := NewArena()
+	poisoned(func() {
+		c := NewCompute(1, a)
+		for _, raw := range []*Tensor{a.AllocRaw(2, 3), c.allocRaw(2, 3), FromSlice(1, 4, c.scratch(4))} {
+			for _, v := range raw.Data {
+				if v == v {
+					t.Fatalf("raw allocation holds %v under the poison hook, want NaN", v)
+				}
+			}
+		}
+		for _, v := range a.Alloc(2, 3).Data {
+			if v != 0 {
+				t.Fatal("Alloc not zeroed under the poison hook")
+			}
+		}
+	})
+}
+
 func TestArenaOversizedAllocation(t *testing.T) {
 	a := NewArena()
 	big := a.Alloc(1, arenaSlabFloats+100)

@@ -21,9 +21,6 @@ type Node struct {
 // or nil if no gradient flowed to it.
 func (n *Node) Grad() *Tensor { return n.grad }
 
-// RequiresGrad reports whether gradients are tracked for this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
-
 // Tape records operations for reverse-mode differentiation. A Tape is not
 // safe for concurrent use; each training worker owns its own tape.
 //
@@ -345,7 +342,7 @@ func (tp *Tape) SliceRows(a *Node, start, end int) *Node {
 		panic(fmt.Sprintf("tensor: SliceRows [%d:%d] of %d rows", start, end, a.Value.Rows))
 	}
 	cols := a.Value.Cols
-	out := tp.c.alloc(end-start, cols)
+	out := tp.c.allocRaw(end-start, cols)
 	copy(out.Data, a.Value.Data[start*cols:end*cols])
 	return tp.record(out, a.requiresGrad, func(g *Tensor) {
 		ga := a.ensureGrad()
@@ -388,7 +385,7 @@ func (tp *Tape) ConcatCols(a, b *Node) *Node {
 		panic("tensor: ConcatCols row mismatch")
 	}
 	ac, bc := a.Value.Cols, b.Value.Cols
-	out := tp.c.alloc(a.Value.Rows, ac+bc)
+	out := tp.c.allocRaw(a.Value.Rows, ac+bc)
 	for i := 0; i < out.Rows; i++ {
 		copy(out.Row(i)[:ac], a.Value.Row(i))
 		copy(out.Row(i)[ac:], b.Value.Row(i))
@@ -578,23 +575,18 @@ func (tp *Tape) Dropout(a *Node, p float32, rng *rand.Rand) *Node {
 }
 
 // SoftmaxCrossEntropy records mean softmax cross-entropy between logits
-// [n x C] and integer class labels; nil labels put every row in class 0
-// (the link-prediction loss, whose positive sits in column 0). It returns
-// the scalar loss node.
+// [n x C] and integer class labels (one per row). It returns the scalar
+// loss node.
 func (tp *Tape) SoftmaxCrossEntropy(logits *Node, labels []int32) *Node {
 	n := logits.Value.Rows
-	if labels != nil && len(labels) != n {
+	if len(labels) != n {
 		panic(fmt.Sprintf("tensor: SoftmaxCrossEntropy %d labels for %d rows", len(labels), n))
 	}
 	probs := tp.c.RowSoftmax(logits.Value)
 	out := tp.c.alloc(1, 1)
 	var loss float64
 	for i := 0; i < n; i++ {
-		p := probs.At(i, classOf(labels, i))
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss -= math.Log(float64(p))
+		loss -= logProb(probs.At(i, int(labels[i])))
 	}
 	out.Data[0] = float32(loss / float64(n))
 	// A gradient row takes p·scale off the label and (p−1)·scale at it: an
@@ -604,7 +596,7 @@ func (tp *Tape) SoftmaxCrossEntropy(logits *Node, labels []int32) *Node {
 		gl := logits.ensureGrad()
 		scale := g.Data[0] / float32(n)
 		for i := 0; i < n; i++ {
-			grow, prow, lab := gl.Row(i), probs.Row(i), classOf(labels, i)
+			grow, prow, lab := gl.Row(i), probs.Row(i), int(labels[i])
 			axpy(grow[:lab], prow[:lab], scale)
 			grow[lab] += (prow[lab] - 1) * scale
 			axpy(grow[lab+1:], prow[lab+1:], scale)
@@ -612,10 +604,119 @@ func (tp *Tape) SoftmaxCrossEntropy(logits *Node, labels []int32) *Node {
 	})
 }
 
-// classOf is row i's class: labels[i], or 0 when labels is nil.
-func classOf(labels []int32, i int) int {
-	if labels == nil {
-		return 0
+// logProb is the cross-entropy's log of a probability, clamped at 1e-12.
+func logProb(p float32) float64 {
+	if p < 1e-12 {
+		p = 1e-12
 	}
-	return int(labels[i])
+	return math.Log(float64(p))
+}
+
+// PosNegCE records the mean over rows of −log softmax([pos_i | neg_i])[0]
+// for pos [n x 1] and neg [n x N]: the link-prediction loss, with the
+// positive's score in front of its row of negative scores. Loss and both
+// gradients are SoftmaxCrossEntropy(ConcatCols(pos, neg)) with every label
+// 0, bit for bit, without building the concatenated logits or their
+// gradient. One pass over each row takes the maximum, the exponentials
+// and their float64 sum (pos_i's first, as it leads the concatenated row),
+// and scales by the sum's float32 reciprocal; rows split across workers.
+//
+// When mrr is not nil, the pass that takes the maximum also counts the
+// negatives above and equal to pos_i, and *mrr receives the batch MRR of
+// the positives under decoder.BatchMRR's rule: rank 1 + greater + ½·equal,
+// 1/rank summed in row order, over n. The counts are exact while N < 2^24.
+func (tp *Tape) PosNegCE(pos, neg *Node, mrr *float64) *Node {
+	n, N := neg.Value.Rows, neg.Value.Cols
+	if pos.Value.Rows != n || pos.Value.Cols != 1 {
+		panic(fmt.Sprintf("tensor: PosNegCE pos [%dx%d] for neg [%dx%d]", pos.Value.Rows, pos.Value.Cols, n, N))
+	}
+	probs := tp.c.allocRaw(n, N) // the negatives' probabilities
+	rows := tp.c.allocRaw(n, 3)  // per row: pos's probability, greater, equal
+	rank := mrr != nil
+	if tp.c.serialFor(n, n*N*8) {
+		posNegRange(probs, rows, pos.Value, neg.Value, rank, 0, n)
+	} else {
+		tp.c.fanOut(n, func(lo, hi int) { posNegRange(probs, rows, pos.Value, neg.Value, rank, lo, hi) })
+	}
+	var loss, rr float64
+	for i := 0; i < n; i++ {
+		r := rows.Row(i)
+		loss -= logProb(r[0])
+		if rank {
+			rr += 1 / (1 + float64(r[1]) + 0.5*float64(r[2]))
+		}
+	}
+	out := tp.c.alloc(1, 1)
+	out.Data[0] = float32(loss / float64(n))
+	if rank {
+		*mrr = rr / max(float64(n), 1) // no rows: 0, as BatchMRR
+	}
+	// The concatenated backward wrote 0 + (p−1)·scale and 0 + scale·p into
+	// a zeroed gradient, then added those onto pos's and neg's gradients,
+	// pos first; adding the terms directly is the same sums.
+	return tp.record(out, pos.requiresGrad || neg.requiresGrad, func(g *Tensor) {
+		scale := g.Data[0] / float32(n)
+		if pos.requiresGrad {
+			gp := pos.ensureGrad()
+			for i := range gp.Data {
+				gp.Data[i] += (rows.Data[3*i] - 1) * scale
+			}
+		}
+		if neg.requiresGrad {
+			gn := neg.ensureGrad()
+			if tp.c.serialFor(n, n*N) {
+				axpyRows(gn, probs, scale, 0, n)
+			} else {
+				tp.c.fanOut(n, func(lo, hi int) { axpyRows(gn, probs, scale, lo, hi) })
+			}
+		}
+	})
+}
+
+// posNegRange is PosNegCE's forward over rows [lo, hi): each row's maximum
+// (and, with rank, its counts of negatives above and equal to the
+// positive) in one pass, then the exponentials and the scaling.
+func posNegRange(probs, rows, pos, neg *Tensor, rank bool, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p, nrow, prow := pos.Data[i], neg.Row(i), probs.Row(i)
+		m, greater, equal := p, 0, 0
+		if rank {
+			for _, v := range nrow {
+				if v > m {
+					m = v
+				}
+				greater += one01(v > p)
+				equal += one01(v == p)
+			}
+		} else {
+			for _, v := range nrow {
+				if v > m {
+					m = v
+				}
+			}
+		}
+		e0 := math.Exp(float64(p - m))
+		inv := float32(1 / expRowFrom(prow, nrow, m, e0))
+		for j := range prow {
+			prow[j] *= inv
+		}
+		r := rows.Row(i)
+		r[0], r[1], r[2] = float32(e0)*inv, float32(greater), float32(equal)
+	}
+}
+
+// one01 is 1 for true and 0 for false, which the compiler turns into a
+// flag read instead of a branch the counts would mispredict.
+func one01(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// axpyRows adds a·x's rows [lo, hi) onto y's.
+func axpyRows(y, x *Tensor, a float32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		axpy(y.Row(i), x.Row(i), a)
+	}
 }

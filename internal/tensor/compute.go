@@ -95,9 +95,19 @@ func (c *Compute) alloc(rows, cols int) *Tensor {
 	return c.arena.Alloc(rows, cols)
 }
 
+// allocRaw is alloc for an output the caller overwrites in full before
+// reading any of it: the arena skips the zeroing (Arena.AllocRaw). Heap
+// memory comes zeroed from the runtime either way.
+func (c *Compute) allocRaw(rows, cols int) *Tensor {
+	if c == nil || c.arena == nil {
+		return New(rows, cols)
+	}
+	return c.arena.AllocRaw(rows, cols)
+}
+
 // clone copies t into a context-owned buffer.
 func (c *Compute) clone(t *Tensor) *Tensor {
-	out := c.alloc(t.Rows, t.Cols)
+	out := c.allocRaw(t.Rows, t.Cols)
 	copy(out.Data, t.Data)
 	return out
 }
@@ -117,11 +127,13 @@ func (c *Compute) serialFor(n, work int) bool {
 
 // scratch returns n floats of kernel working memory, from the arena when
 // one is attached (so it is recycled with the batch), else from the heap.
+// Like allocRaw, the arena's is not zeroed: the kernel writes before it
+// reads.
 func (c *Compute) scratch(n int) []float32 {
 	if c == nil || c.arena == nil {
 		return make([]float32, n)
 	}
-	return c.arena.take(n)
+	return c.arena.take(n, false)
 }
 
 // split returns the length and the number of the contiguous chunks fanOut

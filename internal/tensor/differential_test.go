@@ -24,13 +24,13 @@ import (
 // test runs the same seeded work with the assembly on and forced off and
 // compares bytes.
 
-// checkpointOnBothPaths trains one epoch of a session built by build on
-// each axpy path and returns the two checkpoints.
-func checkpointOnBothPaths(t *testing.T, build func(dir string) (*marius.Session, error)) (goLoop, avx2 []byte) {
+// checkpointsOffAndOn trains one epoch of a session built by build with
+// set(false), then with set(true), and returns the two checkpoints.
+func checkpointsOffAndOn(t *testing.T, build func(dir string) (*marius.Session, error), set func(t *testing.T, on bool)) (off, on []byte) {
 	t.Helper()
 	var ckpt [2][]byte
-	for i, on := range []bool{false, true} {
-		tensor.SetAVX2(t, on)
+	for i, v := range []bool{false, true} {
+		set(t, v)
 		dir := t.TempDir()
 		sess, err := build(dir)
 		if err != nil {
@@ -53,37 +53,56 @@ func checkpointOnBothPaths(t *testing.T, build func(dir string) (*marius.Session
 	return ckpt[0], ckpt[1]
 }
 
+// epochBuilds are the sessions whose first epoch the differentials train.
+var epochBuilds = map[string]func(dir string) (*marius.Session, error){
+	// Disk-backed COMET with learnable embeddings: negative scoring,
+	// its backward and the sparse write-back all sit on axpy.
+	"lp": func(dir string) (*marius.Session, error) {
+		g := gen.KG(gen.KGConfig{NumEntities: 800, NumRelations: 8, NumEdges: 10000,
+			ZipfS: 1.2, ValidFrac: 0.05, TestFrac: 0.05, Seed: 11})
+		return marius.New(marius.LinkPrediction(), g,
+			marius.WithModel(marius.GraphSage), marius.WithFanouts(8), marius.WithDim(24),
+			marius.WithBatchSize(512), marius.WithNegatives(70), marius.WithWorkers(2), marius.WithSeed(11),
+			marius.WithDisk(dir, marius.Partitions(8), marius.Capacity(4), marius.LogicalPartitions(4)))
+	},
+	"nc": func(string) (*marius.Session, error) {
+		g := gen.SBM(gen.SBMConfig{NumNodes: 1200, NumClasses: 4, AvgDegree: 10, FeatureDim: 13,
+			Homophily: 0.85, FeatNoise: 2, TrainFrac: 0.2, ValidFrac: 0.1, TestFrac: 0.1, Seed: 21})
+		return marius.New(marius.NodeClassification(), g,
+			marius.WithModel(marius.GraphSage), marius.WithFanouts(8, 8), marius.WithDim(20),
+			marius.WithBatchSize(64), marius.WithWorkers(2), marius.WithSeed(21))
+	},
+}
+
 func TestCheckpointsByteIdenticalOnBothAxpyPaths(t *testing.T) {
 	if !tensor.HasAVX2() {
 		t.Skip("no AVX2 assembly on this machine: the Go loop is the only path")
 	}
-	builds := map[string]func(dir string) (*marius.Session, error){
-		// Disk-backed COMET with learnable embeddings: negative scoring,
-		// its backward and the sparse write-back all sit on axpy.
-		"lp": func(dir string) (*marius.Session, error) {
-			g := gen.KG(gen.KGConfig{NumEntities: 800, NumRelations: 8, NumEdges: 10000,
-				ZipfS: 1.2, ValidFrac: 0.05, TestFrac: 0.05, Seed: 11})
-			return marius.New(marius.LinkPrediction(), g,
-				marius.WithModel(marius.GraphSage), marius.WithFanouts(8), marius.WithDim(24),
-				marius.WithBatchSize(512), marius.WithNegatives(70), marius.WithWorkers(2), marius.WithSeed(11),
-				marius.WithDisk(dir, marius.Partitions(8), marius.Capacity(4), marius.LogicalPartitions(4)))
-		},
-		"nc": func(string) (*marius.Session, error) {
-			g := gen.SBM(gen.SBMConfig{NumNodes: 1200, NumClasses: 4, AvgDegree: 10, FeatureDim: 13,
-				Homophily: 0.85, FeatNoise: 2, TrainFrac: 0.2, ValidFrac: 0.1, TestFrac: 0.1, Seed: 21})
-			return marius.New(marius.NodeClassification(), g,
-				marius.WithModel(marius.GraphSage), marius.WithFanouts(8, 8), marius.WithDim(20),
-				marius.WithBatchSize(64), marius.WithWorkers(2), marius.WithSeed(21))
-		},
-	}
-	for name, build := range builds {
+	for name, build := range epochBuilds {
 		t.Run(name, func(t *testing.T) {
-			goLoop, avx2 := checkpointOnBothPaths(t, build)
+			goLoop, avx2 := checkpointsOffAndOn(t, build, tensor.SetAVX2)
 			if len(goLoop) == 0 {
 				t.Fatal("empty checkpoint")
 			}
 			if !bytes.Equal(goLoop, avx2) {
 				t.Fatalf("checkpoints differ (%d vs %d bytes): the axpy assembly is not bit-identical to the Go loop", len(goLoop), len(avx2))
+			}
+		})
+	}
+}
+
+// TestCheckpointsByteIdenticalWithRawAllocationsPoisoned trains the same
+// epochs with every raw (unzeroed) kernel output filled with NaN first: a
+// kernel that read one before writing it would change the checkpoint.
+func TestCheckpointsByteIdenticalWithRawAllocationsPoisoned(t *testing.T) {
+	for name, build := range epochBuilds {
+		t.Run(name, func(t *testing.T) {
+			zeroed, poisoned := checkpointsOffAndOn(t, build, tensor.SetPoisonRaw)
+			if len(zeroed) == 0 {
+				t.Fatal("empty checkpoint")
+			}
+			if !bytes.Equal(zeroed, poisoned) {
+				t.Fatalf("checkpoints differ (%d vs %d bytes): a raw allocation was read before it was written", len(zeroed), len(poisoned))
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,15 +27,30 @@ func numericalGrad(t *testing.T, x *Tensor, forward func() float64) *Tensor {
 
 // checkGrads runs backward through build (which must return the scalar
 // loss node) and compares every leaf gradient against central differences.
+// It also runs it on an arena tape with every raw allocation poisoned: the
+// loss and the gradients must not change a bit, or an op read an output
+// it had not written.
 func checkGrads(t *testing.T, name string, leaves []*Tensor, build func(tp *Tape, nodes []*Node) *Node) {
 	t.Helper()
-	tp := NewTape()
-	nodes := make([]*Node, len(leaves))
-	for i, l := range leaves {
-		nodes[i] = tp.Leaf(l, true)
+	run := func(tp *Tape) (*Node, []*Node) {
+		nodes := make([]*Node, len(leaves))
+		for i, l := range leaves {
+			nodes[i] = tp.Leaf(l, true)
+		}
+		loss := build(tp, nodes)
+		tp.Backward(loss)
+		return loss, nodes
 	}
-	loss := build(tp, nodes)
-	tp.Backward(loss)
+	loss, nodes := run(NewTape())
+	var ploss *Node
+	var pnodes []*Node
+	poisoned(func() { ploss, pnodes = run(NewTapeWith(NewCompute(1, NewArena()))) })
+	if !sameBits(ploss.Value.Data[0], loss.Value.Data[0]) {
+		t.Fatalf("%s: loss %v with raw allocations poisoned, %v without", name, ploss.Value.Data[0], loss.Value.Data[0])
+	}
+	for li, n := range nodes {
+		exactEqual(t, fmt.Sprintf("%s: leaf %d gradient, poisoned", name, li), pnodes[li].Grad(), n.Grad())
+	}
 
 	forward := func() float64 {
 		tp2 := NewTape()
@@ -237,8 +253,7 @@ func TestFusedOpsMatchUnfusedOnTape(t *testing.T) {
 	q := randn(rng, 3, 4)
 	lookup := []int32{1, 4, 4, 0}
 
-	run := func(fused bool) (*Tensor, *Tensor, *Tensor) {
-		tp := NewTape()
+	run := func(tp *Tape, fused bool) (*Tensor, *Tensor, *Tensor) {
 		hn := tp.Leaf(h.Clone(), true)
 		qn := tp.Leaf(q.Clone(), true)
 		var agg, scores *Node
@@ -253,13 +268,20 @@ func TestFusedOpsMatchUnfusedOnTape(t *testing.T) {
 		tp.Backward(loss)
 		return loss.Value, hn.Grad(), qn.Grad()
 	}
-	lf, hf, qf := run(true)
-	lu, hu, qu := run(false)
-	if lf.Data[0] != lu.Data[0] {
-		t.Fatalf("fused loss %v != unfused %v", lf.Data[0], lu.Data[0])
-	}
-	if !hf.Equal(hu, 0) || !qf.Equal(qu, 0) {
-		t.Fatal("fused gradients differ from unfused composition")
+	lu, hu, qu := run(NewTape(), false)
+	for _, poison := range []bool{false, true} {
+		var lf, hf, qf *Tensor
+		if poison {
+			poisoned(func() { lf, hf, qf = run(NewTapeWith(NewCompute(1, NewArena())), true) })
+		} else {
+			lf, hf, qf = run(NewTape(), true)
+		}
+		if lf.Data[0] != lu.Data[0] {
+			t.Fatalf("poison=%v: fused loss %v != unfused %v", poison, lf.Data[0], lu.Data[0])
+		}
+		if !hf.Equal(hu, 0) || !qf.Equal(qu, 0) {
+			t.Fatalf("poison=%v: fused gradients differ from unfused composition", poison)
+		}
 	}
 }
 
@@ -284,10 +306,17 @@ func TestArenaTapeGradientsMatchHeapTape(t *testing.T) {
 	lh, xh, wh := build(NewTape())
 	arena := NewArena()
 	tp := NewTapeWith(NewCompute(4, arena))
-	for pass := 0; pass < 3; pass++ {
+	// Passes after the first reuse slabs holding the last batch's values;
+	// the poisoned ones refill every raw allocation with NaN.
+	for pass := 0; pass < 4; pass++ {
 		tp.Reset()
 		arena.Reset()
-		la, xa, wa := build(tp)
+		var la, xa, wa *Tensor
+		if pass >= 2 {
+			poisoned(func() { la, xa, wa = build(tp) })
+		} else {
+			la, xa, wa = build(tp)
+		}
 		if la.Data[0] != lh.Data[0] {
 			t.Fatalf("pass %d: arena loss %v != heap %v", pass, la.Data[0], lh.Data[0])
 		}

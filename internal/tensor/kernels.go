@@ -137,6 +137,10 @@ func axpy(y, x []float32, a float32) {
 	axpyGo(y, x, a)
 }
 
+// Axpy is axpy for the other packages: y[j] += a*x[j], j < len(x), on the
+// same path and with the same bits as the kernels' own calls.
+func Axpy(y, x []float32, a float32) { axpy(y, x, a) }
+
 // one is the coefficient of every term of a plain sum (axpyN's cstride 0).
 var one = []float32{1}
 
@@ -206,9 +210,13 @@ func axpyGo(y, x []float32, a float32) {
 // stops at a group of four holding an input math.Exp sends off its main
 // path (outside [-708, 709], or NaN); that group, and a tail shorter than
 // four, go through math.Exp here.
-func expRow(o, a []float32, m float32) float64 {
+func expRow(o, a []float32, m float32) float64 { return expRowFrom(o, a, m, 0) }
+
+// expRowFrom is expRow adding the exponentials onto sum instead of zero:
+// a row that starts with an element computed apart (PosNegCE's positive)
+// continues its sum here in the same order.
+func expRowFrom(o, a []float32, m float32, sum float64) float64 {
 	o = o[:len(a)]
-	var sum float64
 	for useAVX2 && useFMA {
 		var n int
 		n, sum = expRowAVX2(o, a, m, sum)
@@ -270,7 +278,7 @@ func MatMulTransposeB(a, b *Tensor) *Tensor { return (*Compute)(nil).MatMulTrans
 
 // MatMulTransposeB returns a @ bᵀ for a [n x k] and b [m x k].
 func (c *Compute) MatMulTransposeB(a, b *Tensor) *Tensor {
-	out := c.alloc(a.Rows, b.Rows)
+	out := c.allocRaw(a.Rows, b.Rows)
 	c.MatMulTransposeBInto(out, a, b, false)
 	return out
 }
@@ -401,7 +409,7 @@ func gatherRange(out, a *Tensor, idx []int32, start, end int) {
 
 // Gather returns the rows of a selected by idx, in order.
 func (c *Compute) Gather(a *Tensor, idx []int32) *Tensor {
-	out := c.alloc(len(idx), a.Cols)
+	out := c.allocRaw(len(idx), a.Cols)
 	if c.serialFor(len(idx), len(idx)*a.Cols) {
 		gatherRange(out, a, idx, 0, len(idx))
 		return out
@@ -439,7 +447,7 @@ func (c *Compute) GatherMatMulTB(a, table *Tensor, idx []int32) *Tensor {
 	if a.Cols != table.Cols {
 		panic(fmt.Sprintf("tensor: GatherMatMulTB width mismatch %d vs %d", a.Cols, table.Cols))
 	}
-	out := c.alloc(a.Rows, len(idx))
+	out := c.allocRaw(a.Rows, len(idx))
 	c.mulTB(out, a, tbSource{table: table, idx: idx}, false)
 	return out
 }
@@ -650,7 +658,7 @@ func softmaxRow(o, a []float32) {
 // RowSoftmax applies a softmax along each row; rows split across
 // goroutines.
 func (c *Compute) RowSoftmax(a *Tensor) *Tensor {
-	out := c.alloc(a.Rows, a.Cols)
+	out := c.allocRaw(a.Rows, a.Cols)
 	if c.serialFor(a.Rows, a.Rows*a.Cols*8) {
 		rowSoftmaxRange(out, a, 0, a.Rows)
 		return out

@@ -160,10 +160,10 @@ func EvaluateLP(cfg LPEvalConfig, emb *tensor.Tensor, adj *graph.Adjacency, edge
 		if err != nil {
 			return stats, err
 		}
-		l, pos, negD, _ := cfg.Decoder.Loss(fwd.Tape(), fwd.Binds(), enc, srcIdx, dstIdx, negIdx, rels)
+		l, pos, negD, batchMRR := cfg.Decoder.Loss(fwd.Tape(), fwd.Binds(), enc, srcIdx, dstIdx, negIdx, rels)
 		w := float64(len(batch))
 		loss.Add(float64(l.Value.Data[0]), w)
-		mrr.Add(decoder.BatchMRR(pos.Value, negD.Value), w)
+		mrr.Add(batchMRR, w)
 		for _, k := range lpHitsKs {
 			hits[k].Add(decoder.HitsAtK(pos.Value, negD.Value, k), w)
 		}

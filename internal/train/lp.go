@@ -141,7 +141,7 @@ func (lp *lpTask) compute(t *Trainer, pb *batch) (loss, batchMRR float64, err er
 	h0 := tp.Leaf(h0t, true)
 
 	enc := encode.Apply(tp, params, cfg.Encoder, pb.d, nil, h0)
-	lossNode, pos, negD, _ := cfg.Decoder.Loss(tp, params, enc, pb.srcIdx, pb.dstIdx, pb.negIdx, pb.rels)
+	lossNode, _, _, mrr := cfg.Decoder.Loss(tp, params, enc, pb.srcIdx, pb.dstIdx, pb.negIdx, pb.rels)
 	tp.Backward(lossNode)
 
 	nn.Apply(cfg.DenseOpt, cfg.Params, params, cfg.ClipNorm)
@@ -150,5 +150,5 @@ func (lp *lpTask) compute(t *Trainer, pb *batch) (loss, batchMRR float64, err er
 			return 0, 0, err
 		}
 	}
-	return float64(lossNode.Value.Data[0]), decoder.BatchMRR(pos.Value, negD.Value), nil
+	return float64(lossNode.Value.Data[0]), mrr, nil
 }

@@ -326,11 +326,13 @@ func (t *lpTask) Prepare(g *graph.Graph, o *Options) error {
 	if err != nil {
 		return err
 	}
+	embOpt := nn.NewSparseAdaGrad(o.EmbLR)
+	embOpt.Workers = o.Workers // the write-back steps its rows on the kernels' workers
 	lcfg := train.LPConfig{
 		Encoder: enc, Params: ps, Decoder: dec,
 		Fanouts: o.Fanouts, Dirs: graph.Both,
 		BatchSize: o.BatchSize, Negatives: o.Negatives,
-		DenseOpt: nn.NewAdam(o.LR), EmbOpt: nn.NewSparseAdaGrad(o.EmbLR), ClipNorm: 5,
+		DenseOpt: nn.NewAdam(o.LR), EmbOpt: embOpt, ClipNorm: 5,
 		Workers: o.Workers, PipelineDepth: o.PipelineDepth, Seed: o.Seed,
 		Obs: o.observe(src),
 	}
