@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-purego cross loc bench-module race race-pipeline race-fault fuzz-kernels check
+.PHONY: build vet test test-purego cross loc bench-module race race-pipeline race-fault fuzz-kernels fuzz-parsers check
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,14 @@ fuzz-kernels:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz='^FuzzDequantRow$$' -fuzztime=20s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz='^FuzzPosNegCE$$' -fuzztime=20s
 
+# Twenty seconds of native fuzzing on each parser of untrusted bytes:
+# bytes become a dataset's manifest.json beside an empty edges.bin, and
+# OpenDataset must refuse them with a typed error or open a dataset whose
+# edge store answers every bucket length. The seed corpus alone runs in
+# every plain `go test`.
+fuzz-parsers:
+	$(GO) test ./internal/storage -run '^$$' -fuzz='^FuzzReadManifest$$' -fuzztime=20s
+
 # A local shortcut; `race` covers it. The epoch executor under the race
 # detector: its ordering/bounding tests and the every-small-configuration
 # check against the serial oracle, then full NC and LP epochs at
@@ -93,4 +101,4 @@ race-fault:
 	$(GO) test -race -run 'Crash|Resume|Journal|Weather' ./internal/ckpt/ ./internal/dataset/ ./marius/
 
 # The full local gate: everything CI runs.
-check: build vet test test-purego cross loc bench-module race fuzz-kernels
+check: build vet test test-purego cross loc bench-module race fuzz-kernels fuzz-parsers

@@ -237,8 +237,8 @@
 // run, then merge runs run-major so every bucket keeps global input
 // order), while the node dictionary and relabeling stay O(nodes). The
 // ingest step applies the same seeded partition relabeling marius.New
-// applies to an in-memory graph (partition.RandomOrder for LP,
-// TrainFirstOrder for NC), so node IDs — and therefore bucket bytes —
+// applies to its copy of an in-memory graph (partition.RandomOrder for
+// LP, TrainFirstOrder for NC), so node IDs — and therefore bucket bytes —
 // come out exactly as the in-memory path would lay them out.
 //
 // storage.OpenDataset(dir) opens a prepared directory (validating the
@@ -342,7 +342,9 @@
 // exactly one snapshot so responses never mix epochs. Checkpoints also
 // record the dataset UUID they were trained on; serving a checkpoint
 // against a different prepared directory logs a provenance warning
-// (surfaced in /statz). marius.LoadForInference and marius.Serve expose
+// (surfaced in /statz) and still serves, while Session.Restore (and so
+// Resume) refuses it with marius.ErrCheckpointMismatch naming the
+// dataset. marius.LoadForInference and marius.Serve expose
 // the same machinery as a library.
 //
 // # Multi-relation link prediction
@@ -375,18 +377,27 @@
 // with a different decoder is a typed marius.ErrCheckpointMismatch
 // naming the field.
 //
-// Evaluation implements the standard filtered-ranking protocol (the
-// paper's §7 MRR reporting): every held-out edge (s, r, d) is ranked
-// twice — d against all candidate tails of (s, r, ?), s against all
-// candidate heads of (?, r, d) — with known true triples (training plus
-// both held-out splits) removed from the candidate set, ties broken by
-// ascending entity ID. sess.Evaluate(split, marius.RankingEval(1, 10),
-// marius.FilteredEval()) returns a marius.EvalResult carrying MRR and
-// Hits@k; the evaluator streams candidate chunks through the fused
-// kernel and aggregates per-query ranks in a canonical order, so results
-// are bitwise independent of worker count, batch size and chunk width,
-// and match a brute-force per-candidate reference exactly (enforced by
-// TestRankingMatchesBruteForce; the benchmark reports throughput as
+// Evaluation ranks through one scorer, internal/eval.Ranking, with one
+// rank rule (the paper's §7 MRR reporting): every held-out edge (s, r, d)
+// is ranked twice — d among the candidate tails of (s, r, ?), s among the
+// candidate heads of (?, r, d) — and each query's rank is the realistic
+// rank 1 + greater + equal/2 over its candidates (Ali et al.,
+// arXiv:2006.13365), so a tie neither helps nor hurts the target by its
+// ID; MRR and Hits@k both read it. The default protocol ranks raw against
+// every entity on graphs of at most 20 000 entities, and otherwise
+// against one sorted sample of 1 000 distinct candidates drawn once per
+// call from the session seed + 3. sess.Evaluate(split,
+// marius.RankingEval(1, 10), marius.FilteredEval()) ranks against every
+// entity with known true triples removed. The two known sets differ:
+// filtered evaluation removes train ∪ valid ∪ test triples, while
+// serving's filtered top-k removes training edges only (an eval.Filter
+// over the serving adjacency with no extra splits). The evaluator streams
+// candidate chunks through the fused kernel, GNN models rank the
+// encode.FullTable output computed once per call, and per-query ranks
+// aggregate in a canonical order, so results are bitwise independent of
+// worker count, batch size and chunk width, and match a brute-force
+// per-candidate reference exactly (TestRankingMatchesBruteForce,
+// TestRankingPlantedTies; the benchmark reports throughput as
 // eval_queries_per_s).
 // cmd/mariusgnn prints MRR and Hits@1/10 per eval epoch with -ranking
 // (-filtered for the filtered protocol, -decoder to pick the scorer).

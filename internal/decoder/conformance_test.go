@@ -200,8 +200,8 @@ func TestLossMatchesFoldedScores(t *testing.T) {
 		params := ps.Bind(tp)
 		encN := tp.Leaf(enc, true)
 		loss, pos, negD, mrr := d.Loss(tp, params, encN, srcIdx, dstIdx, negIdx, rels)
-		if want := BatchMRR(pos.Value, negD.Value); mrr != want {
-			t.Fatalf("%s: Loss's mrr %v, BatchMRR %v", kind, mrr, want)
+		if want := batchMRR(pos.Value, negD.Value); mrr != want {
+			t.Fatalf("%s: Loss's mrr %v, batchMRR %v", kind, mrr, want)
 		}
 		_, _, negS := d.scores(tp, params, encN, srcIdx, dstIdx, negIdx, rels)
 

@@ -56,7 +56,8 @@ type Decoder interface {
 	// batch. Both endpoints are corrupted. It returns the scalar loss node,
 	// the positive [B x 1] and corrupted-destination [B x N] scores for
 	// other metrics, and the batch MRR of the positives against their
-	// corrupted destinations (BatchMRR's value), counted in the loss's pass.
+	// corrupted destinations (realistic rank 1 + greater + equal/2),
+	// counted in the loss's pass.
 	Loss(tp *tensor.Tape, params map[string]*tensor.Node, enc *tensor.Node, srcIdx, dstIdx, negIdx, rels []int32) (loss, pos, negDst *tensor.Node, mrr float64)
 	// TailQueryInto folds (src, rel) into q (length Dim) such that every
 	// candidate tail t scores as ⟨q, e_t⟩ (+ norm completion).
@@ -165,9 +166,9 @@ func ScoreOne(d Decoder, q, cand []float32, qn, cn float32) float32 {
 }
 
 // ScoreAll scores (src, rel) against every row of emb (all entities) and
-// returns the scores; used for full-ranking MRR on small graphs
-// (paper §7.5 uses all negatives on FB15k-237) and as the serving
-// reference. Bitwise identical to the fused chunked path.
+// returns the scores, one scalar ScoreOne per row: the reference served
+// top-k lists are held to. It ranks nothing (eval.Ranking is the one LP
+// rank). Bitwise identical to the fused chunked path.
 func ScoreAll(d Decoder, srcRow, relRow []float32, emb *tensor.Tensor) []float32 {
 	out := make([]float32, emb.Rows)
 	q := make([]float32, d.Dim())
@@ -225,70 +226,9 @@ func RefScore(kind string, src, rel, dst []float32) float32 {
 	}
 }
 
-// BatchMRR computes the mean reciprocal rank of each positive score
-// against its row of negative scores (optimistic-minus-ties ranking: rank
-// = 1 + count of strictly greater negatives + half of ties).
-func BatchMRR(pos, neg *tensor.Tensor) float64 {
-	if pos.Rows == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < pos.Rows; i++ {
-		p := pos.At(i, 0)
-		rank := 1.0
-		for _, s := range neg.Row(i) {
-			if s > p {
-				rank++
-			} else if s == p {
-				rank += 0.5
-			}
-		}
-		sum += 1 / rank
-	}
-	return sum / float64(pos.Rows)
-}
-
-// HitsAtK computes the fraction of positives ranked within the top k.
-func HitsAtK(pos, neg *tensor.Tensor, k int) float64 {
-	if pos.Rows == 0 {
-		return 0
-	}
-	hits := 0
-	for i := 0; i < pos.Rows; i++ {
-		p := pos.At(i, 0)
-		rank := 1
-		for _, s := range neg.Row(i) {
-			if s > p {
-				rank++
-			}
-		}
-		if rank <= k {
-			hits++
-		}
-	}
-	return float64(hits) / float64(pos.Rows)
-}
-
-// FullRank returns the rank of target among scores (1-based, average-tie).
-func FullRank(scores []float32, target int32) float64 {
-	p := scores[target]
-	rank, ties := 1, 0
-	for i, s := range scores {
-		if int32(i) == target {
-			continue
-		}
-		if s > p {
-			rank++
-		} else if s == p {
-			ties++
-		}
-	}
-	return float64(rank) + float64(ties)/2
-}
-
 // TopK returns the indices of the k highest scores, ordered by score
-// descending with ties broken by ascending index — the same deterministic
-// tie rule the ranking evaluator uses, so served top-k lists are stable.
+// descending with ties broken by ascending index, so served top-k lists
+// are stable. The tie-break only orders the output; it is not a rank.
 func TopK(scores []float32, k int) []int32 {
 	return TopKSkip(scores, k, nil)
 }

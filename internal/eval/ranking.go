@@ -1,29 +1,33 @@
 package eval
 
 import (
-	"sort"
+	"math/rand"
+	"slices"
 
 	"repro/internal/decoder"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
 
-// This file implements the filtered-ranking link-prediction protocol
-// (paper §7: filtered MRR and Hits@k on FB15k-237/Freebase86m). Every
-// held-out edge (s, r, d) is ranked twice — d against all candidate
-// tails of (s, r, ?), s against all candidate heads of (?, r, d) — with
-// known true triples removed from the candidate set ("filtered"). The
-// evaluator streams: queries are folded into vectors once per batch and
-// candidates are scored in ascending contiguous chunks through the fused
-// GatherMatMulTB kernel, so the full B×N score matrix never
-// materializes. Because each fused output element is a single zero-seeded
-// ascending dot product (plus an elementwise norm completion for TransE),
-// ranks are bitwise identical at every worker count, chunk size and batch
-// size, and match the brute-force reference exactly.
+// This file implements the link-prediction ranking protocol (paper §7:
+// filtered MRR and Hits@k on FB15k-237/Freebase86m), the one scorer
+// behind every reported link-prediction rank. Every held-out edge
+// (s, r, d) is ranked twice — d against the candidate tails of (s, r, ?),
+// s against the candidate heads of (?, r, d) — over every entity or an
+// ascending candidate subset, optionally with known true triples removed
+// ("filtered"). The evaluator streams: queries are folded into vectors
+// once per batch and candidates are scored in ascending chunks through
+// the fused GatherMatMulTB kernel, so the full B×N score matrix never
+// materializes. Because each fused output element is a single
+// zero-seeded ascending dot product (plus an elementwise norm completion
+// for TransE), ranks are bitwise identical at every worker count, chunk
+// size and batch size, and match the brute-force reference exactly.
 //
-// Rank rule (deterministic ties): rank = 1 + #{c ≠ target, c ∉ known :
-// s_c > s_t, or s_c == s_t and c < target}. Ties break by ascending
-// entity ID, so reruns and differently-parallel runs agree bit for bit.
+// Rank rule (the realistic rank, Ali et al., arXiv:2006.13365): over the
+// candidates c ≠ target, c ∉ known, a query counts greater = #{s_c > s_t}
+// and equal = #{s_c == s_t}; its rank is 1 + greater + equal/2, the mean
+// of the optimistic and pessimistic ranks. MRR and Hits@k both read it,
+// so a tie never favours or penalises the target by its ID.
 
 // Filter indexes the known true triples to exclude from ranking: the
 // training edges (through a relation-carrying Adjacency) plus any
@@ -69,7 +73,7 @@ func (f *Filter) KnownTails(buf []int32, src, rel int32) []int32 {
 		}
 	}
 	buf = append(buf, f.tails[pairKey(src, rel)]...)
-	sortInt32(buf)
+	slices.Sort(buf)
 	return buf
 }
 
@@ -89,12 +93,28 @@ func (f *Filter) KnownHeads(buf []int32, dst, rel int32) []int32 {
 		}
 	}
 	buf = append(buf, f.heads[pairKey(dst, rel)]...)
-	sortInt32(buf)
+	slices.Sort(buf)
 	return buf
 }
 
-func sortInt32(a []int32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+// SampleCandidates draws k distinct entity IDs from [0, n) with a seeded
+// RNG and returns them in ascending order: a candidate list for
+// RankingConfig.Candidates. With k >= n it returns nil, every entity.
+func SampleCandidates(n, k int, seed int64) []int32 {
+	if k >= n {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[int32]bool, k)
+	out := make([]int32, 0, k)
+	for len(out) < k {
+		if c := int32(rng.Intn(n)); !seen[c] {
+			seen[c] = true
+			out = append(out, c)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // RankingConfig configures a streamed ranking evaluation.
@@ -106,6 +126,9 @@ type RankingConfig struct {
 	// the embedding table for decoder-only models, or the precomputed
 	// encoder outputs for GNN models.
 	Table *tensor.Tensor
+	// Candidates lists the entities every query ranks against, in
+	// ascending ID order; nil ranks against every entity.
+	Candidates []int32
 	// Ks lists the Hits@k cutoffs (default 1, 10).
 	Ks []int
 	// Filter removes known true triples from the candidate set; nil ranks
@@ -129,9 +152,9 @@ type RankingResult struct {
 	Ranked int
 }
 
-// Ranking runs the filtered (or raw) both-sides ranking protocol over the
-// held-out edges. Results are bitwise independent of Workers, BatchSize
-// and Chunk.
+// Ranking runs the both-sides ranking protocol over the held-out edges,
+// filtered or raw, against every entity or cfg.Candidates. Results are
+// bitwise independent of Workers, BatchSize and Chunk.
 func Ranking(cfg RankingConfig, edges []graph.Edge) RankingResult {
 	ks := cfg.Ks
 	if len(ks) == 0 {
@@ -156,7 +179,10 @@ func Ranking(cfg RankingConfig, edges []graph.Edge) RankingResult {
 	c := tensor.NewCompute(workers, nil)
 
 	dim := cfg.Dec.Dim()
-	n := cfg.Table.Rows
+	numCands := cfg.Table.Rows
+	if cfg.Candidates != nil {
+		numCands = len(cfg.Candidates)
+	}
 	var tn []float32
 	if cfg.Dec.Norms() {
 		tn = decoder.TableNorms(cfg.Table)
@@ -169,7 +195,7 @@ func Ranking(cfg RankingConfig, edges []graph.Edge) RankingResult {
 	// head rank at 2j+1) and aggregated once at the end, so MRR/Hits are
 	// bitwise independent of batch grouping as well as worker count and
 	// chunk size.
-	allRanks := make([]int64, 2*len(edges))
+	allRanks := make([]float64, 2*len(edges))
 
 	for base := 0; base < len(edges); base += batch {
 		b := min(batch, len(edges)-base)
@@ -177,7 +203,7 @@ func Ranking(cfg RankingConfig, edges []graph.Edge) RankingResult {
 		// (row b+i), record targets and per-query known-candidate lists.
 		q := tensor.New(2*b, dim)
 		targets := make([]int32, 2*b)
-		ranks := make([]int64, 2*b)
+		greater, equal := make([]int64, 2*b), make([]int64, 2*b)
 		var qn []float32
 		if cfg.Dec.Norms() {
 			qn = make([]float32, 2*b)
@@ -194,7 +220,6 @@ func Ranking(cfg RankingConfig, edges []graph.Edge) RankingResult {
 				qn[i] = decoder.SqNorm(q.Row(i))
 				qn[b+i] = decoder.SqNorm(q.Row(b + i))
 			}
-			ranks[i], ranks[b+i] = 1, 1
 		}
 
 		// Target scores, computed by the same scalar dot the fused kernel
@@ -212,40 +237,47 @@ func Ranking(cfg RankingConfig, edges []graph.Edge) RankingResult {
 		// Stream candidate chunks in ascending ID order; each query's
 		// sorted known list merges against the ascending scan.
 		knownPos := make([]int, 2*b)
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			ids := idx[:hi-lo]
-			for j := range ids {
-				ids[j] = int32(lo + j)
+		for lo := 0; lo < numCands; lo += chunk {
+			hi := min(lo+chunk, numCands)
+			var ids []int32
+			if cfg.Candidates != nil {
+				ids = cfg.Candidates[lo:hi]
+			} else {
+				ids = idx[:hi-lo]
+				for j := range ids {
+					ids[j] = int32(lo + j)
+				}
 			}
 			s := c.GatherMatMulTB(q, cfg.Table, ids)
 			decoder.FinishScores(cfg.Dec, s, qn, tn, ids)
 			for i := 0; i < 2*b; i++ {
 				target, kn := targets[i], known[i]
 				kp := knownPos[i]
-				row, t := s.Row(i), ts[i]
-				for j, sc := range row {
-					cand := int32(lo + j)
+				row, t := s.Row(i)[:len(ids)], ts[i]
+				var g, eq int64
+				for j, cand := range ids {
+					sc := row[j]
 					for kp < len(kn) && kn[kp] < cand {
 						kp++
 					}
-					if cand == target {
-						continue
+					if cand == target || (kp < len(kn) && kn[kp] == cand) {
+						continue // the target itself, or a known true triple
 					}
-					if kp < len(kn) && kn[kp] == cand {
-						continue // known true triple: filtered out
-					}
-					if sc > t || (sc == t && cand < target) {
-						ranks[i]++
+					if sc > t {
+						g++
+					} else if sc == t {
+						eq++
 					}
 				}
 				knownPos[i] = kp
+				greater[i] += g
+				equal[i] += eq
 			}
 		}
 
 		for i := 0; i < b; i++ {
-			allRanks[2*(base+i)] = ranks[i]
-			allRanks[2*(base+i)+1] = ranks[b+i]
+			allRanks[2*(base+i)] = realisticRank(greater[i], equal[i])
+			allRanks[2*(base+i)+1] = realisticRank(greater[b+i], equal[b+i])
 		}
 		res.Ranked += 2 * b
 	}
@@ -253,9 +285,9 @@ func Ranking(cfg RankingConfig, edges []graph.Edge) RankingResult {
 	var sumRR float64
 	hitCounts := make(map[int]int64, len(ks))
 	for _, r := range allRanks {
-		sumRR += 1 / float64(r)
+		sumRR += 1 / r
 		for _, k := range ks {
-			if r <= int64(k) {
+			if r <= float64(k) {
 				hitCounts[k]++
 			}
 		}
@@ -265,4 +297,10 @@ func Ranking(cfg RankingConfig, edges []graph.Edge) RankingResult {
 		res.Hits[k] = float64(hitCounts[k]) / float64(res.Ranked)
 	}
 	return res
+}
+
+// realisticRank is 1 + greater + equal/2: the mean of the optimistic and
+// pessimistic ranks, exact in float64.
+func realisticRank(greater, equal int64) float64 {
+	return 1 + float64(greater) + float64(equal)/2
 }

@@ -129,43 +129,48 @@ func TrainFirstOrder(numNodes int, trainNodes []int32, seed int64) []int32 {
 	return newID
 }
 
-// Apply relabels every node reference in g according to newID, reordering
-// features and labels to match. It mutates g in place.
-func Apply(g *graph.Graph, newID []int32) {
+// Apply returns a copy of g with every node reference relabeled
+// according to newID and features and labels reordered to match. g is
+// only read.
+func Apply(g *graph.Graph, newID []int32) *graph.Graph {
 	if len(newID) != g.NumNodes {
 		panic(fmt.Sprintf("partition: relabeling of %d nodes for graph with %d", len(newID), g.NumNodes))
 	}
-	remapEdges := func(edges []graph.Edge) {
+	out := *g
+	remapEdges := func(edges []graph.Edge) []graph.Edge {
+		edges = slices.Clone(edges)
 		for i := range edges {
 			edges[i].Src = newID[edges[i].Src]
 			edges[i].Dst = newID[edges[i].Dst]
 		}
+		return edges
 	}
-	remapEdges(g.Edges)
-	remapEdges(g.ValidEdges)
-	remapEdges(g.TestEdges)
-	remapIDs := func(ids []int32) {
+	out.Edges = remapEdges(g.Edges)
+	out.ValidEdges = remapEdges(g.ValidEdges)
+	out.TestEdges = remapEdges(g.TestEdges)
+	remapIDs := func(ids []int32) []int32 {
+		ids = slices.Clone(ids)
 		for i := range ids {
 			ids[i] = newID[ids[i]]
 		}
+		return ids
 	}
-	remapIDs(g.TrainNodes)
-	remapIDs(g.ValidNodes)
-	remapIDs(g.TestNodes)
+	out.TrainNodes = remapIDs(g.TrainNodes)
+	out.ValidNodes = remapIDs(g.ValidNodes)
+	out.TestNodes = remapIDs(g.TestNodes)
 	if g.Labels != nil {
-		labels := make([]int32, len(g.Labels))
+		out.Labels = make([]int32, len(g.Labels))
 		for old, lab := range g.Labels {
-			labels[newID[old]] = lab
+			out.Labels[newID[old]] = lab
 		}
-		g.Labels = labels
 	}
 	if g.Features != nil {
-		feats := tensor.New(g.Features.Rows, g.Features.Cols)
+		out.Features = tensor.New(g.Features.Rows, g.Features.Cols)
 		for old := 0; old < g.Features.Rows; old++ {
-			copy(feats.Row(int(newID[old])), g.Features.Row(old))
+			copy(out.Features.Row(int(newID[old])), g.Features.Row(old))
 		}
-		g.Features = feats
 	}
+	return &out
 }
 
 // LogicalGrouping assigns physical partitions to logical partitions.

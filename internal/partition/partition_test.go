@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,22 +127,31 @@ func TestApplyRelabelsEverything(t *testing.T) {
 		Labels:     []int32{10, 11, 12, 13},
 		TrainNodes: []int32{0, 2},
 	}
+	before := *g
+	before.Edges = slices.Clone(g.Edges)
+	before.ValidEdges = slices.Clone(g.ValidEdges)
+	before.Labels = slices.Clone(g.Labels)
+	before.TrainNodes = slices.Clone(g.TrainNodes)
+	before.Features = feats.Clone()
 	// Reverse relabeling: v -> 3-v.
-	Apply(g, []int32{3, 2, 1, 0})
-	if g.Edges[0].Src != 3 || g.Edges[0].Dst != 2 {
-		t.Fatalf("edges not relabeled: %+v", g.Edges[0])
+	r := Apply(g, []int32{3, 2, 1, 0})
+	if r.Edges[0].Src != 3 || r.Edges[0].Dst != 2 {
+		t.Fatalf("edges not relabeled: %+v", r.Edges[0])
 	}
-	if g.ValidEdges[0].Src != 2 || g.ValidEdges[0].Dst != 1 {
+	if r.ValidEdges[0].Src != 2 || r.ValidEdges[0].Dst != 1 {
 		t.Fatal("valid edges not relabeled")
 	}
-	if g.TrainNodes[0] != 3 || g.TrainNodes[1] != 1 {
+	if r.TrainNodes[0] != 3 || r.TrainNodes[1] != 1 {
 		t.Fatal("train nodes not relabeled")
 	}
-	if g.Labels[3] != 10 || g.Labels[0] != 13 {
-		t.Fatalf("labels not relabeled: %v", g.Labels)
+	if r.Labels[3] != 10 || r.Labels[0] != 13 {
+		t.Fatalf("labels not relabeled: %v", r.Labels)
 	}
-	if g.Features.At(3, 0) != 0 || g.Features.At(0, 0) != 3 {
+	if r.Features.At(3, 0) != 0 || r.Features.At(0, 0) != 3 {
 		t.Fatal("features not relabeled")
+	}
+	if !reflect.DeepEqual(*g, before) {
+		t.Fatalf("Apply changed its input: %+v, was %+v", *g, before)
 	}
 }
 

@@ -56,15 +56,6 @@ func (pl *Plan) TotalLoads() int {
 	return loads
 }
 
-// NumBuckets counts assigned buckets across all visits.
-func (pl *Plan) NumBuckets() int {
-	n := 0
-	for _, v := range pl.Visits {
-		n += len(v.Buckets)
-	}
-	return n
-}
-
 // Verify checks the two correctness invariants every link-prediction plan
 // must satisfy: (1) each of the p² buckets is assigned to exactly one
 // visit, and (2) a bucket is only assigned to a visit whose memory set

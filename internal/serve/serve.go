@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/encode"
+	"repro/internal/eval"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -139,6 +140,11 @@ type Context struct {
 	// the fused GatherMatMulTB kernel.
 	allNodes []int32
 
+	// known indexes the training edges for filtered top-k: the known
+	// tails of (src, rel) are the dataset's edges (src, rel, d), no
+	// held-out split among them.
+	known *eval.Filter
+
 	closer io.Closer // disk-backed feature store, when one was opened
 
 	// featStats are the disk feature store's IO counters (nil for
@@ -186,6 +192,7 @@ func Open(dir string, cfg Config) (*Context, error) {
 	}
 
 	ctx := &Context{Dir: dir, DS: ds, Adj: graph.BuildAdjacency(man.NumNodes, edges)}
+	ctx.known = eval.NewFilter(ctx.Adj)
 	ctx.allNodes = make([]int32, man.NumNodes)
 	for i := range ctx.allNodes {
 		ctx.allNodes[i] = int32(i)
@@ -254,19 +261,4 @@ func (c *Context) validNode(id int32) error {
 		return fmt.Errorf("%w: node %d out of range [0,%d)", ErrBadRequest, id, c.DS.Man.NumNodes)
 	}
 	return nil
-}
-
-// knownTails returns the set of entities d with a dataset edge
-// (src, rel, d), scanned off the relation-carrying adjacency — the
-// filter index for filtered top-k serving. The adjacency is immutable
-// after Open, so this is safe from the dispatcher goroutine.
-func (c *Context) knownTails(src, rel int32) map[int32]struct{} {
-	nbrs, rels := c.Adj.OutNeighbors(src), c.Adj.OutRels(src)
-	known := make(map[int32]struct{})
-	for i, d := range nbrs {
-		if rels[i] == rel {
-			known[d] = struct{}{}
-		}
-	}
-	return known
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,8 +70,10 @@ type TopKRequest struct {
 	Relation *int32 `json:"relation,omitempty"`
 	K        int    `json:"k"`
 	// Filter removes known true tails — entities d with a training edge
-	// (src, relation, d) — from the candidates, the serving analog of the
-	// filtered ranking protocol: returned tails are novel predictions.
+	// (src, relation, d), read from an eval.Filter over the serving
+	// adjacency — from the candidates: returned tails are novel
+	// predictions. Evaluation's filtered protocol also removes validation
+	// and test triples; serving knows only the training edges.
 	Filter bool  `json:"filter,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`
 }
@@ -605,14 +608,15 @@ func (s *Server) runTopK(snap *Snapshot, group []*call) (sampleT, encodeT, decod
 	t2 := time.Now()
 	encodeT = t2.Sub(t1)
 
+	var known []int32
 	for i, c := range group {
 		row := scores.Row(i)
 		k := min(c.topk.K, len(row))
 		var ids []int32
 		if c.topk.Filter {
-			known := s.ctx.knownTails(c.topk.Src, c.rel)
+			known = s.ctx.known.KnownTails(known, c.topk.Src, c.rel)
 			ids = decoder.TopKSkip(row, k, func(id int32) bool {
-				_, skip := known[id]
+				_, skip := slices.BinarySearch(known, id)
 				return skip
 			})
 		} else {

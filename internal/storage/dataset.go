@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -304,15 +305,19 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if m.NumNodes <= 0 || m.Partitions <= 0 {
 		return nil, corrupt(ManifestName, "non-positive nodes (%d) or partitions (%d)", m.NumNodes, m.Partitions)
 	}
-	p := m.Partitions
-	if len(m.BucketCounts) != p*p || len(m.BucketCRCs) != p*p {
-		return nil, corrupt(ManifestName, "bucket tables hold %d/%d entries, want %d",
-			len(m.BucketCounts), len(m.BucketCRCs), p*p)
+	// p² entries without computing p², which wraps for an untrusted p.
+	p, nb := m.Partitions, len(m.BucketCounts)
+	if nb/p != p || nb%p != 0 || len(m.BucketCRCs) != nb {
+		return nil, corrupt(ManifestName, "bucket tables hold %d/%d entries for %d partitions, want its square",
+			nb, len(m.BucketCRCs), p)
+	}
+	if m.NumEdges < 0 || m.NumEdges > math.MaxInt64/edgeBytes {
+		return nil, corrupt(ManifestName, "edge count %d out of range", m.NumEdges)
 	}
 	var total int64
 	for b, c := range m.BucketCounts {
-		if c < 0 {
-			return nil, corrupt(ManifestName, "negative count for bucket %d", b)
+		if c < 0 || c > m.NumEdges-total {
+			return nil, corrupt(ManifestName, "count %d for bucket %d exceeds the manifest's %d edges", c, b, m.NumEdges)
 		}
 		total += c
 	}
@@ -644,16 +649,11 @@ func (d *Dataset) Verify() error {
 	return nil
 }
 
-// OpenDiskEdgeStore serves edge buckets from an existing bucket-sorted
-// file laid out exactly as CreateDiskEdgeStore writes it; counts gives
+// OpenDiskEdgeStoreFS serves edge buckets from an existing bucket-sorted
+// file laid out exactly as CreateDiskEdgeStore writes it, opened
+// read-only through fsys (nil means the real filesystem); counts gives
 // the p² bucket edge counts in BucketID order (the manifest's
-// BucketCounts). The file is opened read-only.
-func OpenDiskEdgeStore(path string, pt partition.Partitioning, counts []int64, throttle *Throttle) (*DiskEdgeStore, error) {
-	return OpenDiskEdgeStoreFS(nil, path, pt, counts, throttle)
-}
-
-// OpenDiskEdgeStoreFS is OpenDiskEdgeStore opening through fsys (nil
-// means the real filesystem).
+// BucketCounts).
 func OpenDiskEdgeStoreFS(fsys fault.FS, path string, pt partition.Partitioning, counts []int64, throttle *Throttle) (*DiskEdgeStore, error) {
 	p := pt.NumPartitions
 	if len(counts) != p*p {

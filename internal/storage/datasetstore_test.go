@@ -12,7 +12,7 @@ import (
 // prepNC exports a small labeled/featured graph and ingests it, returning
 // the prepared directory. External test package: internal/dataset imports
 // storage, so these dataset-backed storage tests live outside it.
-func prepNC(t *testing.T, parts int) string {
+func prepNC(t testing.TB, parts int) string {
 	t.Helper()
 	g := gen.SBM(gen.SBMConfig{
 		NumNodes: 300, NumClasses: 4, AvgDegree: 5, FeatureDim: 6,

@@ -623,8 +623,8 @@ func logProb(p float32) float64 {
 //
 // When mrr is not nil, the pass that takes the maximum also counts the
 // negatives above and equal to pos_i, and *mrr receives the batch MRR of
-// the positives under decoder.BatchMRR's rule: rank 1 + greater + ½·equal,
-// 1/rank summed in row order, over n. The counts are exact while N < 2^24.
+// the positives under the realistic rank eval.Ranking also uses: rank 1 +
+// greater + ½·equal, 1/rank summed in row order, over n. The counts are exact while N < 2^24.
 func (tp *Tape) PosNegCE(pos, neg *Node, mrr *float64) *Node {
 	n, N := neg.Value.Rows, neg.Value.Cols
 	if pos.Value.Rows != n || pos.Value.Cols != 1 {
@@ -649,7 +649,7 @@ func (tp *Tape) PosNegCE(pos, neg *Node, mrr *float64) *Node {
 	out := tp.c.alloc(1, 1)
 	out.Data[0] = float32(loss / float64(n))
 	if rank {
-		*mrr = rr / max(float64(n), 1) // no rows: 0, as BatchMRR
+		*mrr = rr / max(float64(n), 1) // no rows: 0
 	}
 	// The concatenated backward wrote 0 + (p−1)·scale and 0 + scale·p into
 	// a zeroed gradient, then added those onto pos's and neg's gradients,

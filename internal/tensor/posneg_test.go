@@ -40,8 +40,8 @@ func runPosNeg(pos, neg *Tensor, workers int, fused, prior bool) posNegResult {
 	return r
 }
 
-// refMRR is decoder.BatchMRR (which this package cannot import): rank 1,
-// plus 1 per greater negative and ½ per tie, one row at a time.
+// refMRR is the realistic rank's batch MRR, one row at a time: rank 1,
+// plus 1 per greater negative and ½ per tie.
 func refMRR(pos, neg *Tensor) float64 {
 	if pos.Rows == 0 {
 		return 0

@@ -77,10 +77,10 @@ func restoreMismatch(field, format string, args ...any) error {
 // layout). Shape disagreements are rejected up front with an error
 // matching ErrCheckpointMismatch that names the offending field (task,
 // dim, layers, nodes, ...) rather than surfacing as a kernel shape panic
-// mid-forward. Training continues from the checkpointed epoch; with
-// WithWorkers(1) it follows the exact trajectory the saved run would have
-// taken, while the default multi-worker pipeline is nondeterministic by
-// design.
+// mid-forward; so is a checkpoint whose dataset UUID differs from the
+// session's, when both carry one (field "dataset"). Training continues
+// from the checkpointed epoch and follows the exact trajectory the saved
+// run would have taken, at every worker count and pipeline depth.
 func (s *Session) Restore(path string) error {
 	cp, err := ckpt.Read(path)
 	if err != nil {
@@ -94,6 +94,9 @@ func (s *Session) Restore(path string) error {
 	}
 	if cp.Seed != s.opts.Seed {
 		return restoreMismatch("seed", "checkpoint seed %d, session seed %d", cp.Seed, s.opts.Seed)
+	}
+	if ds := s.opts.dataset; ds != nil && cp.DatasetUUID != "" && cp.DatasetUUID != ds.Man.UUID {
+		return restoreMismatch("dataset", "checkpoint dataset %s, session dataset %s", cp.DatasetUUID, ds.Man.UUID)
 	}
 	// Model-shape metadata (absent from pre-metadata checkpoints, whose
 	// shapes are still caught by the table and parameter checks below).

@@ -1,13 +1,19 @@
 package marius_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/marius"
 )
 
@@ -197,5 +203,101 @@ func TestRestoreMismatchNamesField(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "dim") {
 		t.Fatalf("error %q does not name the offending field", err)
+	}
+}
+
+// TestNewDoesNotMutateGraph: New trains on a relabeled copy, so the
+// caller's graph is byte-equal before and after, and two sessions over
+// one graph value train the same trajectory to the same checkpoint bytes.
+func TestNewDoesNotMutateGraph(t *testing.T) {
+	kcfg := smallKG(61)
+	ncfg := smallNC(62)
+	for _, tc := range []struct {
+		name string
+		task func() marius.Task
+		gen  func() *graph.Graph
+		opts []marius.Option
+	}{
+		{"lp", marius.LinkPrediction, func() *graph.Graph { return gen.KG(kcfg) },
+			[]marius.Option{marius.WithDim(8), marius.WithFanouts(4), marius.WithNegatives(16), marius.WithSeed(61)}},
+		{"nc", marius.NodeClassification, func() *graph.Graph { return gen.SBM(*ncfg) },
+			[]marius.Option{marius.WithDim(8), marius.WithFanouts(4, 4), marius.WithSeed(62)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.gen()
+			run := func() ([]float64, []byte) {
+				t.Helper()
+				sess, err := marius.New(tc.task(), g, tc.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				res, err := sess.Run(context.Background(), marius.Epochs(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var losses []float64
+				for _, st := range res.Epochs {
+					losses = append(losses, st.Loss)
+				}
+				path := filepath.Join(t.TempDir(), "run.ckpt")
+				if err := sess.Save(path); err != nil {
+					t.Fatal(err)
+				}
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return losses, raw
+			}
+			l1, c1 := run()
+			if !reflect.DeepEqual(g, tc.gen()) {
+				t.Fatal("New changed the caller's graph")
+			}
+			l2, c2 := run()
+			if !slices.Equal(l1, l2) || !bytes.Equal(c1, c2) {
+				t.Fatalf("second session over one graph diverged: losses %v vs %v, checkpoints equal %v",
+					l1, l2, bytes.Equal(c1, c2))
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesOtherDataset: a checkpoint from one prepared dataset
+// does not restore into a session over another of the same shape. The
+// two datasets are ingested at the same seed and partition count from
+// different same-sized graphs; their UUIDs differ because they hash the
+// bucket CRCs.
+func TestRestoreRefusesOtherDataset(t *testing.T) {
+	const seed = int64(71)
+	open := func(graphSeed int64) *marius.Session {
+		t.Helper()
+		exp, err := dataset.Export(gen.KG(smallKG(graphSeed)), t.TempDir(), "tsv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, err := dataset.Ingest(exp.Config(dir, "lp", seed, 4)); err != nil {
+			t.Fatal(err)
+		}
+		sess, err := marius.FromDataset(dir, marius.WithModel(marius.DistMultOnly), marius.WithDim(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	a, b := open(72), open(73)
+	defer a.Close()
+	defer b.Close()
+	path := filepath.Join(t.TempDir(), "a.ckpt")
+	if err := a.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Restore(path); err != nil {
+		t.Fatalf("restore into its own dataset: %v", err)
+	}
+	err := b.Restore(path)
+	if !errors.Is(err, marius.ErrCheckpointMismatch) || !strings.Contains(err.Error(), "dataset") {
+		t.Fatalf("restore into another dataset: err = %v, want ErrCheckpointMismatch naming dataset", err)
 	}
 }

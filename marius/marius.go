@@ -119,12 +119,16 @@ func (s Split) String() string {
 
 // Evaluation protocol names recorded in EvalResult.Protocol.
 const (
-	// ProtocolSampled is the default link-prediction protocol: MRR against
-	// shared sampled negatives (full ranking on small graphs).
+	// ProtocolSampled is the default link-prediction protocol: the
+	// ranking protocol, raw, against every entity on graphs of at most
+	// 20 000 entities and otherwise against one sorted sample of 1 000
+	// distinct candidates drawn once per call from the session seed + 3.
 	ProtocolSampled = "sampled"
 	// ProtocolRanking is the both-sides ranking protocol selected by
 	// RankingEval/FilteredEval: every held-out edge ranked against all
 	// entities on the tail and head side, reporting MRR and Hits@k.
+	// Both protocols rank through eval.Ranking with the realistic rank
+	// 1 + greater + equal/2.
 	ProtocolRanking = "ranking"
 )
 
@@ -146,10 +150,8 @@ type EvalResult struct {
 	Protocol string
 	Filtered bool
 
-	// Loss is the mean evaluation loss (sampled link prediction only; 0
-	// elsewhere). MRR mirrors Value for link prediction. Hits maps k to
-	// Hits@k (nil for node classification).
-	Loss float64
+	// MRR mirrors Value for link prediction. Hits maps k to Hits@k (nil
+	// for node classification).
 	MRR  float64
 	Hits map[int]float64
 }
@@ -184,8 +186,9 @@ func sortedKs(hits map[int]float64) []int {
 type Task interface {
 	// Name returns the short task name ("nc", "lp").
 	Name() string
-	// Prepare validates g against the task's requirements, relabels it for
-	// partitioned training, and builds the trainer. Called once by New.
+	// Prepare validates g against the task's requirements and builds the
+	// trainer. g arrives relabeled for partitioned training (by New, or by
+	// ingest for FromDataset). Called once by New or FromDataset.
 	Prepare(g *graph.Graph, o *Options) error
 	// TrainEpoch runs one training epoch, honoring ctx cancellation
 	// between visits and mini batches.
@@ -223,8 +226,10 @@ type Session struct {
 // New builds a Session running task over g with the given options applied
 // on top of the paper defaults. Options are validated eagerly: the first
 // invalid option or invalid combination is returned as an *OptionError
-// wrapping one of the Err... sentinels. The graph is relabeled in place
-// for partitioned training (deterministically, given the same seed).
+// wrapping one of the Err... sentinels. g is only read: the session trains
+// on a relabeled copy (the seeded partition order, as ingest applies it),
+// which Graph returns, so any number of sessions over one graph value
+// train identically.
 func New(task Task, g *graph.Graph, opts ...Option) (*Session, error) {
 	if task == nil {
 		return nil, optErr("New", ErrBadValue, "nil task")
@@ -241,13 +246,14 @@ func New(task Task, g *graph.Graph, opts ...Option) (*Session, error) {
 	if err := o.resolve(task.Name()); err != nil {
 		return nil, err
 	}
+	g = o.relabel(task.Name(), g)
 	if err := task.Prepare(g, &o); err != nil {
 		return nil, err
 	}
 	return &Session{graph: g, task: task, opts: o}, nil
 }
 
-// Graph returns the (relabeled) graph the session trains on.
+// Graph returns the relabeled graph the session trains on.
 func (s *Session) Graph() *graph.Graph { return s.graph }
 
 // Task returns the session's task.
@@ -265,10 +271,10 @@ func (s *Session) TrainEpoch(ctx context.Context) (train.EpochStats, error) {
 }
 
 // Evaluate computes the task metric on a split. With no options, the
-// task default runs: accuracy for node classification, sampled-negative
-// MRR for link prediction. RankingEval and FilteredEval switch
-// link-prediction sessions to the (optionally filtered) both-sides
-// ranking protocol, filling MRR and Hits@k in the result.
+// task default runs: accuracy for node classification, the sampled
+// protocol's MRR and Hits@1/10 for link prediction. RankingEval and
+// FilteredEval switch link-prediction sessions to the (optionally
+// filtered) both-sides ranking protocol over every entity.
 func (s *Session) Evaluate(split Split, opts ...EvalOption) (EvalResult, error) {
 	var spec *EvalSpec
 	if len(opts) > 0 {

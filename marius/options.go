@@ -639,9 +639,11 @@ type EvalSpec struct {
 	// Ranking selects the ranking protocol: every held-out edge (s, r, d)
 	// is ranked twice against all entities — d among candidate tails of
 	// (s, r, ?), s among candidate heads of (?, r, d) — reporting MRR and
-	// Hits@k. Without it, link prediction evaluates with the sampled
-	// protocol (MRR against shared negatives) and node classification
-	// with accuracy.
+	// Hits@k from the realistic rank 1 + greater + equal/2. Without it,
+	// link prediction evaluates with the sampled protocol (the same
+	// ranking, raw, over a candidate sample on graphs above 20 000
+	// entities; see ProtocolSampled) and node classification with
+	// accuracy.
 	Ranking bool
 	// Filtered removes known true triples (training, validation and test
 	// edges) from the candidate sets, the standard "filtered" protocol.
@@ -653,8 +655,10 @@ type EvalSpec struct {
 // EvalOption configures a single Session.Evaluate call.
 type EvalOption func(*EvalSpec) error
 
-// RankingEval selects the ranking protocol (raw candidate sets),
-// reporting MRR and Hits@k at the given cutoffs (default 1, 10). Only
+// RankingEval selects the ranking protocol (raw candidate sets, every
+// entity), reporting MRR and Hits@k at the given cutoffs (default 1, 10)
+// from the realistic rank 1 + greater + equal/2: a candidate scoring
+// equal to the target adds half a rank, whatever its ID. Only
 // link-prediction sessions support it. Results are bitwise independent
 // of worker count, batch size and candidate-chunk width, and match a
 // brute-force per-candidate reference exactly.

@@ -7,6 +7,7 @@ package marius_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -15,10 +16,12 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/dataset"
 	"repro/internal/decoder"
+	"repro/internal/eval"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/marius"
 )
@@ -102,7 +105,7 @@ var decoderKinds = []struct {
 // MRR/Hits@k the session API reports must equal — exactly, not
 // approximately — a brute-force reference that rescoring every candidate
 // for every held-out edge from the checkpointed model state, applying
-// the documented rank rule (strictly-greater plus lower-ID ties,
+// the documented rank rule (the realistic rank 1 + greater + equal/2,
 // known true triples removed).
 func TestSessionRankingMatchesBruteForce(t *testing.T) {
 	const seed, dim = int64(31), 8
@@ -156,7 +159,7 @@ func TestSessionRankingMatchesBruteForce(t *testing.T) {
 			// generated identical graph, then index every known true triple
 			// across all three splits.
 			g := gen.KG(kcfg)
-			partition.Apply(g, partition.RandomOrder(g.NumNodes, seed))
+			g = partition.Apply(g, partition.RandomOrder(g.NumNodes, seed))
 			type pair = int64
 			key := func(a, r int32) pair { return int64(a)<<32 | int64(uint32(r)) }
 			tails := map[pair]map[int32]bool{}
@@ -180,7 +183,7 @@ func TestSessionRankingMatchesBruteForce(t *testing.T) {
 				tn = decoder.TableNorms(tbl)
 			}
 			q := make([]float32, dim)
-			rankOf := func(target int32, known map[int32]bool) int64 {
+			rankOf := func(target int32, known map[int32]bool) float64 {
 				var qn float32
 				if dec.Norms() {
 					qn = decoder.SqNorm(q)
@@ -190,7 +193,7 @@ func TestSessionRankingMatchesBruteForce(t *testing.T) {
 					cn = tn[target]
 				}
 				ts := decoder.ScoreOne(dec, q, tbl.Row(int(target)), qn, cn)
-				rank := int64(1)
+				rank := 1.0
 				for c := 0; c < tbl.Rows; c++ {
 					cand := int32(c)
 					if cand == target || known[cand] {
@@ -200,8 +203,10 @@ func TestSessionRankingMatchesBruteForce(t *testing.T) {
 						cn = tn[c]
 					}
 					sc := decoder.ScoreOne(dec, q, tbl.Row(c), qn, cn)
-					if sc > ts || (sc == ts && cand < target) {
+					if sc > ts {
 						rank++
+					} else if sc == ts {
+						rank += 0.5
 					}
 				}
 				return rank
@@ -217,10 +222,10 @@ func TestSessionRankingMatchesBruteForce(t *testing.T) {
 				tr := rankOf(e.Dst, tails[key(e.Src, e.Rel)])
 				dec.HeadQueryInto(q, tbl.Row(int(e.Dst)), relRow)
 				hr := rankOf(e.Src, heads[key(e.Dst, e.Rel)])
-				for _, r := range []int64{tr, hr} {
-					sumRR += 1 / float64(r)
+				for _, r := range []float64{tr, hr} {
+					sumRR += 1 / r
 					for _, k := range ks {
-						if r <= int64(k) {
+						if r <= float64(k) {
 							hits[k]++
 						}
 					}
@@ -335,5 +340,111 @@ func TestRestoreDecoderMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "decoder") {
 		t.Fatalf("error %q does not name the decoder field", err)
+	}
+}
+
+// TestSessionProtocolsPlantedTies plants a table whose rows are all
+// equal, so every eligible candidate ties with the target, and holds both
+// session protocols to the closed-form realistic rank 1 + m/2, m the
+// query's candidates other than the target and its known triples: the
+// default protocol raw against every entity (600 entities) and against
+// its 1 000-candidate sample (20 001 entities), and RankingEval raw and
+// filtered, for every decoder.
+func TestSessionProtocolsPlantedTies(t *testing.T) {
+	const seed = int64(81)
+	for _, n := range []int{600, 20001} {
+		kcfg := gen.KGConfig{
+			NumEntities: n, NumRelations: 4, NumEdges: 6000,
+			ZipfS: 1.2, ValidFrac: 0.02, TestFrac: 0.02, Seed: seed,
+		}
+		for _, tc := range decoderKinds {
+			t.Run(fmt.Sprintf("%s/%d", tc.kind, n), func(t *testing.T) {
+				sess, err := marius.New(marius.LinkPrediction(), gen.KG(kcfg),
+					marius.WithModel(marius.DistMultOnly), marius.WithDecoder(tc.opt),
+					marius.WithDim(8), marius.WithBatchSize(100), marius.WithWorkers(2), marius.WithSeed(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				table := sess.Task().Source().Nodes.(*storage.MemoryNodeStore).Table()
+				for v := 1; v < table.Rows; v++ {
+					copy(table.Row(v), table.Row(0))
+				}
+
+				g := sess.Graph()
+				type pair = int64
+				key := func(a, r int32) pair { return int64(a)<<32 | int64(uint32(r)) }
+				tails, heads := map[pair]map[int32]bool{}, map[pair]map[int32]bool{}
+				for _, split := range [][]graph.Edge{g.Edges, g.ValidEdges, g.TestEdges} {
+					for _, e := range split {
+						tk, hk := key(e.Src, e.Rel), key(e.Dst, e.Rel)
+						if tails[tk] == nil {
+							tails[tk] = map[int32]bool{}
+						}
+						if heads[hk] == nil {
+							heads[hk] = map[int32]bool{}
+						}
+						tails[tk][e.Dst], heads[hk][e.Src] = true, true
+					}
+				}
+				all := make([]int32, n)
+				for i := range all {
+					all[i] = int32(i)
+				}
+				closedForm := func(cands []int32, filtered bool) (float64, map[int]float64) {
+					var rr float64
+					hits := map[int]float64{}
+					for _, e := range g.ValidEdges {
+						for _, side := range []struct {
+							target int32
+							known  map[int32]bool
+						}{{e.Dst, tails[key(e.Src, e.Rel)]}, {e.Src, heads[key(e.Dst, e.Rel)]}} {
+							m := 0
+							for _, c := range cands {
+								if c != side.target && !(filtered && side.known[c]) {
+									m++
+								}
+							}
+							r := 1 + float64(m)/2
+							rr += 1 / r
+							for _, k := range []int{1, 10} {
+								if r <= float64(k) {
+									hits[k]++
+								}
+							}
+						}
+					}
+					q := float64(2 * len(g.ValidEdges))
+					for k := range hits {
+						hits[k] /= q
+					}
+					return rr / q, hits
+				}
+
+				sampled := all
+				if n > 20000 {
+					sampled = eval.SampleCandidates(n, 1000, seed+3)
+				}
+				for _, pc := range []struct {
+					name     string
+					opts     []marius.EvalOption
+					cands    []int32
+					filtered bool
+				}{
+					{"default", nil, sampled, false},
+					{"ranking", []marius.EvalOption{marius.RankingEval()}, all, false},
+					{"filtered", []marius.EvalOption{marius.FilteredEval()}, all, true},
+				} {
+					res, err := sess.Evaluate(marius.ValidSplit, pc.opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantMRR, wantHits := closedForm(pc.cands, pc.filtered)
+					if res.MRR != wantMRR || res.Hits[1] != wantHits[1] || res.Hits[10] != wantHits[10] {
+						t.Fatalf("%s: MRR %v hits %v, closed form %v %v", pc.name, res.MRR, res.Hits, wantMRR, wantHits)
+					}
+				}
+			})
+		}
 	}
 }

@@ -72,24 +72,27 @@ func (o *Options) numEdges(g *graph.Graph) int {
 	return len(g.Edges)
 }
 
+// relabel returns the copy of g a graph session trains on: relabeled
+// with the task's order, the one ingest applies (TrainFirstOrder for node
+// classification, RandomOrder for link prediction). g is only read.
+func (o *Options) relabel(task string, g *graph.Graph) *graph.Graph {
+	if task == TaskNC {
+		return partition.Apply(g, partition.TrainFirstOrder(g.NumNodes, g.TrainNodes, o.Seed))
+	}
+	return partition.Apply(g, partition.RandomOrder(g.NumNodes, o.Seed))
+}
+
 // source builds the session's storage. A dataset session serves the
-// dataset's files, which ingest already relabeled. A graph session first
-// relabels g with the task's order, the one ingest applies
-// (TrainFirstOrder for node classification, RandomOrder for link
-// prediction), then splits it into p partitions, held in memory or paged
-// through a disk buffer of c. emb, when non-nil, seeds a learnable table
-// (link prediction); nil serves the node features.
-func (o *Options) source(task string, g *graph.Graph, emb *tensor.Tensor, p, c int) (*train.Source, error) {
+// dataset's files, which ingest already relabeled. A graph session splits
+// g, already relabeled by New, into p partitions, held in memory or
+// paged through a disk buffer of c. emb, when non-nil, seeds a learnable
+// table (link prediction); nil serves the node features.
+func (o *Options) source(g *graph.Graph, emb *tensor.Tensor, p, c int) (*train.Source, error) {
 	if o.dataset != nil {
 		return train.NewDatasetSource(o.dataset, train.DatasetSourceConfig{
 			InMemory: o.Storage == InMemory, Capacity: c,
 			Learnable: emb != nil, WorkDir: o.Dir, InitTable: emb, Throttle: o.Throttle, FS: o.FS,
 		})
-	}
-	if task == TaskNC {
-		partition.Apply(g, partition.TrainFirstOrder(g.NumNodes, g.TrainNodes, o.Seed))
-	} else {
-		partition.Apply(g, partition.RandomOrder(g.NumNodes, o.Seed))
 	}
 	pt := partition.New(g.NumNodes, p)
 	table := emb
@@ -194,7 +197,7 @@ func (t *ncTask) Prepare(g *graph.Graph, o *Options) error {
 	if err != nil {
 		return err
 	}
-	src, err := o.source(TaskNC, g, nil, p, c)
+	src, err := o.source(g, nil, p, c)
 	if err != nil {
 		return err
 	}
@@ -322,7 +325,7 @@ func (t *lpTask) Prepare(g *graph.Graph, o *Options) error {
 	// The learnable table starts from the same seeded rows in every
 	// session; a dataset session creates its files under the WithDisk
 	// directory, never in the read-only dataset.
-	src, err := o.source(TaskLP, g, train.RandomEmbeddings(g.NumNodes, o.Dim, o.Seed), p, c)
+	src, err := o.source(g, train.RandomEmbeddings(g.NumNodes, o.Dim, o.Seed), p, c)
 	if err != nil {
 		return err
 	}
@@ -341,77 +344,72 @@ func (t *lpTask) Prepare(g *graph.Graph, o *Options) error {
 	return nil
 }
 
-// Evaluate computes sampled-negative MRR (or full ranking for small
-// graphs, as the paper does on FB15k-237) by default; a spec with
-// Ranking set runs the both-sides (optionally filtered) ranking protocol
-// instead, reporting MRR and Hits@k.
+// Evaluate ranks every held-out edge on both sides through eval.Ranking,
+// with the realistic rank 1 + greater + equal/2. By default (the sampled
+// protocol) it ranks raw against every entity up to 20 000 entities, and
+// beyond that against one sorted sample of 1 000 distinct candidates
+// drawn once per call from Seed+3; a spec with Ranking set ranks against
+// every entity, filtered when the spec asks.
 func (t *lpTask) Evaluate(split Split, spec *EvalSpec) (EvalResult, error) {
 	edges := t.g.ValidEdges
 	if split == TestSplit {
 		edges = t.g.TestEdges
 	}
 	res := EvalResult{Task: TaskLP, Metric: "MRR", Split: split, Protocol: ProtocolSampled}
+	var ks []int
 	if spec != nil && spec.Ranking {
-		res.Protocol, res.Filtered = ProtocolRanking, spec.Filtered
+		res.Protocol, res.Filtered, ks = ProtocolRanking, spec.Filtered, spec.Ks
 	}
 	if len(edges) == 0 {
 		// Nothing to score: skip the full-table read and adjacency build
 		// (expensive for dataset-backed sessions).
 		return res, nil
 	}
-	emb, err := t.embeddings()
+	table, err := t.embeddings()
 	if err != nil {
 		return res, err
 	}
-	adj, err := t.adj()
-	if err != nil {
-		return res, err
-	}
-
-	if res.Protocol == ProtocolRanking {
-		table := emb
-		if t.enc != nil {
-			// GNN models rank in encoder-output space: precompute the full
-			// encoded entity table (chunked, per-chunk seeded — identical
-			// at every worker count and bit-identical to the serving
-			// snapshot's table for the same state and seed).
-			table, err = encode.FullTable(encode.Config{
-				Encoder: t.enc, Params: t.ps,
-				Fanouts: t.opts.Fanouts, Dirs: graph.Both, Workers: t.opts.Workers,
-			}, adj, encode.TensorStore{T: emb}, t.g.NumNodes, t.opts.Dim, t.opts.Seed+4)
-			if err != nil {
-				return res, err
-			}
+	var adj *graph.Adjacency
+	if t.enc != nil || res.Filtered {
+		if adj, err = t.adj(); err != nil {
+			return res, err
 		}
-		var filter *eval.Filter
-		if spec.Filtered {
-			filter = eval.NewFilter(adj, t.g.ValidEdges, t.g.TestEdges)
+	}
+	if t.enc != nil {
+		// GNN models rank in encoder-output space: precompute the full
+		// encoded entity table (chunked, per-chunk seeded — identical
+		// at every worker count and bit-identical to the serving
+		// snapshot's table for the same state and seed).
+		table, err = encode.FullTable(encode.Config{
+			Encoder: t.enc, Params: t.ps,
+			Fanouts: t.opts.Fanouts, Dirs: graph.Both, Workers: t.opts.Workers,
+		}, adj, encode.TensorStore{T: table}, t.g.NumNodes, t.opts.Dim, t.opts.Seed+4)
+		if err != nil {
+			return res, err
 		}
-		r := eval.Ranking(eval.RankingConfig{
-			Dec: t.dec, Rel: t.dec.RelParam().Value, Table: table,
-			Ks: spec.Ks, Filter: filter,
-			BatchSize: t.opts.BatchSize, Workers: t.opts.Workers,
-		}, edges)
-		res.Value, res.MRR, res.Hits = r.MRR, r.MRR, r.Hits
-		return res, nil
 	}
-
-	negatives := 1000
-	if t.g.NumNodes <= 20000 {
-		negatives = 0 // rank against all entities
+	cfg := eval.RankingConfig{
+		Dec: t.dec, Rel: t.dec.RelParam().Value, Table: table, Ks: ks,
+		BatchSize: t.opts.BatchSize, Workers: t.opts.Workers,
 	}
-	stats, err := train.EvaluateLP(train.LPEvalConfig{
-		Encoder: t.enc, Params: t.ps, Decoder: t.dec,
-		Fanouts: t.opts.Fanouts, Dirs: graph.Both,
-		Negatives: negatives, BatchSize: t.opts.BatchSize,
-		Workers: t.opts.Workers, Seed: t.opts.Seed + 3,
-	}, emb, adj, edges)
-	if err != nil {
-		return res, err
+	if res.Filtered {
+		cfg.Filter = eval.NewFilter(adj, t.g.ValidEdges, t.g.TestEdges)
 	}
-	res.Value, res.MRR, res.Loss, res.Hits = stats.MRR, stats.MRR, stats.Loss, stats.Hits
+	if res.Protocol == ProtocolSampled && t.g.NumNodes > sampledAllEntities {
+		cfg.Candidates = eval.SampleCandidates(t.g.NumNodes, sampledCandidates, t.opts.Seed+3)
+	}
+	r := eval.Ranking(cfg, edges)
+	res.Value, res.MRR, res.Hits = r.MRR, r.MRR, r.Hits
 	return res, nil
 }
+
+// The sampled protocol's candidate rule: every entity up to
+// sampledAllEntities (FB15k-237 scale, as the paper ranks in §7.5),
+// otherwise sampledCandidates sampled ones.
+const (
+	sampledAllEntities = 20000
+	sampledCandidates  = 1000
+)
 
 // embeddings returns the full base-representation table, erroring (rather
 // than panicking) when the node store exposes no in-memory table.
