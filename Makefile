@@ -67,7 +67,9 @@ fuzz-kernels:
 # Twenty seconds of native fuzzing on each parser of untrusted bytes:
 # bytes become a dataset's manifest.json beside an empty edges.bin, and
 # OpenDataset must refuse them with a typed error or open a dataset whose
-# edge store answers every bucket length. The seed corpus alone runs in
+# edge store answers every bucket length; either way every payload name
+# stays inside the dataset directory (the reader runs on a filesystem
+# that records each path it touches). The seed corpus alone runs in
 # every plain `go test`.
 fuzz-parsers:
 	$(GO) test ./internal/storage -run '^$$' -fuzz='^FuzzReadManifest$$' -fuzztime=20s
@@ -92,12 +94,13 @@ race-pipeline:
 # random-operation tests, serve resilience (shedding, deadlines, panic
 # containment, reload), the serve dispatch rule (what is queued is taken
 # at once, an idle request never waits) with the three gated co-batch
-# differentials, and the crash-resume and transient-weather
-# differentials.
+# differentials, served predictions over the in-memory feature table
+# against the evaluation forward, and the crash-resume and
+# transient-weather differentials.
 race-fault:
 	$(GO) test -race ./internal/fault/
 	$(GO) test -race -short -run 'Fault|Evict|Retry|Buffer|Restore|Flush|Prefetch|Disk' ./internal/storage/
-	$(GO) test -race -run 'Shed|Timeout|Panic|Reload|Dispatch|Idle|MicroBatched|TopKGNNDeterministic|TopKFiltered' ./internal/serve/
+	$(GO) test -race -run 'Shed|Timeout|Panic|Reload|Dispatch|Idle|MicroBatched|TopKGNNDeterministic|TopKFiltered|PredictMatchesEval' ./internal/serve/
 	$(GO) test -race -run 'Crash|Resume|Journal|Weather' ./internal/ckpt/ ./internal/dataset/ ./marius/
 
 # The full local gate: everything CI runs.

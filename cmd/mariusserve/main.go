@@ -5,7 +5,9 @@
 // /reload hot-swaps the checkpoint without dropping in-flight requests;
 // GET /healthz and /statz expose liveness and queue/batch/latency
 // metrics, GET /metrics serves Prometheus text, and /debug/pprof/
-// exposes the standard Go profiles.
+// exposes the standard Go profiles. Node features are held in memory as
+// the dataset stores them: a quantized table stays compressed and is
+// dequantized row by row as requests gather it.
 //
 // Examples:
 //
@@ -39,7 +41,6 @@ func main() {
 		reqTO    = flag.Duration("request-timeout", 0, "per-request deadline covering queue wait plus micro-batch (0 = none); expiry returns 504")
 		drain    = flag.Duration("drain", 5*time.Second, "max time to drain in-flight requests on SIGTERM/SIGINT before exiting")
 		workers  = flag.Int("workers", 4, "kernel fan-out (results identical at any value)")
-		mem      = flag.Bool("mem", false, "load node features fully into memory")
 		qtable   = flag.String("quantize-table", "", "store the LP encoding table quantized (fp16 or int8) to shrink serving memory")
 		traceF   = flag.String("trace", "", "write serving-stage spans (queue wait, sample, encode, decode) to this file in Chrome Trace Event Format")
 		seed     = flag.Int64("seed", 1, "server seed mixed into request-derived sampling seeds")
@@ -52,7 +53,7 @@ func main() {
 
 	cfg := marius.ServeConfig{
 		MaxBatch: *maxBatch, QueueCap: *queue,
-		Workers: *workers, Seed: *seed, InMemory: *mem, QuantizeTable: *qtable,
+		Workers: *workers, Seed: *seed, QuantizeTable: *qtable,
 		RequestTimeout: *reqTO,
 	}
 	if *traceF != "" {

@@ -278,12 +278,14 @@
 // The determinism contract survives compression because rounding happens
 // exactly once, at ingest: readers dequantize the same stored bytes on
 // every load — storage.DiskNodeStore pages compressed bytes and expands
-// them into the float32 partition buffer; Dataset.ReadFeatures expands
-// the whole table; serving reads straight off the compressed form:
-// encode.QuantStore gathers a sample's base rows through
-// tensor.GatherDequantInto, and /v1/topk scores an int8 encoding table
-// with tensor.GatherMatMulTBDequant, both exact-equality-tested against
-// their scalar references at every worker count. All of them widen a row
+// them into the float32 partition buffer; everything that holds the
+// whole table in memory (in-memory training, evaluation and serving)
+// reads one storage.MemoryNodeStore, which keeps the table compressed at
+// half (fp16) or a quarter (int8) of its float32 bytes and gathers a
+// sample's base rows through tensor.GatherDequantInto; and /v1/topk
+// scores an int8 encoding table with tensor.GatherMatMulTBDequant, both
+// exact-equality-tested against their scalar references at every worker
+// count. All of them widen a row
 // through the same SIMD dequantizer. A stored fp16 NaN widens quiet
 // (float32 bit 22 set), as the F16C instruction widens it; ingest writes
 // only the quiet 0x7e00, so the rule changes no stored value. Training
@@ -319,7 +321,8 @@
 //
 // internal/serve is the forward-only counterpart to training: it opens a
 // prepared dataset read-only (building the full adjacency index once, at
-// startup), loads a checkpoint into an immutable Snapshot (model
+// startup, and for node classification reading the feature table into
+// memory as stored), loads a checkpoint into an immutable Snapshot (model
 // metadata is validated field by field — task, model kind, dimensions,
 // node and class counts — with mismatches reported as typed
 // marius.ErrCheckpointMismatch naming the offending field), and serves
@@ -371,8 +374,8 @@
 // batch MRR, equal bit for bit to the softmax cross-entropy of the
 // concatenated row it replaced.
 // Sessions select one with marius.WithDecoder(marius.DistMult |
-// marius.ComplEx | marius.TransE); marius.WithRelations overrides the
-// relation-count a generated graph declares. Checkpoints record the
+// marius.ComplEx | marius.TransE); the relation table has one row per
+// relation type of the data (at least one). Checkpoints record the
 // decoder kind and relation count, and restoring or serving a checkpoint
 // with a different decoder is a typed marius.ErrCheckpointMismatch
 // naming the field.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -72,12 +73,32 @@ func checkpointBytes(t *testing.T, sess *marius.Session) []byte {
 	return buf.Bytes()
 }
 
+// sameEval evaluates both splits on ref and got with opts and demands
+// exactly equal results: the same trained state, evaluated over the same
+// bucket-ordered adjacency, scores the same.
+func sameEval(t *testing.T, ref, got *marius.Session, opts ...marius.EvalOption) {
+	t.Helper()
+	for _, split := range []marius.Split{marius.ValidSplit, marius.TestSplit} {
+		want, err := ref.Evaluate(split, opts...)
+		if err != nil {
+			t.Fatalf("graph-session evaluate: %v", err)
+		}
+		res, err := got.Evaluate(split, opts...)
+		if err != nil {
+			t.Fatalf("dataset-session evaluate: %v", err)
+		}
+		if !reflect.DeepEqual(want, res) {
+			t.Fatalf("evaluation diverged: graph session %v %v, dataset session %v %v", want, want.Hits, res, res.Hits)
+		}
+	}
+}
+
 // TestRoundTripNC is the ingestion fidelity contract for node
 // classification: export a generated graph to raw TSV files, ingest it
 // with a memory cap small enough to force a multi-run external sort, and
-// train from the prepared directory — the loss trajectory and the
-// checkpoint must be byte-identical to training the in-memory graph at
-// the same seed.
+// train from the prepared directory — the loss trajectory, the
+// checkpoint and both splits' evaluation must be identical to training
+// the in-memory graph at the same seed.
 func TestRoundTripNC(t *testing.T) {
 	const seed, parts, epochs = int64(7), 4, 2
 	exp, err := dataset.Export(gen.SBM(smallSBM()), t.TempDir(), "tsv")
@@ -130,17 +151,17 @@ func TestRoundTripNC(t *testing.T) {
 	if !bytes.Equal(checkpointBytes(t, ref), checkpointBytes(t, got)) {
 		t.Fatal("dataset-session checkpoint differs from in-memory checkpoint")
 	}
-	if _, err := got.Evaluate(marius.TestSplit); err != nil {
-		t.Fatalf("dataset evaluate: %v", err)
-	}
+	sameEval(t, ref, got)
 }
 
 // TestRoundTripLPDisk is the fidelity contract for link prediction under
-// the paper's headline configuration: the in-memory-graph session trains
-// serially on disk with COMET; the dataset session trains *pipelined*
-// from the prepared directory. Losses and checkpoints must match
-// byte-for-byte, and the dataset's bucket file must be byte-identical to
-// the one the in-memory session's own disk store sorts at startup.
+// the paper's headline configuration, a GraphSage encoder over learnable
+// embeddings: the in-memory-graph session trains serially on disk with
+// COMET; the dataset session trains *pipelined* from the prepared
+// directory. Losses and checkpoints must match byte-for-byte, evaluation
+// (sampled, and filtered ranking) must match exactly, and the dataset's
+// bucket file must be byte-identical to the one the in-memory session's
+// own disk store sorts at startup.
 func TestRoundTripLPDisk(t *testing.T) {
 	const seed, parts, epochs = int64(11), 8, 2
 	exp, err := dataset.Export(gen.KG(smallKG()), t.TempDir(), "csv")
@@ -162,7 +183,7 @@ func TestRoundTripLPDisk(t *testing.T) {
 	}
 
 	common := []marius.Option{
-		marius.WithSeed(seed), marius.WithModel(marius.DistMultOnly),
+		marius.WithSeed(seed), marius.WithFanouts(5),
 		marius.WithDim(8), marius.WithBatchSize(512), marius.WithNegatives(64),
 		marius.WithWorkers(2),
 	}
@@ -206,6 +227,8 @@ func TestRoundTripLPDisk(t *testing.T) {
 	if !bytes.Equal(checkpointBytes(t, ref), checkpointBytes(t, got)) {
 		t.Fatal("pipelined dataset checkpoint differs from serial in-memory-graph checkpoint")
 	}
+	sameEval(t, ref, got)
+	sameEval(t, ref, got, marius.FilteredEval())
 }
 
 // TestFormatsAgree ingests the same graph from TSV and binary exports

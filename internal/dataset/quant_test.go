@@ -3,6 +3,7 @@ package dataset_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -10,7 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/encode"
 	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/policy"
+	"repro/internal/serve"
 	"repro/internal/storage"
 	"repro/internal/tensor"
 	"repro/marius"
@@ -35,20 +40,20 @@ func ingestQuant(t *testing.T, quantize string) string {
 
 // TestQuantRoundTrip is the storage-fidelity contract for quantized
 // ingest: the bytes on disk must be exactly what tensor.Quantize produces
-// from the float32 table, and every read path — full load, compressed
-// load, partition-paged disk store — must dequantize to the same float32
-// values bit-for-bit (quantization rounds once at ingest; reads never
-// re-round).
+// from the float32 table, and every read path — the in-memory store, kept
+// compressed, and the partition-paged disk store — must dequantize to the
+// same float32 values bit-for-bit (quantization rounds once at ingest;
+// reads never re-round).
 func TestQuantRoundTrip(t *testing.T) {
-	f32Dir := ingestQuant(t, "")
-	f32DS, err := storage.OpenDataset(f32Dir)
+	f32DS, err := storage.OpenDataset(ingestQuant(t, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := f32DS.ReadFeatures()
+	f32Store, err := f32DS.MemoryNodeStore()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := f32Store.Table()
 
 	for _, mode := range []string{"fp16", "int8"} {
 		t.Run(mode, func(t *testing.T) {
@@ -73,32 +78,49 @@ func TestQuantRoundTrip(t *testing.T) {
 
 			// On-disk bytes are exactly the in-memory quantizer's output.
 			want := tensor.Quantize(ref, kind)
-			q, err := ds.ReadQuantFeatures()
-			if err != nil {
-				t.Fatalf("ReadQuantFeatures: %v", err)
-			}
-			if !bytes.Equal(q.Raw, want.Raw) {
-				t.Fatal("quantized feature bytes differ from tensor.Quantize of the float32 table")
-			}
-			for i := range want.Scale {
-				if q.Scale[i] != want.Scale[i] || q.Zero[i] != want.Zero[i] {
-					t.Fatalf("row %d sidecar (scale,zero) = (%v,%v), want (%v,%v)",
-						i, q.Scale[i], q.Zero[i], want.Scale[i], want.Zero[i])
-				}
-			}
-
-			// Full in-memory load dequantizes to the reference exactly.
-			wantF32 := tensor.RefDequant(want)
-			got, err := ds.ReadFeatures()
+			raw, err := os.ReadFile(filepath.Join(dir, ds.Man.Features.Name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Rows != wantF32.Rows || got.Cols != wantF32.Cols {
-				t.Fatalf("ReadFeatures shape %dx%d, want %dx%d", got.Rows, got.Cols, wantF32.Rows, wantF32.Cols)
+			if !bytes.Equal(raw, want.Raw) {
+				t.Fatal("quantized feature bytes differ from tensor.Quantize of the float32 table")
+			}
+			if kind == tensor.QuantI8 {
+				sc, err := os.ReadFile(filepath.Join(dir, ds.Man.QuantScales.Name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.Scale {
+					scale := math.Float32frombits(binary.LittleEndian.Uint32(sc[8*i:]))
+					zero := math.Float32frombits(binary.LittleEndian.Uint32(sc[8*i+4:]))
+					if scale != want.Scale[i] || zero != want.Zero[i] {
+						t.Fatalf("row %d sidecar (scale,zero) = (%v,%v), want (%v,%v)",
+							i, scale, zero, want.Scale[i], want.Zero[i])
+					}
+				}
+			}
+
+			// The in-memory store keeps the table compressed and gathers
+			// every row to the reference dequantization exactly.
+			wantF32 := tensor.RefDequant(want)
+			mem, err := ds.MemoryNodeStore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mem.Table() != nil {
+				t.Fatal("in-memory store widened the quantized table to float32")
+			}
+			ids := make([]int32, ds.Man.NumNodes)
+			for i := range ids {
+				ids[i] = int32(i)
+			}
+			got := tensor.New(len(ids), ds.Man.FeatureDim)
+			if err := mem.Gather(ids, got); err != nil {
+				t.Fatal(err)
 			}
 			for i := range wantF32.Data {
 				if got.Data[i] != wantF32.Data[i] {
-					t.Fatalf("ReadFeatures[%d] = %v, want %v", i, got.Data[i], wantF32.Data[i])
+					t.Fatalf("in-memory Gather[%d] = %v, want %v", i, got.Data[i], wantF32.Data[i])
 				}
 			}
 
@@ -126,12 +148,12 @@ func TestQuantRoundTrip(t *testing.T) {
 			pt := ds.Partitioning()
 			lo0, _ := pt.Range(0)
 			lo1, hi1 := pt.Range(1)
-			ids := []int32{lo0, lo1, hi1 - 1, lo0 + 1}
-			out := tensor.New(len(ids), ds.Man.FeatureDim)
-			if err := ns.Gather(ids, out); err != nil {
+			sel := []int32{lo0, lo1, hi1 - 1, lo0 + 1}
+			out := tensor.New(len(sel), ds.Man.FeatureDim)
+			if err := ns.Gather(sel, out); err != nil {
 				t.Fatalf("Gather: %v", err)
 			}
-			wantG := tensor.RefGatherDequant(want, ids)
+			wantG := tensor.RefGatherDequant(want, sel)
 			for i := range wantG.Data {
 				if out.Data[i] != wantG.Data[i] {
 					t.Fatalf("Gather[%d] = %v, want RefGatherDequant %v", i, out.Data[i], wantG.Data[i])
@@ -189,11 +211,11 @@ func TestQuantIngestDeterministic(t *testing.T) {
 
 // TestQuantTrainDeterministic trains from a quantized dataset at two
 // worker counts and demands byte-identical trajectories — dequantization
-// happens once per partition load, so parallelism cannot reorder any
-// floating-point reduction — and that the loss lands near the float32
+// is a per-element function of the stored bytes, so parallelism cannot
+// reorder any floating-point reduction — and that the loss lands near the float32
 // run (storage rounding perturbs inputs, not the learning dynamics). The
-// checkpoint must serve the same bytes from paged and in-memory features,
-// and a disk epoch must page well under float32's feature bytes.
+// checkpoint must serve the bytes the dequantized float32 table encodes
+// to, and a disk epoch must page well under float32's feature bytes.
 func TestQuantTrainDeterministic(t *testing.T) {
 	const seed, epochs = int64(7), 2
 	dir := ingestQuant(t, "fp16")
@@ -239,37 +261,61 @@ func TestQuantTrainDeterministic(t *testing.T) {
 		t.Errorf("fp16 final loss %v strays more than 5%% from float32 %v", last, ref)
 	}
 
-	// Served from the disk-paged store or from memory, the fp16 features
-	// dequantize from the same stored bytes: classes and logits agree bit
-	// for bit.
+	// Served, the fp16 features equal the dequantized float32 table: the
+	// served logits are the evaluation forward's over
+	// RefDequant(Quantize(float32 features)), bit for bit, whatever
+	// ServeConfig.InMemory says.
 	ckptPath := filepath.Join(t.TempDir(), "fp16.ckpt")
 	if err := s1.Save(ckptPath); err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]int32, 16)
+	const reqSeed = 9
+	nodes := make([]int32, 16) // distinct: the reference encodes them as given
 	for i := range nodes {
 		nodes[i] = int32(i * 37)
 	}
-	predict := func(inMemory bool) *marius.PredictResponse {
+	f32DS, err := storage.OpenDataset(f32Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f32Store, err := f32DS.MemoryNodeStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refStore := storage.NewMemoryNodeStore(tensor.RefDequant(tensor.Quantize(f32Store.Table(), tensor.QuantF16)))
+	sctx, err := serve.Open(dir, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sctx.Close()
+	snap, err := serve.Load(sctx, ckptPath, serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd := encode.New(encode.Config{
+		Encoder: snap.Encoder, Params: snap.Params,
+		Fanouts: snap.Meta.Fanouts[:snap.Meta.Layers], Dirs: graph.Both, Workers: 1,
+	}, sctx.Adj, reqSeed)
+	want, err := fwd.Encode(refStore, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inMemory := range []bool{false, true} {
 		srv, err := marius.LoadForInference(dir, ckptPath, marius.ServeConfig{InMemory: inMemory, Workers: 2})
 		if err != nil {
-			t.Fatalf("serve (in memory %v): %v", inMemory, err)
+			t.Fatalf("serve (InMemory %v): %v", inMemory, err)
 		}
-		defer srv.Close()
-		resp, err := srv.Predict(context.Background(), &marius.PredictRequest{Nodes: nodes, Seed: 9})
+		resp, err := srv.Predict(context.Background(), &marius.PredictRequest{Nodes: nodes, Seed: reqSeed})
+		srv.Close()
 		if err != nil {
-			t.Fatalf("predict (in memory %v): %v", inMemory, err)
+			t.Fatalf("predict (InMemory %v): %v", inMemory, err)
 		}
-		return resp
-	}
-	paged, mem := predict(false), predict(true)
-	for i := range nodes {
-		if paged.Classes[i] != mem.Classes[i] {
-			t.Fatalf("node %d: class %d paged, %d in memory", nodes[i], paged.Classes[i], mem.Classes[i])
-		}
-		for j := range paged.Logits[i] {
-			if math.Float32bits(paged.Logits[i][j]) != math.Float32bits(mem.Logits[i][j]) {
-				t.Fatalf("node %d logit %d: %v paged, %v in memory", nodes[i], j, paged.Logits[i][j], mem.Logits[i][j])
+		for i := range nodes {
+			for j, w := range want.Value.Row(i) {
+				if math.Float32bits(resp.Logits[i][j]) != math.Float32bits(w) {
+					t.Fatalf("InMemory %v, node %d logit %d: served %v, dequantized float32 reference %v",
+						inMemory, nodes[i], j, resp.Logits[i][j], w)
+				}
 			}
 		}
 	}
@@ -294,6 +340,48 @@ func TestQuantTrainDeterministic(t *testing.T) {
 	t.Logf("disk epoch node-store reads: fp16 %d B, float32 %d B", f16Read, f32Read)
 	if f32Read == 0 || float64(f16Read) >= 0.7*float64(f32Read) {
 		t.Errorf("fp16 disk epoch read %d node-store bytes, float32 %d: want < 0.7x", f16Read, f32Read)
+	}
+}
+
+// TestQuantMemoryMatchesDisk holds the in-memory store, which keeps a
+// quantized table compressed and dequantizes the rows each batch
+// gathers, to the disk store at c = p, which dequantizes whole
+// partitions into float32 slots: for fp16 and int8, equal losses and
+// checkpoint bytes. Both train one visit over all four partitions, so
+// only the node store differs.
+func TestQuantMemoryMatchesDisk(t *testing.T) {
+	const epochs = 2
+	for _, mode := range []string{"fp16", "int8"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := ingestQuant(t, mode)
+			opts := []marius.Option{
+				marius.WithSeed(7), marius.WithDim(8), marius.WithFanouts(4, 4),
+				marius.WithBatchSize(128), marius.WithWorkers(2),
+			}
+			mem, err := marius.FromDataset(dir, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mem.Close()
+			if ms, ok := mem.Task().Source().Nodes.(*storage.MemoryNodeStore); !ok || ms.Table() != nil {
+				t.Fatalf("in-memory session holds %T, not the quantized table kept compressed", mem.Task().Source().Nodes)
+			}
+			disk, err := marius.FromDataset(dir, append(opts, marius.WithDisk(t.TempDir(), marius.Capacity(4)),
+				marius.WithPolicyImpl(policy.InMemory{P: 4}))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer disk.Close()
+			lm, ld := trainLosses(t, mem, epochs), trainLosses(t, disk, epochs)
+			for i := range lm {
+				if lm[i] != ld[i] {
+					t.Fatalf("epoch %d loss: in memory %v, on disk %v", i, lm[i], ld[i])
+				}
+			}
+			if !bytes.Equal(checkpointBytes(t, mem), checkpointBytes(t, disk)) {
+				t.Fatal("in-memory checkpoint differs from the disk session's")
+			}
+		})
 	}
 }
 

@@ -17,44 +17,13 @@ import (
 )
 
 // Store is the row-gather surface base representations are read from.
-// storage.NodeStore satisfies it (features or learnable embeddings, in
-// memory or partition-buffered on disk); TensorStore adapts a plain
-// in-memory table.
+// storage.NodeStore satisfies it: storage.MemoryNodeStore holds a whole
+// table in memory (float32, or a quantized feature table dequantized row
+// by row on gather), storage.DiskNodeStore pages one through a partition
+// buffer.
 type Store interface {
 	Dim() int
 	Gather(ids []int32, out *tensor.Tensor) error
-}
-
-// TensorStore adapts a plain tensor to Store: row i of the gather output
-// is row ids[i] of T.
-type TensorStore struct{ T *tensor.Tensor }
-
-// Dim returns the table width.
-func (s TensorStore) Dim() int { return s.T.Cols }
-
-// Gather copies the selected rows of T into out.
-func (s TensorStore) Gather(ids []int32, out *tensor.Tensor) error {
-	d := s.T.Cols
-	for i, id := range ids {
-		copy(out.Data[i*d:(i+1)*d], s.T.Row(int(id)))
-	}
-	return nil
-}
-
-// QuantStore adapts an in-memory quantized table to Store, dequantizing
-// rows on gather. Dequantization is a pure per-element function of bytes
-// fixed at ingest, so outputs are byte-identical to gathering the
-// equivalent dequantized float32 table — at half (fp16) or a quarter
-// (int8) of its resident memory.
-type QuantStore struct{ Q *tensor.QTable }
-
-// Dim returns the table width.
-func (s QuantStore) Dim() int { return s.Q.Cols }
-
-// Gather dequantizes the selected rows of Q into out.
-func (s QuantStore) Gather(ids []int32, out *tensor.Tensor) error {
-	tensor.GatherDequantInto(out, s.Q, ids)
-	return nil
 }
 
 // Config describes the model half of a forward pass.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/sampler"
+	"repro/internal/storage"
 	"repro/internal/tensor"
 )
 
@@ -71,7 +72,7 @@ func sameBytes(t *testing.T, name string, got, want *tensor.Tensor) {
 func TestEncodeDenseEqualsTrainSideForward(t *testing.T) {
 	f := newFixture()
 	fwd := encode.New(f.cfg, f.adj, 9)
-	store := encode.TensorStore{T: f.g.Features}
+	store := storage.NewMemoryNodeStore(f.g.Features)
 	for round := 0; round < 2; round++ {
 		seed := int64(100 + round)
 		want := f.trainSideForward(sampler.New(f.adj, f.cfg.Fanouts, f.cfg.Dirs, seed).Sample(f.targets)).Clone()
@@ -90,23 +91,23 @@ func TestEncodeDenseEqualsTrainSideForward(t *testing.T) {
 	// A quantized store dequantizes on gather: same bytes as encoding the
 	// dequantized table.
 	q := tensor.Quantize(f.g.Features, tensor.QuantF16)
-	viaQ, err := fwd.EncodeDense(encode.QuantStore{Q: q}, fwd.SampleSeeded(7, f.targets))
+	viaQ, err := fwd.EncodeDense(storage.NewQuantMemoryNodeStore(q), fwd.SampleSeeded(7, f.targets))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotQ := viaQ.Value.Clone()
-	viaDeq, err := fwd.EncodeDense(encode.TensorStore{T: q.Dequant()}, fwd.SampleSeeded(7, f.targets))
+	viaDeq, err := fwd.EncodeDense(storage.NewMemoryNodeStore(q.Dequant()), fwd.SampleSeeded(7, f.targets))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBytes(t, "QuantStore vs dequantized TensorStore", gotQ, viaDeq.Value)
+	sameBytes(t, "quantized store vs dequantized float32 store", gotQ, viaDeq.Value)
 }
 
 // TestFullTableEqualsPerChunkEncode checks FullTable's contract: row v is
 // what a seeded per-chunk encode yields, independent of the worker count.
 func TestFullTableEqualsPerChunkEncode(t *testing.T) {
 	f := newFixture()
-	store := encode.TensorStore{T: f.g.Features}
+	store := storage.NewMemoryNodeStore(f.g.Features)
 	table, err := encode.FullTable(f.cfg, f.adj, store, f.g.NumNodes, 4, 3)
 	if err != nil {
 		t.Fatal(err)

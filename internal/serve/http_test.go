@@ -107,8 +107,8 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
-// GET /metrics serves Prometheus text covering serve, storage, and
-// snapshot metric families, and a failed reload flips /healthz to 503
+// GET /metrics serves Prometheus text covering the serve and snapshot
+// metric families, and a failed reload flips /healthz to 503
 // with a JSON reason until the next successful reload.
 func TestHTTPMetricsAndDegradedHealth(t *testing.T) {
 	dir := prepNC(t, 2)
@@ -163,7 +163,6 @@ func TestHTTPMetricsAndDegradedHealth(t *testing.T) {
 		"serve_snapshot_epoch",
 		"serve_snapshot_loaded_timestamp_seconds",
 		"serve_healthy 1",
-		`storage_bytes_read_total{store="features"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, out)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/sampler"
+	"repro/internal/storage"
 	"repro/internal/tensor"
 )
 
@@ -30,7 +31,7 @@ func TestMergeDenseMatchesPerBlockForward(t *testing.T) {
 	for i := range feat.Data {
 		feat.Data[i] = rng.Float32()
 	}
-	store := encode.TensorStore{T: feat}
+	store := storage.NewMemoryNodeStore(feat)
 
 	for _, fanouts := range [][]int{{3}, {3, 2}} {
 		ps := nn.NewParamSet()

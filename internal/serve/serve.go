@@ -31,7 +31,7 @@
 // # Hot reload
 //
 // Reload loads a new checkpoint and atomically swaps the snapshot
-// pointer. Checkpoint-independent state (dataset, feature shards,
+// pointer. Checkpoint-independent state (dataset, feature table,
 // adjacency) lives in Context and is shared across snapshots; each
 // micro-batch pins exactly one snapshot, so in-flight requests finish on
 // the snapshot they started with — old and new outputs are never mixed
@@ -40,7 +40,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/encode"
@@ -48,7 +47,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/tensor"
 )
 
 // Config tunes the server. The zero value resolves to the defaults
@@ -71,9 +69,10 @@ type Config struct {
 	// servers can serve decorrelated samples; requests carrying an
 	// explicit seed are unaffected.
 	Seed int64
-	// InMemory loads NC feature shards fully into memory instead of
-	// gathering from the partition-buffered disk store. Quantized
-	// datasets stay in their compressed form in memory.
+	// InMemory selects nothing: NC features are always served from one
+	// in-memory table, quantized datasets kept compressed. The field
+	// remains because the benchmark module sets it and converts
+	// marius.ServeConfig into Config field for field.
 	InMemory bool
 	// QuantizeTable quantizes the precomputed LP encoding table to
 	// "fp16" or "int8" after it is built, halving or quartering its
@@ -124,9 +123,9 @@ func (c Config) withDefaults() Config {
 // Context is the checkpoint-independent serving state: the validated
 // dataset, the full-graph adjacency (built from the bucket-ordered edge
 // file, exactly as training-side evaluation builds it), and for node
-// classification the read-only feature store. One Context is shared by
-// every snapshot a server hot-reloads, so a reload never reopens shards
-// or rebuilds the adjacency.
+// classification the feature table, held in memory as stored. One
+// Context is shared by every snapshot a server hot-reloads, so a reload
+// never rereads features or rebuilds the adjacency.
 type Context struct {
 	Dir string
 	DS  *storage.Dataset
@@ -144,50 +143,32 @@ type Context struct {
 	// tails of (src, rel) are the dataset's edges (src, rel, d), no
 	// held-out split among them.
 	known *eval.Filter
-
-	closer io.Closer // disk-backed feature store, when one was opened
-
-	// featStats are the disk feature store's IO counters (nil for
-	// in-memory or LP datasets); New bridges them into the registry.
-	featStats *storage.Stats
 }
 
 // Open validates the dataset directory (storage.OpenDataset checks the
 // layout and file sizes) and builds the checkpoint-independent serving
 // state. Everything is opened read-only; serving never mutates a
-// dataset.
+// dataset. cfg is accepted for symmetry with Load and New; nothing in it
+// changes what Open builds.
 func Open(dir string, cfg Config) (*Context, error) {
-	cfg = cfg.withDefaults()
 	ds, err := storage.OpenDataset(dir)
 	if err != nil {
 		return nil, err
 	}
 	man := ds.Man
 
-	// The serving adjacency replicates evaluation's: all buckets in
-	// (i,j) order off the dataset's bucket-sorted edge file. This keeps
-	// served samples on the same neighbor layout eval uses.
+	// The serving adjacency is evaluation's: every bucket in (i,j) order
+	// off the dataset's bucket-sorted edge file, so served samples draw
+	// from the neighbor layout evaluation uses.
 	es, err := ds.EdgeStore(nil)
 	if err != nil {
 		return nil, err
 	}
-	p := man.Partitions
-	var total int64
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			total += int64(es.BucketLen(i, j))
-		}
+	edges, err := storage.ReadAllEdges(es)
+	if cerr := es.Close(); err == nil {
+		err = cerr
 	}
-	edges := make([]graph.Edge, 0, total)
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if edges, err = es.ReadBucket(i, j, edges); err != nil {
-				es.Close()
-				return nil, err
-			}
-		}
-	}
-	if err := es.Close(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
@@ -198,44 +179,8 @@ func Open(dir string, cfg Config) (*Context, error) {
 		ctx.allNodes[i] = int32(i)
 	}
 	if man.Task == "nc" {
-		if cfg.InMemory {
-			if man.QuantKind() != tensor.QuantNone {
-				// Keep the table compressed in memory; gathers
-				// dequantize per row, byte-identical to loading the
-				// dequantized float32 table at 1/2 (fp16) or 1/4
-				// (int8) of the footprint.
-				q, err := ds.ReadQuantFeatures()
-				if err != nil {
-					return nil, err
-				}
-				ctx.Features = encode.QuantStore{Q: q}
-			} else {
-				table, err := ds.ReadFeatures()
-				if err != nil {
-					return nil, err
-				}
-				ctx.Features = encode.TensorStore{T: table}
-			}
-		} else {
-			// Open the feature shard through the existing open-existing
-			// DiskNodeStore path with capacity = partitions and make every
-			// partition resident once: gathers then serve straight from the
-			// buffer with no IO on the request path.
-			ns, err := ds.NodeStore(man.Partitions, nil)
-			if err != nil {
-				return nil, err
-			}
-			parts := make([]int, man.Partitions)
-			for i := range parts {
-				parts[i] = i
-			}
-			if err := ns.LoadSet(parts); err != nil {
-				ns.Close()
-				return nil, err
-			}
-			ctx.Features = ns
-			ctx.closer = ns
-			ctx.featStats = ns.Stats()
+		if ctx.Features, err = ds.MemoryNodeStore(); err != nil {
+			return nil, err
 		}
 	}
 	return ctx, nil
@@ -247,13 +192,10 @@ func (c *Context) Task() string { return c.DS.Man.Task }
 // NumNodes returns the dataset's node count.
 func (c *Context) NumNodes() int { return c.DS.Man.NumNodes }
 
-// Close releases the feature store, if one was opened.
-func (c *Context) Close() error {
-	if c.closer != nil {
-		return c.closer.Close()
-	}
-	return nil
-}
+// Close releases the context. Every table it holds is in memory, so
+// there is nothing to release; Close remains so that callers pair it
+// with Open.
+func (c *Context) Close() error { return nil }
 
 // validNode range-checks a node ID against the dataset.
 func (c *Context) validNode(id int32) error {

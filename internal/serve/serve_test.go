@@ -169,9 +169,8 @@ func eqPredict(a, b *serve.PredictResponse) bool {
 // served for an explicit sampling seed must equal, byte for byte, the
 // forward pass the training-side evaluation substrate (internal/encode,
 // the code path of train/eval.go) produces from the same checkpoint,
-// targets and seed — with the server on its defaults (disk feature
-// store, multi-worker kernels) and the reference on in-memory features
-// with one worker.
+// targets and seed — with the server on its defaults (multi-worker
+// kernels) and the reference encoding on one worker.
 func TestServePredictMatchesEval(t *testing.T) {
 	dir := prepNC(t, 2)
 	ckptPath := train(t, dir, ncOpts, 1)[0]
@@ -201,7 +200,7 @@ func TestServePredictMatchesEval(t *testing.T) {
 	if err := ps.LoadState(cp.Params); err != nil {
 		t.Fatal(err)
 	}
-	sctx, err := serve.Open(dir, serve.Config{InMemory: true})
+	sctx, err := serve.Open(dir, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +660,7 @@ func TestTopKFilteredMatchesReference(t *testing.T) {
 	srv, unstall, stalled := gatedServer(t, dir, ckptPath, serve.Config{MaxBatch: 4})
 	snap := srv.Snapshot()
 
-	sctx, err := serve.Open(dir, serve.Config{InMemory: true})
+	sctx, err := serve.Open(dir, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sampler"
-	"repro/internal/storage"
 	"repro/internal/tensor"
 )
 
@@ -178,9 +177,6 @@ func New(ctx *Context, snap *Snapshot, cfg Config) *Server {
 		func() float64 { return float64(s.snap.Load().LoadedAt.Unix()) })
 	reg.GaugeFunc("serve_snapshot_epoch", "Training epoch recorded in the serving checkpoint.",
 		func() float64 { return float64(s.snap.Load().File.Epoch) })
-	if ctx.featStats != nil {
-		storage.RegisterStats(reg, "features", ctx.featStats)
-	}
 	s.snap.Store(snap)
 	s.wg.Add(1)
 	go s.dispatch()
@@ -188,8 +184,7 @@ func New(ctx *Context, snap *Snapshot, cfg Config) *Server {
 }
 
 // Metrics returns the server's metrics registry (serve counters and
-// latency histograms, snapshot gauges, and — for disk-backed feature
-// stores — storage IO counters), for Prometheus exposition.
+// latency histograms, snapshot gauges), for Prometheus exposition.
 func (s *Server) Metrics() *obs.Registry { return s.stats.reg }
 
 // Health reports whether the server is healthy; when degraded, reason

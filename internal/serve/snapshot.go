@@ -11,6 +11,7 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/graph"
 	"repro/internal/nn"
+	"repro/internal/storage"
 	"repro/internal/tensor"
 )
 
@@ -139,7 +140,7 @@ func Load(ctx *Context, path string, cfg Config) (*Snapshot, error) {
 		}
 		snap.Table = tensor.New(cp.TableRows, cp.TableCols)
 		copy(snap.Table.Data, cp.Table)
-		snap.Store = encode.TensorStore{T: snap.Table}
+		snap.Store = storage.NewMemoryNodeStore(snap.Table)
 	default:
 		return nil, ckpt.Mismatch("task", "unknown task %q", man.Task)
 	}

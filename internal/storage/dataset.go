@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -284,6 +285,11 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(buf, &m); err != nil {
 		return nil, fmt.Errorf("storage: %w: malformed manifest: %v", ErrCorruptDataset, err)
 	}
+	for _, f := range m.payloads() {
+		if f != nil && !plainName(f.Name) {
+			return nil, corrupt(ManifestName, "payload name %q is not a file name inside the dataset directory", f.Name)
+		}
+	}
 	if m.Version < DatasetVersionPlain || m.Version > DatasetVersionRelations {
 		return nil, fmt.Errorf("storage: %w: dataset version %d, this build reads %d-%d",
 			ErrDatasetVersion, m.Version, DatasetVersionPlain, DatasetVersionRelations)
@@ -331,6 +337,19 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
+// payloads lists the manifest's payload file entries, nil where absent.
+func (m *Manifest) payloads() []*DatasetFile {
+	return []*DatasetFile{&m.Edges, m.Features, m.Labels, m.TrainNodes, m.ValidNodes,
+		m.TestNodes, m.ValidEdges, m.TestEdges, m.Dict, m.QuantScales}
+}
+
+// plainName reports whether a payload name is a bare file name, one the
+// dataset directory joins to a path inside itself: not empty, "." or
+// "..", and free of path separators, so not absolute either.
+func plainName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
+}
+
 // Dataset is an opened (structurally validated) preprocessed dataset
 // directory.
 type Dataset struct {
@@ -358,10 +377,7 @@ func OpenDatasetFS(fsys fault.FS, dir string) (*Dataset, error) {
 		return nil, err
 	}
 	d := &Dataset{Dir: dir, Man: m, pt: m.Partitioning(), fs: fault.Or(fsys)}
-	files := append([]*DatasetFile{&m.Edges},
-		m.Features, m.Labels, m.TrainNodes, m.ValidNodes, m.TestNodes,
-		m.ValidEdges, m.TestEdges, m.Dict, m.QuantScales)
-	for _, f := range files {
+	for _, f := range m.payloads() {
 		if f == nil {
 			continue
 		}
@@ -429,29 +445,38 @@ func (d *Dataset) NodeStore(capacity int, throttle *Throttle) (*DiskNodeStore, e
 	return OpenDiskNodeStore(cfg, d.path(d.Man.Features.Name))
 }
 
-// ReadFeatures loads the full feature table into memory as float32 (the
-// in-memory training path), dequantizing quantized storage.
-func (d *Dataset) ReadFeatures() (*tensor.Tensor, error) {
-	if d.Man.QuantKind() != tensor.QuantNone {
-		q, err := d.ReadQuantFeatures()
-		if err != nil {
-			return nil, err
-		}
-		return q.Dequant(), nil
-	}
-	if d.Man.Features == nil {
+// MemoryNodeStore loads the feature table into memory as stored (the
+// in-memory path of training, evaluation and serving): a float32 table,
+// or a quantized one kept compressed and dequantized row by row on
+// gather.
+func (d *Dataset) MemoryNodeStore() (*MemoryNodeStore, error) {
+	f := d.Man.Features
+	if f == nil {
 		return nil, fmt.Errorf("storage: dataset %s carries no feature table", d.Dir)
 	}
-	f, err := d.fs.Open(d.path(d.Man.Features.Name))
+	fh, err := d.fs.Open(d.path(f.Name))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	t := tensor.New(d.Man.NumNodes, d.Man.FeatureDim)
-	if err := readFloats(f, 0, t.Data, nil, nil); err != nil {
-		return nil, corrupt(d.Man.Features.Name, "short read: %v", err)
+	defer fh.Close()
+	kind := d.Man.QuantKind()
+	if kind == tensor.QuantNone {
+		t := tensor.New(d.Man.NumNodes, d.Man.FeatureDim)
+		if err := readFloats(fh, 0, t.Data, nil, nil); err != nil {
+			return nil, corrupt(f.Name, "short read: %v", err)
+		}
+		return NewMemoryNodeStore(t), nil
 	}
-	return t, nil
+	q := tensor.NewQTable(kind, d.Man.NumNodes, d.Man.FeatureDim)
+	if err := readFull(fh, q.Raw, 0, nil); err != nil {
+		return nil, corrupt(f.Name, "short read: %v", err)
+	}
+	if kind == tensor.QuantI8 {
+		if err := readScales(d.fs, d.path(d.Man.QuantScales.Name), q.Scale, q.Zero); err != nil {
+			return nil, err
+		}
+	}
+	return NewQuantMemoryNodeStore(q), nil
 }
 
 // readAllPayload reads one payload file fully through the dataset's FS,
@@ -467,32 +492,6 @@ func (d *Dataset) readAllPayload(name string, size int64) ([]byte, error) {
 		return nil, corrupt(name, "short read: %v", err)
 	}
 	return buf, nil
-}
-
-// ReadQuantFeatures loads a quantized feature table into memory in its
-// compressed form — half (fp16) or a quarter (int8) of the float32
-// footprint — for consumers that can score against a tensor.QTable
-// directly (the serving path).
-func (d *Dataset) ReadQuantFeatures() (*tensor.QTable, error) {
-	kind := d.Man.QuantKind()
-	if kind == tensor.QuantNone {
-		return nil, fmt.Errorf("storage: dataset %s is not quantized", d.Dir)
-	}
-	if d.Man.Features == nil {
-		return nil, fmt.Errorf("storage: dataset %s carries no feature table", d.Dir)
-	}
-	q := tensor.NewQTable(kind, d.Man.NumNodes, d.Man.FeatureDim)
-	raw, err := d.readAllPayload(d.Man.Features.Name, d.Man.Features.Bytes)
-	if err != nil {
-		return nil, err
-	}
-	q.Raw = raw
-	if kind == tensor.QuantI8 {
-		if err := readScales(d.fs, d.path(d.Man.QuantScales.Name), q.Scale, q.Zero); err != nil {
-			return nil, err
-		}
-	}
-	return q, nil
 }
 
 // readScales reads an int8 table's (scale, zero) sidecar, one pair per
@@ -637,11 +636,7 @@ func (d *Dataset) Verify() error {
 			}
 		}
 	}
-	for _, df := range []*DatasetFile{
-		d.Man.Features, d.Man.Labels, d.Man.TrainNodes, d.Man.ValidNodes,
-		d.Man.TestNodes, d.Man.ValidEdges, d.Man.TestEdges, d.Man.Dict,
-		d.Man.QuantScales,
-	} {
+	for _, df := range d.Man.payloads()[1:] { // edges.bin was checked per bucket
 		if err := d.verifyFileCRC(df); err != nil {
 			return err
 		}

@@ -36,6 +36,31 @@ type EdgeStore interface {
 	Close() error
 }
 
+// ReadAllEdges reads every bucket of es into one slice in bucket order,
+// (0,0), (0,1), ..., (p-1,p-1): the flattened order the segmented
+// training index exposes. Evaluation and serving build their full-graph
+// adjacency from it, so both sample from one neighbor layout whatever
+// store the edges live in.
+func ReadAllEdges(es EdgeStore) ([]graph.Edge, error) {
+	p := es.NumPartitions()
+	var total int64
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			total += int64(es.BucketLen(i, j))
+		}
+	}
+	edges := make([]graph.Edge, 0, total)
+	var err error
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			if edges, err = es.ReadBucket(i, j, edges); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return edges, nil
+}
+
 // MemoryEdgeStore keeps all buckets in memory.
 type MemoryEdgeStore struct {
 	pt      partition.Partitioning

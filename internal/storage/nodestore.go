@@ -2,6 +2,7 @@ package storage
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,10 +44,17 @@ type NodeStore interface {
 }
 
 // MemoryNodeStore keeps the whole representation table in CPU memory
-// (the M-GNN_Mem configuration).
+// (the M-GNN_Mem configuration). It holds either a float32 table,
+// learnable or fixed, or a quantized feature table kept as stored: half
+// (fp16) or a quarter (int8) of the float32 bytes, dequantized row by row
+// on Gather. Dequantization is a pure function of bytes fixed at ingest,
+// so a gather from the quantized form equals a gather from its
+// dequantized float32 table bit for bit. A quantized table is read-only:
+// ApplyGrads and Restore refuse it.
 type MemoryNodeStore struct {
 	mu    sync.RWMutex
-	table *tensor.Tensor
+	table *tensor.Tensor // nil when q holds the table
+	q     *tensor.QTable
 	state []float32
 	rows  resolved
 }
@@ -62,24 +70,48 @@ func (r *resolved) add(row, state int) {
 	r.rowAt, r.stateAt = append(r.rowAt, row), append(r.stateAt, state)
 }
 
-// NewMemoryNodeStore wraps table (used directly, not copied).
+// NewMemoryNodeStore wraps a float32 table (used directly, not copied).
 func NewMemoryNodeStore(table *tensor.Tensor) *MemoryNodeStore {
 	return &MemoryNodeStore{table: table, state: make([]float32, table.Rows)}
 }
 
+// NewQuantMemoryNodeStore wraps a quantized table (used directly, not
+// copied) as a read-only store.
+func NewQuantMemoryNodeStore(q *tensor.QTable) *MemoryNodeStore {
+	return &MemoryNodeStore{q: q}
+}
+
+// errQuantReadOnly refuses writes into a quantized table.
+var errQuantReadOnly = errors.New("storage: quantized node table is read-only")
+
 // Dim implements NodeStore.
-func (m *MemoryNodeStore) Dim() int { return m.table.Cols }
+func (m *MemoryNodeStore) Dim() int {
+	if m.q != nil {
+		return m.q.Cols
+	}
+	return m.table.Cols
+}
 
 // NumNodes implements NodeStore.
-func (m *MemoryNodeStore) NumNodes() int { return m.table.Rows }
+func (m *MemoryNodeStore) NumNodes() int {
+	if m.q != nil {
+		return m.q.Rows
+	}
+	return m.table.Rows
+}
 
-// Table returns the underlying tensor (for full-ranking evaluation).
+// Table returns the underlying float32 tensor (for full-ranking
+// evaluation), or nil when the store holds a quantized table.
 func (m *MemoryNodeStore) Table() *tensor.Tensor { return m.table }
 
 // Gather implements NodeStore.
 func (m *MemoryNodeStore) Gather(ids []int32, out *tensor.Tensor) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if m.q != nil {
+		tensor.GatherDequantInto(out, m.q, ids)
+		return nil
+	}
 	d := m.table.Cols
 	for i, id := range ids {
 		copy(out.Data[i*d:(i+1)*d], m.table.Row(int(id)))
@@ -89,6 +121,9 @@ func (m *MemoryNodeStore) Gather(ids []int32, out *tensor.Tensor) error {
 
 // ApplyGrads implements NodeStore.
 func (m *MemoryNodeStore) ApplyGrads(ids []int32, grads *tensor.Tensor, opt *nn.SparseAdaGrad) error {
+	if m.q != nil {
+		return errQuantReadOnly
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.rows.reset()
@@ -99,15 +134,22 @@ func (m *MemoryNodeStore) ApplyGrads(ids []int32, grads *tensor.Tensor, opt *nn.
 	return nil
 }
 
-// Snapshot implements NodeStore.
+// Snapshot implements NodeStore. A quantized table snapshots as its
+// dequantized float32 form, with no optimizer state.
 func (m *MemoryNodeStore) Snapshot() (*tensor.Tensor, []float32, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if m.q != nil {
+		return m.q.Dequant(), nil, nil
+	}
 	return m.table.Clone(), append([]float32(nil), m.state...), nil
 }
 
 // Restore implements NodeStore.
 func (m *MemoryNodeStore) Restore(table *tensor.Tensor, state []float32) error {
+	if m.q != nil {
+		return errQuantReadOnly
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.table.SameShape(table) {

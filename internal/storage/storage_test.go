@@ -391,6 +391,66 @@ func TestDiskReadAllServesResidentPartitions(t *testing.T) {
 	}
 }
 
+// TestQuantMemoryStoreGathersDequant holds the quantized in-memory table
+// to the float32 table it stands for: for fp16 and int8, a gather of
+// repeated, unsorted ids returns the bytes a gather from q.Dequant()
+// returns, and the table is never widened.
+func TestQuantMemoryStoreGathersDequant(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ref := tensor.New(50, 13)
+	for i := range ref.Data {
+		ref.Data[i] = float32(rng.NormFloat64())
+	}
+	ids := []int32{7, 0, 49, 7, 23, 3, 3, 48, 12, 0}
+	for _, kind := range []tensor.QuantKind{tensor.QuantF16, tensor.QuantI8} {
+		t.Run(kind.String(), func(t *testing.T) {
+			q := tensor.Quantize(ref, kind)
+			store := NewQuantMemoryNodeStore(q)
+			if store.Dim() != ref.Cols || store.NumNodes() != ref.Rows || store.Table() != nil {
+				t.Fatalf("store %dx%d (float32 table %v), want %dx%d kept quantized",
+					store.NumNodes(), store.Dim(), store.Table() != nil, ref.Rows, ref.Cols)
+			}
+			got, want := tensor.New(len(ids), ref.Cols), tensor.New(len(ids), ref.Cols)
+			if err := store.Gather(ids, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := NewMemoryNodeStore(q.Dequant()).Gather(ids, want); err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
+					t.Fatalf("element %d (id %d): %v, want %v", i, ids[i/ref.Cols], got.Data[i], w)
+				}
+			}
+		})
+	}
+}
+
+// TestQuantMemoryStoreRefusesWrites pins that a quantized in-memory
+// table is read-only: ApplyGrads and Restore fail and change no byte.
+func TestQuantMemoryStoreRefusesWrites(t *testing.T) {
+	ref := tensor.New(4, 3)
+	for i := range ref.Data {
+		ref.Data[i] = float32(i) / 7
+	}
+	grads := tensor.New(1, 3)
+	grads.Fill(1)
+	for _, kind := range []tensor.QuantKind{tensor.QuantF16, tensor.QuantI8} {
+		q := tensor.Quantize(ref, kind)
+		raw := append([]byte(nil), q.Raw...)
+		store := NewQuantMemoryNodeStore(q)
+		if err := store.ApplyGrads([]int32{1}, grads, nn.NewSparseAdaGrad(0.1)); err == nil {
+			t.Errorf("%v: ApplyGrads into a quantized table succeeded", kind)
+		}
+		if err := store.Restore(ref, nil); err == nil {
+			t.Errorf("%v: Restore into a quantized table succeeded", kind)
+		}
+		if !reflect.DeepEqual(q.Raw, raw) {
+			t.Errorf("%v: a refused write changed the stored bytes", kind)
+		}
+	}
+}
+
 // openQuantStore writes ref quantized to kind, as ingest would, and opens
 // it as a read-only paged store; it also returns the quantized table.
 func openQuantStore(dir string, pt partition.Partitioning, ref *tensor.Tensor, kind tensor.QuantKind, c int) (*DiskNodeStore, *tensor.QTable, error) {

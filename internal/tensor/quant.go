@@ -298,10 +298,11 @@ func (c *Compute) GatherDequant(q *QTable, idx []int32) *Tensor {
 }
 
 // GatherDequantInto dequantizes the rows of q selected by idx into out
-// [len(idx) x q.Cols], in order: the one quantized gather, which serving's
-// encode.QuantStore runs. It stays on the calling goroutine: with rows
-// dequantized at copy speed, splitting a serving-sized gather between two
-// workers measured no faster.
+// [len(idx) x q.Cols], in order: the one quantized gather, which an
+// in-memory quantized node table (storage.MemoryNodeStore) runs for
+// training, evaluation and serving. It stays on the calling goroutine:
+// with rows dequantized at copy speed, splitting a serving-sized gather
+// between two workers measured no faster.
 func GatherDequantInto(out *Tensor, q *QTable, idx []int32) {
 	if out.Rows != len(idx) || out.Cols != q.Cols {
 		panic(fmt.Sprintf("tensor: GatherDequantInto output %dx%d for %d rows of width %d", out.Rows, out.Cols, len(idx), q.Cols))

@@ -92,10 +92,10 @@ func (cfg DiskSourceConfig) nodeStore(pt partition.Partitioning, dim int) (*stor
 
 // DatasetSourceConfig configures NewDatasetSource.
 type DatasetSourceConfig struct {
-	// InMemory loads the node table into CPU memory (edges stay on
-	// disk, served straight off the dataset's bucket file); otherwise
-	// node representations page through a partition buffer of Capacity
-	// partitions.
+	// InMemory loads the node table into CPU memory, a quantized feature
+	// table kept compressed (edges stay on disk, served straight off the
+	// dataset's bucket file); otherwise node representations page
+	// through a partition buffer of Capacity partitions.
 	InMemory bool
 	Capacity int
 	// Learnable creates a fresh learnable representation table (link
@@ -135,12 +135,12 @@ func NewDatasetSource(ds *storage.Dataset, cfg DatasetSourceConfig) (*Source, er
 	case cfg.InMemory && cfg.Learnable:
 		src.Nodes = storage.NewMemoryNodeStore(cfg.InitTable)
 	case cfg.InMemory:
-		table, err := ds.ReadFeatures()
+		nodes, err := ds.MemoryNodeStore()
 		if err != nil {
 			edges.Close()
 			return nil, err
 		}
-		src.Nodes = storage.NewMemoryNodeStore(table)
+		src.Nodes = nodes
 	case cfg.Learnable:
 		nodes, err := DiskSourceConfig{
 			Dir: cfg.WorkDir, Capacity: cfg.Capacity, Learnable: true,
@@ -161,30 +161,6 @@ func NewDatasetSource(ds *storage.Dataset, cfg DatasetSourceConfig) (*Source, er
 	}
 	src.FragCache()
 	return src, nil
-}
-
-// ReadAllEdges reads every bucket of the source's edge store into one
-// slice in bucket order — the flattened order the segmented training
-// index exposes. Dataset-backed sessions use it to build the full
-// evaluation adjacency without an in-memory edge list at training time.
-func (src *Source) ReadAllEdges() ([]graph.Edge, error) {
-	var total int64
-	p := src.Part.NumPartitions
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			total += int64(src.Edges.BucketLen(i, j))
-		}
-	}
-	edges := make([]graph.Edge, 0, total)
-	var err error
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if edges, err = src.Edges.ReadBucket(i, j, edges); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return edges, nil
 }
 
 // Close releases a source's stores.

@@ -22,7 +22,7 @@ func (s *Session) modelMeta() ckpt.ModelMeta {
 		Dim:        s.opts.Dim,
 		Layers:     layers,
 		Fanouts:    append([]int(nil), s.opts.Fanouts...),
-		NumRels:    s.opts.numRels(s.graph),
+		NumRels:    max(s.graph.NumRels, 1),
 		NumClasses: s.graph.NumClasses,
 		FeatureDim: s.task.Source().Nodes.Dim(),
 	}

@@ -37,13 +37,10 @@ import (
 // in-memory path, it materializes the full edge list and adjacency (and
 // for link prediction the full representation table) on first use. For
 // datasets whose edge list exceeds RAM, train without per-epoch
-// evaluation and evaluate sampled splits on a larger machine. The
-// byte-identity contract covers training (losses, checkpoints), not
-// fanout-sampled evaluation: the dataset session's evaluation adjacency
-// is built from bucket-major edge order while a New session uses its
-// original edge-list order, so sampled neighbor draws — and therefore
-// sampled accuracy/MRR — can differ slightly between the two at the
-// same trained state.
+// evaluation and evaluate sampled splits on a larger machine. Both
+// sessions build that adjacency from their edge store in bucket order, so
+// the byte-identity contract covers evaluation too: the same trained
+// state scores the same accuracy or MRR.
 func FromDataset(dir string, opts ...Option) (*Session, error) {
 	// The dataset files themselves must open through any injected
 	// filesystem, so probe the options for WithFaults before OpenDataset
@@ -86,10 +83,6 @@ func FromDataset(dir string, opts ...Option) (*Session, error) {
 	}
 	if err := o.resolve(task.Name()); err != nil {
 		return nil, err
-	}
-	if o.Relations > 0 && o.Relations != max(man.NumRels, 1) {
-		return nil, optErr("WithRelations", ErrDatasetMismatch,
-			"dataset has %d relation types, WithRelations(%d)", man.NumRels, o.Relations)
 	}
 	o.dataset = ds
 

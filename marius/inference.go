@@ -26,9 +26,11 @@ type ServeConfig struct {
 	Workers int
 	// Seed mixes into request-derived sampling seeds.
 	Seed int64
-	// InMemory loads node-classification features fully into memory
-	// instead of serving them from the partition-buffered disk store
-	// (quantized datasets stay compressed in memory).
+	// InMemory is ignored: node-classification features are always
+	// served from one in-memory table, quantized datasets kept
+	// compressed. The field remains because the benchmark module sets it
+	// and converts ServeConfig into the serving package's Config field
+	// for field.
 	InMemory bool
 	// QuantizeTable ("fp16" or "int8") stores the precomputed
 	// link-prediction encoding table quantized, trading exact float32

@@ -89,7 +89,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/nn"
-	"repro/internal/policy"
 	"repro/internal/train"
 )
 
@@ -211,8 +210,6 @@ type Task interface {
 	// fixed feature tables (node classification) are reproducible from
 	// the graph and are only shape-validated on restore.
 	LearnableTable() bool
-	// SetPolicy overrides the replacement policy.
-	SetPolicy(policy.Policy)
 }
 
 // Session is a configured training task over a graph: the unit the run
@@ -287,10 +284,6 @@ func (s *Session) Evaluate(split Split, opts ...EvalOption) (EvalResult, error) 
 	}
 	return s.task.Evaluate(split, spec)
 }
-
-// SetPolicy overrides the replacement policy, for example to swap COMET
-// for BETA on an otherwise identical session.
-func (s *Session) SetPolicy(pol policy.Policy) { s.task.SetPolicy(pol) }
 
 // Close releases the session's storage.
 func (s *Session) Close() error { return s.task.Source().Close() }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/decoder"
 	"repro/internal/fault"
-	"repro/internal/graph"
 	"repro/internal/policy"
 	"repro/internal/storage"
 )
@@ -213,10 +212,6 @@ type Options struct {
 	// reject the option on tasks that have no decoder.
 	Decoder    DecoderKind `json:"decoder,omitempty"`
 	decoderSet bool
-	// Relations, when non-zero, fixes the relation-table height
-	// (WithRelations). 0 resolves to the graph's relation count (at
-	// least 1).
-	Relations int `json:"relations,omitempty"`
 
 	Dim     int   `json:"dim"`
 	Layers  int   `json:"layers"`  // 0 resolves to the task default
@@ -295,9 +290,6 @@ func (o *Options) resolve(task string) error {
 		if o.decoderSet {
 			return optErr("WithDecoder", ErrBadValue, "node classification has no decoder")
 		}
-		if o.Relations > 0 {
-			return optErr("WithRelations", ErrBadValue, "node classification has no relation table")
-		}
 	}
 	if o.Decoder == ComplEx && o.Dim%2 != 0 {
 		return optErr("WithDecoder", ErrBadValue, "complex decoder needs an even dimension, got %d", o.Dim)
@@ -350,21 +342,6 @@ func WithDecoder(d DecoderKind) Option {
 		}
 		o.Decoder = d
 		o.decoderSet = true
-		return nil
-	}
-}
-
-// WithRelations fixes the relation-table height to n. The default is the
-// graph's relation count (at least 1); setting it larger reserves rows
-// for relation types absent from the training split. It must not be
-// smaller than the graph's relation count, and for prepared datasets it
-// must equal the manifest's (the ingest already sized the table).
-func WithRelations(n int) Option {
-	return func(o *Options) error {
-		if n <= 0 {
-			return optErr("WithRelations", ErrBadValue, "relations %d", n)
-		}
-		o.Relations = n
 		return nil
 	}
 }
@@ -622,15 +599,6 @@ func Throttled(t *storage.Throttle) DiskOption {
 		o.Throttle = t
 		return nil
 	}
-}
-
-// numRels resolves the relation-table height for a graph: WithRelations
-// if set, else the graph's relation count, never below 1.
-func (o *Options) numRels(g *graph.Graph) int {
-	if o.Relations > 0 {
-		return o.Relations
-	}
-	return max(g.NumRels, 1)
 }
 
 // EvalSpec is the resolved evaluation configuration produced by applying

@@ -38,16 +38,10 @@ func TestDecoderAndRelationOptionErrors(t *testing.T) {
 	}{
 		{"decoder on nc", marius.NodeClassification(), nc,
 			[]marius.Option{marius.WithDecoder(marius.ComplEx)}, "WithDecoder"},
-		{"relations on nc", marius.NodeClassification(), nc,
-			[]marius.Option{marius.WithRelations(4)}, "WithRelations"},
 		{"complex odd dim", marius.LinkPrediction(), lp,
 			[]marius.Option{marius.WithDecoder(marius.ComplEx), marius.WithDim(9)}, "WithDecoder"},
 		{"unknown decoder", marius.LinkPrediction(), lp,
 			[]marius.Option{marius.WithDecoder(marius.DecoderKind(99))}, "WithDecoder"},
-		{"relation table too small", marius.LinkPrediction(), lp,
-			[]marius.Option{marius.WithRelations(4)}, "WithRelations"},
-		{"non-positive relations", marius.LinkPrediction(), lp,
-			[]marius.Option{marius.WithRelations(0)}, "WithRelations"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

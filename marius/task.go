@@ -135,29 +135,25 @@ func (t *taskBase) TrainEpoch(ctx context.Context) (train.EpochStats, error) {
 	return t.tr.TrainEpoch(ctx)
 }
 
-// adj lazily builds (and caches) the full-graph evaluation adjacency.
-// Dataset-backed sessions keep no in-memory edge list, so the first
-// evaluation reads the buckets back from the edge store (bucket order —
-// the same flattened order the training index exposes).
+// adj lazily builds (and caches) the full-graph evaluation adjacency
+// from the session's edge store in bucket order, the order serving reads
+// too, so a graph session and a dataset session over the same data
+// sample the same neighbors.
 func (t *taskBase) adj() (*graph.Adjacency, error) {
 	if t.fullAdj == nil {
-		edges := t.g.Edges
-		if len(edges) == 0 && t.opts.dataset != nil {
-			var err error
-			if edges, err = t.src.ReadAllEdges(); err != nil {
-				return nil, err
-			}
+		edges, err := storage.ReadAllEdges(t.src.Edges)
+		if err != nil {
+			return nil, err
 		}
 		t.fullAdj = graph.BuildAdjacency(t.g.NumNodes, edges)
 	}
 	return t.fullAdj, nil
 }
 
-func (t *taskBase) Epoch() int                { return t.tr.Epoch() }
-func (t *taskBase) SetEpoch(e int)            { t.tr.SetEpoch(e) }
-func (t *taskBase) Params() *nn.ParamSet      { return t.ps }
-func (t *taskBase) Source() *train.Source     { return t.src }
-func (t *taskBase) SetPolicy(p policy.Policy) { t.tr.Pol = p }
+func (t *taskBase) Epoch() int            { return t.tr.Epoch() }
+func (t *taskBase) SetEpoch(e int)        { t.tr.SetEpoch(e) }
+func (t *taskBase) Params() *nn.ParamSet  { return t.ps }
+func (t *taskBase) Source() *train.Source { return t.src }
 
 // NodeClassification returns the node-classification Task: GNN training
 // over fixed node features with the §5.2 training-node caching policy for
@@ -297,12 +293,7 @@ func (t *lpTask) Prepare(g *graph.Graph, o *Options) error {
 			return err
 		}
 	}
-	numRels := o.numRels(g)
-	if numRels < max(g.NumRels, 1) {
-		return optErr("WithRelations", ErrBadValue,
-			"graph has %d relation types, relation table sized %d", g.NumRels, numRels)
-	}
-	dec, err := decoder.New(o.Decoder.kindName(), ps, numRels, o.Dim, rng)
+	dec, err := decoder.New(o.Decoder.kindName(), ps, max(g.NumRels, 1), o.Dim, rng)
 	if err != nil {
 		return optErr("WithDecoder", ErrBadValue, "%v", err)
 	}
@@ -383,7 +374,7 @@ func (t *lpTask) Evaluate(split Split, spec *EvalSpec) (EvalResult, error) {
 		table, err = encode.FullTable(encode.Config{
 			Encoder: t.enc, Params: t.ps,
 			Fanouts: t.opts.Fanouts, Dirs: graph.Both, Workers: t.opts.Workers,
-		}, adj, encode.TensorStore{T: table}, t.g.NumNodes, t.opts.Dim, t.opts.Seed+4)
+		}, adj, storage.NewMemoryNodeStore(table), t.g.NumNodes, t.opts.Dim, t.opts.Seed+4)
 		if err != nil {
 			return res, err
 		}
