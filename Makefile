@@ -69,10 +69,13 @@ fuzz-kernels:
 # OpenDataset must refuse them with a typed error or open a dataset whose
 # edge store answers every bucket length; either way every payload name
 # stays inside the dataset directory (the reader runs on a filesystem
-# that records each path it touches). The seed corpus alone runs in
-# every plain `go test`.
+# that records each path it touches); and bytes become a checkpoint file,
+# which ckpt.Read must refuse with a typed error or read back with a table
+# and accumulators that match its recorded shape. The seed corpora alone
+# run in every plain `go test`.
 fuzz-parsers:
 	$(GO) test ./internal/storage -run '^$$' -fuzz='^FuzzReadManifest$$' -fuzztime=20s
+	$(GO) test ./internal/ckpt -run '^$$' -fuzz='^FuzzReadCheckpoint$$' -fuzztime=20s
 
 # A local shortcut; `race` covers it. The epoch executor under the race
 # detector: its ordering/bounding tests and the every-small-configuration

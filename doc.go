@@ -32,6 +32,20 @@
 // are kept; a tuned capacity is clamped to [2, p], and a tuned logical
 // partition count COMET cannot group p and c by falls back to p.
 //
+// Memory or disk, graph or prepared dataset, every session chooses its
+// stores in one place (the marius options' source assembly) and hands
+// them to train.NewSource: one edge store — the dataset's bucket file, or
+// the graph's edges bucketed in memory (storage.MemoryEdgeStore) or
+// sorted into a file under the WithDisk directory — and one node store —
+// the dataset's features, held in memory as stored or paged, or a
+// float32 table (the graph's features, or the seeded link-prediction
+// embeddings) held in memory or written under the WithDisk directory.
+// The table is learnable, with one sparse-AdaGrad accumulator per row,
+// exactly when the task trains it; a fixed table keeps none and refuses
+// writes. Evaluation reads the whole table through one view
+// (train.Source.Table): the memory store itself, or a read-only copy read
+// back through the disk store.
+//
 // # Kernel parallelism
 //
 // The compute substrate (internal/tensor) plays the role of the paper's
@@ -254,11 +268,13 @@
 // ErrDatasetVersion — there is no in-place migration; re-run prep.
 //
 // The contract is exactness, not approximation: ingest(export(graph))
-// trains byte-identically — same per-epoch losses, same checkpoints —
-// to training the original in-memory graph at the same seed, serial and
-// pipelined (enforced by the internal/dataset round-trip tests, which also
-// require the external sort to spill >= 2 runs while staying under its
-// memory cap).
+// trains byte-identically — same per-epoch losses, same checkpoints, same
+// evaluation — to training the original in-memory graph at the same
+// seed, serial and pipelined. It holds because the two sessions take the
+// one store assembly above and differ only in where the stores' bytes
+// come from. internal/dataset's TestRoundTrip enforces it in each of
+// {NC, LP} × {memory, disk}, and requires the external sort to spill
+// >= 2 runs while staying under its memory cap.
 //
 // # Quantized storage
 //

@@ -36,6 +36,10 @@ const Version = 1
 // message names the offending field (task, dim, layers, nodes, ...).
 var ErrMismatch = errors.New("checkpoint/dataset mismatch")
 
+// ErrCorrupt is wrapped by Read when the file does not decode as a
+// checkpoint at all.
+var ErrCorrupt = errors.New("ckpt: corrupt checkpoint")
+
 // Mismatch returns a validation error wrapping ErrMismatch that names the
 // offending checkpoint field.
 func Mismatch(field, format string, args ...any) error {
@@ -194,8 +198,12 @@ func (w retryWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// Read loads a checkpoint from path. It performs no validation beyond
-// decoding; callers check Version and their own shape constraints.
+// Read loads a checkpoint from path. Bytes that do not decode are
+// refused with ErrCorrupt, and a file whose table or accumulators disagree
+// with its recorded shape (or whose shape is negative) with ErrMismatch
+// naming "table", so every loader may take Table as a TableRows x
+// TableCols tensor and OptState as one value per row. Callers check
+// Version and their own shape constraints.
 func Read(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -204,7 +212,16 @@ func Read(path string) (*File, error) {
 	defer f.Close()
 	var cp File
 	if err := gob.NewDecoder(f).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("ckpt: decode checkpoint: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	rows, cols, n := cp.TableRows, cp.TableCols, len(cp.Table)
+	switch {
+	case rows < 0 || cols < 0:
+		return nil, Mismatch("table", "negative shape %dx%d", rows, cols)
+	case n != 0 && (cols == 0 || n%cols != 0 || n/cols != rows):
+		return nil, Mismatch("table", "%d values for a %dx%d table", n, rows, cols)
+	case len(cp.OptState) != 0 && len(cp.OptState) != rows:
+		return nil, Mismatch("table", "%d accumulators for %d rows", len(cp.OptState), rows)
 	}
 	return &cp, nil
 }

@@ -1,13 +1,17 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 func sampleFile() *File {
@@ -21,7 +25,7 @@ func sampleFile() *File {
 		},
 		TableRows: 2, TableCols: 2,
 		Table:    []float32{5, 6, 7, 8},
-		OptState: []float32{0.1, 0.2, 0.3, 0.4},
+		OptState: []float32{0.1, 0.2},
 		Model: ModelMeta{
 			Kind: KindDistMult, Dim: 2, NumRels: 1, FeatureDim: 2,
 		},
@@ -146,4 +150,99 @@ func TestWriteOverwritesAtomically(t *testing.T) {
 	if left := leftoverTemps(t, dir); len(left) != 0 {
 		t.Errorf("temp files left behind: %v", left)
 	}
+}
+
+// smallCheckpoint returns the bytes of a real checkpoint (one DistMult
+// epoch over 24 entities at dim 4, saved by marius.Session.Save) and of
+// the same file with its table cut to half its rows' values.
+func smallCheckpoint(t testing.TB) (good, truncated []byte) {
+	t.Helper()
+	good, err := os.ReadFile(filepath.Join("testdata", "lp-small.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp File
+	if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Table = cp.Table[:len(cp.Table)/2]
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&cp); err != nil {
+		t.Fatal(err)
+	}
+	return good, buf.Bytes()
+}
+
+// readBytes writes data as a checkpoint file and reads it back.
+func readBytes(t testing.TB, data []byte) (*File, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return Read(path)
+}
+
+// TestReadRefusesShapeMismatch pins that Read refuses a checkpoint whose
+// table or accumulators disagree with its recorded shape, or whose shape
+// is negative, with ErrMismatch naming the table: a loader that copied
+// such a table would silently leave rows zeroed.
+func TestReadRefusesShapeMismatch(t *testing.T) {
+	good, truncated := smallCheckpoint(t)
+	if cp, err := readBytes(t, good); err != nil || len(cp.Table) != cp.TableRows*cp.TableCols || len(cp.Table) == 0 {
+		t.Fatalf("real checkpoint: %v", err)
+	}
+	cases := map[string][]byte{"truncated table": truncated}
+	for name, edit := range map[string]func(*File){
+		"short accumulators": func(f *File) { f.OptState = f.OptState[:1] },
+		"negative rows":      func(f *File) { f.TableRows, f.Table, f.OptState = -2, nil, nil },
+		"negative cols":      func(f *File) { f.TableCols, f.Table = -2, []float32{1, 2, 3, 4} },
+		"table without cols": func(f *File) { f.TableCols = 0 },
+	} {
+		f := sampleFile()
+		edit(f)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+			t.Fatal(err)
+		}
+		cases[name] = buf.Bytes()
+	}
+	for name, data := range cases {
+		_, err := readBytes(t, data)
+		if !errors.Is(err, ErrMismatch) || !strings.Contains(err.Error(), "table") {
+			t.Errorf("%s: Read = %v, want ErrMismatch naming the table", name, err)
+		}
+	}
+}
+
+// FuzzReadCheckpoint feeds arbitrary bytes to Read as a checkpoint file:
+// it must refuse them with ErrCorrupt or ErrMismatch, or return a file
+// whose table and accumulators match its shape, so every loader can take
+// them as a tensor. It must never panic.
+func FuzzReadCheckpoint(f *testing.F) {
+	good, truncated := smallCheckpoint(f)
+	f.Add(good)
+	f.Add(truncated)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := readBytes(t, data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrMismatch) {
+				t.Fatalf("untyped refusal: %v", err)
+			}
+			return
+		}
+		rows, cols := cp.TableRows, cp.TableCols
+		if rows < 0 || cols < 0 {
+			t.Fatalf("accepted negative shape %dx%d", rows, cols)
+		}
+		if len(cp.Table) != 0 {
+			tensor.FromSlice(rows, cols, cp.Table) // panics on a length mismatch
+			if len(cp.Table)/cols != rows {
+				t.Fatalf("accepted %d values for a %dx%d table", len(cp.Table), rows, cols)
+			}
+		}
+		if len(cp.OptState) != 0 && len(cp.OptState) != rows {
+			t.Fatalf("accepted %d accumulators for %d rows", len(cp.OptState), rows)
+		}
+	})
 }

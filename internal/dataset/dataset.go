@@ -15,9 +15,11 @@
 //
 // The ingest step applies the exact seeded relabeling marius.New applies
 // to an in-memory graph (partition.RandomOrder for link prediction,
-// partition.TrainFirstOrder for node classification), so training from a
-// prepared directory is byte-identical — same losses, same checkpoints —
-// to training the equivalent in-memory graph at the same seed.
+// partition.TrainFirstOrder for node classification), and both sessions
+// build their stores through the one marius assembly, so training from a
+// prepared directory is byte-identical — same losses, same checkpoints,
+// same evaluation — to training the equivalent in-memory graph at the
+// same seed, in memory and on disk (TestRoundTrip).
 package dataset
 
 import (

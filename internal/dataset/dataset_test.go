@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -93,142 +94,120 @@ func sameEval(t *testing.T, ref, got *marius.Session, opts ...marius.EvalOption)
 	}
 }
 
-// TestRoundTripNC is the ingestion fidelity contract for node
-// classification: export a generated graph to raw TSV files, ingest it
+// TestRoundTrip is the ingestion fidelity contract over both tasks, held
+// in memory and on disk: export a generated graph to raw files, ingest it
 // with a memory cap small enough to force a multi-run external sort, and
-// train from the prepared directory — the loss trajectory, the
-// checkpoint and both splits' evaluation must be identical to training
-// the in-memory graph at the same seed.
-func TestRoundTripNC(t *testing.T) {
-	const seed, parts, epochs = int64(7), 4, 2
-	exp, err := dataset.Export(gen.SBM(smallSBM()), t.TempDir(), "tsv")
-	if err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	out := t.TempDir()
-	icfg := exp.Config(out, "nc", seed, parts)
-	// ~3600 edges at 24 B of sort working set each: a 24 KB cap forces
-	// four runs.
-	icfg.MemLimit = 24 * 1000
-	st, err := dataset.Ingest(icfg)
-	if err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-	if st.SpillRuns < 2 {
-		t.Fatalf("memory cap %d produced %d spill runs, want >= 2 (external sort not exercised)",
-			icfg.MemLimit, st.SpillRuns)
-	}
-	if st.MaxBufferedBytes > icfg.MemLimit {
-		t.Fatalf("peak sort working set %d exceeds the %d-byte cap", st.MaxBufferedBytes, icfg.MemLimit)
-	}
-	if _, err := dataset.Validate(out); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
+// train from the prepared directory. The in-memory-graph session trains
+// serially, the dataset session pipelined; the loss trajectory, the
+// checkpoint and both splits' evaluation (for link prediction sampled and
+// filtered ranking) must be identical at the same seed. On disk the
+// dataset's bucket file must also be byte-identical to the one the graph
+// session's own store sorts at startup. The four cells run every branch
+// of the one store assembly both sessions take.
+func TestRoundTrip(t *testing.T) {
+	nc := []marius.Option{marius.WithDim(8), marius.WithFanouts(4, 4), marius.WithBatchSize(128)}
+	lp := []marius.Option{marius.WithDim(8), marius.WithFanouts(5), marius.WithBatchSize(512), marius.WithNegatives(64)}
+	for _, tc := range []struct {
+		name, task, format string
+		seed               int64
+		parts              int
+		// memLimit forces the external sort into several runs: ~3600 NC
+		// and ~5.5k LP edges at 24 B of sort working set each.
+		memLimit int64
+		opts     []marius.Option
+		// disk, when non-nil, is the buffer the sessions page through.
+		disk  []marius.DiskOption
+		evals [][]marius.EvalOption
+	}{
+		{"nc-memory", "nc", "tsv", 7, 4, 24 * 1000, nc, nil, [][]marius.EvalOption{nil}},
+		{"nc-disk", "nc", "tsv", 7, 4, 24 * 1000, nc, []marius.DiskOption{marius.Capacity(2)}, [][]marius.EvalOption{nil}},
+		{"lp-memory", "lp", "csv", 11, 8, 24 * 1500, lp, nil,
+			[][]marius.EvalOption{nil, {marius.FilteredEval()}}},
+		{"lp-disk", "lp", "csv", 11, 8, 24 * 1500, lp,
+			[]marius.DiskOption{marius.Capacity(4), marius.LogicalPartitions(4)},
+			[][]marius.EvalOption{nil, {marius.FilteredEval()}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := gen.SBM(smallSBM())
+			if tc.task == "lp" {
+				g = gen.KG(smallKG())
+			}
+			exp, err := dataset.Export(g, t.TempDir(), tc.format)
+			if err != nil {
+				t.Fatalf("export: %v", err)
+			}
+			out := t.TempDir()
+			icfg := exp.Config(out, tc.task, tc.seed, tc.parts)
+			icfg.MemLimit = tc.memLimit
+			st, err := dataset.Ingest(icfg)
+			if err != nil {
+				t.Fatalf("ingest: %v", err)
+			}
+			if st.SpillRuns < 2 {
+				t.Fatalf("memory cap %d produced %d spill runs, want >= 2 (external sort not exercised)",
+					icfg.MemLimit, st.SpillRuns)
+			}
+			if st.MaxBufferedBytes > icfg.MemLimit {
+				t.Fatalf("peak sort working set %d exceeds the %d-byte cap", st.MaxBufferedBytes, icfg.MemLimit)
+			}
+			if _, err := dataset.Validate(out); err != nil {
+				t.Fatalf("validate: %v", err)
+			}
 
-	opts := []marius.Option{
-		marius.WithSeed(seed), marius.WithPartitions(parts),
-		marius.WithDim(8), marius.WithFanouts(4, 4),
-		marius.WithBatchSize(128), marius.WithWorkers(2),
-	}
-	ref, err := marius.New(marius.NodeClassification(), gen.SBM(smallSBM()), opts...)
-	if err != nil {
-		t.Fatalf("in-memory session: %v", err)
-	}
-	defer ref.Close()
-	got, err := marius.FromDataset(out, opts...)
-	if err != nil {
-		t.Fatalf("dataset session: %v", err)
-	}
-	defer got.Close()
+			common := append([]marius.Option{marius.WithSeed(tc.seed), marius.WithWorkers(2)}, tc.opts...)
+			refOpts := slices.Concat(common, []marius.Option{marius.WithPartitions(tc.parts)})
+			gotOpts := slices.Concat(common, []marius.Option{marius.WithPipeline(2)})
+			refDir := t.TempDir()
+			if tc.disk != nil {
+				refOpts = slices.Concat(common, []marius.Option{marius.WithDisk(refDir,
+					slices.Concat(tc.disk, []marius.DiskOption{marius.Partitions(tc.parts)})...)})
+				gotOpts = append(gotOpts, marius.WithDisk(t.TempDir(), tc.disk...))
+			}
+			task := marius.NodeClassification()
+			if tc.task == "lp" {
+				task = marius.LinkPrediction()
+			}
+			ref, err := marius.New(task, g, refOpts...)
+			if err != nil {
+				t.Fatalf("in-memory-graph session: %v", err)
+			}
+			defer ref.Close()
+			got, err := marius.FromDataset(out, gotOpts...)
+			if err != nil {
+				t.Fatalf("dataset session: %v", err)
+			}
+			defer got.Close()
 
-	refLoss := trainLosses(t, ref, epochs)
-	gotLoss := trainLosses(t, got, epochs)
-	for i := range refLoss {
-		if refLoss[i] != gotLoss[i] {
-			t.Fatalf("epoch %d loss diverged: in-memory %v, dataset %v", i, refLoss[i], gotLoss[i])
-		}
-	}
-	if !bytes.Equal(checkpointBytes(t, ref), checkpointBytes(t, got)) {
-		t.Fatal("dataset-session checkpoint differs from in-memory checkpoint")
-	}
-	sameEval(t, ref, got)
-}
+			if tc.disk != nil {
+				refEdges, err := os.ReadFile(filepath.Join(refDir, "edges.bin"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				dsEdges, err := os.ReadFile(filepath.Join(out, "edges.bin"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(refEdges, dsEdges) {
+					t.Fatal("ingested edges.bin differs from the graph session's bucket-sorted file")
+				}
+			}
 
-// TestRoundTripLPDisk is the fidelity contract for link prediction under
-// the paper's headline configuration, a GraphSage encoder over learnable
-// embeddings: the in-memory-graph session trains serially on disk with
-// COMET; the dataset session trains *pipelined* from the prepared
-// directory. Losses and checkpoints must match byte-for-byte, evaluation
-// (sampled, and filtered ranking) must match exactly, and the dataset's
-// bucket file must be byte-identical to the one the in-memory session's
-// own disk store sorts at startup.
-func TestRoundTripLPDisk(t *testing.T) {
-	const seed, parts, epochs = int64(11), 8, 2
-	exp, err := dataset.Export(gen.KG(smallKG()), t.TempDir(), "csv")
-	if err != nil {
-		t.Fatalf("export: %v", err)
+			refLoss := trainLosses(t, ref, 2)
+			gotLoss := trainLosses(t, got, 2)
+			for i := range refLoss {
+				if refLoss[i] != gotLoss[i] {
+					t.Fatalf("epoch %d loss diverged: serial graph session %v, pipelined dataset session %v",
+						i, refLoss[i], gotLoss[i])
+				}
+			}
+			if !bytes.Equal(checkpointBytes(t, ref), checkpointBytes(t, got)) {
+				t.Fatal("dataset-session checkpoint differs from the graph session's")
+			}
+			for _, opts := range tc.evals {
+				sameEval(t, ref, got, opts...)
+			}
+		})
 	}
-	out := t.TempDir()
-	icfg := exp.Config(out, "lp", seed, parts)
-	icfg.MemLimit = 24 * 1500 // ~5.5k train edges: forces multiple runs
-	st, err := dataset.Ingest(icfg)
-	if err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-	if st.SpillRuns < 2 {
-		t.Fatalf("want >= 2 spill runs, got %d", st.SpillRuns)
-	}
-	if _, err := dataset.Validate(out); err != nil {
-		t.Fatalf("validate: %v", err)
-	}
-
-	common := []marius.Option{
-		marius.WithSeed(seed), marius.WithFanouts(5),
-		marius.WithDim(8), marius.WithBatchSize(512), marius.WithNegatives(64),
-		marius.WithWorkers(2),
-	}
-	refDir := t.TempDir()
-	ref, err := marius.New(marius.LinkPrediction(), gen.KG(smallKG()), append(common,
-		marius.WithDisk(refDir, marius.Partitions(parts), marius.Capacity(4), marius.LogicalPartitions(4)))...)
-	if err != nil {
-		t.Fatalf("in-memory-graph session: %v", err)
-	}
-	defer ref.Close()
-	got, err := marius.FromDataset(out, append(common,
-		marius.WithDisk(t.TempDir(), marius.Capacity(4), marius.LogicalPartitions(4)),
-		marius.WithPipeline(2))...)
-	if err != nil {
-		t.Fatalf("dataset session: %v", err)
-	}
-	defer got.Close()
-
-	// The ingested bucket file must match the bucket sort the reference
-	// session performed in memory at startup.
-	refEdges, err := os.ReadFile(filepath.Join(refDir, "edges.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsEdges, err := os.ReadFile(filepath.Join(out, "edges.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refEdges, dsEdges) {
-		t.Fatal("ingested edges.bin differs from the in-memory session's bucket-sorted file")
-	}
-
-	refLoss := trainLosses(t, ref, epochs)
-	gotLoss := trainLosses(t, got, epochs)
-	for i := range refLoss {
-		if refLoss[i] != gotLoss[i] {
-			t.Fatalf("epoch %d loss diverged: serial in-memory-graph %v, pipelined dataset %v",
-				i, refLoss[i], gotLoss[i])
-		}
-	}
-	if !bytes.Equal(checkpointBytes(t, ref), checkpointBytes(t, got)) {
-		t.Fatal("pipelined dataset checkpoint differs from serial in-memory-graph checkpoint")
-	}
-	sameEval(t, ref, got)
-	sameEval(t, ref, got, marius.FilteredEval())
 }
 
 // TestFormatsAgree ingests the same graph from TSV and binary exports

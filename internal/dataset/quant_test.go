@@ -282,7 +282,7 @@ func TestQuantTrainDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refStore := storage.NewMemoryNodeStore(tensor.RefDequant(tensor.Quantize(f32Store.Table(), tensor.QuantF16)))
+	refStore := storage.NewMemoryNodeStore(tensor.RefDequant(tensor.Quantize(f32Store.Table(), tensor.QuantF16)), false)
 	sctx, err := serve.Open(dir, serve.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func sameBytes(t *testing.T, name string, got, want *tensor.Tensor) {
 func TestEncodeDenseEqualsTrainSideForward(t *testing.T) {
 	f := newFixture()
 	fwd := encode.New(f.cfg, f.adj, 9)
-	store := storage.NewMemoryNodeStore(f.g.Features)
+	store := storage.NewMemoryNodeStore(f.g.Features, false)
 	for round := 0; round < 2; round++ {
 		seed := int64(100 + round)
 		want := f.trainSideForward(sampler.New(f.adj, f.cfg.Fanouts, f.cfg.Dirs, seed).Sample(f.targets)).Clone()
@@ -96,7 +96,7 @@ func TestEncodeDenseEqualsTrainSideForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	gotQ := viaQ.Value.Clone()
-	viaDeq, err := fwd.EncodeDense(storage.NewMemoryNodeStore(q.Dequant()), fwd.SampleSeeded(7, f.targets))
+	viaDeq, err := fwd.EncodeDense(storage.NewMemoryNodeStore(q.Dequant(), false), fwd.SampleSeeded(7, f.targets))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestEncodeDenseEqualsTrainSideForward(t *testing.T) {
 // what a seeded per-chunk encode yields, independent of the worker count.
 func TestFullTableEqualsPerChunkEncode(t *testing.T) {
 	f := newFixture()
-	store := storage.NewMemoryNodeStore(f.g.Features)
+	store := storage.NewMemoryNodeStore(f.g.Features, false)
 	table, err := encode.FullTable(f.cfg, f.adj, store, f.g.NumNodes, 4, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func TestMergeDenseMatchesPerBlockForward(t *testing.T) {
 	for i := range feat.Data {
 		feat.Data[i] = rng.Float32()
 	}
-	store := storage.NewMemoryNodeStore(feat)
+	store := storage.NewMemoryNodeStore(feat, false)
 
 	for _, fanouts := range [][]int{{3}, {3, 2}} {
 		ps := nn.NewParamSet()

@@ -138,9 +138,11 @@ func Load(ctx *Context, path string, cfg Config) (*Snapshot, error) {
 		if snap.Decoder, err = decoder.New(decKind, snap.Params, meta.NumRels, meta.Dim, rng); err != nil {
 			return nil, ckpt.Mismatch("decoder", "%v", err)
 		}
+		// A fresh copy, not the decoded slice wrapped in place: serving
+		// measured ~7 % slower at p50 reading the latter (lp-disk-rw, 2-vCPU VM).
 		snap.Table = tensor.New(cp.TableRows, cp.TableCols)
 		copy(snap.Table.Data, cp.Table)
-		snap.Store = storage.NewMemoryNodeStore(snap.Table)
+		snap.Store = storage.NewMemoryNodeStore(snap.Table, false)
 	default:
 		return nil, ckpt.Mismatch("task", "unknown task %q", man.Task)
 	}

@@ -93,7 +93,7 @@ func TestApplyGradsSameAtEveryWorkerCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewMemoryNodeStore(ref)
+		m := NewMemoryNodeStore(ref, true)
 		opt := nn.NewSparseAdaGrad(0.3)
 		opt.Workers = workers
 		rng := rand.New(rand.NewSource(9))

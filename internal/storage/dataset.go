@@ -465,7 +465,7 @@ func (d *Dataset) MemoryNodeStore() (*MemoryNodeStore, error) {
 		if err := readFloats(fh, 0, t.Data, nil, nil); err != nil {
 			return nil, corrupt(f.Name, "short read: %v", err)
 		}
-		return NewMemoryNodeStore(t), nil
+		return NewMemoryNodeStore(t, false), nil
 	}
 	q := tensor.NewQTable(kind, d.Man.NumNodes, d.Man.FeatureDim)
 	if err := readFull(fh, q.Raw, 0, nil); err != nil {

@@ -107,13 +107,8 @@ type DiskEdgeStore struct {
 	throttle *Throttle
 }
 
-// CreateDiskEdgeStore bucket-sorts edges into a file under dir.
-func CreateDiskEdgeStore(dir string, pt partition.Partitioning, edges []graph.Edge, throttle *Throttle) (*DiskEdgeStore, error) {
-	return CreateDiskEdgeStoreFS(nil, dir, pt, edges, throttle)
-}
-
-// CreateDiskEdgeStoreFS is CreateDiskEdgeStore opening through fsys
-// (nil means the real filesystem).
+// CreateDiskEdgeStoreFS bucket-sorts edges into a file under dir, opened
+// through fsys (nil means the real filesystem).
 func CreateDiskEdgeStoreFS(fsys fault.FS, dir string, pt partition.Partitioning, edges []graph.Edge, throttle *Throttle) (*DiskEdgeStore, error) {
 	s := &DiskEdgeStore{pt: pt, throttle: throttle}
 	f, err := fault.Or(fsys).Create(filepath.Join(dir, "edges.bin"))

@@ -166,7 +166,7 @@ func TestFragCacheConcurrentEviction(t *testing.T) {
 func TestFragCacheMatchesBucketsOnDisk(t *testing.T) {
 	edges := fragTestEdges(120, 3000, 3)
 	pt := partition.New(120, 5)
-	es, err := CreateDiskEdgeStore(t.TempDir(), pt, edges, nil)
+	es, err := CreateDiskEdgeStoreFS(nil, t.TempDir(), pt, edges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,13 +49,14 @@ type NodeStore interface {
 // (fp16) or a quarter (int8) of the float32 bytes, dequantized row by row
 // on Gather. Dequantization is a pure function of bytes fixed at ingest,
 // so a gather from the quantized form equals a gather from its
-// dequantized float32 table bit for bit. A quantized table is read-only:
-// ApplyGrads and Restore refuse it.
+// dequantized float32 table bit for bit. Only a learnable table keeps
+// per-row AdaGrad accumulators; a fixed or quantized one holds none and is
+// read-only: ApplyGrads and Restore refuse it.
 type MemoryNodeStore struct {
 	mu    sync.RWMutex
 	table *tensor.Tensor // nil when q holds the table
 	q     *tensor.QTable
-	state []float32
+	state []float32 // nil when the table is read-only
 	rows  resolved
 }
 
@@ -71,8 +72,14 @@ func (r *resolved) add(row, state int) {
 }
 
 // NewMemoryNodeStore wraps a float32 table (used directly, not copied).
-func NewMemoryNodeStore(table *tensor.Tensor) *MemoryNodeStore {
-	return &MemoryNodeStore{table: table, state: make([]float32, table.Rows)}
+// A learnable table gets one sparse-AdaGrad accumulator per row, as
+// DiskStoreConfig.Learnable does on disk; a fixed one is read-only.
+func NewMemoryNodeStore(table *tensor.Tensor, learnable bool) *MemoryNodeStore {
+	m := &MemoryNodeStore{table: table}
+	if learnable {
+		m.state = make([]float32, table.Rows)
+	}
+	return m
 }
 
 // NewQuantMemoryNodeStore wraps a quantized table (used directly, not
@@ -81,8 +88,8 @@ func NewQuantMemoryNodeStore(q *tensor.QTable) *MemoryNodeStore {
 	return &MemoryNodeStore{q: q}
 }
 
-// errQuantReadOnly refuses writes into a quantized table.
-var errQuantReadOnly = errors.New("storage: quantized node table is read-only")
+// errReadOnly refuses writes into a fixed or quantized table.
+var errReadOnly = errors.New("storage: node table is read-only")
 
 // Dim implements NodeStore.
 func (m *MemoryNodeStore) Dim() int {
@@ -121,8 +128,8 @@ func (m *MemoryNodeStore) Gather(ids []int32, out *tensor.Tensor) error {
 
 // ApplyGrads implements NodeStore.
 func (m *MemoryNodeStore) ApplyGrads(ids []int32, grads *tensor.Tensor, opt *nn.SparseAdaGrad) error {
-	if m.q != nil {
-		return errQuantReadOnly
+	if m.state == nil {
+		return errReadOnly
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -135,7 +142,7 @@ func (m *MemoryNodeStore) ApplyGrads(ids []int32, grads *tensor.Tensor, opt *nn.
 }
 
 // Snapshot implements NodeStore. A quantized table snapshots as its
-// dequantized float32 form, with no optimizer state.
+// dequantized float32 form; a read-only table carries no optimizer state.
 func (m *MemoryNodeStore) Snapshot() (*tensor.Tensor, []float32, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -147,8 +154,8 @@ func (m *MemoryNodeStore) Snapshot() (*tensor.Tensor, []float32, error) {
 
 // Restore implements NodeStore.
 func (m *MemoryNodeStore) Restore(table *tensor.Tensor, state []float32) error {
-	if m.q != nil {
-		return errQuantReadOnly
+	if m.state == nil {
+		return errReadOnly
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -161,7 +161,7 @@ func TestDiskMatchesMemoryStoreUnderRandomOps(t *testing.T) {
 			table := tensor.New(n, dim)
 			rng := rand.New(rand.NewSource(int64(c)))
 			table.RandNormal(rng, 1)
-			memStore := NewMemoryNodeStore(table.Clone())
+			memStore := NewMemoryNodeStore(table.Clone(), true)
 			var failing atomic.Bool
 			diskStore, err := CreateDiskNodeStore(DiskStoreConfig{
 				Dir: t.TempDir(), Part: pt, Dim: dim, Capacity: c, Learnable: true,
@@ -329,7 +329,7 @@ func TestDiskReadAllServesResidentPartitions(t *testing.T) {
 			if tc.learnable {
 				// Dirty both resident partitions; the memory store is the
 				// table the disk one must end up with.
-				mem := NewMemoryNodeStore(ref.Clone())
+				mem := NewMemoryNodeStore(ref.Clone(), true)
 				ids := []int32{10, 19, 30, 34, 10}
 				grads := tensor.New(len(ids), dim)
 				grads.RandNormal(rand.New(rand.NewSource(6)), 1)
@@ -414,7 +414,7 @@ func TestQuantMemoryStoreGathersDequant(t *testing.T) {
 			if err := store.Gather(ids, got); err != nil {
 				t.Fatal(err)
 			}
-			if err := NewMemoryNodeStore(q.Dequant()).Gather(ids, want); err != nil {
+			if err := NewMemoryNodeStore(q.Dequant(), false).Gather(ids, want); err != nil {
 				t.Fatal(err)
 			}
 			for i, w := range want.Data {
@@ -426,8 +426,10 @@ func TestQuantMemoryStoreGathersDequant(t *testing.T) {
 	}
 }
 
-// TestQuantMemoryStoreRefusesWrites pins that a quantized in-memory
-// table is read-only: ApplyGrads and Restore fail and change no byte.
+// TestQuantMemoryStoreRefusesWrites pins that an in-memory table without
+// optimizer state, quantized or a fixed float32 one, is read-only by one
+// rule: ApplyGrads and Restore fail with the same error and change no
+// byte, and Snapshot carries no accumulators.
 func TestQuantMemoryStoreRefusesWrites(t *testing.T) {
 	ref := tensor.New(4, 3)
 	for i := range ref.Data {
@@ -435,18 +437,26 @@ func TestQuantMemoryStoreRefusesWrites(t *testing.T) {
 	}
 	grads := tensor.New(1, 3)
 	grads.Fill(1)
-	for _, kind := range []tensor.QuantKind{tensor.QuantF16, tensor.QuantI8} {
-		q := tensor.Quantize(ref, kind)
-		raw := append([]byte(nil), q.Raw...)
-		store := NewQuantMemoryNodeStore(q)
-		if err := store.ApplyGrads([]int32{1}, grads, nn.NewSparseAdaGrad(0.1)); err == nil {
-			t.Errorf("%v: ApplyGrads into a quantized table succeeded", kind)
+	var readOnly error
+	for _, kind := range []tensor.QuantKind{tensor.QuantF16, tensor.QuantI8, tensor.QuantNone} {
+		store := NewMemoryNodeStore(ref.Clone(), false)
+		if kind != tensor.QuantNone {
+			store = NewQuantMemoryNodeStore(tensor.Quantize(ref, kind))
 		}
-		if err := store.Restore(ref, nil); err == nil {
-			t.Errorf("%v: Restore into a quantized table succeeded", kind)
+		before, _, _ := store.Snapshot()
+		err := store.ApplyGrads([]int32{1}, grads, nn.NewSparseAdaGrad(0.1))
+		if readOnly == nil {
+			readOnly = err
 		}
-		if !reflect.DeepEqual(q.Raw, raw) {
-			t.Errorf("%v: a refused write changed the stored bytes", kind)
+		if err == nil || err != readOnly {
+			t.Errorf("%v: ApplyGrads = %v, want the read-only error %v", kind, err, readOnly)
+		}
+		if err := store.Restore(ref, nil); err == nil || err != readOnly {
+			t.Errorf("%v: Restore = %v, want the read-only error %v", kind, err, readOnly)
+		}
+		after, state, err := store.Snapshot()
+		if err != nil || state != nil || !reflect.DeepEqual(after, before) {
+			t.Errorf("%v: a refused write changed the table, or Snapshot carries accumulators (%v, %v)", kind, state, err)
 		}
 	}
 }
@@ -485,7 +495,7 @@ func TestEdgeStoreDiskMatchesMemory(t *testing.T) {
 		edges[i] = graph.Edge{Src: int32(rng.Intn(n)), Rel: int32(rng.Intn(3)), Dst: int32(rng.Intn(n))}
 	}
 	mem := NewMemoryEdgeStore(pt, edges)
-	disk, err := CreateDiskEdgeStore(dir, pt, edges, nil)
+	disk, err := CreateDiskEdgeStoreFS(nil, dir, pt, edges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +533,7 @@ func TestDiskReadBucketSteadyStateAllocs(t *testing.T) {
 	for i := range edges {
 		edges[i] = graph.Edge{Src: int32(rng.Intn(n)), Rel: int32(rng.Intn(3)), Dst: int32(rng.Intn(n))}
 	}
-	disk, err := CreateDiskEdgeStore(t.TempDir(), pt, edges, nil)
+	disk, err := CreateDiskEdgeStoreFS(nil, t.TempDir(), pt, edges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +568,7 @@ func TestEdgeStoreStatsUnified(t *testing.T) {
 	for i := range edges {
 		edges[i] = graph.Edge{Src: int32(rng.Intn(n)), Dst: int32(rng.Intn(n))}
 	}
-	disk, err := CreateDiskEdgeStore(dir, pt, edges, nil)
+	disk, err := CreateDiskEdgeStoreFS(nil, dir, pt, edges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func TestEncodeDenseByteIdenticalOnBothAxpyPaths(t *testing.T) {
 	for i, on := range []bool{false, true} {
 		tensor.SetAVX2(t, on)
 		fwd := encode.New(cfg, adj, 1)
-		enc, err := fwd.EncodeDense(storage.NewMemoryNodeStore(g.Features), fwd.SampleSeeded(42, targets))
+		enc, err := fwd.EncodeDense(storage.NewMemoryNodeStore(g.Features, false), fwd.SampleSeeded(42, targets))
 		if err != nil {
 			t.Fatal(err)
 		}

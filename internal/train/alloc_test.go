@@ -11,8 +11,7 @@ import (
 // batch-construction hot path (endpoint/negative scratch, stamp-based
 // dedup, DENSE sampling, pooled prepared batches) must not allocate.
 func TestLPBatchConstructionZeroAlloc(t *testing.T) {
-	tr, g, done := lpFixture(t, policy.InMemory{P: 4}, false, 4, 4, 51)
-	defer done()
+	tr, g := lpFixture(t, policy.InMemory{P: 4}, false, 4, 4, 51)
 	if _, err := tr.TrainEpoch(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestLPGATTrainsEndToEnd(t *testing.T) {
 	const dim = 12
 	pt := prepareLP(g, 4, 31)
 	emb := RandomEmbeddings(g.NumNodes, dim, 31)
-	src := NewMemorySource(g, pt, emb)
+	src := memSource(g, pt, emb, true)
 
 	rng := rand.New(rand.NewSource(31))
 	ps := nn.NewParamSet()
@@ -63,14 +63,7 @@ func TestThrottledDiskTrainingStillCorrect(t *testing.T) {
 	const dim = 8
 	pt := prepareLP(g, 4, 37)
 	epoch := func(th *storage.Throttle) EpochStats {
-		src, err := NewDiskSource(g, pt, dim, DiskSourceConfig{
-			Dir: t.TempDir(), Capacity: 2, Learnable: true,
-			InitTable: RandomEmbeddings(g.NumNodes, dim, 37), Throttle: th,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
+		src := diskSource(t, g, pt, RandomEmbeddings(g.NumNodes, dim, 37), true, 2, th)
 
 		rng := rand.New(rand.NewSource(37))
 		ps := nn.NewParamSet()
@@ -107,13 +100,7 @@ func TestNCEmptyVisitTargets(t *testing.T) {
 		Seed: 41,
 	})
 	pt, trainParts := prepareNC(g, 8, 41)
-	src, err := NewDiskSource(g, pt, g.Features.Cols, DiskSourceConfig{
-		Dir: t.TempDir(), Capacity: 3, InitTable: g.Features,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	src := diskSource(t, g, pt, g.Features, false, 3, nil)
 
 	rng := rand.New(rand.NewSource(41))
 	ps := nn.NewParamSet()
@@ -135,8 +122,7 @@ func TestNCEmptyVisitTargets(t *testing.T) {
 }
 
 func TestLPStatsAccounting(t *testing.T) {
-	tr, g, done := lpFixture(t, policy.InMemory{P: 4}, false, 4, 4, 43)
-	defer done()
+	tr, g := lpFixture(t, policy.InMemory{P: 4}, false, 4, 4, 43)
 	st, err := tr.TrainEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,11 @@ import (
 
 // EvaluateNC computes classification accuracy for the given node set using
 // the full-graph adjacency (held-out evaluation is always performed over
-// the complete graph, regardless of the training policy). The forward
-// pass runs on the shared encode path — the same substrate online serving
-// uses — with one sampler whose RNG stream runs continuously across
-// batches.
-func EvaluateNC(cfg *NCConfig, src *Source, adj *graph.Adjacency, labels []int32, nodes []int32, seed int64) (float64, error) {
+// the complete graph, regardless of the training policy), gathering base
+// representations from store (Source.Table's view). The forward pass runs
+// on the shared encode path — the same substrate online serving uses —
+// with one sampler whose RNG stream runs continuously across batches.
+func EvaluateNC(cfg *NCConfig, store encode.Store, adj *graph.Adjacency, labels []int32, nodes []int32, seed int64) (float64, error) {
 	if len(nodes) == 0 {
 		return 0, nil
 	}
@@ -28,7 +28,7 @@ func EvaluateNC(cfg *NCConfig, src *Source, adj *graph.Adjacency, labels []int32
 	for lo := 0; lo < len(nodes); lo += batch {
 		hi := min(lo+batch, len(nodes))
 		targets := nodes[lo:hi]
-		logits, err := fwd.Encode(src.Nodes, targets)
+		logits, err := fwd.Encode(store, targets)
 		if err != nil {
 			return 0, err
 		}

@@ -66,7 +66,11 @@ func (s EpochStats) String() string {
 		float64(s.IO.BytesRead+s.IO.BytesWritten)/1e6)
 }
 
-// Source bundles the storage-layer handles a trainer consumes.
+// Source bundles the storage-layer handles a trainer consumes: one node
+// store and one edge store over one partitioning, built by NewSource.
+// Whether they live in memory or on disk, and where they come from (a
+// prepared dataset or an in-memory graph), is decided before they get
+// here; the trainer reads both the same way.
 type Source struct {
 	Part     partition.Partitioning
 	NumNodes int
@@ -78,8 +82,8 @@ type Source struct {
 	Disk  *storage.DiskNodeStore
 	Edges storage.EdgeStore
 	// Frags caches per-bucket CSR fragments over Edges; the trainers
-	// compose their incremental visit indexes from it. Created by the
-	// source constructors (or lazily by FragCache for hand-built sources).
+	// compose their incremental visit indexes from it. Created by
+	// NewSource (or lazily by FragCache for hand-built sources).
 	Frags *storage.FragCache
 }
 

@@ -13,6 +13,8 @@ import (
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/policy"
+	"repro/internal/storage"
+	"repro/internal/tensor"
 )
 
 // prepareLP relabels g in place for link-prediction training, nodes
@@ -33,6 +35,35 @@ func prepareNC(g *graph.Graph, p int, seed int64) (partition.Partitioning, int) 
 	return pt, max((len(g.TrainNodes)+pt.PartSize-1)/pt.PartSize, 1)
 }
 
+// memSource holds g's edges and table in memory, as a session over an
+// in-memory graph does.
+func memSource(g *graph.Graph, pt partition.Partitioning, table *tensor.Tensor, learnable bool) *Source {
+	return NewSource(pt, g.NumRels, storage.NewMemoryNodeStore(table, learnable), storage.NewMemoryEdgeStore(pt, g.Edges))
+}
+
+// diskSource writes g's edges and table to files under a fresh directory,
+// the table paged through a buffer of c partitions, as a disk session over
+// an in-memory graph does. The test closes it.
+func diskSource(t *testing.T, g *graph.Graph, pt partition.Partitioning, table *tensor.Tensor, learnable bool, c int, th *storage.Throttle) *Source {
+	t.Helper()
+	dir := t.TempDir()
+	edges, err := storage.CreateDiskEdgeStoreFS(nil, dir, pt, g.Edges, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := storage.CreateDiskNodeStore(storage.DiskStoreConfig{
+		Dir: dir, Part: pt, Dim: table.Cols, Capacity: c, Learnable: learnable, Throttle: th,
+		Init: func(id int32, row []float32) { copy(row, table.Row(int(id))) },
+	})
+	if err != nil {
+		edges.Close()
+		t.Fatal(err)
+	}
+	src := NewSource(pt, g.NumRels, nodes, edges)
+	t.Cleanup(func() { src.Close() })
+	return src
+}
+
 // ncFixture builds a small SBM graph plus an in-memory NC trainer.
 func ncFixture(t *testing.T, seed int64) (*Trainer, *graph.Graph) {
 	t.Helper()
@@ -46,7 +77,7 @@ func ncFixture(t *testing.T, seed int64) (*Trainer, *graph.Graph) {
 		t.Fatal(err)
 	}
 	pt, _ := prepareNC(g, 4, seed)
-	src := NewMemorySource(g, pt, g.Features)
+	src := memSource(g, pt, g.Features, false)
 
 	rng := rand.New(rand.NewSource(seed))
 	ps := nn.NewParamSet()
@@ -74,7 +105,7 @@ func TestNCInMemoryLearns(t *testing.T) {
 		t.Fatalf("train accuracy %.3f after 4 epochs; SBM with 5 classes should exceed 0.6", last.Metric)
 	}
 	adj := graph.BuildAdjacency(g.NumNodes, g.Edges)
-	acc, err := EvaluateNC(&tr.task.(*ncTask).cfg, tr.Src, adj, g.Labels, g.ValidNodes, 99)
+	acc, err := EvaluateNC(&tr.task.(*ncTask).cfg, tr.Src.Nodes, adj, g.Labels, g.ValidNodes, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +123,7 @@ func TestNCDiskMatchesMemoryQuality(t *testing.T) {
 	}
 	g := gen.SBM(cfg)
 	pt, trainParts := prepareNC(g, 8, seed)
-	src, err := NewDiskSource(g, pt, g.Features.Cols, DiskSourceConfig{
-		Dir: t.TempDir(), Capacity: 4, InitTable: g.Features,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	src := diskSource(t, g, pt, g.Features, false, 4, nil)
 
 	rng := rand.New(rand.NewSource(seed))
 	ps := nn.NewParamSet()
@@ -128,7 +153,7 @@ func TestNCDiskMatchesMemoryQuality(t *testing.T) {
 }
 
 // lpFixture builds a small KG and an LP trainer over the given source mode.
-func lpFixture(t *testing.T, pol policy.Policy, disk bool, p, c int, seed int64) (*Trainer, *graph.Graph, func()) {
+func lpFixture(t *testing.T, pol policy.Policy, disk bool, p, c int, seed int64) (*Trainer, *graph.Graph) {
 	t.Helper()
 	g := gen.KG(gen.KGConfig{
 		NumEntities: 800, NumRelations: 12, NumEdges: 12000,
@@ -141,20 +166,9 @@ func lpFixture(t *testing.T, pol policy.Policy, disk bool, p, c int, seed int64)
 	pt := prepareLP(g, p, seed)
 	emb := RandomEmbeddings(g.NumNodes, dim, seed)
 
-	var src *Source
-	cleanup := func() {}
+	src := memSource(g, pt, emb, true)
 	if disk {
-		var err error
-		dir := t.TempDir()
-		src, err = NewDiskSource(g, pt, dim, DiskSourceConfig{
-			Dir: dir, Capacity: c, Learnable: true, InitTable: emb,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cleanup = func() { src.Close() }
-	} else {
-		src = NewMemorySource(g, pt, emb)
+		src = diskSource(t, g, pt, emb, true, c, nil)
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -168,12 +182,11 @@ func lpFixture(t *testing.T, pol policy.Policy, disk bool, p, c int, seed int64)
 		DenseOpt: nn.NewAdam(0.01), EmbOpt: nn.NewSparseAdaGrad(0.1), ClipNorm: 5,
 		Workers: 2, Seed: seed,
 	}
-	return NewLP(cfg, src, pol), g, cleanup
+	return NewLP(cfg, src, pol), g
 }
 
 func TestLPInMemoryLearns(t *testing.T) {
-	tr, _, done := lpFixture(t, policy.InMemory{P: 4}, false, 4, 4, 11)
-	defer done()
+	tr, _ := lpFixture(t, policy.InMemory{P: 4}, false, 4, 4, 11)
 	first, err := tr.TrainEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +208,7 @@ func TestLPInMemoryLearns(t *testing.T) {
 
 func TestLPDiskCometRunsAndLearns(t *testing.T) {
 	pol := policy.Comet{P: 8, L: 4, C: 4}
-	tr, g, done := lpFixture(t, pol, true, 8, 4, 13)
-	defer done()
+	tr, g := lpFixture(t, pol, true, 8, 4, 13)
 	var last EpochStats
 	for e := 0; e < 4; e++ {
 		st, err := tr.TrainEpoch(context.Background())
@@ -221,8 +233,7 @@ func TestLPDiskCometRunsAndLearns(t *testing.T) {
 
 func TestLPDiskBetaRuns(t *testing.T) {
 	pol := policy.Beta{P: 8, C: 4}
-	tr, g, done := lpFixture(t, pol, true, 8, 4, 17)
-	defer done()
+	tr, g := lpFixture(t, pol, true, 8, 4, 17)
 	st, err := tr.TrainEpoch(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +251,7 @@ func TestLPDecoderOnlyDistMult(t *testing.T) {
 	const dim = 16
 	pt := prepareLP(g, 4, 23)
 	emb := RandomEmbeddings(g.NumNodes, dim, 23)
-	src := NewMemorySource(g, pt, emb)
+	src := memSource(g, pt, emb, true)
 
 	rng := rand.New(rand.NewSource(23))
 	ps := nn.NewParamSet()

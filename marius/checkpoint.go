@@ -139,8 +139,8 @@ func (s *Session) Restore(path string) error {
 		return restoreMismatch("params", "%v", err)
 	}
 	if cp.Table != nil {
-		table := tensor.New(cp.TableRows, cp.TableCols)
-		copy(table.Data, cp.Table)
+		// ckpt.Read has held the table and accumulators to their shape.
+		table := tensor.FromSlice(cp.TableRows, cp.TableCols, cp.Table)
 		if err := src.Nodes.Restore(table, cp.OptState); err != nil {
 			return err
 		}

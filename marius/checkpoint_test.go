@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -203,6 +204,36 @@ func TestRestoreMismatchNamesField(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "dim") {
 		t.Fatalf("error %q does not name the offending field", err)
+	}
+}
+
+// TestRestoreRefusesTruncatedTable: a checkpoint whose table holds fewer
+// values than its recorded shape is refused with ErrCheckpointMismatch
+// naming the table, on a memory and a disk session alike, instead of
+// restoring with the missing rows zeroed.
+func TestRestoreRefusesTruncatedTable(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "lp.ckpt")
+		orig := lpSession(t, disk, t.TempDir())
+		if err := orig.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		orig.Close()
+		cp, err := ckpt.Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Table = cp.Table[:len(cp.Table)/2]
+		if err := ckpt.Write(path, cp); err != nil {
+			t.Fatal(err)
+		}
+
+		sess := lpSession(t, disk, t.TempDir())
+		err = sess.Restore(path)
+		sess.Close()
+		if !errors.Is(err, marius.ErrCheckpointMismatch) || !strings.Contains(err.Error(), "table") {
+			t.Fatalf("disk=%v: Restore = %v, want ErrCheckpointMismatch naming the table", disk, err)
+		}
 	}
 }
 

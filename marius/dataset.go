@@ -34,13 +34,15 @@ import (
 // layout; re-run mariusprep prep to change it.
 //
 // Training is fully out-of-core, but Evaluate is not: like the
-// in-memory path, it materializes the full edge list and adjacency (and
-// for link prediction the full representation table) on first use. For
-// datasets whose edge list exceeds RAM, train without per-epoch
-// evaluation and evaluate sampled splits on a larger machine. Both
-// sessions build that adjacency from their edge store in bucket order, so
-// the byte-identity contract covers evaluation too: the same trained
-// state scores the same accuracy or MRR.
+// in-memory path, it materializes the full edge list and adjacency on
+// first use, and the whole node table: node classification's fixed
+// features once per session, link prediction's learnable table on every
+// call (on disk, both read back through the store). For datasets whose
+// edge list exceeds RAM, train without per-epoch evaluation and evaluate
+// sampled splits on a larger machine. Both sessions build that adjacency
+// from their edge store in bucket order, so the byte-identity contract
+// covers evaluation too: the same trained state scores the same accuracy
+// or MRR.
 func FromDataset(dir string, opts ...Option) (*Session, error) {
 	// The dataset files themselves must open through any injected
 	// filesystem, so probe the options for WithFaults before OpenDataset

@@ -82,29 +82,53 @@ func (o *Options) relabel(task string, g *graph.Graph) *graph.Graph {
 	return partition.Apply(g, partition.RandomOrder(g.NumNodes, o.Seed))
 }
 
-// source builds the session's storage. A dataset session serves the
-// dataset's files, which ingest already relabeled. A graph session splits
-// g, already relabeled by New, into p partitions, held in memory or
-// paged through a disk buffer of c. emb, when non-nil, seeds a learnable
-// table (link prediction); nil serves the node features.
+// source is the one place a session's stores are chosen, one edge store
+// and one node store over p partitions (a prepared dataset's p is its
+// own, and ingest already relabeled its files). Edges are the dataset's
+// bucket file, or g's edges bucketed in memory or sorted into a file
+// under the WithDisk directory. Nodes are the dataset's features, held in
+// memory as stored or paged through a buffer of c partitions, or a
+// float32 table held in memory or written under the WithDisk directory
+// and paged the same way: emb, learnable, when the task trains its table
+// (link prediction), otherwise g's fixed features.
 func (o *Options) source(g *graph.Graph, emb *tensor.Tensor, p, c int) (*train.Source, error) {
-	if o.dataset != nil {
-		return train.NewDatasetSource(o.dataset, train.DatasetSourceConfig{
-			InMemory: o.Storage == InMemory, Capacity: c,
-			Learnable: emb != nil, WorkDir: o.Dir, InitTable: emb, Throttle: o.Throttle, FS: o.FS,
-		})
+	pt, ds, disk := partition.New(g.NumNodes, p), o.dataset, o.Storage == OnDisk
+	var edges storage.EdgeStore
+	var err error
+	switch {
+	case ds != nil:
+		edges, err = ds.EdgeStore(o.Throttle)
+	case disk:
+		edges, err = storage.CreateDiskEdgeStoreFS(o.FS, o.Dir, pt, g.Edges, o.Throttle)
+	default:
+		edges = storage.NewMemoryEdgeStore(pt, g.Edges)
 	}
-	pt := partition.New(g.NumNodes, p)
-	table := emb
-	if table == nil {
+	if err != nil {
+		return nil, err
+	}
+	var nodes storage.NodeStore
+	table, learnable := emb, emb != nil
+	if !learnable {
 		table = g.Features
 	}
-	if o.Storage == InMemory {
-		return train.NewMemorySource(g, pt, table), nil
+	switch {
+	case !learnable && ds != nil && disk:
+		nodes, err = ds.NodeStore(c, o.Throttle)
+	case !learnable && ds != nil:
+		nodes, err = ds.MemoryNodeStore()
+	case !disk:
+		nodes = storage.NewMemoryNodeStore(table, learnable)
+	default:
+		nodes, err = storage.CreateDiskNodeStore(storage.DiskStoreConfig{
+			Dir: o.Dir, Part: pt, Dim: table.Cols, Capacity: c, Learnable: learnable, Throttle: o.Throttle,
+			Init: func(id int32, row []float32) { copy(row, table.Row(int(id))) }, FS: o.FS,
+		})
 	}
-	return train.NewDiskSource(g, pt, table.Cols, train.DiskSourceConfig{
-		Dir: o.Dir, Capacity: c, Learnable: emb != nil, InitTable: table, Throttle: o.Throttle, FS: o.FS,
-	})
+	if err != nil {
+		edges.Close()
+		return nil, err
+	}
+	return train.NewSource(pt, g.NumRels, nodes, edges), nil
 }
 
 // newEncoder builds the WithModel encoder from in to out features.
@@ -128,7 +152,8 @@ type taskBase struct {
 	ps  *nn.ParamSet
 	enc *gnn.Encoder
 
-	fullAdj *graph.Adjacency // lazily built for evaluation
+	fullAdj  *graph.Adjacency         // lazily built for evaluation
+	features *storage.MemoryNodeStore // NC's fixed table, read once for evaluation
 }
 
 func (t *taskBase) TrainEpoch(ctx context.Context) (train.EpochStats, error) {
@@ -217,10 +242,11 @@ func (t *ncTask) Prepare(g *graph.Graph, o *Options) error {
 	return nil
 }
 
-// Evaluate computes accuracy over the full graph; with disk storage the
-// feature table is first read back into memory (evaluation nodes may live
-// in partitions that are not resident). Ranking specs are rejected:
-// node classification has no entity-ranking protocol.
+// Evaluate computes accuracy over the full graph. Evaluation nodes may
+// live in partitions that are not resident, so it gathers from the whole
+// feature table (Source.Table): with disk storage read back through the
+// store once per session, since features never change. Ranking specs are
+// rejected: node classification has no entity-ranking protocol.
 func (t *ncTask) Evaluate(split Split, spec *EvalSpec) (EvalResult, error) {
 	if spec != nil && spec.Ranking {
 		return EvalResult{}, optErr("RankingEval", ErrBadValue,
@@ -236,22 +262,18 @@ func (t *ncTask) Evaluate(split Split, spec *EvalSpec) (EvalResult, error) {
 		// (expensive for dataset-backed sessions).
 		return res, nil
 	}
-	src := t.src
-	if t.src.Disk != nil {
-		table, err := t.src.Disk.ReadAll()
+	if t.features == nil {
+		features, err := t.src.Table()
 		if err != nil {
 			return res, err
 		}
-		src = &train.Source{
-			Part: t.src.Part, NumNodes: t.src.NumNodes, NumRels: t.src.NumRels,
-			Nodes: storage.NewMemoryNodeStore(table), Edges: t.src.Edges,
-		}
+		t.features = features
 	}
 	adj, err := t.adj()
 	if err != nil {
 		return res, err
 	}
-	acc, err := train.EvaluateNC(&t.cfg, src, adj, t.g.Labels, nodes, seed)
+	acc, err := train.EvaluateNC(&t.cfg, t.features, adj, t.g.Labels, nodes, seed)
 	if err != nil {
 		return res, err
 	}
@@ -356,10 +378,12 @@ func (t *lpTask) Evaluate(split Split, spec *EvalSpec) (EvalResult, error) {
 		// (expensive for dataset-backed sessions).
 		return res, nil
 	}
-	table, err := t.embeddings()
+	// The table is learnable, so every call reads its current state.
+	store, err := t.src.Table()
 	if err != nil {
 		return res, err
 	}
+	table := store.Table()
 	var adj *graph.Adjacency
 	if t.enc != nil || res.Filtered {
 		if adj, err = t.adj(); err != nil {
@@ -374,7 +398,7 @@ func (t *lpTask) Evaluate(split Split, spec *EvalSpec) (EvalResult, error) {
 		table, err = encode.FullTable(encode.Config{
 			Encoder: t.enc, Params: t.ps,
 			Fanouts: t.opts.Fanouts, Dirs: graph.Both, Workers: t.opts.Workers,
-		}, adj, storage.NewMemoryNodeStore(table), t.g.NumNodes, t.opts.Dim, t.opts.Seed+4)
+		}, adj, store, t.g.NumNodes, t.opts.Dim, t.opts.Seed+4)
 		if err != nil {
 			return res, err
 		}
@@ -401,18 +425,5 @@ const (
 	sampledAllEntities = 20000
 	sampledCandidates  = 1000
 )
-
-// embeddings returns the full base-representation table, erroring (rather
-// than panicking) when the node store exposes no in-memory table.
-func (t *lpTask) embeddings() (*tensor.Tensor, error) {
-	if t.src.Disk != nil {
-		return t.src.Disk.ReadAll()
-	}
-	mem, ok := t.src.Nodes.(*storage.MemoryNodeStore)
-	if !ok {
-		return nil, fmt.Errorf("marius: node store %T exposes no in-memory table", t.src.Nodes)
-	}
-	return mem.Table(), nil
-}
 
 func (t *lpTask) LearnableTable() bool { return true }
