@@ -92,19 +92,23 @@ race-pipeline:
 # A local shortcut; `race` covers it. The fault-tolerance surface under
 # the race detector: the injector's own determinism/crash tests, the
 # storage retry and evict write-back fault tests with the partition
-# buffer's model (its -short bound: the model is single-goroutine, so the
-# race detector only slows it) and the store's restore/flush/prefetch and
-# random-operation tests, serve resilience (shedding, deadlines, panic
-# containment, reload), the serve dispatch rule (what is queued is taken
-# at once, an idle request never waits) with the three gated co-batch
+# buffer's models (TestBufferExhaustive, and TestBufferScheduleExhaustive
+# and TestScheduleBelady for the IO schedule compiled from a plan, at
+# their -short bounds: the models are single-goroutine, so the race
+# detector only slows them) and the store's restore/flush/planned-load and
+# random-operation tests, the lp-disk-rw-shaped session whose compiled IO
+# must not depend on depth or workers (TestScheduleLPDiskRW), serve
+# resilience (shedding, deadlines, panic containment, reload), the serve
+# dispatch rule (what is queued is taken at once, an idle request never
+# waits) with the three gated co-batch
 # differentials, served predictions over the in-memory feature table
 # against the evaluation forward, and the crash-resume and
 # transient-weather differentials.
 race-fault:
 	$(GO) test -race ./internal/fault/
-	$(GO) test -race -short -run 'Fault|Evict|Retry|Buffer|Restore|Flush|Prefetch|Disk' ./internal/storage/
+	$(GO) test -race -short -run 'Fault|Evict|Retry|Buffer|Schedule|Restore|Flush|Prefetch|Disk' ./internal/storage/
 	$(GO) test -race -run 'Shed|Timeout|Panic|Reload|Dispatch|Idle|MicroBatched|TopKGNNDeterministic|TopKFiltered|PredictMatchesEval' ./internal/serve/
-	$(GO) test -race -run 'Crash|Resume|Journal|Weather' ./internal/ckpt/ ./internal/dataset/ ./marius/
+	$(GO) test -race -run 'Crash|Resume|Journal|Weather|Schedule' ./internal/ckpt/ ./internal/dataset/ ./marius/
 
 # The full local gate: everything CI runs.
 check: build vet test test-purego cross loc bench-module race fuzz-kernels fuzz-parsers

@@ -159,67 +159,74 @@
 // staged, admitted or indexed and costs no IO, and since every visit
 // still draws its seed in plan order the trajectory is the one the full
 // walk would take. EpochStats.Visits counts the plan's visits,
-// EpochStats.Walked the ones trained. The loader — one goroutine walking
-// those visits, holding at most WithPipeline(depth)+1 visits loaded
-// and unreleased — issues async node-partition loads for its lookahead
-// window into a small pool of reusable staging buffers
-// (storage.DiskNodeStore.Prefetch), collects the visit's training
-// examples, refreshes the incremental adjacency view (building at most
-// the swapped partitions' fragments ahead of the trainer), and derives
-// its batch seeds. The batch-construction stage — WithWorkers(n)
-// goroutines, alive for the whole epoch — runs DENSE multi-hop and
-// negative sampling on the admitted visit, at most workers+depth batches
-// in flight. The compute stage — the trainer's goroutine — admits each
-// visit (the partition-buffer swap, consuming staged data and staging the
-// next visit's partitions; dirty evictions are written back by a
-// background goroutine, double-buffering both sides of the admit/evict
-// schedule) and consumes batches through the arena/tape trainer. Depth
-// and workers only size those bounds: at depth 0 a visit is loaded only
-// after the previous one is released, and with one worker as well each
-// batch is built only after the previous one computed, so the stages
+// EpochStats.Walked the ones trained. Before the stages start, the
+// trainer hands the walked visits' partition sets to the disk store
+// (storage.DiskNodeStore.Plan), which compiles the epoch's node IO from
+// them and starts it on its own IO goroutine. The loader — one goroutine
+// walking those visits, holding at most WithPipeline(depth)+1 visits
+// loaded and unreleased — collects the visit's training examples,
+// refreshes the incremental adjacency view (building at most the swapped
+// partitions' fragments ahead of the trainer), and derives its batch
+// seeds. The batch-construction stage — WithWorkers(n) goroutines, alive
+// for the whole epoch — runs DENSE multi-hop and negative sampling on the
+// admitted visit, at most workers+depth batches in flight. The compute
+// stage — the trainer's goroutine — admits each visit (LoadSet, which
+// releases the previous visit's partitions and waits only for the reads
+// this visit needs) and consumes batches through the arena/tape trainer.
+// Depth and workers only size those bounds: at depth 0 a visit is loaded
+// only after the previous one is released, and with one worker as well
+// each batch is built only after the previous one computed, so the stages
 // take turns — there is no separate serial loop (the one there was lives
 // on as the executor's test oracle, and as golden loss/checkpoint
 // digests in marius/golden_test.go). EpochStats.Pipeline reports the
-// depth, loaded visits, and stall times; EpochStats.IO counts partition
-// prefetch hits and misses. The benchmark reports what the overlap buys
-// on its throttled disk workloads as pipeline.overlap_speedup and
+// depth, loaded visits, and stall times; EpochStats.IO counts the
+// partitions each admission found already in memory (prefetch hits) or
+// waited for (misses). The benchmark reports what the overlap buys on its
+// throttled disk workloads as pipeline.overlap_speedup and
 // pipeline.stall_share.
 //
 // # The partition buffer
 //
-// storage.DiskNodeStore is two parts. The buffer (internal/storage's
-// buffer.go) is the partition life-cycle as a transition system: one
-// phase per partition, c slots, and guarded transitions — stage,
-// stageDone(ok), admit, dirty, beginWriteback, evict, endWriteback(ok),
-// drop — each returning the IO its caller must perform. It does no IO,
-// starts no goroutines and reads no clock. The store is the shell that
-// performs that IO (reads, write-backs, copies between slots and staging
-// buffers) under one mutex, with the disk transfers outside it:
+// storage.DiskNodeStore holds 2c frames of partition memory for a buffer
+// capacity c: the up to c partitions of the admitted visit are resident
+// (pinned), and the other frames keep partitions a later visit uses
+// again. It is three parts. The buffer (internal/storage's buffer.go) is
+// the partition life-cycle as a transition system: one phase per
+// partition, the frames, and guarded transitions — fetch, readDone(ok),
+// pin, dirty, beginWriteback, endWriteback(ok), evict, drop — each
+// returning the IO its caller must perform:
 //
-//	phase     holds                         left by
-//	absent    nothing; disk is current      stage (prefetch), admit
-//	staging   a disk read into a buffer     stageDone(ok), admit (reserves a slot)
-//	loading   a disk read into its slot     stageDone(ok)
-//	staged    the read copy in a buffer     admit, drop
-//	clean     a slot, same bytes as disk    dirty, evict, drop
-//	dirty     a slot, newer than disk       beginWriteback (Flush), evict, drop
-//	writing   a write-back of its buffer    endWriteback(ok), admit (copy)
-//	retained  a failed write-back's buffer  beginWriteback (retry), admit, drop
+//	phase    holds                           left by
+//	absent   nothing; disk is current        fetch
+//	reading  a disk read into its frame      readDone
+//	clean    a frame, same bytes as disk     dirty, evict, drop
+//	dirty    a frame, newer than disk        beginWriteback, drop
+//	writing  a write-back of its frame       endWriteback
 //
-// A prefetch reads into a staging buffer and a load that finds nothing
-// in memory reads straight into its slot. Only an absent partition is
-// ever read from disk, so no read can return bytes older than a copy in
-// memory; a failed write-back is retained and its error latched until
-// Flush lands it. The trainer stages and admits only the partition sets
-// of visits with examples, so a visit without any reads nothing, and a
-// full-table read (ReadAll, Snapshot) copies resident partitions from
-// their slots and reads only the absent ones. The buffer's own
-// unsafe() predicate names the states that must never be reached (a
-// slot owned twice, a stale copy read or admitted, a dirty partition or a
-// retained buffer dropped before its bytes are on disk), and
-// TestBufferExhaustive explores every interleaving of transitions, with
-// every read and write succeeding or failing, for up to four partitions
-// and two slots.
+// The schedule (schedule.go) compiles a plan's sets, with the partitions
+// held when it starts, into ordered ops by Belady's rule: a missing
+// partition takes a free frame, else the frame of the held partition used
+// again furthest ahead, and a dirty one is written back only when its
+// frame is reused. Both do no IO, start no goroutines and read no clock,
+// so the bytes an epoch reads and writes are a function of (plan, c) and
+// only their timing varies. The store is the shell that runs the ops on
+// one IO goroutine, each once the visits that read its victim are
+// released, under one mutex with the transfers outside it; LoadSet waits
+// only for the ops due before its visit, and a LoadSet outside a plan is
+// a plan of one visit. Only an absent partition is ever read from disk,
+// so no read can return bytes older than a frame's; a failed write-back
+// leaves the partition dirty in its frame and its error latched until
+// Flush lands it. A full-table read (ReadAll, Snapshot) copies held
+// partitions from their frames and reads only the absent ones. The
+// buffer's own unsafe() predicate names the states that must never be
+// reached (a frame owned twice, a stale copy read, a dirty partition's
+// frame reused before its bytes are on disk, a partition admitted before
+// its read landed); TestBufferExhaustive explores every interleaving of
+// transitions, with every read and write succeeding or failing, for up to
+// four partitions and frames; TestBufferScheduleExhaustive runs every
+// compiled schedule of small plans under every order of its IO and
+// LoadSet moves; and TestScheduleBelady holds the schedule's reads to a
+// brute-force optimum.
 //
 // # Datasets on disk
 //

@@ -346,14 +346,19 @@ func TestQuantTrainDeterministic(t *testing.T) {
 // TestQuantMemoryMatchesDisk holds the in-memory store, which keeps a
 // quantized table compressed and dequantizes the rows each batch
 // gathers, to the disk store at c = p, which dequantizes whole
-// partitions into float32 slots: for fp16 and int8, equal losses and
-// checkpoint bytes. Both train one visit over all four partitions, so
+// partitions into float32 frames: for fp16 and int8, equal losses,
+// checkpoint bytes and evaluation, which on disk reads the table as
+// stored, compressed. Both train one visit over all four partitions, so
 // only the node store differs.
 func TestQuantMemoryMatchesDisk(t *testing.T) {
 	const epochs = 2
 	for _, mode := range []string{"fp16", "int8"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := ingestQuant(t, mode)
+			kind, err := tensor.ParseQuant(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
 			opts := []marius.Option{
 				marius.WithSeed(7), marius.WithDim(8), marius.WithFanouts(4, 4),
 				marius.WithBatchSize(128), marius.WithWorkers(2),
@@ -380,6 +385,23 @@ func TestQuantMemoryMatchesDisk(t *testing.T) {
 			}
 			if !bytes.Equal(checkpointBytes(t, mem), checkpointBytes(t, disk)) {
 				t.Fatal("in-memory checkpoint differs from the disk session's")
+			}
+
+			// Evaluation reads a view of the disk table that stays
+			// quantized: it evaluates bit-identically to the in-memory
+			// session, and only the compressed table crosses the disk.
+			sameEval(t, mem, disk)
+			src := disk.Task().Source()
+			before := src.Disk.Stats().Snapshot()
+			view, err := src.Table()
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := src.Disk.Stats().Snapshot().Sub(before).BytesRead
+			compressed := int64(src.NumNodes) * int64(src.Nodes.Dim()) * int64(kind.ElemBytes())
+			if view.Table() != nil || read != compressed {
+				t.Fatalf("evaluation view holds a float32 table %v, read %d bytes, want the %d compressed bytes kept as stored",
+					view.Table() != nil, read, compressed)
 			}
 		})
 	}

@@ -7,8 +7,8 @@
 // visit plan, and every epoch runs them the same way:
 //
 //  1. Load — one loader goroutine walks the plan in order, performing the
-//     visit-level IO (edge-bucket reads, async node-partition staging)
-//     and CPU preparation (adjacency construction, shuffling, batch-seed
+//     visit-level IO (edge-bucket reads; a disk store pages node
+//     partitions on its own IO goroutine) and CPU preparation (adjacency construction, shuffling, batch-seed
 //     derivation). It holds at most Depth+1 visits loaded and not yet
 //     released, so Load(vi) starts only once visit vi-Depth-1 is
 //     released. Because one goroutine runs every Load in plan order,

@@ -87,51 +87,6 @@ func (pl *Plan) Verify() error {
 	return nil
 }
 
-// VerifyLookahead extends Verify's invariants to pipelined execution: it
-// checks the plan against a prefetcher that stages partitions up to
-// `lookahead` visits ahead of the trainer. For every visit i, the
-// partitions appearing in visits i+1..i+lookahead but not resident at
-// visit i all need staging memory at once, and that demand must never
-// exceed stagingCap staged partitions. A plan passing this check can be
-// pipelined at the given depth without the staging pool growing beyond
-// stagingCap buffers. Unlike Verify it applies to every plan, including
-// bucketless node-classification plans.
-func (pl *Plan) VerifyLookahead(lookahead, stagingCap int) error {
-	if lookahead < 0 {
-		return fmt.Errorf("policy: negative lookahead %d", lookahead)
-	}
-	for i := range pl.Visits {
-		resident := make(map[int]bool, len(pl.Visits[i].Mem))
-		for _, p := range pl.Visits[i].Mem {
-			resident[p] = true
-		}
-		staged := make(map[int]bool)
-		for j := i + 1; j <= i+lookahead && j < len(pl.Visits); j++ {
-			for _, p := range pl.Visits[j].Mem {
-				if !resident[p] {
-					staged[p] = true
-				}
-			}
-		}
-		if len(staged) > stagingCap {
-			return fmt.Errorf("policy: visit %d needs %d staged partitions for lookahead %d, exceeding staging capacity %d",
-				i, len(staged), lookahead, stagingCap)
-		}
-	}
-	return nil
-}
-
-// MaxLookahead returns the largest prefetch depth at which the plan
-// passes VerifyLookahead with the given staging capacity (0 when even
-// one-visit lookahead does not fit).
-func (pl *Plan) MaxLookahead(stagingCap int) int {
-	k := 0
-	for k < len(pl.Visits) && pl.VerifyLookahead(k+1, stagingCap) == nil {
-		k++
-	}
-	return k
-}
-
 // Policy generates a fresh epoch plan. Implementations draw all
 // randomness from rng so epochs are reproducible.
 type Policy interface {

@@ -55,11 +55,6 @@ func (d *DENSE) NumNodes() int { return len(d.NodeIDs) }
 // NumSampledEdges returns the current number of sampled neighbor entries.
 func (d *DENSE) NumSampledEdges() int { return len(d.Nbrs) }
 
-// Delta returns the node IDs of delta group i (0 = deepest) as a view.
-func (d *DENSE) Delta(i int) []int32 {
-	return d.NodeIDs[d.NodeIDOffsets[i]:d.NodeIDOffsets[i+1]]
-}
-
 // NumDeltas returns the number of remaining delta groups.
 func (d *DENSE) NumDeltas() int { return len(d.NodeIDOffsets) - 1 }
 

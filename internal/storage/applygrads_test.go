@@ -51,11 +51,11 @@ func TestApplyGradsAllOrNothing(t *testing.T) {
 			opt := nn.NewSparseAdaGrad(0.5)
 			opt.Workers = workers
 
-			slots, parts := slices.Clone(s.slots), slices.Clone(s.b.parts)
+			frames, parts := slices.Clone(s.frames), slices.Clone(s.b.parts)
 			if err := s.ApplyGrads(ids, grads, opt); err == nil {
 				t.Fatal("ApplyGrads over a non-resident node succeeded")
 			}
-			if !sameFloats(s.slots, slots) {
+			if !sameFloats(s.frames, frames) {
 				t.Fatal("failed ApplyGrads changed the buffered rows or accumulators")
 			}
 			if !reflect.DeepEqual(s.b.parts, parts) {
@@ -67,7 +67,7 @@ func TestApplyGradsAllOrNothing(t *testing.T) {
 			if err := s.ApplyGrads(keep, kept, opt); err != nil {
 				t.Fatal(err)
 			}
-			if slices.Equal(s.slots, slots) {
+			if slices.Equal(s.frames, frames) {
 				t.Fatal("ApplyGrads over resident nodes changed nothing")
 			}
 			for _, q := range []int{0, 3, 7, 9} {
@@ -112,7 +112,7 @@ func TestApplyGradsSameAtEveryWorkerCount(t *testing.T) {
 		}
 		disk[k], mem[k] = s, m
 	}
-	if !sameFloats(disk[0].slots, disk[1].slots) {
+	if !sameFloats(disk[0].frames, disk[1].frames) {
 		t.Fatal("disk store rows or accumulators differ between 1 and 4 workers")
 	}
 	if !sameFloats(mem[0].table.Data, mem[1].table.Data) || !sameFloats(mem[0].state, mem[1].state) {
@@ -121,8 +121,8 @@ func TestApplyGradsSameAtEveryWorkerCount(t *testing.T) {
 	// The disk store's buffered rows and accumulators are the memory store's.
 	for q := 0; q < p; q++ {
 		start, end := disk[0].pt.Range(q)
-		slot := disk[0].slot(disk[0].b.slotOf(q))
-		rows, acc := slot[:int(end-start)*dim], slot[disk[0].pt.PartSize*dim:][:end-start]
+		frame := disk[0].frame(disk[0].b.frameOf(q))
+		rows, acc := frame[:int(end-start)*dim], frame[disk[0].pt.PartSize*dim:][:end-start]
 		if !sameFloats(rows, mem[0].table.Data[int(start)*dim:int(end)*dim]) || !sameFloats(acc, mem[0].state[start:end]) {
 			t.Fatalf("partition %d: disk store differs from the memory store", q)
 		}

@@ -1,99 +1,61 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 )
 
-// world is a buffer plus the one fact its IO implies that it does not
-// store itself: which partitions hold a staging or write-back buffer. run
-// executes a transition's IO against it, as the shell would, so IO a
-// phase does not allow (a second buffer, a copy from none) is caught even
-// when the phases look right.
-type world struct {
-	b      *buffer
-	hasBuf []bool
+// clone returns a copy of b that shares no memory with it.
+func (b *buffer) clone() *buffer {
+	return &buffer{parts: slices.Clone(b.parts), owner: slices.Clone(b.owner), free: slices.Clone(b.free)}
 }
 
-func newWorld(numParts, capacity int) world {
-	return world{newBuffer(numParts, capacity), make([]bool, numParts)}
-}
-
-func (w world) clone() world {
-	b := &buffer{parts: slices.Clone(w.b.parts), owner: slices.Clone(w.b.owner), free: slices.Clone(w.b.free)}
-	return world{b, slices.Clone(w.hasBuf)}
-}
-
-// set makes w a copy of src, reusing w's memory.
-func (w world) set(src world) world {
-	copy(w.b.parts, src.b.parts)
-	copy(w.b.owner, src.b.owner)
-	w.b.free = append(w.b.free[:0], src.b.free...)
-	copy(w.hasBuf, src.hasBuf)
-	return w
-}
-
-// key appends an encoding of the state to k[:0].
-func (w world) key(k []byte) []byte {
-	k = k[:0]
+// key appends an encoding of b's state to k.
+func (b *buffer) key(k []byte) []byte {
 	bit := func(v bool, n uint) byte {
 		if v {
 			return 1 << n
 		}
 		return 0
 	}
-	for p, st := range w.b.parts {
-		k = append(k, byte(st.ph), byte(st.slot+1),
-			bit(st.wb, 0)|bit(st.onDisk, 1)|bit(st.inBuf, 2)|bit(st.inSlot, 3)|bit(w.hasBuf[p], 4))
+	for _, st := range b.parts {
+		k = append(k, byte(st.ph), byte(st.frame+1), bit(st.pinned, 0)|bit(st.onDisk, 1)|bit(st.inFrame, 2))
 	}
-	for _, p := range w.b.owner {
+	for _, p := range b.owner {
 		k = append(k, byte(p+1))
 	}
 	k = append(k, '|')
-	for _, s := range w.b.free {
-		k = append(k, byte(s))
+	for _, f := range b.free {
+		k = append(k, byte(f))
 	}
 	return k
 }
 
-func (w world) String() string {
+func (b *buffer) String() string {
 	s := ""
-	for p, st := range w.b.parts {
-		s += fmt.Sprintf("%d:%s slot=%d wb=%v disk=%v buf=%v(%v) slotcopy=%v; ",
-			p, phaseNames[st.ph], st.slot, st.wb, st.onDisk, st.inBuf, w.hasBuf[p], st.inSlot)
+	for p, st := range b.parts {
+		s += fmt.Sprintf("%d:%s frame=%d pinned=%v disk=%v framecopy=%v; ",
+			p, phaseNames[st.ph], st.frame, st.pinned, st.onDisk, st.inFrame)
 	}
-	return s + fmt.Sprintf("owner=%v free=%v", w.b.owner, w.b.free)
+	return s + fmt.Sprintf("owner=%v free=%v", b.owner, b.free)
 }
 
-// run reports what unsafe finds in the state a transition reached, then
-// performs its IO o for partition p on the buffer model and reports IO
-// that state does not allow.
-func (w world) run(p int, o op) string {
-	if bad := w.b.unsafe(); bad != "" {
+// checkIO reports what unsafe finds in the state a transition reached,
+// and IO o for partition p that the state does not allow: a transfer
+// into or out of a frame p does not own, or a write of a partition that
+// is not writing.
+func checkIO(b *buffer, p int, o op) string {
+	if bad := b.unsafe(); bad != "" {
 		return bad
 	}
-	if p >= 0 {
-		switch {
-		case o.io&(ioRead|ioCopyOut) != 0 && w.hasBuf[p]:
-			return fmt.Sprintf("partition %d takes a second buffer", p)
-		case o.io&(ioCopyIn|ioWrite|ioFree) != 0 && !w.hasBuf[p] && o.io&(ioRead|ioCopyOut) == 0:
-			return fmt.Sprintf("partition %d uses a buffer it does not hold", p)
-		case o.io&(ioCopyIn|ioCopyOut|ioReload) != 0 && o.slot < 0:
-			return fmt.Sprintf("partition %d copies without a slot", p)
-		}
-		if o.io&(ioRead|ioCopyOut) != 0 {
-			w.hasBuf[p] = true
-		}
-		if o.io&ioFree != 0 {
-			w.hasBuf[p] = false
-		}
-	}
-	for q, st := range w.b.parts {
-		needs := st.ph == staging || st.ph == staged || st.ph == writing || st.ph == retained || st.wb
-		if needs != w.hasBuf[q] {
-			return fmt.Sprintf("partition %d (%s, wb %v) holds a buffer: %v", q, phaseNames[st.ph], st.wb, w.hasBuf[q])
-		}
+	switch {
+	case o.io == 0:
+	case o.frame < 0 || b.owner[o.frame] != p:
+		return fmt.Sprintf("partition %d transfers through frame %d it does not own", p, o.frame)
+	case o.io == ioRead && b.parts[p].ph != reading, o.io == ioWrite && b.parts[p].ph != writing:
+		return fmt.Sprintf("partition %d (%s) asks for IO %d", p, phaseNames[b.parts[p].ph], o.io)
 	}
 	return ""
 }
@@ -104,30 +66,32 @@ type move struct {
 }
 
 // moves lists every transition of every partition, each IO completion
-// with success and with failure, and one step of LoadSet's swap towards
-// every set of at most capacity partitions.
+// with success and with failure, a drop of each while no IO is in flight
+// (as Restore does), and a pin of every set of at most capacity
+// partitions.
 func moves(numParts, capacity int) []move {
 	var ms []move
 	for p := range numParts {
 		add := func(name string, f func(b *buffer) op) {
 			ms = append(ms, move{fmt.Sprintf("%s(%d)", name, p), func(b *buffer) (int, op) { return p, f(b) }})
 		}
-		add("stage", func(b *buffer) op { return b.stage(p) })
-		add("stageDone.ok", func(b *buffer) op { return b.stageDone(p, true) })
-		add("stageDone.fail", func(b *buffer) op { return b.stageDone(p, false) })
-		add("admit", func(b *buffer) op { return b.admit(p) })
+		add("fetch", func(b *buffer) op { return b.fetch(p) })
+		add("readDone.ok", func(b *buffer) op { b.readDone(p, true); return op{} })
+		add("readDone.fail", func(b *buffer) op { b.readDone(p, false); return op{} })
 		add("dirty", func(b *buffer) op { b.dirty(p); return op{} })
-		add("evict", func(b *buffer) op { return b.evict(p) })
 		add("beginWriteback", func(b *buffer) op { return b.beginWriteback(p) })
-		add("endWriteback.ok", func(b *buffer) op { return b.endWriteback(p, true) })
-		add("endWriteback.fail", func(b *buffer) op { return b.endWriteback(p, false) })
-		add("drop", func(b *buffer) op { return b.drop(p) })
+		add("endWriteback.ok", func(b *buffer) op { b.endWriteback(p, true); return op{} })
+		add("endWriteback.fail", func(b *buffer) op { b.endWriteback(p, false); return op{} })
+		add("evict", func(b *buffer) op { b.evict(p); return op{} })
+		add("drop", func(b *buffer) op {
+			if slices.ContainsFunc(b.parts, func(st pstate) bool { return st.ph == reading || st.ph == writing }) {
+				return op{}
+			}
+			return b.drop(p)
+		})
 	}
 	for _, set := range sets(numParts, capacity) {
-		ms = append(ms, move{fmt.Sprintf("swap%v", set), func(b *buffer) (int, op) {
-			p, _, o, _ := b.swap(set)
-			return p, o
-		}})
+		ms = append(ms, move{fmt.Sprintf("pin%v", set), func(b *buffer) (int, op) { b.pin(set); return -1, op{} }})
 	}
 	return ms
 }
@@ -145,136 +109,37 @@ func sets(n, k int) [][]int {
 	return out
 }
 
-// settle completes every IO in flight with outcome ok and evicts every
-// resident partition, until nothing changes.
-func settle(w world, ok bool) (world, string) {
-	steps := []func(b *buffer, p int) op{
-		func(b *buffer, p int) op { return b.stageDone(p, ok) },
-		func(b *buffer, p int) op { return b.endWriteback(p, ok) },
-		(*buffer).evict,
-	}
-	for changed := true; changed; {
-		changed = false
-		for p := range w.b.parts {
-			for _, step := range steps {
-				before := w.b.parts[p]
-				if bad := w.run(p, step(w.b, p)); bad != "" {
-					return w, bad
-				}
-				changed = changed || w.b.parts[p] != before
-			}
-		}
-	}
-	return w, ""
-}
-
-// finish drives swap(set) to completion, completing one in-flight IO
-// successfully whenever it must wait, as LoadSet does.
-func finish(w world, set []int) string {
-	for range 4 * (len(w.b.parts) + 1) {
-		p, _, o, done := w.b.swap(set)
-		if bad := w.run(p, o); bad != "" {
-			return bad
-		}
-		if done {
-			var res []int
-			for q := range w.b.parts {
-				if w.b.slotOf(q) >= 0 {
-					res = append(res, q)
-				}
-			}
-			if !slices.Equal(res, set) {
-				return fmt.Sprintf("done with %v resident", res)
-			}
-			return ""
-		}
-		if p >= 0 {
-			continue
-		}
-		q := slices.IndexFunc(w.b.parts, pstate.inFlight)
-		if q < 0 {
-			return "waits with no IO in flight"
-		}
-		if bad := w.run(q, w.b.stageDone(q, true)); bad != "" {
-			return bad
-		}
-		if bad := w.run(q, w.b.endWriteback(q, true)); bad != "" {
-			return bad
-		}
-	}
-	return "does not finish"
-}
-
-// checkEventually holds the liveness half of the model at w: whatever
-// IO in flight does, every partition ends with its newest copy on disk
-// or retained, retrying the retained ones on a healthy disk puts every
-// newest copy on disk (a staged copy may stay, equal to it), and a swap
-// to any set finishes once IO completes.
-func checkEventually(w, scratch world, swaps [][]int) string {
+// checkEventually holds the liveness half of the model at b: whatever IO
+// in flight does, every partition keeps its newest copy (unsafe), and
+// once it lands a Flush on a healthy disk makes every held partition
+// clean and every disk copy current.
+func checkEventually(b *buffer) string {
 	for _, ok := range []bool{true, false} {
-		end, bad := settle(scratch.set(w), ok)
-		if bad != "" {
-			return fmt.Sprintf("settling (ok=%v): %s", ok, bad)
-		}
-		for p, st := range end.b.parts {
-			if st.ph != absent && st.ph != staged && st.ph != retained {
-				return fmt.Sprintf("settling (ok=%v): partition %d ends %s", ok, p, phaseNames[st.ph])
+		end := b.clone()
+		for p := range end.parts {
+			end.readDone(p, ok)
+			end.endWriteback(p, ok)
+			if bad := end.unsafe(); bad != "" {
+				return fmt.Sprintf("landing IO (ok=%v): %s", ok, bad)
 			}
 		}
-		for p := range end.b.parts {
-			if bad := end.run(p, end.b.beginWriteback(p)); bad != "" {
-				return "retrying: " + bad
+		for p := range end.parts {
+			end.beginWriteback(p)
+			end.endWriteback(p, true)
+		}
+		for p, st := range end.parts {
+			if st.ph != absent && st.ph != clean || !st.onDisk {
+				return fmt.Sprintf("after a flush (ok=%v): partition %d ends %s (disk current: %v)", ok, p, phaseNames[st.ph], st.onDisk)
 			}
-		}
-		if end, bad = settle(end, true); bad != "" {
-			return "settling retries: " + bad
-		}
-		for p, st := range end.b.parts {
-			if st.ph != absent && st.ph != staged || !st.onDisk {
-				return fmt.Sprintf("partition %d ends %s (disk current: %v)", p, phaseNames[st.ph], st.onDisk)
-			}
-		}
-	}
-	for _, set := range swaps {
-		if bad := finish(scratch.set(w), set); bad != "" {
-			return fmt.Sprintf("swap%v: %s", set, bad)
 		}
 	}
 	return ""
 }
 
-// explore visits every state reachable from an empty buffer of numParts
-// partitions and capacity slots, checking each transition's IO and
-// unsafe on the way and the liveness properties at every state.
-func explore(t *testing.T, numParts, capacity int) int {
-	start, n, scratch := newWorld(numParts, capacity), newWorld(numParts, capacity), newWorld(numParts, capacity)
-	var k []byte
-	seen := map[string]bool{string(start.key(k)): true}
-	queue := []world{start}
-	ms, swaps := moves(numParts, capacity), sets(numParts, capacity)
-	for i := 0; i < len(queue); i++ {
-		w := queue[i]
-		if bad := checkEventually(w, scratch, swaps); bad != "" {
-			t.Fatalf("P=%d c=%d at %v: %s", numParts, capacity, w, bad)
-		}
-		for _, m := range ms {
-			n = n.set(w)
-			if bad := n.run(m.do(n.b)); bad != "" {
-				t.Fatalf("P=%d c=%d: %s from %v: %s", numParts, capacity, m.name, w, bad)
-			}
-			if k = n.key(k); !seen[string(k)] {
-				seen[string(k)] = true
-				queue = append(queue, n.clone())
-			}
-		}
-	}
-	return len(queue)
-}
-
 // TestBufferExhaustive explores every interleaving of the partition
-// buffer's transitions — every IO completing with success or failure —
-// for up to four partitions and two slots, and holds every reachable
-// state to unsafe and to the liveness properties of checkEventually.
+// buffer's transitions — every IO completing with success or failure,
+// every pin — for up to four partitions, two pinned and four frames, and
+// holds every reachable state to unsafe and to checkEventually.
 func TestBufferExhaustive(t *testing.T) {
 	maxParts := 4
 	if testing.Short() {
@@ -282,8 +147,353 @@ func TestBufferExhaustive(t *testing.T) {
 	}
 	for numParts := 1; numParts <= maxParts; numParts++ {
 		for capacity := 1; capacity <= min(numParts, 2); capacity++ {
-			n := explore(t, numParts, capacity)
-			t.Logf("P=%d c=%d: %d states", numParts, capacity, n)
+			frames := min(2*capacity, numParts)
+			start := newBuffer(numParts, frames)
+			seen := map[string]bool{string(start.key(nil)): true}
+			queue := []*buffer{start}
+			ms := moves(numParts, capacity)
+			var k []byte
+			for i := 0; i < len(queue); i++ {
+				b := queue[i]
+				if bad := checkEventually(b); bad != "" {
+					t.Fatalf("P=%d c=%d at %v: %s", numParts, capacity, b, bad)
+				}
+				for _, m := range ms {
+					n := b.clone()
+					p, o := m.do(n)
+					if bad := checkIO(n, p, o); bad != "" {
+						t.Fatalf("P=%d c=%d: %s from %v: %s", numParts, capacity, m.name, b, bad)
+					}
+					if k = n.key(k[:0]); !seen[string(k)] {
+						seen[string(k)] = true
+						queue = append(queue, n)
+					}
+				}
+			}
+			t.Logf("P=%d c=%d (%d frames): %d states", numParts, capacity, frames, len(queue))
 		}
 	}
+}
+
+// errFail is the model's failed IO.
+var errFail = errors.New("injected IO failure")
+
+// world is one state of a compiled schedule executed by the store's two
+// sides: the IO goroutine (step, then an IO in flight that lands ok or
+// failed) and the trainer (LoadSet's release and admit, ApplyGrads
+// dirtying what is resident, and after a failed LoadSet the recovery a
+// caller makes: a Flush, then the same LoadSet, which resumes the plan).
+type world struct {
+	b     *buffer
+	r     run
+	io    int  // partition of the IO in flight, -1 for none
+	write bool // the IO in flight is a write-back
+	// loading: LoadSet of visit r.visit has released and waits to admit.
+	loading bool
+	// failed: an IO has failed (at most one per path), wfailed: a
+	// write-back; lost: the trainer saw the error and must recover before
+	// its next LoadSet.
+	failed, wfailed, lost bool
+	reads                 int
+}
+
+func (w *world) clone() *world {
+	c := *w
+	c.b = w.b.clone()
+	return &c
+}
+
+func (w *world) key(k []byte) []byte {
+	k = w.b.key(k)
+	bit := func(v bool) byte {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	return append(k, byte(w.r.started), byte(w.r.done), byte(w.r.visit), byte(w.r.released), byte(len(w.r.sets)),
+		bit(w.r.err != nil), bit(w.r.stopped), byte(w.io+1), bit(w.write), bit(w.loading), bit(w.failed), bit(w.wfailed), bit(w.lost), byte(w.reads))
+}
+
+// next returns the states one move of either side reaches from w, or
+// names the broken property.
+func (w *world) next(learnable bool) ([]*world, string) {
+	var out []*world
+	if w.io < 0 {
+		n := w.clone()
+		switch p, o, wait, end := n.r.step(n.b); {
+		case errors.Is(n.r.err, errDiverged):
+			return nil, "the schedule diverged from the buffer"
+		case !wait && !end:
+			if bad := checkIO(n.b, p, o); bad != "" {
+				return nil, fmt.Sprintf("step of op %d: %s", n.r.started, bad)
+			}
+			n.io, n.write = p, o.io == ioWrite
+			if !n.write {
+				n.reads++
+			}
+			out = append(out, n)
+		}
+	} else {
+		for _, fail := range []bool{false, true} {
+			if fail && w.failed {
+				continue
+			}
+			n := w.clone()
+			var err error
+			if fail {
+				err, n.failed, n.wfailed = errFail, true, n.write
+			}
+			n.r.landed(n.b, n.io, n.write, err)
+			n.io = -1
+			out = append(out, n)
+		}
+	}
+	switch {
+	case w.lost && w.io < 0:
+		// The caller's recovery: a Flush (stop the run, write back every
+		// dirty partition), which a failed write-back's latched error
+		// needs, then the same LoadSet, which resumes the plan from its
+		// visit.
+		for _, flush := range []bool{true, false} {
+			if !flush && w.wfailed {
+				continue
+			}
+			n := w.clone()
+			for p := range n.b.parts {
+				if flush {
+					n.b.beginWriteback(p)
+					n.b.endWriteback(p, true)
+				}
+			}
+			n.b.pin(nil)
+			n.r = *newRun(n.b, w.r.sets[w.r.visit:], learnable)
+			n.lost = false
+			out = append(out, n)
+		}
+	case w.lost:
+	case w.loading:
+		n := w.clone()
+		d := n.r.visit
+		switch ok, err := n.r.admit(n.b, d); {
+		case errors.Is(err, errDiverged):
+			return nil, fmt.Sprintf("admitting visit %d: %v", d, err)
+		case ok:
+			for _, p := range n.r.sets[d] {
+				if n.b.frameOf(p) < 0 {
+					return nil, fmt.Sprintf("visit %d admitted without partition %d resident", d, p)
+				}
+			}
+			n.loading = false
+			out = append(out, n)
+		case err != nil:
+			n.loading, n.lost = false, true
+			out = append(out, n)
+		}
+	case w.r.visit < len(w.r.sets):
+		n := w.clone()
+		n.r.release(n.b)
+		n.loading = true
+		out = append(out, n)
+	}
+	if learnable && !w.loading && !w.lost {
+		for p, st := range w.b.parts {
+			if st.pinned && st.ph == clean {
+				n := w.clone()
+				n.b.dirty(p)
+				out = append(out, n)
+			}
+		}
+	}
+	for _, n := range out {
+		if bad := n.b.unsafe(); bad != "" {
+			return nil, bad
+		}
+	}
+	return out, ""
+}
+
+// exploreSchedule runs the schedule compiled for plan from b under every
+// order of its IO and trainer moves, every IO landing ok or (once per
+// path) failed, and returns the states it visited.
+func exploreSchedule(b *buffer, plan [][]int, learnable bool) (int, string) {
+	start := &world{b: b, io: -1}
+	b.pin(nil)
+	start.r = *newRun(b, plan, learnable)
+	want := len(start.r.ops)
+	seen := map[string]bool{string(start.key(nil)): true}
+	queue := []*world{start}
+	var k []byte
+	for i := 0; i < len(queue); i++ {
+		w := queue[i]
+		next, bad := w.next(learnable)
+		if bad != "" {
+			return i, fmt.Sprintf("at %v (op %d of %v, visit %d): %s", w.b, w.r.started, w.r.ops, w.r.visit, bad)
+		}
+		if len(next) == 0 {
+			switch {
+			case w.r.visit < len(w.r.sets) || w.loading:
+				return i, fmt.Sprintf("stuck at visit %d of %d at %v", w.r.visit, len(plan), w.b)
+			case !w.failed && w.reads != want:
+				return i, fmt.Sprintf("read %d partitions, the schedule %d (%v)", w.reads, want, start.r.ops)
+			}
+		}
+		for _, n := range next {
+			if k = n.key(k[:0]); !seen[string(k)] {
+				seen[string(k)] = true
+				queue = append(queue, n)
+			}
+		}
+	}
+	return len(queue), ""
+}
+
+// plans returns every sequence of 1 to length non-empty sets of at most
+// k of n partitions.
+func plans(n, k, length int) [][][]int {
+	var nonEmpty [][]int
+	for _, s := range sets(n, k) {
+		if len(s) > 0 {
+			nonEmpty = append(nonEmpty, s)
+		}
+	}
+	var out, level [][][]int
+	level = [][][]int{{}}
+	for range length {
+		var grown [][][]int
+		for _, pl := range level {
+			for _, s := range nonEmpty {
+				grown = append(grown, append(slices.Clone(pl), s))
+			}
+		}
+		out, level = append(out, grown...), grown
+	}
+	return out
+}
+
+// starts returns every buffer of n partitions and the given frames whose
+// held partitions are clean, or also dirty when learnable, with none in
+// flight: the states a plan can be compiled from.
+func starts(n, frames int, learnable bool) []*buffer {
+	out := []*buffer{newBuffer(n, frames)}
+	for p := range n {
+		for _, b := range out {
+			if len(b.free) == 0 {
+				continue
+			}
+			c := b.clone()
+			c.fetch(p)
+			c.readDone(p, true)
+			out = append(out, c)
+			if learnable {
+				d := c.clone()
+				d.parts[p].pinned = true
+				d.dirty(p)
+				d.parts[p].pinned = false
+				out = append(out, d)
+			}
+		}
+	}
+	return out
+}
+
+// TestBufferScheduleExhaustive is the model check of the compiled
+// schedule: for every plan of up to three visits over P ≤ 4 partitions
+// and c ≤ 2 from an empty buffer, and of up to two from every other state
+// a plan can start in, over c to 2c frames,
+// read-only and learnable, it executes the schedule under every order of
+// the IO goroutine's and LoadSet's moves, with each IO landing ok or
+// failed. Every state passes unsafe, every admitted visit has its set
+// resident, nothing waits forever, and with no failure the partitions
+// read are exactly the schedule's ops.
+func TestBufferScheduleExhaustive(t *testing.T) {
+	maxParts, maxLen := 4, 3
+	if testing.Short() {
+		maxParts = 3
+	}
+	for numParts := 1; numParts <= maxParts; numParts++ {
+		for capacity := 1; capacity <= min(numParts, 2); capacity++ {
+			for frames := capacity; frames <= min(2*capacity, numParts); frames++ {
+				for _, learnable := range []bool{false, true} {
+					states, runs := 0, 0
+					for i, start := range starts(numParts, frames, learnable) {
+						length := maxLen
+						if i > 0 {
+							length-- // a buffer holding partitions starts shorter plans
+						}
+						for _, plan := range plans(numParts, capacity, length) {
+							n, bad := exploreSchedule(start.clone(), plan, learnable)
+							if bad != "" {
+								t.Fatalf("P=%d c=%d frames=%d learnable=%v plan %v from %v: %s",
+									numParts, capacity, frames, learnable, plan, start, bad)
+							}
+							states, runs = states+n, runs+1
+						}
+					}
+					t.Logf("P=%d c=%d frames=%d learnable=%v: %d schedules, %d states", numParts, capacity, frames, learnable, runs, states)
+				}
+			}
+		}
+	}
+}
+
+// TestScheduleBelady holds compile to a brute-force optimum: over every
+// plan of up to four visits of P ≤ 4 partitions, c ≤ 2 and c to 2c
+// frames, from an empty buffer, no order of evictions reads fewer
+// partitions than the schedule.
+func TestScheduleBelady(t *testing.T) {
+	maxLen := 4
+	if testing.Short() {
+		maxLen = 3
+	}
+	for numParts := 1; numParts <= 4; numParts++ {
+		for capacity := 1; capacity <= min(numParts, 2); capacity++ {
+			for frames := capacity; frames <= min(2*capacity, numParts); frames++ {
+				for _, plan := range plans(numParts, capacity, maxLen) {
+					got := len(newBuffer(numParts, frames).compile(plan, false))
+					if best := fewestReads(plan, frames, nil); got != best {
+						t.Fatalf("P=%d frames=%d plan %v: schedule reads %d, an eviction order reads %d", numParts, frames, plan, got, best)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fewestReads is the least number of reads any eviction order needs to
+// load plan's sets in turn over frames frames, starting from held.
+func fewestReads(plan [][]int, frames int, held []int) int {
+	if len(plan) == 0 {
+		return 0
+	}
+	set := plan[0]
+	var missing, keep []int
+	for _, p := range set {
+		if !slices.Contains(held, p) {
+			missing = append(missing, p)
+		}
+	}
+	for _, p := range held {
+		if !slices.Contains(set, p) {
+			keep = append(keep, p)
+		}
+	}
+	// Keep any subset of the others that fits beside the set.
+	best := -1
+	room := frames - len(set)
+	for mask := 0; mask < 1<<len(keep); mask++ {
+		next := slices.Clone(set)
+		for i, p := range keep {
+			if mask&(1<<i) != 0 {
+				next = append(next, p)
+			}
+		}
+		if len(next)-len(set) > room {
+			continue
+		}
+		if n := fewestReads(plan[1:], frames, next); best < 0 || n < best {
+			best = n
+		}
+	}
+	return len(missing) + best
 }

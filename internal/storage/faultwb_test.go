@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/nn"
@@ -123,24 +122,24 @@ func bump(t *testing.T, s *DiskNodeStore, ids ...int32) {
 	}
 }
 
-// failEviction dirties partition 0, fills the disk and evicts it by
-// loading partitions 2 and 3, then waits until the failed write-back has
-// latched its error, which the next LoadSet reports.
+// failEviction dirties partitions 0 and 1 of a one-partition buffer (two
+// frames), fills the disk and loads partition 2 into partition 0's frame:
+// the write-back that must land first fails, and that LoadSet reports it.
+// It returns partition 0's updated rows.
 func failEviction(t *testing.T, s *DiskNodeStore, failing *atomic.Bool) []float32 {
 	t.Helper()
-	if err := s.LoadSet([]int{0, 1}); err != nil {
+	if err := s.LoadSet([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	bump(t, s, 0)
 	want := gatherRows(t, s, 0)
-	failing.Store(true)
-	if err := s.LoadSet([]int{2, 3}); err != nil {
-		t.Fatalf("LoadSet scheduling a failing eviction: %v", err)
+	if err := s.LoadSet([]int{1}); err != nil {
+		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.LoadSet([]int{2, 3}) == nil; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the failed write-back never surfaced")
-		}
+	bump(t, s, 10)
+	failing.Store(true)
+	if err := s.LoadSet([]int{2}); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("LoadSet over a failing write-back: got %v, want ENOSPC", err)
 	}
 	return want
 }
@@ -149,19 +148,19 @@ func failEviction(t *testing.T, s *DiskNodeStore, failing *atomic.Bool) []float3
 func waitIdle(s *DiskNodeStore) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.b.busy() {
+	for s.running {
 		s.ioDone.Wait()
 	}
 }
 
-// retainedParts lists the partitions whose failed write-back the store
-// holds for a retry.
-func retainedParts(s *DiskNodeStore) []int {
+// dirtyParts lists the partitions whose frame holds the only current
+// copy: updated, or their write-back failed.
+func dirtyParts(s *DiskNodeStore) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []int
 	for p, st := range s.b.parts {
-		if st.ph == retained {
+		if st.ph == dirty {
 			out = append(out, p)
 		}
 	}
@@ -169,63 +168,53 @@ func retainedParts(s *DiskNodeStore) []int {
 }
 
 // TestEvictWritebackFailureSurfacesAndRetries is the evict-side fault
-// contract: when an asynchronous dirty-partition write-back fails, (1)
-// the error surfaces on the training path (the next LoadSet — i.e. the
-// epoch fails rather than silently losing updates), (2) the store
-// retains the unwritten data, and (3) once the disk recovers, Flush
-// retries the retained buffers, clears the sticky error, and the store
-// reads back every update — nothing was lost.
+// contract: when the write-back of a dirty partition whose frame is
+// reused fails, (1) the error surfaces on the training path (the LoadSet
+// that needed the frame, and every LoadSet after it — the epoch fails
+// rather than silently losing updates), (2) the frame keeps the unwritten
+// data, and (3) once the disk recovers, Flush retries it, clears the
+// sticky error, and the store reads back every update — nothing was lost.
 func TestEvictWritebackFailureSurfacesAndRetries(t *testing.T) {
 	var failing atomic.Bool
-	store := newToggleStore(t, 2, toggleFS{fail: &failing})
+	store := newToggleStore(t, 1, toggleFS{fail: &failing})
+	want := failEviction(t, store, &failing)
 
-	// Dirty partitions 0 and 1 (nodes 0 and 10 with PartSize 10).
-	if err := store.LoadSet([]int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	bump(t, store, 0, 10)
-	want := gatherRows(t, store, 0, 10)
-
-	// Disk "fills up"; the evictions of 0 and 1 fail in the background.
-	failing.Store(true)
-	if err := store.LoadSet([]int{2, 3}); err != nil {
-		t.Fatalf("LoadSet scheduling failing evictions: %v", err)
-	}
-	waitIdle(store)
-
-	// The failure surfaces on the training path instead of vanishing.
-	if err := store.LoadSet([]int{0, 1}); !errors.Is(err, syscall.ENOSPC) {
+	// The failure stays on the training path instead of vanishing.
+	if err := store.LoadSet([]int{2}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("LoadSet after failed write-back: got %v, want ENOSPC", err)
 	}
-	// The unwritten partitions are retained for retry.
-	if got := retainedParts(store); !slices.Equal(got, []int{0, 1}) {
-		t.Fatalf("store retains failed write-backs of %v, want [0 1]", got)
+	// The unwritten partitions stay in their frames for a retry.
+	if got := dirtyParts(store); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("store holds unwritten updates of %v, want [0 1]", got)
 	}
 	// While the disk is still full, Flush keeps failing (no false
 	// success), and the error stays sticky.
 	if err := store.Flush(); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Flush on full disk: got %v, want ENOSPC", err)
 	}
-	if err := store.LoadSet([]int{0, 1}); !errors.Is(err, syscall.ENOSPC) {
+	if err := store.LoadSet([]int{2}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("LoadSet after failed retry: got %v, want ENOSPC", err)
 	}
 
-	// Disk recovers: Flush retries the retained buffers and clears the
-	// sticky error; the store is consistent again.
+	// Disk recovers: Flush retries the writes and clears the sticky
+	// error; the store is consistent again.
 	failing.Store(false)
 	if err := store.Flush(); err != nil {
 		t.Fatalf("Flush after recovery: %v", err)
 	}
-	if got := retainedParts(store); len(got) != 0 {
-		t.Fatalf("after successful retry %v are still retained", got)
+	if got := dirtyParts(store); len(got) != 0 {
+		t.Fatalf("after successful retry %v are still unwritten", got)
 	}
 
-	// Reads see every pre-failure update — nothing was lost or rolled
+	// Reads see every pre-failure update, read back from the disk once
+	// partition 0's frame has been reused — nothing was lost or rolled
 	// back across the failure window.
-	if err := store.LoadSet([]int{0, 1}); err != nil {
-		t.Fatalf("LoadSet after recovery: %v", err)
+	for _, set := range [][]int{{2}, {3}, {0}} {
+		if err := store.LoadSet(set); err != nil {
+			t.Fatalf("LoadSet(%v) after recovery: %v", set, err)
+		}
 	}
-	if got := gatherRows(t, store, 0, 10); !slices.Equal(got, want) {
+	if got := gatherRows(t, store, 0); !slices.Equal(got, want) {
 		t.Fatalf("row data diverged after failed-write recovery: got %v, want %v", got, want)
 	}
 }
@@ -237,7 +226,7 @@ func TestFailedLoadRetryAfterRecovery(t *testing.T) {
 	var failReads atomic.Bool
 	store := newToggleStore(t, 2, toggleFS{failReads: &failReads})
 	failReads.Store(true)
-	store.Prefetch([]int{0, 1}) // failed prefetches are read again by LoadSet
+	store.Plan([][]int{{0, 1}}) // a failed planned read is read again by LoadSet
 	for i := 0; i < 3; i++ {
 		if err := store.LoadSet([]int{0, 1}); !errors.Is(err, syscall.EIO) {
 			t.Fatalf("LoadSet %d on a failing disk: got %v, want EIO", i, err)
@@ -256,22 +245,22 @@ func TestFailedLoadRetryAfterRecovery(t *testing.T) {
 }
 
 // TestPrefetchAfterFailedEvictKeepsUpdate: a partition whose write-back
-// failed holds its only current copy in memory, so a prefetch must not
-// stage the stale bytes on disk for a later load to consume.
+// failed holds its only current copy in its frame, so a plan compiled
+// over it reads no stale bytes from disk for a later load to consume.
 func TestPrefetchAfterFailedEvictKeepsUpdate(t *testing.T) {
 	var failing atomic.Bool
-	store := newToggleStore(t, 2, toggleFS{fail: &failing})
+	store := newToggleStore(t, 1, toggleFS{fail: &failing})
 	want := failEviction(t, store, &failing)
-	store.Prefetch([]int{0})
-	// A stale read started here would race the retry below; give it
-	// time to land so the test cannot pass by luck.
-	time.Sleep(20 * time.Millisecond)
 	failing.Store(false)
+	store.Plan([][]int{{2}, {0}})
+	waitIdle(store)
 	if err := store.Flush(); err != nil {
 		t.Fatalf("Flush after recovery: %v", err)
 	}
-	if err := store.LoadSet([]int{0, 1}); err != nil {
-		t.Fatal(err)
+	for _, set := range [][]int{{2}, {0}} {
+		if err := store.LoadSet(set); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := gatherRows(t, store, 0); !slices.Equal(got, want) {
 		t.Fatalf("partition 0 came back as %v, want %v", got, want)
@@ -280,7 +269,7 @@ func TestPrefetchAfterFailedEvictKeepsUpdate(t *testing.T) {
 
 // TestRejectedRestoreChangesNothing: a Restore whose table or optimizer
 // state has the wrong shape fails before touching the disk, the buffer,
-// the retained write-backs or the latched error.
+// the unwritten frames or the latched error.
 func TestRejectedRestoreChangesNothing(t *testing.T) {
 	t.Run("table", func(t *testing.T) {
 		store := newToggleStore(t, 2, toggleFS{})
@@ -313,7 +302,7 @@ func TestRejectedRestoreChangesNothing(t *testing.T) {
 	})
 	t.Run("retained", func(t *testing.T) {
 		var failing atomic.Bool
-		store := newToggleStore(t, 2, toggleFS{fail: &failing})
+		store := newToggleStore(t, 1, toggleFS{fail: &failing})
 		want := failEviction(t, store, &failing)
 		failing.Store(false)
 		table := tensor.New(40, 4)

@@ -1,9 +1,10 @@
 // Package storage implements the MariusGNN storage layer (paper §3,
 // Fig. 2): node base representations live in a single file split into p
 // contiguous physical partitions, edges live in a bucket-sorted file, and
-// a partition buffer with capacity c pages partitions between disk and CPU
-// memory, with asynchronous prefetch of the next partition set and
-// write-back of updated (learnable) representations.
+// a partition buffer with capacity c pages partitions between disk and 2c
+// frames of CPU memory on a schedule compiled from the epoch's plan,
+// reading ahead and writing updated (learnable) representations back only
+// when their frame is reused.
 //
 // The paper runs against an EBS volume with ~1 GB/s bandwidth; a Throttle
 // can simulate that regime on fast local disks so the IO/compute overlap
@@ -31,11 +32,10 @@ type Stats struct {
 	Reads        atomic.Int64
 	Writes       atomic.Int64
 	Swaps        atomic.Int64
-	// PrefetchHits counts partition loads served from already-completed
-	// prefetch staging (or an in-flight write-back buffer) — the IO
-	// genuinely overlapped compute. PrefetchMisses counts loads whose
-	// read time landed on the critical path: synchronous reads and
-	// blocked waits on still-in-flight staged reads.
+	// PrefetchHits counts partitions a LoadSet admits that a frame
+	// already held — read ahead, or kept from an earlier visit: the IO
+	// overlapped compute or was saved. PrefetchMisses counts those whose
+	// read LoadSet had to wait for.
 	PrefetchHits   atomic.Int64
 	PrefetchMisses atomic.Int64
 	// Retries counts transient IO errors absorbed by the bounded-backoff

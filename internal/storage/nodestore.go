@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,38 +177,44 @@ func (m *MemoryNodeStore) Restore(table *tensor.Tensor, state []float32) error {
 // Close implements NodeStore.
 func (m *MemoryNodeStore) Close() error { return nil }
 
-// DiskNodeStore pages node representations between a file and a partition
-// buffer of capacity c physical partitions (the M-GNN_Disk configuration,
-// paper Fig. 2 storage layer). Optimizer state for learnable
-// representations is persisted in a sibling file.
+// DiskNodeStore pages node representations between a file and 2c frames
+// of partition memory, c being the buffer capacity (the M-GNN_Disk
+// configuration, paper Fig. 2 storage layer): the up to c partitions a
+// visit trains on are resident, and the other frames keep partitions a
+// later visit uses again, so they are not read twice. Optimizer state for
+// learnable representations is persisted in a sibling file.
 //
 // The store is a shell around buffer, which alone decides each
-// partition's life-cycle: every method asks it for the next transition
-// and performs the IO that transition returns. Reads for prefetch and
-// dirty evictions' write-backs run on background goroutines, so the IO
-// stays off the trainer's critical path and outside the lock.
+// partition's life-cycle, and around run, the schedule compiled from the
+// visits Plan announces: one IO goroutine performs its ops in order,
+// ahead of the trainer as far as the frames allow, and LoadSet waits only
+// for the ops its visit needs. A LoadSet outside a plan is a plan of one
+// visit.
 type DiskNodeStore struct {
 	pt        partition.Partitioning
 	dim       int
 	learnable bool
+	capacity  int
 
 	f  fault.File
 	sf fault.File // per-node AdaGrad accumulators; nil when not learnable
 
-	// mu guards b, the slots, the buffers and err; ioDone is signalled
-	// each time a read or a write-back completes.
+	// mu guards b, run, running, last and err; ioDone is signalled each
+	// time the IO goroutine moves, ends, or may proceed.
 	mu     sync.RWMutex
 	ioDone *sync.Cond
 	b      *buffer
-	// A slot, like a buffer, is one region of stride floats: PartSize×dim
-	// representation rows, then the rows' AdaGrad accumulators when
-	// learnable. slots holds capacity of them; bufs holds each
-	// partition's staging or write-back buffer, nil while its phase holds
-	// none; pool recycles buffers, at most capacity of them so it stays
-	// small however far a pipeline prefetches.
-	stride     int
-	slots      []float32
-	bufs, pool [][]float32
+	run    *run
+	// running is set while run's IO goroutine is alive.
+	running bool
+	// last is the set the previous LoadSet admitted, for the hit and miss
+	// counters.
+	last []int
+	// A frame is one region of stride floats: PartSize×dim representation
+	// rows, then the rows' AdaGrad accumulators when learnable. frames
+	// holds min(2c, p) of them, the store's only partition memory.
+	stride int
+	frames []float32
 	// err latches the first failed write-back. LoadSet surfaces it until
 	// a Flush lands every write (or Restore replaces the table).
 	err error
@@ -216,7 +223,7 @@ type DiskNodeStore struct {
 
 	// Quantized (read-only) tables: the file holds quant-encoded
 	// elements; partitionIO moves only the compressed bytes across the
-	// (simulated) device and dequantizes into the float32 buffer. For
+	// (simulated) device and dequantizes into the float32 frame. For
 	// int8, qscale/qzero hold the per-node affine parameters from the
 	// sidecar, loaded fully at open (8 bytes per node).
 	quant  tensor.QuantKind
@@ -225,7 +232,7 @@ type DiskNodeStore struct {
 
 	stats    Stats
 	throttle *Throttle
-	tracer   atomic.Pointer[obs.Tracer] // evict write-back spans; nil = off
+	tracer   atomic.Pointer[obs.Tracer] // write-back spans; nil = off
 }
 
 // DiskStoreConfig configures CreateDiskNodeStore.
@@ -251,24 +258,25 @@ type DiskStoreConfig struct {
 	FS fault.FS
 }
 
-// newDiskNodeStore builds the in-memory store state (empty buffer, every
-// slot free) over an already-open table file.
+// newDiskNodeStore builds the in-memory store state (every frame free)
+// over an already-open table file.
 func newDiskNodeStore(cfg DiskStoreConfig, f fault.File) *DiskNodeStore {
+	frames := min(2*cfg.Capacity, cfg.Part.NumPartitions)
 	s := &DiskNodeStore{
 		pt:        cfg.Part,
 		dim:       cfg.Dim,
 		learnable: cfg.Learnable,
+		capacity:  cfg.Capacity,
 		f:         f,
-		b:         newBuffer(cfg.Part.NumPartitions, cfg.Capacity),
+		b:         newBuffer(cfg.Part.NumPartitions, frames),
 		stride:    cfg.Part.PartSize * cfg.Dim,
-		bufs:      make([][]float32, cfg.Part.NumPartitions),
 		quant:     cfg.Quant,
 		throttle:  cfg.Throttle,
 	}
 	if cfg.Learnable {
 		s.stride += cfg.Part.PartSize
 	}
-	s.slots = make([]float32, cfg.Capacity*s.stride)
+	s.frames = make([]float32, frames*s.stride)
 	s.ioDone = sync.NewCond(&s.mu)
 	return s
 }
@@ -380,18 +388,17 @@ func (s *DiskNodeStore) NumNodes() int { return s.pt.NumNodes }
 // Stats returns the store's IO counters.
 func (s *DiskNodeStore) Stats() *Stats { return &s.stats }
 
-// Capacity returns the buffer capacity c in physical partitions, which
-// also bounds the reusable staging pool (the pipeline clamps its
-// lookahead so staging demand fits — policy.Plan.MaxLookahead).
-func (s *DiskNodeStore) Capacity() int { return len(s.b.owner) }
+// Capacity returns the buffer capacity c in physical partitions: the most
+// one LoadSet admits. The store holds up to 2c partitions in memory.
+func (s *DiskNodeStore) Capacity() int { return s.capacity }
 
-// Resident returns the sorted list of partitions currently buffered.
+// Resident returns the sorted list of partitions LoadSet last admitted.
 func (s *DiskNodeStore) Resident() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]int, 0, s.Capacity())
+	out := make([]int, 0, s.capacity)
 	for p := range s.b.parts {
-		if s.b.slotOf(p) >= 0 {
+		if s.b.frameOf(p) >= 0 {
 			out = append(out, p)
 		}
 	}
@@ -399,7 +406,7 @@ func (s *DiskNodeStore) Resident() []int {
 }
 
 // partitionIO reads partition p from disk into region, or writes region
-// to disk, in the slot and buffer layout (see stride).
+// to disk, in the frame layout (see stride).
 func (s *DiskNodeStore) partitionIO(p int, region []float32, write bool) error {
 	start, end := s.pt.Range(p)
 	data := region[:int(end-start)*s.dim]
@@ -454,129 +461,152 @@ func (s *DiskNodeStore) readQuantRows(start, end int32, data []float32) error {
 	return nil
 }
 
-// slot returns slot i's region.
-func (s *DiskNodeStore) slot(i int) []float32 { return s.slots[i*s.stride:][:s.stride] }
+// frame returns frame i's region.
+func (s *DiskNodeStore) frame(i int) []float32 { return s.frames[i*s.stride:][:s.stride] }
 
-// do performs the in-memory part of o for partition p; the caller holds
-// mu. Disk reads and write-backs are the caller's, to run outside the
-// lock where they can.
-func (s *DiskNodeStore) do(p int, o op) {
-	if o.io&(ioRead|ioCopyOut) != 0 {
-		if k := len(s.pool); k > 0 {
-			s.bufs[p], s.pool = s.pool[k-1], s.pool[:k-1]
-		} else {
-			s.bufs[p] = make([]float32, s.stride)
-		}
-	}
-	switch {
-	case o.io&ioCopyOut != 0:
-		copy(s.bufs[p], s.slot(o.slot))
-	case o.io&ioCopyIn != 0:
-		copy(s.slot(o.slot), s.bufs[p])
-	}
-	if o.io&ioFree != 0 {
-		if len(s.pool) < s.Capacity() {
-			s.pool = append(s.pool, s.bufs[p])
-		}
-		s.bufs[p] = nil
-	}
-}
-
-// transfer reads partition p from disk into region (its buffer or its
-// reserved slot), or writes its buffer region back, and records the IO's
-// end; the caller must not hold mu. A write-back emits a span on tr (nil:
-// none), and its failure latches err.
-func (s *DiskNodeStore) transfer(p int, region []float32, write bool, tr *obs.Tracer) error {
-	t0 := time.Now()
-	err := s.partitionIO(p, region, write)
-	tr.Span("storage", "evict_writeback", obs.TIDEvict, t0, time.Since(t0))
+// Plan hands the store the partition sets the next LoadSet calls admit,
+// in order (an epoch's walked visits), and starts their IO at once,
+// compiled from them and the partitions held now: each partition is read
+// as few times as the frames allow, and a dirty one is written back only
+// when its frame is reused. No partition is resident until the first set
+// is admitted. A nil plan drops the rest of a pending one, as an aborted
+// epoch must; a set larger than the capacity drops the plan, and its
+// LoadSet fails.
+func (s *DiskNodeStore) Plan(sets [][]int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	end := s.b.stageDone
-	if write {
-		s.err, end = cmp.Or(s.err, err), s.b.endWriteback
+	s.stop()
+	s.run = nil
+	if sets != nil && !slices.ContainsFunc(sets, func(set []int) bool { return len(set) > s.capacity }) {
+		s.start(sets)
 	}
-	s.do(p, end(p, err == nil))
-	s.ioDone.Broadcast()
-	return err
 }
 
-// Prefetch begins loading the given partitions into staging memory in the
-// background (paper Fig. 2 step A: the buffer and IO manager prefetch the
-// next partition set while training proceeds on the current one). Only
-// partitions with no copy in memory are read; a later LoadSet consumes
-// the staged bytes and recycles the buffers. Safe to call concurrently
-// with reads and with LoadSet (the pipeline prefetcher runs it ahead of
-// the trainer).
-func (s *DiskNodeStore) Prefetch(parts []int) {
+// start compiles sets from the buffer as it is and starts the IO
+// goroutine; the caller holds mu and has stopped any earlier run.
+func (s *DiskNodeStore) start(sets [][]int) *run {
+	s.b.pin(nil)
+	r := newRun(s.b, sets, s.learnable)
+	s.run = r
+	if len(r.ops) > 0 {
+		s.running = true
+		go s.runIO(r)
+	}
+	return r
+}
+
+// stop ends the current run's IO once its op in flight has landed; the
+// caller holds mu.
+func (s *DiskNodeStore) stop() {
+	if s.run != nil {
+		s.run.stopped = true
+		s.ioDone.Broadcast()
+	}
+	for s.running {
+		s.ioDone.Wait()
+	}
+}
+
+// runIO is r's IO goroutine: it performs r's ops in order, each transfer
+// outside the lock, until the run ends. A failed write-back also latches
+// err.
+func (s *DiskNodeStore) runIO(r *run) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range parts {
-		if o := s.b.stage(p); o.io != 0 {
-			s.do(p, o)
-			go s.transfer(p, s.bufs[p], false, nil)
+	defer func() {
+		s.running = false
+		s.ioDone.Broadcast()
+	}()
+	for {
+		p, o, wait, end := r.step(s.b)
+		switch {
+		case end:
+			return
+		case wait:
+			s.ioDone.Wait()
+			continue
 		}
+		write := o.io == ioWrite
+		if !write && r.ops[r.started-1].victim >= 0 {
+			s.stats.Swaps.Add(1)
+		}
+		region := s.frame(o.frame)
+		s.mu.Unlock()
+		t0 := time.Now()
+		err := s.partitionIO(p, region, write)
+		if write {
+			s.tracer.Load().Span("storage", "evict_writeback", obs.TIDEvict, t0, time.Since(t0))
+		}
+		s.mu.Lock()
+		if write {
+			s.err = cmp.Or(s.err, err)
+		}
+		r.landed(s.b, p, write, err)
+		s.ioDone.Broadcast()
 	}
 }
 
-// LoadSet swaps the buffer so that exactly the partitions in parts are
-// resident, writing back dirty evicted partitions in the background and
-// serving each load from the newest copy in memory (a staged read or an
-// in-flight write-back) before reading the disk. len(parts) must not
-// exceed the buffer capacity. A failed read leaves the buffer consistent:
-// the error is returned and a later LoadSet may retry.
+// LoadSet makes exactly the partitions in parts resident. Within a plan it
+// releases the previous set, so ops waiting for its frames may start, and
+// waits only for the ops this visit needs; any other set is a plan of one
+// visit. len(parts) must not exceed the capacity. A failed read leaves
+// the buffer consistent: the error is returned, and a later LoadSet of
+// the same set retries it, resuming the plan.
 func (s *DiskNodeStore) LoadSet(parts []int) error {
-	if len(parts) > s.Capacity() {
-		return fmt.Errorf("storage: set of %d partitions exceeds capacity %d", len(parts), s.Capacity())
+	if len(parts) > s.capacity {
+		return fmt.Errorf("storage: set of %d partitions exceeds capacity %d", len(parts), s.capacity)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
 	}
-	for {
-		p, from, o, done := s.b.swap(parts)
+	r := s.run
+	if !r.next(parts) {
+		rest := [][]int{parts}
+		if r != nil && r.visit < len(r.sets) && slices.Equal(r.sets[r.visit], parts) {
+			rest = r.sets[r.visit:] // a failed or stopped run resumes its plan
+		}
+		s.stop()
+		r = s.start(rest)
+	}
+	d := r.release(s.b)
+	s.ioDone.Broadcast()
+	var hits, misses int64
+	for _, p := range parts {
 		switch {
-		case done:
-			return nil
-		case p < 0:
-			s.ioDone.Wait()
-			continue
-		case from == clean || from == dirty:
-			s.stats.Swaps.Add(1)
-		case from == absent || from == staging:
-			// The read lands on the critical path: a synchronous one, or
-			// a prefetch still in flight.
-			s.stats.PrefetchMisses.Add(1)
+		case slices.Contains(s.last, p):
+		case s.b.parts[p].held():
+			hits++
 		default:
-			s.stats.PrefetchHits.Add(1)
+			misses++
 		}
-		s.do(p, o)
+	}
+	for {
+		ok, err := r.admit(s.b, d)
 		switch {
-		case o.io&ioReload != 0:
-			slot := s.slot(o.slot)
-			s.mu.Unlock()
-			err := s.transfer(p, slot, false, nil)
-			s.mu.Lock()
-			if err != nil {
-				return err
-			}
-		case o.io&ioWrite != 0:
-			go s.transfer(p, s.bufs[p], true, s.tracer.Load())
+		case ok:
+			s.stats.PrefetchHits.Add(hits)
+			s.stats.PrefetchMisses.Add(misses)
+			s.last = append(s.last[:0], parts...)
+			return nil
+		case err != nil:
+			return err
 		}
+		s.ioDone.Wait()
 	}
 }
 
-// rowAt returns where node id's representation row starts in slots and
+// rowAt returns where node id's representation row starts in frames and
 // the index of its accumulator there; the caller must hold mu.
 func (s *DiskNodeStore) rowAt(id int32) (int, int, error) {
 	p := s.pt.Of(id)
-	slot := s.b.slotOf(p)
-	if slot < 0 {
+	f := s.b.frameOf(p)
+	if f < 0 {
 		return 0, 0, fmt.Errorf("storage: node %d in partition %d is not resident", id, p)
 	}
 	start, _ := s.pt.Range(p)
-	r, base := int(id-start), slot*s.stride
+	r, base := int(id-start), f*s.stride
 	return base + r*s.dim, base + s.pt.PartSize*s.dim + r, nil
 }
 
@@ -589,7 +619,7 @@ func (s *DiskNodeStore) Gather(ids []int32, out *tensor.Tensor) error {
 		if err != nil {
 			return err
 		}
-		copy(out.Data[i*s.dim:(i+1)*s.dim], s.slots[at:at+s.dim])
+		copy(out.Data[i*s.dim:(i+1)*s.dim], s.frames[at:at+s.dim])
 	}
 	return nil
 }
@@ -614,29 +644,24 @@ func (s *DiskNodeStore) ApplyGrads(ids []int32, grads *tensor.Tensor, opt *nn.Sp
 	for _, id := range ids {
 		s.b.dirty(s.pt.Of(id))
 	}
-	opt.StepRows(s.slots, s.rows.rowAt, s.slots, s.rows.stateAt, grads)
+	opt.StepRows(s.frames, s.rows.rowAt, s.frames, s.rows.stateAt, grads)
 	return nil
 }
 
-// Flush waits for in-flight reads and write-backs, then writes back every
-// retained failed write-back and every dirty resident partition, in
-// ascending partition order, so on return every update is durable. Once
-// all of them land the latched write-back error clears and the store is
-// fully consistent again.
+// Flush stops a pending plan once its op in flight lands, then writes
+// back every dirty partition, in ascending partition order, so on return
+// every update is durable; the frames keep their copies. Once all of them
+// land the latched write-back error clears and the store is fully
+// consistent again. A later LoadSet of the plan's next set resumes it.
 func (s *DiskNodeStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.b.busy() {
-		s.ioDone.Wait()
-	}
+	s.stop()
 	var err error
 	for p := range s.b.parts {
 		if o := s.b.beginWriteback(p); o.io != 0 {
-			s.do(p, o)
-			buf := s.bufs[p]
-			s.mu.Unlock()
-			e := s.transfer(p, buf, true, nil)
-			s.mu.Lock()
+			e := s.partitionIO(p, s.frame(o.frame), true)
+			s.b.endWriteback(p, e == nil)
 			err = cmp.Or(err, e)
 		}
 	}
@@ -646,12 +671,11 @@ func (s *DiskNodeStore) Flush() error {
 	return err
 }
 
-// ReadAll returns the entire table as a tensor (for full-graph evaluation
-// and Snapshot). Dirty resident partitions are flushed first, so every
-// update is durable; then resident partitions are copied from their slots
-// and only the others are read from disk, one read per run of consecutive
-// absent partitions. The buffer state is unaffected, and holds still
-// while ReadAll reads.
+// ReadAll returns the entire table as a tensor (for Snapshot). Dirty
+// partitions are flushed first, so every update is durable; then every
+// partition a frame holds is copied from it and only the others are read
+// from disk, one read per run of consecutive absent partitions. The
+// frames are unaffected, and hold still while ReadAll reads.
 func (s *DiskNodeStore) ReadAll() (*tensor.Tensor, error) {
 	if err := s.Flush(); err != nil {
 		return nil, err
@@ -661,12 +685,12 @@ func (s *DiskNodeStore) ReadAll() (*tensor.Tensor, error) {
 	defer s.mu.RUnlock()
 	for p := 0; p < s.pt.NumPartitions; {
 		start, end := s.pt.Range(p)
-		if slot := s.b.slotOf(p); slot >= 0 {
-			copy(t.Data[int(start)*s.dim:int(end)*s.dim], s.slot(slot))
+		if st := s.b.parts[p]; st.held() {
+			copy(t.Data[int(start)*s.dim:int(end)*s.dim], s.frame(st.frame))
 			p++
 			continue
 		}
-		for p++; p < s.pt.NumPartitions && s.b.slotOf(p) < 0; p++ {
+		for p++; p < s.pt.NumPartitions && !s.b.parts[p].held(); p++ {
 			_, end = s.pt.Range(p)
 		}
 		if start == end {
@@ -686,8 +710,29 @@ func (s *DiskNodeStore) ReadAll() (*tensor.Tensor, error) {
 	return t, nil
 }
 
+// MemoryView returns the whole table as a read-only in-memory store, the
+// view evaluation reads. A quantized table stays as stored: its
+// compressed bytes cross the throttle in one read, and Gather
+// dequantizes rows as the in-memory dataset store does, bit for bit. A
+// float32 table is ReadAll's copy.
+func (s *DiskNodeStore) MemoryView() (*MemoryNodeStore, error) {
+	if s.quant == tensor.QuantNone {
+		t, err := s.ReadAll()
+		if err != nil {
+			return nil, err
+		}
+		return NewMemoryNodeStore(t, false), nil
+	}
+	q := &tensor.QTable{Kind: s.quant, Rows: s.pt.NumNodes, Cols: s.dim, Scale: s.qscale, Zero: s.qzero,
+		Raw: make([]byte, s.pt.NumNodes*s.dim*s.quant.ElemBytes())}
+	if err := readBytes(s.f, 0, q.Raw, &s.stats, s.throttle); err != nil {
+		return nil, fmt.Errorf("storage: read quantized table: %w", err)
+	}
+	return NewQuantMemoryNodeStore(q), nil
+}
+
 // Snapshot implements NodeStore: the full table comes from ReadAll
-// (flushed, resident partitions served from the buffer), then for
+// (flushed, held partitions copied from their frames), then for
 // learnable stores the per-row AdaGrad accumulators are read back from
 // disk.
 func (s *DiskNodeStore) Snapshot() (*tensor.Tensor, []float32, error) {
@@ -705,12 +750,11 @@ func (s *DiskNodeStore) Snapshot() (*tensor.Tensor, []float32, error) {
 	return t, state, nil
 }
 
-// Restore implements NodeStore: the on-disk table (and accumulators) are
-// overwritten, superseding any staged copies and retained write-backs,
-// and resident partitions are re-read so the buffer reflects the restored
-// state. A restore of the wrong shape is rejected before anything
-// changes. The lock is held across the writes so no prefetch reads a
-// half-restored table.
+// Restore implements NodeStore: a pending plan is stopped, the on-disk
+// table (and accumulators) are overwritten, superseding every frame's
+// copy and the latched write-back error, and every held partition is
+// re-read so the frames reflect the restored state. A restore of the
+// wrong shape is rejected before anything changes.
 func (s *DiskNodeStore) Restore(table *tensor.Tensor, state []float32) error {
 	switch {
 	case s.quant != tensor.QuantNone:
@@ -725,9 +769,7 @@ func (s *DiskNodeStore) Restore(table *tensor.Tensor, state []float32) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.b.busy() {
-		s.ioDone.Wait()
-	}
+	s.stop()
 	if err := writeFloats(s.f, 0, table.Data, &s.stats, s.throttle); err != nil {
 		return err
 	}
@@ -738,10 +780,8 @@ func (s *DiskNodeStore) Restore(table *tensor.Tensor, state []float32) error {
 	}
 	s.err = nil
 	for p := range s.b.parts {
-		o := s.b.drop(p)
-		s.do(p, o)
-		if o.io&ioReload != 0 {
-			if err := s.partitionIO(p, s.slot(o.slot), false); err != nil {
+		if o := s.b.drop(p); o.io != 0 {
+			if err := s.partitionIO(p, s.frame(o.frame), false); err != nil {
 				return err
 			}
 		}
@@ -749,8 +789,7 @@ func (s *DiskNodeStore) Restore(table *tensor.Tensor, state []float32) error {
 	return nil
 }
 
-// Close flushes (waiting for every in-flight read and write-back) and
-// closes the underlying files.
+// Close flushes (stopping a pending plan) and closes the underlying files.
 func (s *DiskNodeStore) Close() error {
 	err := s.Flush()
 	if e := s.f.Close(); err == nil {

@@ -23,9 +23,9 @@ func RegisterStats(r *obs.Registry, store string, st *Stats) {
 		func() float64 { return float64(st.Writes.Load()) }, l)
 	r.CounterFunc("storage_swaps_total", "Partition buffer swaps.",
 		func() float64 { return float64(st.Swaps.Load()) }, l)
-	r.CounterFunc("storage_prefetch_hits_total", "Partition loads served from prefetch staging.",
+	r.CounterFunc("storage_prefetch_hits_total", "Partitions admitted that a frame already held.",
 		func() float64 { return float64(st.PrefetchHits.Load()) }, l)
-	r.CounterFunc("storage_prefetch_misses_total", "Partition loads that had to read synchronously.",
+	r.CounterFunc("storage_prefetch_misses_total", "Partitions admitted after waiting for their read.",
 		func() float64 { return float64(st.PrefetchMisses.Load()) }, l)
 	r.CounterFunc("storage_io_retries_total", "Transient IO errors absorbed by the bounded-backoff retry loop.",
 		func() float64 { return float64(st.Retries.Load()) }, l)
@@ -67,8 +67,9 @@ func (c *FragCache) Register(r *obs.Registry) {
 		})
 }
 
-// SetTracer attaches a span recorder to the store: each asynchronous
-// evict write-back emits a ("storage", "evict_writeback") span. Call
+// SetTracer attaches a span recorder to the store: each write-back of a
+// dirty partition whose frame is reused emits a ("storage",
+// "evict_writeback") span. Call
 // before training starts; passing nil disables spans.
 func (s *DiskNodeStore) SetTracer(t *obs.Tracer) {
 	s.tracer.Store(t)

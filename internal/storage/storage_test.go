@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -114,47 +115,96 @@ func TestDiskNodeStoreUpdatePersistsAcrossSwaps(t *testing.T) {
 	}
 }
 
+// TestDiskNodeStorePrefetchMatchesDirectLoad: the loads of a plan, read
+// ahead by the store's IO goroutine, serve the same rows as LoadSet calls
+// outside any plan, and leave the same partitions resident.
 func TestDiskNodeStorePrefetchMatchesDirectLoad(t *testing.T) {
-	dir := t.TempDir()
 	const n, dim, p, c = 80, 6, 8, 3
 	pt := partition.New(n, p)
+	sets := [][]int{{0, 1, 2}, {5, 6, 2}, {7, 3, 4}, {0, 5, 1}}
+	var stores [2]*DiskNodeStore
+	for k := range stores {
+		store, err := CreateDiskNodeStore(DiskStoreConfig{
+			Dir: t.TempDir(), Part: pt, Dim: dim, Capacity: c,
+			Init: func(id int32, row []float32) { row[0] = float32(id) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		stores[k] = store
+	}
+	stores[0].Plan(sets)
+	for _, set := range sets {
+		for _, store := range stores {
+			if err := store.LoadSet(set); err != nil {
+				t.Fatal(err)
+			}
+			ids := []int32{int32(set[0]*10 + 3), int32(set[len(set)-1]*10 + 9)}
+			out := tensor.New(len(ids), dim)
+			if err := store.Gather(ids, out); err != nil {
+				t.Fatal(err)
+			}
+			if out.At(0, 0) != float32(ids[0]) || out.At(1, 0) != float32(ids[1]) {
+				t.Fatalf("set %v: rows %v, want ids %v", set, out.Data, ids)
+			}
+			if res, want := store.Resident(), slices.Sorted(slices.Values(set)); !slices.Equal(res, want) {
+				t.Fatalf("resident = %v, want %v", res, want)
+			}
+		}
+	}
+}
+
+// TestDiskPlanAbandonedMidway: an epoch that stops after its first visit
+// leaves the IO goroutine waiting for a release that never comes; a nil
+// plan stops it once its op in flight lands and drops the plan, and the
+// store serves loads outside any plan again with the rows it held.
+func TestDiskPlanAbandonedMidway(t *testing.T) {
+	const n, dim, p, c = 40, 4, 4, 1
 	store, err := CreateDiskNodeStore(DiskStoreConfig{
-		Dir: dir, Part: pt, Dim: dim, Capacity: c,
+		Dir: t.TempDir(), Part: partition.New(n, p), Dim: dim, Capacity: c,
 		Init: func(id int32, row []float32) { row[0] = float32(id) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-
-	if err := store.LoadSet([]int{0, 1, 2}); err != nil {
+	// Two frames: the read for visit 2 waits for visit 0's release.
+	store.Plan([][]int{{0}, {1}, {2}, {3}})
+	if err := store.LoadSet([]int{0}); err != nil {
 		t.Fatal(err)
 	}
-	store.Prefetch([]int{5, 6})
-	if err := store.LoadSet([]int{5, 6, 2}); err != nil {
-		t.Fatal(err)
+	store.Plan(nil)
+	store.mu.Lock()
+	running, pending := store.running, store.run != nil
+	store.mu.Unlock()
+	if running || pending {
+		t.Fatal("the dropped plan or its IO goroutine outlived Plan(nil)")
 	}
-	out := tensor.New(1, dim)
-	if err := store.Gather([]int32{55}, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.At(0, 0) != 55 {
-		t.Fatalf("prefetched data wrong: %v", out.At(0, 0))
-	}
-	res := store.Resident()
-	if len(res) != 3 || res[0] != 2 || res[1] != 5 || res[2] != 6 {
-		t.Fatalf("resident = %v", res)
+	// The dropped plan's next set is loaded as a plan of one visit, not
+	// by resuming the dropped plan.
+	for _, set := range [][]int{{1}, {3}, {0}} {
+		if err := store.LoadSet(set); err != nil {
+			t.Fatal(err)
+		}
+		out := tensor.New(1, dim)
+		if err := store.Gather([]int32{int32(set[0]*10 + 7)}, out); err != nil {
+			t.Fatal(err)
+		}
+		if out.At(0, 0) != float32(set[0]*10+7) {
+			t.Fatalf("set %v: row %v", set, out.Data)
+		}
 	}
 }
 
 // TestDiskMatchesMemoryStoreUnderRandomOps drives a disk store and a
-// memory store through the same random updates while another goroutine
-// prefetches. With a buffer smaller than the table it also swaps and
-// toggles a full disk: a LoadSet that reports a failed write-back is
-// followed by a Flush once the disk recovers, and every update must
-// survive.
+// memory store through the same random updates, loading sets that follow
+// a random plan or stray from it. With frames fewer than the partitions
+// it also reuses frames and toggles a full disk: a LoadSet that reports a
+// failed write-back is followed by a Flush once the disk recovers, and
+// every update must survive.
 func TestDiskMatchesMemoryStoreUnderRandomOps(t *testing.T) {
-	for _, c := range []int{5, 3, 2} {
+	for _, c := range []int{5, 3, 2, 1} {
 		t.Run(fmt.Sprintf("capacity=%d", c), func(t *testing.T) {
 			const n, dim, p = 50, 4, 5
 			pt := partition.New(n, p)
@@ -173,33 +223,25 @@ func TestDiskMatchesMemoryStoreUnderRandomOps(t *testing.T) {
 			}
 			defer diskStore.Close()
 
-			// A second goroutine prefetches throughout, as the pipeline's
-			// loader does while the trainer swaps and updates.
-			stop, prefetched := make(chan struct{}), make(chan struct{})
-			go func() {
-				defer close(prefetched)
-				prng := rand.New(rand.NewSource(int64(-c)))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						diskStore.Prefetch(prng.Perm(p)[:prng.Intn(c)+1])
-						time.Sleep(50 * time.Microsecond)
-					}
-				}
-			}()
 			optM := nn.NewSparseAdaGrad(0.1)
 			optD := nn.NewSparseAdaGrad(0.1)
 			failures := 0
+			var plan [][]int
 			for step := 0; step < 400; step++ {
 				switch r := rng.Intn(10); {
-				case r < 2:
-					diskStore.Prefetch(rng.Perm(p)[:rng.Intn(c)+1])
-				case r < 3 && c < p:
+				case r < 1:
+					plan = make([][]int, rng.Intn(5)+1)
+					for i := range plan {
+						plan[i] = rng.Perm(p)[:rng.Intn(c)+1]
+					}
+					diskStore.Plan(plan)
+				case r < 2 && c < p:
 					failing.Store(rng.Intn(3) == 0)
 				case r < 5:
 					set := rng.Perm(p)[:c]
+					if len(plan) > 0 && rng.Intn(4) > 0 {
+						set, plan = plan[0], plan[1:]
+					}
 					if err := diskStore.LoadSet(set); err != nil {
 						if !errors.Is(err, syscall.ENOSPC) {
 							t.Fatalf("step %d: LoadSet: %v", step, err)
@@ -241,8 +283,6 @@ func TestDiskMatchesMemoryStoreUnderRandomOps(t *testing.T) {
 					}
 				}
 			}
-			close(stop)
-			<-prefetched
 			failing.Store(false)
 			all, err := diskStore.ReadAll()
 			if err != nil {
@@ -258,33 +298,34 @@ func TestDiskMatchesMemoryStoreUnderRandomOps(t *testing.T) {
 
 func TestDiskNodeStoreIOCounters(t *testing.T) {
 	dir := t.TempDir()
-	const n, dim, p, c = 40, 4, 4, 2
+	const n, dim, p, c = 60, 4, 6, 2
 	pt := partition.New(n, p)
 	store, err := CreateDiskNodeStore(DiskStoreConfig{Dir: dir, Part: pt, Dim: dim, Capacity: c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if err := store.LoadSet([]int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	snap := store.Stats().Snapshot()
 	perPart := int64(pt.PartSize * dim * 4)
-	if snap.BytesRead != 2*perPart {
-		t.Fatalf("bytes read = %d, want %d", snap.BytesRead, 2*perPart)
-	}
-	if err := store.LoadSet([]int{1, 3}); err != nil {
-		t.Fatal(err)
-	}
-	snap2 := store.Stats().Snapshot().Sub(snap)
-	if snap2.BytesRead != perPart || snap2.Swaps != 1 {
-		t.Fatalf("after swap: %+v", snap2)
+	// Two sets fill the 2c frames without reusing one; the third reads
+	// one partition into the frame of a held one.
+	for _, step := range []struct {
+		set          []int
+		reads, swaps int64
+	}{{[]int{0, 1}, 2, 0}, {[]int{2, 3}, 2, 0}, {[]int{1, 4}, 1, 1}} {
+		snap := store.Stats().Snapshot()
+		if err := store.LoadSet(step.set); err != nil {
+			t.Fatal(err)
+		}
+		d := store.Stats().Snapshot().Sub(snap)
+		if d.BytesRead != step.reads*perPart || d.Reads != step.reads || d.Swaps != step.swaps {
+			t.Fatalf("LoadSet(%v): %+v, want %d partitions read and %d swaps", step.set, d, step.reads, step.swaps)
+		}
 	}
 }
 
-// ReadAll copies resident partitions from their slots and reads only the
+// ReadAll copies held partitions from their frames and reads only the
 // absent ones, one read per run of them: the table is bit-identical to a
-// cold read (nothing resident) for float32, fp16 and int8 tables and for a
+// cold read (nothing held) for float32, fp16 and int8 tables and for a
 // learnable one with dirty partitions, the bytes read are exactly the
 // absent partitions', and the buffer keeps what it held.
 func TestDiskReadAllServesResidentPartitions(t *testing.T) {
@@ -310,6 +351,7 @@ func TestDiskReadAllServesResidentPartitions(t *testing.T) {
 			var store *DiskNodeStore
 			want := ref
 			var err error
+			path, scalePath := filepath.Join(dir, "nodes.bin"), ""
 			if tc.quant == tensor.QuantNone {
 				store, err = CreateDiskNodeStore(DiskStoreConfig{
 					Dir: dir, Part: pt, Dim: dim, Capacity: c, Learnable: tc.learnable, Init: initRef,
@@ -318,6 +360,10 @@ func TestDiskReadAllServesResidentPartitions(t *testing.T) {
 				var q *tensor.QTable
 				store, q, err = openQuantStore(dir, pt, ref, tc.quant, c)
 				want = tensor.RefDequant(q)
+				path = filepath.Join(dir, "features.bin")
+				if tc.quant == tensor.QuantI8 {
+					scalePath = filepath.Join(dir, "scales.bin")
+				}
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -367,17 +413,27 @@ func TestDiskReadAllServesResidentPartitions(t *testing.T) {
 				t.Fatalf("ReadAll changed the buffer: resident %v, want %v", got, resident)
 			}
 
-			// Evicting everything writes nothing (the flush left the slots
-			// clean); the next ReadAll is a cold read of the whole table.
-			if err := store.LoadSet(nil); err != nil {
+			// The flush left the frames clean: a second ReadAll writes
+			// nothing. A store opened cold over the same file holds
+			// nothing and reads the whole table in one read.
+			before = store.Stats().Snapshot()
+			if _, err := store.ReadAll(); err != nil {
 				t.Fatal(err)
 			}
-			before = store.Stats().Snapshot()
-			cold, err := store.ReadAll()
+			if d := store.Stats().Snapshot().Sub(before); d.BytesWritten != 0 || d.BytesRead != partBytes(absent...) {
+				t.Fatalf("second ReadAll: %+v", d)
+			}
+			coldCfg := DiskStoreConfig{Part: pt, Dim: dim, Capacity: c, Quant: tc.quant, ScalePath: scalePath}
+			coldStore, err := OpenDiskNodeStore(coldCfg, path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d = store.Stats().Snapshot().Sub(before)
+			defer coldStore.Close()
+			cold, err := coldStore.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = coldStore.Stats().Snapshot()
 			if d.BytesRead != partBytes(0, 1, 2, 3, 4) || d.Reads != 1 || d.BytesWritten != 0 {
 				t.Fatalf("cold ReadAll: %+v, want %d bytes in one read", d, partBytes(0, 1, 2, 3, 4))
 			}
@@ -607,6 +663,10 @@ func TestEdgeStoreStatsUnified(t *testing.T) {
 	}
 }
 
+// TestPrefetchHitMissCountersAndStagingPool: a partition a LoadSet
+// admits counts as a hit when a frame already holds it and as a miss when
+// LoadSet waits for its read, and the store's partition memory is its 2c
+// frames, however many sets it loads.
 func TestPrefetchHitMissCountersAndStagingPool(t *testing.T) {
 	dir := t.TempDir()
 	const n, dim, p, c = 80, 6, 8, 3
@@ -617,7 +677,7 @@ func TestPrefetchHitMissCountersAndStagingPool(t *testing.T) {
 	}
 	defer store.Close()
 
-	// Initial fill with nothing staged: all misses.
+	// Initial fill outside a plan: all misses.
 	if err := store.LoadSet([]int{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -626,61 +686,58 @@ func TestPrefetchHitMissCountersAndStagingPool(t *testing.T) {
 		t.Fatalf("initial fill: hits=%d misses=%d, want 0/3", snap.PrefetchHits, snap.PrefetchMisses)
 	}
 
-	// Completed prefetches count as hits when consumed (a load that
-	// blocks on a still-in-flight staged read would count as a miss, so
-	// let the staging reads land first: Flush waits for every IO in
-	// flight).
-	store.Prefetch([]int{4, 5})
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
+	// A plan's reads land before its sets are loaded (waitIdle): every
+	// admitted partition is a hit, and one the previous set held counts
+	// as neither.
+	store.Plan([][]int{{2, 4, 5}, {6, 7, 0}})
+	waitIdle(store)
+	if d := store.Stats().Snapshot().Sub(snap); d.Reads != 4 {
+		t.Fatalf("the plan read %d partitions, want 4", d.Reads)
 	}
+	for _, step := range []struct {
+		set  []int
+		hits int64
+	}{{[]int{2, 4, 5}, 2}, {[]int{6, 7, 0}, 3}} {
+		before := store.Stats().Snapshot()
+		if err := store.LoadSet(step.set); err != nil {
+			t.Fatal(err)
+		}
+		if d := store.Stats().Snapshot().Sub(before); d.PrefetchHits != step.hits || d.PrefetchMisses != 0 || d.Reads != 0 {
+			t.Fatalf("LoadSet(%v): hits=%d misses=%d reads=%d, want %d/0/0",
+				step.set, d.PrefetchHits, d.PrefetchMisses, d.Reads, step.hits)
+		}
+	}
+
+	// Loading held partitions reads nothing.
+	before := store.Stats().Snapshot()
 	if err := store.LoadSet([]int{2, 4, 5}); err != nil {
 		t.Fatal(err)
 	}
-	d := store.Stats().Snapshot().Sub(snap)
-	if d.PrefetchHits != 2 || d.PrefetchMisses != 0 {
-		t.Fatalf("after prefetch: hits=%d misses=%d, want 2/0", d.PrefetchHits, d.PrefetchMisses)
-	}
-
-	// Prefetching resident partitions reads nothing.
-	before := store.Stats().Snapshot()
-	store.Prefetch([]int{2, 4, 5})
-	if err := store.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if d := store.Stats().Snapshot().Sub(before); d.Reads != 0 {
-		t.Fatalf("prefetching resident partitions read %d times", d.Reads)
+		t.Fatalf("loading held partitions read %d times", d.Reads)
 	}
 
-	// The staging buffers were recycled: further prefetch cycles must not
-	// grow the pool beyond capacity.
+	// Rotating every partition through the store leaves its memory at 2c
+	// frames.
 	for round := 0; round < 5; round++ {
 		a, b := (round*2)%p, (round*2+1)%p
-		store.Prefetch([]int{a, b})
-		if err := store.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		store.Plan([][]int{{a, b}, {(a + 3) % p}})
 		if err := store.LoadSet([]int{a, b}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	store.mu.Lock()
-	poolLen := len(store.pool)
-	store.mu.Unlock()
-	if poolLen == 0 {
-		t.Fatal("staging pool never recycled a buffer")
-	}
-	if poolLen > c {
-		t.Fatalf("staging pool grew to %d buffers, capacity is %d", poolLen, c)
+	if len(store.frames) != 2*c*store.stride {
+		t.Fatalf("store holds %d floats of partition memory, want 2c frames of %d", len(store.frames), store.stride)
 	}
 }
 
-// A prefetch of a resident partition must never be consumed after a
-// dirty eviction wrote newer bytes, nor may a prefetch racing the
-// write-back read the disk before it lands.
+// TestStaleStagedEntryDroppedOnEvict: a dirty partition whose frame a
+// plan reuses is written back before the read into that frame starts, and
+// a later read of it returns the update, never the bytes the disk held
+// before it.
 func TestStaleStagedEntryDroppedOnEvict(t *testing.T) {
 	dir := t.TempDir()
-	const n, dim, p, c = 40, 4, 4, 2
+	const n, dim, p, c = 40, 4, 4, 1
 	pt := partition.New(n, p)
 	store, err := CreateDiskNodeStore(DiskStoreConfig{Dir: dir, Part: pt, Dim: dim, Capacity: c, Learnable: true,
 		Throttle: NewThrottle(1 << 20)})
@@ -689,32 +746,28 @@ func TestStaleStagedEntryDroppedOnEvict(t *testing.T) {
 	}
 	defer store.Close()
 	opt := nn.NewSparseAdaGrad(1.0)
-
-	if err := store.LoadSet([]int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
 	grads := tensor.New(1, dim)
 	grads.Fill(1)
 	for round := 0; round < 3; round++ {
-		// Stage partition 0 while it is resident (a prefetcher racing
-		// LoadSet), then dirty it.
-		store.Prefetch([]int{0})
-		if err := store.ApplyGrads([]int32{0}, grads, opt); err != nil {
-			t.Fatal(err)
-		}
-		updated := tensor.New(1, dim)
-		if err := store.Gather([]int32{0}, updated); err != nil {
-			t.Fatal(err)
-		}
-		// Evict 0 (a throttled write-back), prefetch it while the write
-		// is in flight, and bring it back: neither the pre-update bytes
-		// staged above nor those still on disk may resurface.
-		if err := store.LoadSet([]int{2, 3}); err != nil {
-			t.Fatal(err)
-		}
-		store.Prefetch([]int{0, 1})
-		if err := store.LoadSet([]int{0, 1}); err != nil {
-			t.Fatal(err)
+		// Two frames: visit 2 needs partition 0's frame (its next use is
+		// the furthest), so 0 is written back and read again at visit 4.
+		sets := [][]int{{0}, {1}, {2}, {1}, {0}}
+		store.Plan(sets)
+		var updated *tensor.Tensor
+		for vi, set := range sets {
+			if err := store.LoadSet(set); err != nil {
+				t.Fatal(err)
+			}
+			id := int32(set[0] * 10)
+			if vi == 0 {
+				if err := store.ApplyGrads([]int32{id}, grads, opt); err != nil {
+					t.Fatal(err)
+				}
+				updated = tensor.New(1, dim)
+				if err := store.Gather([]int32{id}, updated); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		back := tensor.New(1, dim)
 		if err := store.Gather([]int32{0}, back); err != nil {

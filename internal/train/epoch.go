@@ -19,7 +19,7 @@ import (
 
 // Trainer drives training epochs over a source and a replacement policy.
 // It owns everything of the mini-batch lifecycle that does not depend on
-// the task — the epoch's plan and seeds, partition staging, the visit
+// the task — the epoch's plan and seeds, partition loading, the visit
 // index, the pipeline wiring, multi-hop sampling, tape and buffer
 // recycling, statistics — and asks its task (node classification or link
 // prediction, fixed by the constructor) for the rest.
@@ -165,7 +165,7 @@ type batcher struct {
 // (seed, epoch)-derived RNG stream on the next call.
 //
 // Only the visits with examples are walked: a visit without any builds
-// no batch, so it is not staged, admitted or indexed, and costs no IO.
+// no batch, so it is not planned, admitted or indexed, and costs no IO.
 // Skipping it changes nothing a walked visit computes — every plan visit
 // still draws its seed in plan order, a visit's index view is a function
 // of its own partition set, and a visit without examples updates no
@@ -203,7 +203,16 @@ func (t *Trainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
 	}
 	visits := walked.Visits
 	stats.Visits, stats.Walked = len(plan.Visits), len(visits)
-	depth := clampDepth(t.cfg.depth, walked, disk)
+	if disk != nil {
+		// The store compiles the epoch's node IO from the walked sets and
+		// starts it now; each Admit waits only for its own visit's reads.
+		sets := make([][]int, len(visits))
+		for i := range visits {
+			sets[i] = visits[i].Mem
+		}
+		disk.Plan(sets)
+		defer disk.Plan(nil)
+	}
 	var sampleNS atomic.Int64
 	var lossSum float64
 	var metric eval.MeanAccumulator
@@ -211,22 +220,12 @@ func (t *Trainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
 	ep := pipeline.Epoch[*visit, *batch]{
 		NumVisits: len(visits),
 		// Load runs in the loader, up to depth visits ahead of the
-		// trainer: async node-partition staging, incremental index refresh
-		// (only the swapped partitions' bucket fragments are built),
-		// example collection, shuffling and seed derivation — everything
-		// except the buffer swap. The seg tracker and the task carry
-		// in-order state across Load calls, which the executor runs
-		// sequentially.
+		// trainer: incremental index refresh (only the swapped partitions'
+		// bucket fragments are built), example collection, shuffling and
+		// seed derivation. The seg tracker and the task carry in-order
+		// state across Load calls, which the executor runs sequentially.
 		Load: func(vi int) (*visit, error) {
 			pv := &visits[vi]
-			if disk != nil {
-				// Stage this visit's partitions and those of the whole
-				// lookahead window, so node IO for upcoming visits runs
-				// while earlier visits compute.
-				for _, nv := range visits[vi:min(vi+depth+1, len(visits))] {
-					disk.Prefetch(nv.Mem)
-				}
-			}
 			adj, err := t.seg.refresh(t.Src, pv.Mem)
 			if err != nil {
 				return nil, err
@@ -243,17 +242,7 @@ func (t *Trainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
 			if disk == nil {
 				return nil
 			}
-			if err := disk.LoadSet(visits[vi].Mem); err != nil {
-				return err
-			}
-			// The next visit's node IO starts no later than this swap,
-			// however far behind the loader is (at depth 0 it has not
-			// looked at that visit yet). Staging is idempotent, so the
-			// loader's window and this call never read a partition twice.
-			if vi+1 < len(visits) {
-				disk.Prefetch(visits[vi+1].Mem)
-			}
-			return nil
+			return disk.LoadSet(visits[vi].Mem)
 		},
 		NumBatches: func(v *visit) int { return len(v.batchSeeds) },
 		Build: func(w int, v *visit, bi int) (*batch, error) {
@@ -287,7 +276,7 @@ func (t *Trainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
 		},
 		Release: t.task.release,
 	}
-	cfg := pipeline.Config{Depth: depth, Workers: t.cfg.workers, Instr: t.cfg.obs.instr()}
+	cfg := pipeline.Config{Depth: t.cfg.depth, Workers: t.cfg.workers, Instr: t.cfg.obs.instr()}
 	if err := pipeline.Run(ctx, cfg, ep, &stats.Pipeline); err != nil {
 		return stats, err
 	}
@@ -365,20 +354,6 @@ func deriveSeeds(rng *rand.Rand, n int) []int64 {
 		seeds[i] = rng.Int63()
 	}
 	return seeds
-}
-
-// clampDepth bounds the configured pipeline depth for one epoch's walk:
-// the loader stages the partitions of up to depth upcoming walked visits,
-// and that demand must fit the disk store's staging pool (one buffer per
-// buffer-capacity slot), per Plan.VerifyLookahead. It must see the walked
-// visits, not the whole plan: with the visits between them skipped, two
-// consecutive walked visits can differ in every partition. In-memory
-// sources stage nothing, so the configured depth stands.
-func clampDepth(depth int, plan *policy.Plan, disk *storage.DiskNodeStore) int {
-	if depth <= 0 || disk == nil {
-		return depth
-	}
-	return min(depth, plan.MaxLookahead(disk.Capacity()))
 }
 
 // pool recycles values between the stages of an epoch: a visit's example

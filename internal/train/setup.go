@@ -29,15 +29,12 @@ func NewSource(pt partition.Partitioning, numRels int, nodes storage.NodeStore, 
 
 // Table returns the whole node table as one in-memory store, the view
 // evaluation reads: the memory store itself, or a read-only store over a
-// disk table read back through its store (flushed, and throttled like
-// every other read).
+// disk table read back through its store (DiskNodeStore.MemoryView:
+// flushed, throttled like every other read, and a quantized table kept as
+// stored).
 func (src *Source) Table() (*storage.MemoryNodeStore, error) {
 	if src.Disk != nil {
-		t, err := src.Disk.ReadAll()
-		if err != nil {
-			return nil, err
-		}
-		return storage.NewMemoryNodeStore(t, false), nil
+		return src.Disk.MemoryView()
 	}
 	mem, ok := src.Nodes.(*storage.MemoryNodeStore)
 	if !ok {

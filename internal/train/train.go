@@ -2,8 +2,9 @@
 // lifecycle of paper Fig. 2 (steps 1-6) expressed as explicit
 // produce/consume stages over the internal/pipeline executor. One epoch
 // driver (Trainer.TrainEpoch) serves both tasks: it walks the visits of
-// a policy's partition-visit plan that have examples (steps A-D), with a
-// loader preparing visits (partition staging, examples, adjacency) up to
+// a policy's partition-visit plan that have examples (steps A-D), with
+// the disk store paging their partitions on a schedule compiled from the
+// walked visits, a loader preparing visits (examples, adjacency) up to
 // PipelineDepth ahead of the trainer, builder goroutines constructing
 // batches from per-batch derived seeds, and the compute stage consuming
 // them in plan order — the same trajectory at every depth and worker
@@ -47,7 +48,7 @@ type EpochStats struct {
 	NodesSampled int64
 	EdgesSampled int64
 	// IO is the node-store IO performed during the epoch (disk mode),
-	// including prefetch hit/miss counts for the partition buffer.
+	// including the partition buffer's prefetch hit/miss counts.
 	IO storage.StatsSnapshot
 	// Visits is the number of partition sets |S| in the epoch's plan;
 	// Walked is how many of them had examples and were loaded and
@@ -77,8 +78,8 @@ type Source struct {
 	NumRels  int
 
 	Nodes storage.NodeStore
-	// Disk is non-nil when Nodes is disk-backed; the trainer then drives
-	// partition loading and prefetching through it.
+	// Disk is non-nil when Nodes is disk-backed; the trainer then hands it
+	// each epoch's plan and drives partition loading through it.
 	Disk  *storage.DiskNodeStore
 	Edges storage.EdgeStore
 	// Frags caches per-bucket CSR fragments over Edges; the trainers

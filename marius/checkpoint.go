@@ -1,6 +1,7 @@
 package marius
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ckpt"
@@ -83,7 +84,12 @@ func restoreMismatch(field, format string, args ...any) error {
 // run would have taken, at every worker count and pipeline depth.
 func (s *Session) Restore(path string) error {
 	cp, err := ckpt.Read(path)
-	if err != nil {
+	switch {
+	case errors.Is(err, ckpt.ErrMismatch):
+		// A table or accumulators that disagree with their recorded shape
+		// refuse the restore as every other mismatch does.
+		return fmt.Errorf("marius: %w: %w", ErrTaskMismatch, err)
+	case err != nil:
 		return fmt.Errorf("marius: %w", err)
 	}
 	if cp.Version != ckpt.Version {

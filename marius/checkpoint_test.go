@@ -209,7 +209,7 @@ func TestRestoreMismatchNamesField(t *testing.T) {
 
 // TestRestoreRefusesTruncatedTable: a checkpoint whose table holds fewer
 // values than its recorded shape is refused with ErrCheckpointMismatch
-// naming the table, on a memory and a disk session alike, instead of
+// naming the table, and with ErrTaskMismatch as every restore mismatch is, on a memory and a disk session alike, instead of
 // restoring with the missing rows zeroed.
 func TestRestoreRefusesTruncatedTable(t *testing.T) {
 	for _, disk := range []bool{false, true} {
@@ -231,8 +231,9 @@ func TestRestoreRefusesTruncatedTable(t *testing.T) {
 		sess := lpSession(t, disk, t.TempDir())
 		err = sess.Restore(path)
 		sess.Close()
-		if !errors.Is(err, marius.ErrCheckpointMismatch) || !strings.Contains(err.Error(), "table") {
-			t.Fatalf("disk=%v: Restore = %v, want ErrCheckpointMismatch naming the table", disk, err)
+		if !errors.Is(err, marius.ErrCheckpointMismatch) || !errors.Is(err, marius.ErrTaskMismatch) ||
+			!strings.Contains(err.Error(), "table") {
+			t.Fatalf("disk=%v: Restore = %v, want ErrCheckpointMismatch and ErrTaskMismatch naming the table", disk, err)
 		}
 	}
 }

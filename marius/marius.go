@@ -39,9 +39,10 @@
 //
 // Out-of-core training can be pipelined with WithPipeline(depth): a
 // loader walks the partition-visit plan up to depth visits ahead of
-// the trainer, staging node partitions and edge buckets off the critical
-// path while worker goroutines construct batches, so the compute stage
-// never stalls on the disk. Pipelining is trajectory-preserving: batches
+// the trainer, reading edge buckets off the critical path while worker
+// goroutines construct batches, and a disk store reads node partitions
+// ahead on a schedule compiled from the plan, so the compute stage stalls
+// on the disk as little as the frames allow. Pipelining is trajectory-preserving: batches
 // compute in exact plan order with per-batch derived seeds, so a run
 // produces the same losses and checkpoints at every depth, the default
 // depth 0 (no visit loaded ahead) included.

@@ -28,7 +28,7 @@ func TestCheckpointByteIdenticalWithObservability(t *testing.T) {
 		all := append([]marius.Option{
 			marius.WithModel(marius.GraphSage), marius.WithFanouts(6),
 			marius.WithDim(16), marius.WithBatchSize(512), marius.WithNegatives(64),
-			marius.WithDisk(t.TempDir(), marius.Partitions(8), marius.Capacity(4), marius.LogicalPartitions(4)),
+			marius.WithDisk(t.TempDir(), marius.Partitions(16), marius.Capacity(4), marius.LogicalPartitions(8)),
 			marius.WithWorkers(2), marius.WithPipeline(2), marius.WithSeed(41),
 		}, opts...)
 		sess, err := marius.New(marius.LinkPrediction(), g, all...)

@@ -446,12 +446,15 @@ func WithWorkers(n int) Option {
 // WithPipeline sets how far out-of-core execution overlaps. Every epoch
 // runs the same three stages (visit loading, mini-batch construction,
 // compute); depth is how many visits the loader may walk the policy plan
-// ahead of the trainer, staging partition IO and edge buckets off the
-// critical path. At depth 0 (the default) nothing runs ahead across
-// visits: a visit starts loading only once the previous one has
-// finished computing, and only the next visit's node partitions are
-// staged meanwhile. With WithWorkers(1) as well, each batch is built
-// only after the previous one has computed — the stages take turns.
+// ahead of the trainer, reading edge buckets and building the visit's
+// index off the critical path. At depth 0 (the default) nothing runs
+// ahead across visits: a visit starts loading only once the previous one
+// has finished computing. Node partitions do not depend on depth: a disk
+// store reads them on a schedule compiled from the epoch's plan, as far
+// ahead as its 2c frames allow, so the bytes an epoch reads and writes are
+// the same at every depth. With WithWorkers(1) as well, each batch is
+// built only after the previous one has computed — the stages take
+// turns.
 //
 // Depth never changes the training trajectory: batches compute in exact
 // plan order with per-batch derived RNG seeds, and base representations
@@ -571,7 +574,9 @@ func Partitions(p int) DiskOption {
 	}
 }
 
-// Capacity sets the partition-buffer capacity c.
+// Capacity sets the partition-buffer capacity c: the most partitions one
+// visit holds resident. The store keeps up to 2c partitions in memory,
+// the other c for partitions a later visit uses again.
 func Capacity(c int) DiskOption {
 	return func(o *Options) error {
 		if c <= 0 {

@@ -1,0 +1,96 @@
+package marius_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/policy"
+	"repro/marius"
+)
+
+// lpDiskRWSession is the lp-disk-rw benchmark's layout at test size: a
+// learnable table scored by ComplEx over P = 16 partitions, COMET with
+// L = 8 and c = 4, paged from disk under dir, or in memory when dir is "".
+func lpDiskRWSession(t *testing.T, dir string, pol policy.Policy, depth, workers int) *marius.Session {
+	t.Helper()
+	g := gen.KG(gen.KGConfig{
+		NumEntities: 1600, NumRelations: 8, NumEdges: 12000,
+		ZipfS: 1.2, ValidFrac: 0.02, TestFrac: 0.02, Seed: 44,
+	})
+	layout := marius.WithPartitions(16)
+	if dir != "" {
+		layout = marius.WithDisk(dir, marius.Partitions(16), marius.Capacity(4), marius.LogicalPartitions(8))
+	}
+	sess, err := marius.New(marius.LinkPrediction(), g,
+		marius.WithModel(marius.GraphSage), marius.WithFanouts(6), marius.WithDecoder(marius.ComplEx),
+		marius.WithDim(16), marius.WithBatchSize(512), marius.WithNegatives(32), layout,
+		marius.WithPolicyImpl(pol), marius.WithWorkers(workers), marius.WithPipeline(depth), marius.WithSeed(44),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// TestScheduleLPDiskRW holds the compiled partition IO of an
+// lp-disk-rw-shaped session: the bytes each epoch reads and writes are the
+// same at pipeline depth 0 and 2, at 1 and 4 workers and on a repeated
+// run, since the store derives them from the plan alone; each epoch reads
+// at most three quarters of the partition loads the plan's visit sequence
+// makes (the buffer of c slots alone); and losses and checkpoint equal
+// an in-memory session's under the same policy.
+func TestScheduleLPDiskRW(t *testing.T) {
+	const epochs = 3
+	comet := policy.Comet{P: 16, L: 8, C: 4}
+	mem := lpDiskRWSession(t, "", comet, 0, 1)
+	defer mem.Close()
+	var memLoss []float64
+	for range epochs {
+		st, err := mem.TrainEpoch(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		memLoss = append(memLoss, st.Loss)
+	}
+	memCkpt := saveBytes(t, mem)
+
+	var read, written []int64
+	for i, geo := range [][2]int{{0, 1}, {0, 4}, {2, 1}, {2, 4}, {2, 4}} {
+		t.Run(fmt.Sprintf("run%d-depth%d-workers%d", i, geo[0], geo[1]), func(t *testing.T) {
+			plans := &planLog{Policy: comet}
+			sess := lpDiskRWSession(t, t.TempDir(), plans, geo[0], geo[1])
+			defer sess.Close()
+			src := sess.Task().Source()
+			partBytes := int64(src.Part.PartSize) * int64(src.Nodes.Dim()+1) * 4 // rows and accumulators
+			var r, w []int64
+			for e := range epochs {
+				st, err := sess.TrainEpoch(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				loads := plans.plans[e].TotalLoads()
+				parts := st.IO.BytesRead / partBytes
+				t.Logf("epoch %d: read %d partitions, wrote %d, of %d plan loads", e+1, parts, st.IO.BytesWritten/partBytes, loads)
+				switch {
+				case math.Float64bits(st.Loss) != math.Float64bits(memLoss[e]):
+					t.Fatalf("epoch %d loss %v on disk, %v in memory", e+1, st.Loss, memLoss[e])
+				case st.IO.BytesRead%partBytes != 0 || 4*parts > 3*int64(loads):
+					t.Fatalf("epoch %d read %d bytes (%d partitions), over 3/4 of the plan's %d loads", e+1, st.IO.BytesRead, parts, loads)
+				}
+				r, w = append(r, st.IO.BytesRead), append(w, st.IO.BytesWritten)
+			}
+			if read == nil {
+				read, written = r, w
+			} else if !slices.Equal(r, read) || !slices.Equal(w, written) {
+				t.Fatalf("read %v and wrote %v per epoch, the first run %v and %v", r, w, read, written)
+			}
+			if !slices.Equal(saveBytes(t, sess), memCkpt) {
+				t.Fatal("checkpoint differs from the in-memory session's")
+			}
+		})
+	}
+}
