@@ -96,8 +96,13 @@ race-pipeline:
 # and TestScheduleBelady for the IO schedule compiled from a plan, at
 # their -short bounds: the models are single-goroutine, so the race
 # detector only slows them) and the store's restore/flush/planned-load and
-# random-operation tests, the lp-disk-rw-shaped session whose compiled IO
-# must not depend on depth or workers (TestScheduleLPDiskRW), serve
+# random-operation tests, the write-behind read that lands before its
+# victim's visit is released (TestWriteBehindReadsBeforeRelease), a
+# visit's edge buckets read as one throttled request
+# (TestDiskEdgeStoreReadBucketsChargesOneWait, TestFragCacheFetchIsOneRequest),
+# the lp-disk-rw-shaped session whose compiled IO must not depend on depth
+# or workers (TestScheduleLPDiskRW) and whose epochs count every
+# write-back they owe (TestWriteBehindEpochOwnsItsIO), serve
 # resilience (shedding, deadlines, panic containment, reload), the serve
 # dispatch rule (what is queued is taken at once, an idle request never
 # waits) with the three gated co-batch
@@ -106,9 +111,9 @@ race-pipeline:
 # transient-weather differentials.
 race-fault:
 	$(GO) test -race ./internal/fault/
-	$(GO) test -race -short -run 'Fault|Evict|Retry|Buffer|Schedule|Restore|Flush|Prefetch|Disk' ./internal/storage/
+	$(GO) test -race -short -run 'Fault|Evict|Retry|Buffer|Schedule|Restore|Flush|Prefetch|Disk|WriteBehind|Fetch' ./internal/storage/
 	$(GO) test -race -run 'Shed|Timeout|Panic|Reload|Dispatch|Idle|MicroBatched|TopKGNNDeterministic|TopKFiltered|PredictMatchesEval' ./internal/serve/
-	$(GO) test -race -run 'Crash|Resume|Journal|Weather|Schedule' ./internal/ckpt/ ./internal/dataset/ ./marius/
+	$(GO) test -race -run 'Crash|Resume|Journal|Weather|Schedule|WriteBehind' ./internal/ckpt/ ./internal/dataset/ ./marius/
 
 # The full local gate: everything CI runs.
 check: build vet test test-purego cross loc bench-module race fuzz-kernels fuzz-parsers

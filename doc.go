@@ -187,10 +187,12 @@
 //
 // # The partition buffer
 //
-// storage.DiskNodeStore holds 2c frames of partition memory for a buffer
-// capacity c: the up to c partitions of the admitted visit are resident
-// (pinned), and the other frames keep partitions a later visit uses
-// again. It is three parts. The buffer (internal/storage's buffer.go) is
+// storage.DiskNodeStore holds min(2c+1, p) frames of partition memory
+// for a buffer capacity c: the up to c partitions of the admitted visit
+// are resident (pinned), up to 2c are held so one a later visit uses
+// again is not read twice, and the frame left over is the landing frame a
+// swap's read fills while the previous visit still computes on its
+// victim. It is three parts. The buffer (internal/storage's buffer.go) is
 // the partition life-cycle as a transition system: one phase per
 // partition, the frames, and guarded transitions — fetch, readDone(ok),
 // pin, dirty, beginWriteback, endWriteback(ok), evict, drop — each
@@ -204,19 +206,25 @@
 //	writing  a write-back of its frame       endWriteback
 //
 // The schedule (schedule.go) compiles a plan's sets, with the partitions
-// held when it starts, into ordered ops by Belady's rule: a missing
-// partition takes a free frame, else the frame of the held partition used
-// again furthest ahead, and a dirty one is written back only when its
-// frame is reused. Both do no IO, start no goroutines and read no clock,
-// so the bytes an epoch reads and writes are a function of (plan, c) and
-// only their timing varies. The store is the shell that runs the ops on
-// one IO goroutine, each once the visits that read its victim are
-// released, under one mutex with the transfers outside it; LoadSet waits
-// only for the ops due before its visit, and a LoadSet outside a plan is
-// a plan of one visit. Only an absent partition is ever read from disk,
-// so no read can return bytes older than a frame's; a failed write-back
-// leaves the partition dirty in its frame and its error latched until
-// Flush lands it. A full-table read (ReadAll, Snapshot) copies held
+// held when it starts, into ordered ops by Belady's rule over at most 2c
+// held partitions: a missing partition takes a spare place, else the
+// place of the held partition used again furthest ahead, and a dirty one
+// is written back only when it is evicted. Both do no IO, start no
+// goroutines and read no clock, so the bytes an epoch reads and writes
+// are a function of (plan, c) and only their timing varies. The store is
+// the shell that runs each op in two halves on one IO goroutine, under
+// one mutex with the transfers outside it: the read, in op order, as soon
+// as a frame is free and its partition absent; and the eviction of its
+// victim (write-back first if dirty), in op order, once the last visit
+// reading the victim is released, which frees a frame for the next read.
+// A swap's IO so overlaps the previous visit's compute (write-behind):
+// LoadSet waits only for the reads due before its visit, never for a
+// write-back, and a LoadSet outside a plan is a plan of one visit. The
+// nil Plan that ends an epoch waits for the evictions its reads owe, so
+// an epoch's IO is its own. Only an absent partition is ever read from
+// disk, so no read can return bytes older than a frame's; a failed
+// write-back leaves the partition dirty in its frame and its error
+// latched, surfaced by the next LoadSet, until Flush lands it. A full-table read (ReadAll, Snapshot) copies held
 // partitions from their frames and reads only the absent ones. The
 // buffer's own unsafe() predicate names the states that must never be
 // reached (a frame owned twice, a stale copy read, a dirty partition's
@@ -224,8 +232,9 @@
 // its read landed); TestBufferExhaustive explores every interleaving of
 // transitions, with every read and write succeeding or failing, for up to
 // four partitions and frames; TestBufferScheduleExhaustive runs every
-// compiled schedule of small plans under every order of its IO and
-// LoadSet moves; and TestScheduleBelady holds the schedule's reads to a
+// compiled schedule of small plans, with no, one or two landing frames,
+// under every order of its reads, evictions, write-backs and LoadSet
+// moves; and TestScheduleBelady holds the schedule's reads to a
 // brute-force optimum.
 //
 // # Datasets on disk

@@ -248,6 +248,21 @@ func (s *Segmented) Swap(mem []int) (*Segmented, error) {
 	return ns, nil
 }
 
+// Lacks appends to dst the buckets of mem's view that s does not share:
+// the fragments Swap(mem) looks up in its source, in the order it looks
+// them up. Partitions out of range are left for Swap to refuse.
+func (s *Segmented) Lacks(dst [][2]int32, mem []int) [][2]int32 {
+	p := len(s.memIdx)
+	for _, i := range mem {
+		for _, j := range mem {
+			if i >= 0 && i < p && j >= 0 && j < p && (s.memIdx[i] < 0 || s.memIdx[j] < 0) {
+				dst = append(dst, [2]int32{int32(i), int32(j)})
+			}
+		}
+	}
+	return dst
+}
+
 // Mem returns the sorted resident partition set (a view; do not mutate).
 func (s *Segmented) Mem() []int { return s.mem }
 

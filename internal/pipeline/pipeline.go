@@ -68,7 +68,8 @@ type Stats struct {
 	// VisitsLoaded counts visits the loader completed.
 	VisitsLoaded int
 	// LoadWait is time the compute stage waited for a visit to finish
-	// loading (loader behind).
+	// loading (loader behind) and then to be admitted (Admit: a disk
+	// store's wait for the partition reads the visit needs).
 	LoadWait time.Duration
 	// BatchWait is time the compute stage waited for a prepared batch
 	// (builders behind).
@@ -192,8 +193,16 @@ func Run[V, B any](ctx context.Context, cfg Config, ep Epoch[V, B], st *Stats) e
 		}()
 	}
 
-	// runVisit admits one loaded visit and consumes its batches in order.
-	runVisit := func(vi int, v V) (err error) {
+	// loadWait records a wait for a visit that began at t0.
+	loadWait := func(t0 time.Time) {
+		wait := time.Since(t0)
+		st.LoadWait += wait
+		in.loadWait(wait)
+	}
+
+	// runVisit admits one loaded visit, whose wait began at t0, and
+	// consumes its batches in order.
+	runVisit := func(vi int, v V, t0 time.Time) (err error) {
 		next, got := 0, 0 // batches handed to the builders, and taken back
 		defer func() {
 			// Builders read the visit: on an abort, collect the batches
@@ -207,7 +216,9 @@ func Run[V, B any](ctx context.Context, cfg Config, ep Epoch[V, B], st *Stats) e
 			ep.Release(v)
 			<-credit
 		}()
-		if err := ep.Admit(vi, v); err != nil {
+		err = ep.Admit(vi, v)
+		loadWait(t0)
+		if err != nil {
 			return err
 		}
 		n := ep.NumBatches(v)
@@ -243,17 +254,15 @@ func Run[V, B any](ctx context.Context, cfg Config, ep Epoch[V, B], st *Stats) e
 			in.queueDepth(len(visits))
 			t0 := time.Now()
 			lv, ok := <-visits
-			wait := time.Since(t0)
-			st.LoadWait += wait
-			in.loadWait(wait)
-			if !ok { // the loader stops early only on cancellation
-				return ctx.Err()
-			}
-			if lv.err != nil {
+			if !ok || lv.err != nil {
+				loadWait(t0)
+				if !ok { // the loader stops early only on cancellation
+					return ctx.Err()
+				}
 				return lv.err
 			}
 			st.VisitsLoaded++
-			if err := runVisit(vi, lv.v); err != nil {
+			if err := runVisit(vi, lv.v, t0); err != nil {
 				return err
 			}
 		}

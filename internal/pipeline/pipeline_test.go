@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // traceEpoch builds an Epoch over nVisits × batchesPer that records the
@@ -165,5 +167,35 @@ func TestPrefetcherRunsAhead(t *testing.T) {
 	}
 	if !overlapped.Load() {
 		t.Fatal("prefetcher never loaded visit vi+1 while visit vi was computing")
+	}
+}
+
+// TestAdmitWaitIsLoadWait: a visit's Admit (a disk store's wait for the
+// reads the visit needs) blocks the compute stage as a late Load does, so
+// its time counts as load wait, in Stats and in one histogram
+// observation per visit.
+func TestAdmitWaitIsLoadWait(t *testing.T) {
+	const nVisits, admit = 4, 20 * time.Millisecond
+	ep := Epoch[int, int]{
+		NumVisits:  nVisits,
+		Load:       func(vi int) (int, error) { return vi, nil },
+		Admit:      func(int, int) error { time.Sleep(admit); return nil },
+		NumBatches: func(int) int { return 1 },
+		Build:      func(w, v, bi int) (int, error) { return v, nil },
+		Compute:    func(int, int, int) error { return nil },
+	}
+	for _, depth := range []int{0, 2} {
+		in := NewInstr(obs.NewRegistry(), nil)
+		var st Stats
+		if err := Run(context.Background(), Config{Depth: depth, Workers: 1, Instr: in}, ep, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.LoadWait < nVisits*admit {
+			t.Fatalf("depth %d: load wait %v, want at least %d admits of %v", depth, st.LoadWait, nVisits, admit)
+		}
+		if h := in.LoadWaitSec.Snapshot(); h.Count != nVisits || h.Sum < (nVisits*admit).Seconds() {
+			t.Fatalf("depth %d: load-wait histogram %d observations summing %.3fs, want %d summing at least %v",
+				depth, h.Count, h.Sum, nVisits, nVisits*admit)
+		}
 	}
 }

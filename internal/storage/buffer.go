@@ -45,7 +45,7 @@ type ioSet uint8
 const (
 	ioRead   ioSet = 1 << iota // read the partition from disk into its frame
 	ioWrite                    // write the frame back to disk
-	ioReload                   // read the partition from disk into its frame, in place
+	ioReload                   // refill the frame, in place, with the disk's bytes
 )
 
 // op is a transition's IO and the frame it concerns (-1 for none).
@@ -68,12 +68,17 @@ type buffer struct {
 	parts []pstate
 	owner []int // frame → owning partition, -1 when free
 	free  []int // free frames, a stack
+	// hold is the most partitions a compiled schedule keeps held: every
+	// frame, or all but a landing frame that a read fills before its
+	// victim is evicted (schedule.go).
+	hold int
 }
 
 func newBuffer(numParts, frames int) *buffer {
 	b := &buffer{
 		parts: slices.Repeat([]pstate{{frame: -1, onDisk: true}}, numParts),
 		owner: slices.Repeat([]int{-1}, frames),
+		hold:  frames,
 	}
 	for f := frames - 1; f >= 0; f-- {
 		b.free = append(b.free, f)
@@ -179,7 +184,7 @@ func (b *buffer) evict(p int) {
 }
 
 // drop records that p's disk copy was overwritten from outside (Restore)
-// and is now the newest: a held frame is re-read in place. Not while an
+// and is now the newest: a held frame is refilled in place. Not while an
 // IO of p is in flight.
 func (b *buffer) drop(p int) op {
 	st := &b.parts[p]

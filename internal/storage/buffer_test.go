@@ -9,7 +9,7 @@ import (
 
 // clone returns a copy of b that shares no memory with it.
 func (b *buffer) clone() *buffer {
-	return &buffer{parts: slices.Clone(b.parts), owner: slices.Clone(b.owner), free: slices.Clone(b.free)}
+	return &buffer{parts: slices.Clone(b.parts), owner: slices.Clone(b.owner), free: slices.Clone(b.free), hold: b.hold}
 }
 
 // key appends an encoding of b's state to k.
@@ -181,8 +181,9 @@ var errFail = errors.New("injected IO failure")
 // world is one state of a compiled schedule executed by the store's two
 // sides: the IO goroutine (step, then an IO in flight that lands ok or
 // failed) and the trainer (LoadSet's release and admit, ApplyGrads
-// dirtying what is resident, and after a failed LoadSet the recovery a
-// caller makes: a Flush, then the same LoadSet, which resumes the plan).
+// dirtying what is resident, after a failed LoadSet the recovery a caller
+// makes: a Flush, then the same LoadSet, which resumes the plan; and once
+// every visit is admitted the nil Plan that ends the epoch).
 type world struct {
 	b     *buffer
 	r     run
@@ -211,28 +212,35 @@ func (w *world) key(k []byte) []byte {
 		}
 		return 0
 	}
-	return append(k, byte(w.r.started), byte(w.r.done), byte(w.r.visit), byte(w.r.released), byte(len(w.r.sets)),
+	return append(k, byte(w.r.read), byte(w.r.evicted), byte(w.r.done), byte(w.r.visit), byte(w.r.released), byte(len(w.r.sets)),
 		bit(w.r.err != nil), bit(w.r.stopped), byte(w.io+1), bit(w.write), bit(w.loading), bit(w.failed), bit(w.wfailed), bit(w.lost), byte(w.reads))
 }
 
 // next returns the states one move of either side reaches from w, or
-// names the broken property.
-func (w *world) next(learnable bool) ([]*world, string) {
-	var out []*world
+// names the broken property. ended reports that the IO goroutine has
+// nothing left to do.
+func (w *world) next(learnable bool) (out []*world, ended bool, bad string) {
 	if w.io < 0 {
 		n := w.clone()
 		switch p, o, wait, end := n.r.step(n.b); {
 		case errors.Is(n.r.err, errDiverged):
-			return nil, "the schedule diverged from the buffer"
+			return nil, false, "the schedule diverged from the buffer"
 		case !wait && !end:
+			if o.io == 0 {
+				return nil, false, fmt.Sprintf("step of op %d/%d asks for no IO", n.r.read, n.r.evicted)
+			}
 			if bad := checkIO(n.b, p, o); bad != "" {
-				return nil, fmt.Sprintf("step of op %d: %s", n.r.started, bad)
+				return nil, false, fmt.Sprintf("step of op %d/%d: %s", n.r.read, n.r.evicted, bad)
 			}
 			n.io, n.write = p, o.io == ioWrite
 			if !n.write {
 				n.reads++
 			}
 			out = append(out, n)
+		case !slices.Equal(n.key(nil), w.key(nil)):
+			out = append(out, n) // clean victims evicted before the goroutine waits or ends
+		default:
+			ended = end
 		}
 	} else {
 		for _, fail := range []bool{false, true} {
@@ -277,11 +285,11 @@ func (w *world) next(learnable bool) ([]*world, string) {
 		d := n.r.visit
 		switch ok, err := n.r.admit(n.b, d); {
 		case errors.Is(err, errDiverged):
-			return nil, fmt.Sprintf("admitting visit %d: %v", d, err)
+			return nil, false, fmt.Sprintf("admitting visit %d: %v", d, err)
 		case ok:
 			for _, p := range n.r.sets[d] {
 				if n.b.frameOf(p) < 0 {
-					return nil, fmt.Sprintf("visit %d admitted without partition %d resident", d, p)
+					return nil, false, fmt.Sprintf("visit %d admitted without partition %d resident", d, p)
 				}
 			}
 			n.loading = false
@@ -295,6 +303,10 @@ func (w *world) next(learnable bool) ([]*world, string) {
 		n.r.release(n.b)
 		n.loading = true
 		out = append(out, n)
+	case !w.r.stopped:
+		n := w.clone() // Plan(nil): the run stops once its owed evictions land
+		n.r.stopped = true
+		out = append(out, n)
 	}
 	if learnable && !w.loading && !w.lost {
 		for p, st := range w.b.parts {
@@ -307,10 +319,10 @@ func (w *world) next(learnable bool) ([]*world, string) {
 	}
 	for _, n := range out {
 		if bad := n.b.unsafe(); bad != "" {
-			return nil, bad
+			return nil, false, bad
 		}
 	}
-	return out, ""
+	return out, ended, ""
 }
 
 // exploreSchedule runs the schedule compiled for plan from b under every
@@ -320,22 +332,31 @@ func exploreSchedule(b *buffer, plan [][]int, learnable bool) (int, string) {
 	start := &world{b: b, io: -1}
 	b.pin(nil)
 	start.r = *newRun(b, plan, learnable)
-	want := len(start.r.ops)
+	want := 0
+	for _, o := range start.r.ops {
+		if o.part >= 0 {
+			want++
+		}
+	}
 	seen := map[string]bool{string(start.key(nil)): true}
 	queue := []*world{start}
 	var k []byte
 	for i := 0; i < len(queue); i++ {
 		w := queue[i]
-		next, bad := w.next(learnable)
+		next, ended, bad := w.next(learnable)
 		if bad != "" {
-			return i, fmt.Sprintf("at %v (op %d of %v, visit %d): %s", w.b, w.r.started, w.r.ops, w.r.visit, bad)
+			return i, fmt.Sprintf("at %v (op %d/%d of %v, visit %d): %s", w.b, w.r.read, w.r.evicted, w.r.ops, w.r.visit, bad)
 		}
 		if len(next) == 0 {
-			switch {
-			case w.r.visit < len(w.r.sets) || w.loading:
+			switch held := heldCount(w.b); {
+			case w.r.visit < len(w.r.sets) || w.loading || !ended:
 				return i, fmt.Sprintf("stuck at visit %d of %d at %v", w.r.visit, len(plan), w.b)
-			case !w.failed && w.reads != want:
+			case w.failed:
+			case w.reads != want:
 				return i, fmt.Sprintf("read %d partitions, the schedule %d (%v)", w.reads, want, start.r.ops)
+			case w.r.evicted != len(w.r.ops) || held > w.b.hold:
+				return i, fmt.Sprintf("the plan ended with %d of %d evictions done and %d partitions held (%v)",
+					w.r.evicted, len(w.r.ops), held, w.b)
 			}
 		}
 		for _, n := range next {
@@ -346,6 +367,17 @@ func exploreSchedule(b *buffer, plan [][]int, learnable bool) (int, string) {
 		}
 	}
 	return len(queue), ""
+}
+
+// heldCount returns how many partitions b holds.
+func heldCount(b *buffer) int {
+	n := 0
+	for _, st := range b.parts {
+		if st.held() {
+			n++
+		}
+	}
+	return n
 }
 
 // plans returns every sequence of 1 to length non-empty sets of at most
@@ -398,14 +430,18 @@ func starts(n, frames int, learnable bool) []*buffer {
 }
 
 // TestBufferScheduleExhaustive is the model check of the compiled
-// schedule: for every plan of up to three visits over P ≤ 4 partitions
-// and c ≤ 2 from an empty buffer, and of up to two from every other state
-// a plan can start in, over c to 2c frames,
-// read-only and learnable, it executes the schedule under every order of
-// the IO goroutine's and LoadSet's moves, with each IO landing ok or
-// failed. Every state passes unsafe, every admitted visit has its set
-// resident, nothing waits forever, and with no failure the partitions
-// read are exactly the schedule's ops.
+// schedule and its write-behind run: for every plan of up to three visits
+// over P ≤ 4 partitions and c ≤ 2 from an empty buffer, and of up to two
+// from every other state a plan can start in (a stopped run's landing
+// frame still filled included), holding c to 2c partitions in as many
+// frames or with one landing frame more, read-only and learnable, it
+// executes the schedule under every order of the IO goroutine's reads,
+// evictions and write-backs and of LoadSet's moves, with each IO landing
+// ok or failed, the caller's Flush-and-retry after a failed LoadSet and
+// the nil Plan ending the epoch. Every state passes unsafe, every
+// admitted visit has its set resident, nothing waits forever, and with
+// no failure the partitions read are exactly the schedule's ops and
+// every eviction has ended when the run stops.
 func TestBufferScheduleExhaustive(t *testing.T) {
 	maxParts, maxLen := 4, 3
 	if testing.Short() {
@@ -413,24 +449,28 @@ func TestBufferScheduleExhaustive(t *testing.T) {
 	}
 	for numParts := 1; numParts <= maxParts; numParts++ {
 		for capacity := 1; capacity <= min(numParts, 2); capacity++ {
-			for frames := capacity; frames <= min(2*capacity, numParts); frames++ {
-				for _, learnable := range []bool{false, true} {
-					states, runs := 0, 0
-					for i, start := range starts(numParts, frames, learnable) {
-						length := maxLen
-						if i > 0 {
-							length-- // a buffer holding partitions starts shorter plans
-						}
-						for _, plan := range plans(numParts, capacity, length) {
-							n, bad := exploreSchedule(start.clone(), plan, learnable)
-							if bad != "" {
-								t.Fatalf("P=%d c=%d frames=%d learnable=%v plan %v from %v: %s",
-									numParts, capacity, frames, learnable, plan, start, bad)
+			for hold := capacity; hold <= min(2*capacity, numParts); hold++ {
+				for frames := hold; frames <= min(hold+2, numParts); frames++ {
+					for _, learnable := range []bool{false, true} {
+						states, runs := 0, 0
+						for i, start := range starts(numParts, frames, learnable) {
+							start.hold = hold
+							length := maxLen
+							if i > 0 {
+								length-- // a buffer holding partitions starts shorter plans
 							}
-							states, runs = states+n, runs+1
+							for _, plan := range plans(numParts, capacity, length) {
+								n, bad := exploreSchedule(start.clone(), plan, learnable)
+								if bad != "" {
+									t.Fatalf("P=%d c=%d hold=%d frames=%d learnable=%v plan %v from %v: %s",
+										numParts, capacity, hold, frames, learnable, plan, start, bad)
+								}
+								states, runs = states+n, runs+1
+							}
 						}
+						t.Logf("P=%d c=%d hold=%d frames=%d learnable=%v: %d schedules, %d states",
+							numParts, capacity, hold, frames, learnable, runs, states)
 					}
-					t.Logf("P=%d c=%d frames=%d learnable=%v: %d schedules, %d states", numParts, capacity, frames, learnable, runs, states)
 				}
 			}
 		}

@@ -24,6 +24,11 @@ type EdgeStore interface {
 	// ReadBucket appends the edges of bucket (i,j) to dst and returns the
 	// extended slice, per the buffer-reuse contract above.
 	ReadBucket(i, j int, dst []graph.Edge) ([]graph.Edge, error)
+	// ReadBuckets appends the edges of each of buckets to dst in turn, as
+	// ReadBucket would one by one, but as one request: each bucket is
+	// still its own read and Stats entry, and a disk store charges its
+	// throttle once, for their summed bytes.
+	ReadBuckets(buckets [][2]int32, dst []graph.Edge) ([]graph.Edge, error)
 	// BucketLen returns the number of edges in bucket (i,j).
 	BucketLen(i, j int) int
 	// NumPartitions returns p.
@@ -86,6 +91,14 @@ func (m *MemoryEdgeStore) ReadBucket(i, j int, dst []graph.Edge) ([]graph.Edge, 
 	return append(dst, b...), nil
 }
 
+// ReadBuckets implements EdgeStore.
+func (m *MemoryEdgeStore) ReadBuckets(buckets [][2]int32, dst []graph.Edge) ([]graph.Edge, error) {
+	for _, b := range buckets {
+		dst, _ = m.ReadBucket(int(b[0]), int(b[1]), dst) // a memory read cannot fail
+	}
+	return dst, nil
+}
+
 // BucketLen implements EdgeStore.
 func (m *MemoryEdgeStore) BucketLen(i, j int) int { return len(m.buckets[m.pt.BucketID(i, j)]) }
 
@@ -104,8 +117,12 @@ type DiskEdgeStore struct {
 	f        fault.File
 	offsets  []int64 // p²+1 prefix edge counts; bucket b spans [offsets[b], offsets[b+1])
 	stats    Stats
-	throttle *Throttle
+	throttle waiter
 }
+
+// waiter is the device a store charges its transfers to: a *Throttle (nil
+// is unlimited), or a test's recorder.
+type waiter interface{ Wait(n int) }
 
 // CreateDiskEdgeStoreFS bucket-sorts edges into a file under dir, opened
 // through fsys (nil means the real filesystem).
@@ -136,21 +153,33 @@ func CreateDiskEdgeStoreFS(fsys fault.FS, dir string, pt partition.Partitioning,
 
 // ReadBucket implements EdgeStore.
 func (s *DiskEdgeStore) ReadBucket(i, j int, dst []graph.Edge) ([]graph.Edge, error) {
-	b := s.pt.BucketID(i, j)
-	start, end := s.offsets[b], s.offsets[b+1]
-	if start == end {
-		return dst, nil
+	return s.ReadBuckets([][2]int32{{int32(i), int32(j)}}, dst)
+}
+
+// ReadBuckets implements EdgeStore. The throttle is charged once, for the
+// bytes read, after the last read (or a failed one).
+func (s *DiskEdgeStore) ReadBuckets(buckets [][2]int32, dst []graph.Edge) ([]graph.Edge, error) {
+	var n int
+	defer func() { s.throttle.Wait(n) }()
+	for _, ij := range buckets {
+		b := s.pt.BucketID(int(ij[0]), int(ij[1]))
+		start, end := s.offsets[b], s.offsets[b+1]
+		if start == end {
+			continue
+		}
+		bp := getReadBuf(int(end-start) * edgeBytes)
+		buf := *bp
+		if err := readFull(s.f, buf, start*edgeBytes, &s.stats); err != nil {
+			readBufs.Put(bp)
+			return dst, fmt.Errorf("storage: read bucket (%d,%d): %w", ij[0], ij[1], err)
+		}
+		s.stats.BytesRead.Add(int64(len(buf)))
+		s.stats.Reads.Add(1)
+		n += len(buf)
+		dst = decodeEdges(buf, dst)
+		readBufs.Put(bp)
 	}
-	bp := getReadBuf(int(end-start) * edgeBytes)
-	defer readBufs.Put(bp)
-	buf := *bp
-	if err := readFull(s.f, buf, start*edgeBytes, &s.stats); err != nil {
-		return dst, fmt.Errorf("storage: read bucket (%d,%d): %w", i, j, err)
-	}
-	s.stats.BytesRead.Add(int64(len(buf)))
-	s.stats.Reads.Add(1)
-	s.throttle.Wait(len(buf))
-	return decodeEdges(buf, dst), nil
+	return dst, nil
 }
 
 // BucketLen implements EdgeStore.

@@ -20,12 +20,13 @@ import (
 // every data read with EIO while failReads is set (nil: never) — a
 // switchable full or broken disk, unlike the probabilistic injector, so
 // the test controls exactly which IO fails and when the disk "recovers".
-// onWrite, when set, sees every data write.
+// onWrite and onRead, when set, see every data write and read before it
+// runs.
 type toggleFS struct {
-	inner     fault.FS
-	fail      *atomic.Bool
-	failReads *atomic.Bool
-	onWrite   func(name string, off int64)
+	inner           fault.FS
+	fail            *atomic.Bool
+	failReads       *atomic.Bool
+	onWrite, onRead func(name string, off int64)
 }
 
 func (t toggleFS) wrap(f fault.File, err error) (fault.File, error) {
@@ -72,6 +73,9 @@ func (f toggleFile) WriteAt(p []byte, off int64) (int, error) {
 func (f toggleFile) ReadAt(p []byte, off int64) (int, error) {
 	if f.fs.failReads != nil && f.fs.failReads.Load() {
 		return 0, syscall.EIO
+	}
+	if f.fs.onRead != nil {
+		f.fs.onRead(f.Name(), off)
 	}
 	return f.File.ReadAt(p, off)
 }
@@ -123,9 +127,11 @@ func bump(t *testing.T, s *DiskNodeStore, ids ...int32) {
 }
 
 // failEviction dirties partitions 0 and 1 of a one-partition buffer (two
-// frames), fills the disk and loads partition 2 into partition 0's frame:
-// the write-back that must land first fails, and that LoadSet reports it.
-// It returns partition 0's updated rows.
+// partitions held, and a landing frame), fills the disk and loads
+// partition 2: its read lands in the landing frame, and the write-back
+// of partition 0, evicted to free a frame, fails once that LoadSet has
+// returned. The next LoadSet reports it. It returns partition 0's updated
+// rows.
 func failEviction(t *testing.T, s *DiskNodeStore, failing *atomic.Bool) []float32 {
 	t.Helper()
 	if err := s.LoadSet([]int{0}); err != nil {
@@ -138,8 +144,12 @@ func failEviction(t *testing.T, s *DiskNodeStore, failing *atomic.Bool) []float3
 	}
 	bump(t, s, 10)
 	failing.Store(true)
+	if err := s.LoadSet([]int{2}); err != nil {
+		t.Fatalf("LoadSet whose read lands in the landing frame: %v", err)
+	}
+	waitIdle(s)
 	if err := s.LoadSet([]int{2}); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("LoadSet over a failing write-back: got %v, want ENOSPC", err)
+		t.Fatalf("LoadSet after a failed write-back: got %v, want ENOSPC", err)
 	}
 	return want
 }
@@ -168,10 +178,10 @@ func dirtyParts(s *DiskNodeStore) []int {
 }
 
 // TestEvictWritebackFailureSurfacesAndRetries is the evict-side fault
-// contract: when the write-back of a dirty partition whose frame is
-// reused fails, (1) the error surfaces on the training path (the LoadSet
-// that needed the frame, and every LoadSet after it — the epoch fails
-// rather than silently losing updates), (2) the frame keeps the unwritten
+// contract: when the write-back of a dirty partition evicted to free a
+// frame fails, (1) the error surfaces on the training path (the next
+// LoadSet, and every LoadSet after it — the epoch fails rather than
+// silently losing updates), (2) the frame keeps the unwritten
 // data, and (3) once the disk recovers, Flush retries it, clears the
 // sticky error, and the store reads back every update — nothing was lost.
 func TestEvictWritebackFailureSurfacesAndRetries(t *testing.T) {

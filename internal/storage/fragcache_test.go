@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -186,6 +187,138 @@ func TestFragCacheMatchesBucketsOnDisk(t *testing.T) {
 			if f.NumEdges() != len(bucket) {
 				t.Fatalf("frag (%d,%d) has %d edges, bucket %d", i, j, f.NumEdges(), len(bucket))
 			}
+		}
+	}
+}
+
+// recordWaits records each transfer a store charges to its throttle.
+type recordWaits struct {
+	mu sync.Mutex
+	n  []int
+}
+
+func (r *recordWaits) Wait(n int) {
+	r.mu.Lock()
+	r.n = append(r.n, n)
+	r.mu.Unlock()
+}
+
+// TestDiskEdgeStoreReadBucketsChargesOneWait: ReadBuckets returns what
+// ReadBucket returns bucket by bucket, each non-empty bucket still its
+// own read and Stats entry, and charges the throttle exactly their summed
+// bytes, in one Wait.
+func TestDiskEdgeStoreReadBucketsChargesOneWait(t *testing.T) {
+	pt := partition.New(90, 3)
+	var edges []graph.Edge
+	for _, e := range fragTestEdges(90, 3000, 8) {
+		if pt.Of(e.Src) != 1 || pt.Of(e.Dst) != 1 { // bucket (1,1) stays empty
+			edges = append(edges, e)
+		}
+	}
+	disk, err := CreateDiskEdgeStoreFS(nil, t.TempDir(), pt, edges, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	rec := &recordWaits{}
+	disk.throttle = rec
+	mem := NewMemoryEdgeStore(pt, edges)
+	buckets := [][2]int32{{0, 1}, {1, 1}, {2, 2}, {1, 0}, {0, 1}}
+	var want []graph.Edge
+	var reads, bytes int64
+	for _, b := range buckets {
+		if n := mem.BucketLen(int(b[0]), int(b[1])); n > 0 {
+			reads, bytes = reads+1, bytes+int64(n)*EdgeBytes
+		}
+		want, _ = mem.ReadBucket(int(b[0]), int(b[1]), want)
+	}
+	before := disk.Stats().Snapshot()
+	got, err := disk.ReadBuckets(buckets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := disk.Stats().Snapshot().Sub(before)
+	switch {
+	case !slices.Equal(got, want):
+		t.Fatal("ReadBuckets returned other edges than ReadBucket one by one")
+	case d.Reads != reads || d.BytesRead != bytes:
+		t.Fatalf("counted %d reads of %d bytes, want %d of %d", d.Reads, d.BytesRead, reads, bytes)
+	case !slices.Equal(rec.n, []int{int(bytes)}):
+		t.Fatalf("throttle charged %v, want one Wait of %d bytes", rec.n, bytes)
+	}
+}
+
+// TestFragCacheFetchIsOneRequest: a loader's Fetch reads the buckets of
+// the fragments the next view lacks and the cache does not hold, with the
+// visit's training buckets, as one throttled request; the Swap after it
+// reads nothing, builds the same view as per-bucket lookups do, and the
+// cache counts the same hits and misses.
+func TestFragCacheFetchIsOneRequest(t *testing.T) {
+	edges := fragTestEdges(120, 4000, 9)
+	pt := partition.New(120, 4)
+	disk, err := CreateDiskEdgeStoreFS(nil, t.TempDir(), pt, edges, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	rec := &recordWaits{}
+	disk.throttle = rec
+	mem := NewMemoryEdgeStore(pt, edges)
+	fetched, plain := NewFragCache(disk, pt, 16), NewFragCache(mem, pt, 16)
+	fv, pv := graph.NewSegmented(fetched), graph.NewSegmented(plain)
+	if _, err := fetched.Frag(3, 3); err != nil { // cached, so not read again
+		t.Fatal(err)
+	}
+	if _, err := plain.Frag(3, 3); err != nil {
+		t.Fatal(err)
+	}
+	train := [][2]int32{{1, 2}, {2, 1}}
+	for _, set := range [][]int{{0, 1}, {1, 2}, {2, 3}} {
+		lacks := fv.Lacks(nil, set)
+		var bytes int
+		for _, b := range lacks {
+			if _, ok := fetched.frags[pt.BucketID(int(b[0]), int(b[1]))]; !ok {
+				bytes += disk.BucketLen(int(b[0]), int(b[1])) * EdgeBytes
+			}
+		}
+		var want []graph.Edge
+		for _, b := range train {
+			bytes += disk.BucketLen(int(b[0]), int(b[1])) * EdgeBytes
+			want, _ = mem.ReadBucket(int(b[0]), int(b[1]), want)
+		}
+		rec.n = nil
+		got, err := fetched.Fetch(lacks, train, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := disk.Stats().Snapshot().Reads
+		if fv, err = fv.Swap(set); err != nil {
+			t.Fatal(err)
+		}
+		if pv, err = pv.Swap(set); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case !slices.Equal(got, want):
+			t.Fatalf("%v: Fetch returned other training edges than ReadBucket", set)
+		case !slices.Equal(rec.n, []int{bytes}):
+			t.Fatalf("%v: throttle charged %v, want one Wait of %d bytes", set, rec.n, bytes)
+		case disk.Stats().Snapshot().Reads != reads:
+			t.Fatalf("%v: Swap read the store after Fetch", set)
+		}
+		for _, p := range set {
+			lo, hi := pt.Range(p)
+			for v := lo; v < hi; v++ {
+				if !slices.Equal(fv.AppendOutNeighbors(nil, v), pv.AppendOutNeighbors(nil, v)) ||
+					!slices.Equal(fv.AppendInNeighbors(nil, v), pv.AppendInNeighbors(nil, v)) {
+					t.Fatalf("%v: node %d's neighbors differ from the per-bucket view's", set, v)
+				}
+			}
+		}
+		fh, fm := fetched.Stats()
+		ph, pm := plain.Stats()
+		if fh != ph || fm != pm {
+			t.Fatalf("%v: hits/misses %d/%d, per-bucket lookups %d/%d", set, fh, fm, ph, pm)
 		}
 	}
 }

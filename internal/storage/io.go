@@ -1,10 +1,13 @@
 // Package storage implements the MariusGNN storage layer (paper §3,
 // Fig. 2): node base representations live in a single file split into p
 // contiguous physical partitions, edges live in a bucket-sorted file, and
-// a partition buffer with capacity c pages partitions between disk and 2c
-// frames of CPU memory on a schedule compiled from the epoch's plan,
-// reading ahead and writing updated (learnable) representations back only
-// when their frame is reused.
+// a partition buffer with capacity c pages up to 2c partitions between
+// disk and CPU memory on a schedule compiled from the epoch's plan,
+// reading ahead into a landing frame and writing updated (learnable)
+// representations back only when they are evicted, once the visit that
+// last read them is released. A trainer reads each visit's edge buckets
+// as one request (EdgeStore.ReadBuckets), so they queue once on a
+// throttled disk, not once per bucket behind partition transfers.
 //
 // The paper runs against an EBS volume with ~1 GB/s bandwidth; a Throttle
 // can simulate that regime on fast local disks so the IO/compute overlap

@@ -177,19 +177,22 @@ func (m *MemoryNodeStore) Restore(table *tensor.Tensor, state []float32) error {
 // Close implements NodeStore.
 func (m *MemoryNodeStore) Close() error { return nil }
 
-// DiskNodeStore pages node representations between a file and 2c frames
-// of partition memory, c being the buffer capacity (the M-GNN_Disk
-// configuration, paper Fig. 2 storage layer): the up to c partitions a
-// visit trains on are resident, and the other frames keep partitions a
-// later visit uses again, so they are not read twice. Optimizer state for
-// learnable representations is persisted in a sibling file.
+// DiskNodeStore pages node representations between a file and
+// min(2c+1, p) frames of partition memory, c being the buffer capacity
+// (the M-GNN_Disk configuration, paper Fig. 2 storage layer): the up to c
+// partitions a visit trains on are resident, and the store holds up to 2c
+// partitions, so one a later visit uses again is not read twice. The
+// frame left over is the landing frame: a swap's read lands in it while
+// the previous visit still computes on its victim, which is evicted
+// (written back first if dirty) once that visit is released. Optimizer
+// state for learnable representations is persisted in a sibling file.
 //
 // The store is a shell around buffer, which alone decides each
 // partition's life-cycle, and around run, the schedule compiled from the
-// visits Plan announces: one IO goroutine performs its ops in order,
-// ahead of the trainer as far as the frames allow, and LoadSet waits only
-// for the ops its visit needs. A LoadSet outside a plan is a plan of one
-// visit.
+// visits Plan announces: one IO goroutine performs its reads and
+// evictions in order, ahead of the trainer as far as the frames allow,
+// and LoadSet waits only for the reads its visit needs, never for a
+// write-back. A LoadSet outside a plan is a plan of one visit.
 type DiskNodeStore struct {
 	pt        partition.Partitioning
 	dim       int
@@ -212,11 +215,12 @@ type DiskNodeStore struct {
 	last []int
 	// A frame is one region of stride floats: PartSize×dim representation
 	// rows, then the rows' AdaGrad accumulators when learnable. frames
-	// holds min(2c, p) of them, the store's only partition memory.
+	// holds min(2c+1, p) of them, the store's only partition memory.
 	stride int
 	frames []float32
-	// err latches the first failed write-back. LoadSet surfaces it until
-	// a Flush lands every write (or Restore replaces the table).
+	// err latches the first failed write-back. The next LoadSet and every
+	// one after it surface it until a Flush lands every write (or Restore
+	// replaces the table).
 	err error
 	// rows is ApplyGrads' scratch.
 	rows resolved
@@ -261,7 +265,7 @@ type DiskStoreConfig struct {
 // newDiskNodeStore builds the in-memory store state (every frame free)
 // over an already-open table file.
 func newDiskNodeStore(cfg DiskStoreConfig, f fault.File) *DiskNodeStore {
-	frames := min(2*cfg.Capacity, cfg.Part.NumPartitions)
+	frames := min(2*cfg.Capacity+1, cfg.Part.NumPartitions)
 	s := &DiskNodeStore{
 		pt:        cfg.Part,
 		dim:       cfg.Dim,
@@ -276,6 +280,7 @@ func newDiskNodeStore(cfg DiskStoreConfig, f fault.File) *DiskNodeStore {
 	if cfg.Learnable {
 		s.stride += cfg.Part.PartSize
 	}
+	s.b.hold = min(2*cfg.Capacity, cfg.Part.NumPartitions)
 	s.frames = make([]float32, frames*s.stride)
 	s.ioDone = sync.NewCond(&s.mu)
 	return s
@@ -389,7 +394,9 @@ func (s *DiskNodeStore) NumNodes() int { return s.pt.NumNodes }
 func (s *DiskNodeStore) Stats() *Stats { return &s.stats }
 
 // Capacity returns the buffer capacity c in physical partitions: the most
-// one LoadSet admits. The store holds up to 2c partitions in memory.
+// one LoadSet admits. The store holds up to 2c partitions in memory, and
+// one more while a swap's read has landed and its victim is not yet
+// evicted.
 func (s *DiskNodeStore) Capacity() int { return s.capacity }
 
 // Resident returns the sorted list of partitions LoadSet last admitted.
@@ -467,11 +474,13 @@ func (s *DiskNodeStore) frame(i int) []float32 { return s.frames[i*s.stride:][:s
 // Plan hands the store the partition sets the next LoadSet calls admit,
 // in order (an epoch's walked visits), and starts their IO at once,
 // compiled from them and the partitions held now: each partition is read
-// as few times as the frames allow, and a dirty one is written back only
-// when its frame is reused. No partition is resident until the first set
-// is admitted. A nil plan drops the rest of a pending one, as an aborted
-// epoch must; a set larger than the capacity drops the plan, and its
-// LoadSet fails.
+// as few times as 2c held partitions allow, and a dirty one is written
+// back only when it is evicted to free a frame. No partition is resident
+// until the first set is admitted. A nil plan ends a pending one once the
+// evictions its reads owe have landed (all of them at the end of an
+// epoch, so each epoch's IO is its own), and drops the rest, as an
+// aborted epoch must; a set larger than the capacity drops the plan, and
+// its LoadSet fails.
 func (s *DiskNodeStore) Plan(sets [][]int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -495,7 +504,8 @@ func (s *DiskNodeStore) start(sets [][]int) *run {
 	return r
 }
 
-// stop ends the current run's IO once its op in flight has landed; the
+// stop ends the current run's IO once its IO in flight has landed and
+// every eviction owed by a read begun that may start has ended; the
 // caller holds mu.
 func (s *DiskNodeStore) stop() {
 	if s.run != nil {
@@ -507,9 +517,9 @@ func (s *DiskNodeStore) stop() {
 	}
 }
 
-// runIO is r's IO goroutine: it performs r's ops in order, each transfer
-// outside the lock, until the run ends. A failed write-back also latches
-// err.
+// runIO is r's IO goroutine: it performs r's reads and evictions, each
+// transfer outside the lock, until the run ends. A failed write-back also
+// latches err.
 func (s *DiskNodeStore) runIO(r *run) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -527,7 +537,7 @@ func (s *DiskNodeStore) runIO(r *run) {
 			continue
 		}
 		write := o.io == ioWrite
-		if !write && r.ops[r.started-1].victim >= 0 {
+		if !write && r.ops[r.read-1].victim >= 0 {
 			s.stats.Swaps.Add(1)
 		}
 		region := s.frame(o.frame)
@@ -547,11 +557,11 @@ func (s *DiskNodeStore) runIO(r *run) {
 }
 
 // LoadSet makes exactly the partitions in parts resident. Within a plan it
-// releases the previous set, so ops waiting for its frames may start, and
-// waits only for the ops this visit needs; any other set is a plan of one
-// visit. len(parts) must not exceed the capacity. A failed read leaves
-// the buffer consistent: the error is returned, and a later LoadSet of
-// the same set retries it, resuming the plan.
+// releases the previous set, so evictions waiting for its partitions may
+// start, and waits only for the reads this visit needs; any other set is
+// a plan of one visit. len(parts) must not exceed the capacity. A failed
+// read leaves the buffer consistent: the error is returned, and a later
+// LoadSet of the same set retries it, resuming the plan.
 func (s *DiskNodeStore) LoadSet(parts []int) error {
 	if len(parts) > s.capacity {
 		return fmt.Errorf("storage: set of %d partitions exceeds capacity %d", len(parts), s.capacity)
@@ -568,6 +578,9 @@ func (s *DiskNodeStore) LoadSet(parts []int) error {
 			rest = r.sets[r.visit:] // a failed or stopped run resumes its plan
 		}
 		s.stop()
+		if s.err != nil {
+			return s.err // a write-back the stopped run owed failed
+		}
 		r = s.start(rest)
 	}
 	d := r.release(s.b)
@@ -648,15 +661,25 @@ func (s *DiskNodeStore) ApplyGrads(ids []int32, grads *tensor.Tensor, opt *nn.Sp
 	return nil
 }
 
-// Flush stops a pending plan once its op in flight lands, then writes
-// back every dirty partition, in ascending partition order, so on return
-// every update is durable; the frames keep their copies. Once all of them
-// land the latched write-back error clears and the store is fully
-// consistent again. A later LoadSet of the plan's next set resumes it.
+// Flush stops a pending plan as stop does, then writes back every dirty
+// partition, in ascending partition order, so on return every update is
+// durable; the frames keep their copies. Once all of them land the
+// latched write-back error clears and the store is fully consistent
+// again. A later LoadSet of the plan's next set resumes it.
 func (s *DiskNodeStore) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stop()
+	if err := s.writeBack(); err != nil {
+		return err
+	}
+	s.err = nil
+	return nil
+}
+
+// writeBack writes every dirty partition back; the caller holds mu and has
+// stopped the run.
+func (s *DiskNodeStore) writeBack() error {
 	var err error
 	for p := range s.b.parts {
 		if o := s.b.beginWriteback(p); o.io != 0 {
@@ -664,9 +687,6 @@ func (s *DiskNodeStore) Flush() error {
 			s.b.endWriteback(p, e == nil)
 			err = cmp.Or(err, e)
 		}
-	}
-	if err == nil {
-		s.err = nil
 	}
 	return err
 }
@@ -752,9 +772,11 @@ func (s *DiskNodeStore) Snapshot() (*tensor.Tensor, []float32, error) {
 
 // Restore implements NodeStore: a pending plan is stopped, the on-disk
 // table (and accumulators) are overwritten, superseding every frame's
-// copy and the latched write-back error, and every held partition is
-// re-read so the frames reflect the restored state. A restore of the
-// wrong shape is rejected before anything changes.
+// copy and the latched write-back error, and every held frame takes the
+// restored rows (and accumulators) from table and state, so nothing is
+// read back. Without state the accumulators stay the store's: dirty
+// partitions are written back first, so every frame's equal the disk's. A
+// restore of the wrong shape is rejected before anything changes.
 func (s *DiskNodeStore) Restore(table *tensor.Tensor, state []float32) error {
 	switch {
 	case s.quant != tensor.QuantNone:
@@ -770,6 +792,11 @@ func (s *DiskNodeStore) Restore(table *tensor.Tensor, state []float32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stop()
+	if s.learnable && state == nil {
+		if err := s.writeBack(); err != nil {
+			return err
+		}
+	}
 	if err := writeFloats(s.f, 0, table.Data, &s.stats, s.throttle); err != nil {
 		return err
 	}
@@ -781,8 +808,11 @@ func (s *DiskNodeStore) Restore(table *tensor.Tensor, state []float32) error {
 	s.err = nil
 	for p := range s.b.parts {
 		if o := s.b.drop(p); o.io != 0 {
-			if err := s.partitionIO(p, s.frame(o.frame), false); err != nil {
-				return err
+			start, end := s.pt.Range(p)
+			region := s.frame(o.frame)
+			copy(region, table.Data[int(start)*s.dim:int(end)*s.dim])
+			if s.learnable && state != nil {
+				copy(region[s.pt.PartSize*s.dim:], state[start:end])
 			}
 		}
 	}

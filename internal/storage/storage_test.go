@@ -665,8 +665,9 @@ func TestEdgeStoreStatsUnified(t *testing.T) {
 
 // TestPrefetchHitMissCountersAndStagingPool: a partition a LoadSet
 // admits counts as a hit when a frame already holds it and as a miss when
-// LoadSet waits for its read, and the store's partition memory is its 2c
-// frames, however many sets it loads.
+// LoadSet waits for its read, and the store's partition memory is its
+// min(2c+1, p) frames (2c held and a landing frame), however many sets it
+// loads.
 func TestPrefetchHitMissCountersAndStagingPool(t *testing.T) {
 	dir := t.TempDir()
 	const n, dim, p, c = 80, 6, 8, 3
@@ -717,8 +718,8 @@ func TestPrefetchHitMissCountersAndStagingPool(t *testing.T) {
 		t.Fatalf("loading held partitions read %d times", d.Reads)
 	}
 
-	// Rotating every partition through the store leaves its memory at 2c
-	// frames.
+	// Rotating every partition through the store leaves its memory at
+	// min(2c+1, p) frames.
 	for round := 0; round < 5; round++ {
 		a, b := (round*2)%p, (round*2+1)%p
 		store.Plan([][]int{{a, b}, {(a + 3) % p}})
@@ -726,8 +727,8 @@ func TestPrefetchHitMissCountersAndStagingPool(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(store.frames) != 2*c*store.stride {
-		t.Fatalf("store holds %d floats of partition memory, want 2c frames of %d", len(store.frames), store.stride)
+	if len(store.frames) != min(2*c+1, p)*store.stride {
+		t.Fatalf("store holds %d floats of partition memory, want min(2c+1, p) frames of %d", len(store.frames), store.stride)
 	}
 }
 
@@ -786,5 +787,143 @@ func TestThrottleEnforcesBandwidth(t *testing.T) {
 	elapsed := time.Since(start)
 	if elapsed < 200*time.Millisecond {
 		t.Fatalf("throttle too fast: %v", elapsed)
+	}
+}
+
+// TestWriteBehindReadsBeforeRelease: a swap whose victim the previous
+// visit still computes on does not wait for it. Over P = 3, c = 1 (two
+// partitions held and a landing frame) the plan {0} {1} {2} {0} evicts
+// partition 1, which visit 1 pins, for visit 2's read: that read starts,
+// and lands, before LoadSet(2) is called, while partition 1 is written
+// back only after LoadSet(2) releases it; every row survives.
+func TestWriteBehindReadsBeforeRelease(t *testing.T) {
+	const partBytes = 10 * 4 * 4 // PartSize 10 × dim 4 × 4 bytes
+	started := make(chan struct{}, 1)
+	var pinned atomic.Bool // visit 1 may be computing on partition 1
+	var early atomic.Int64
+	store, err := CreateDiskNodeStore(DiskStoreConfig{
+		Dir: t.TempDir(), Part: partition.New(30, 3), Dim: 4, Capacity: 1, Learnable: true,
+		Init: func(id int32, row []float32) {
+			for j := range row {
+				row[j] = float32(id)
+			}
+		},
+		FS: toggleFS{inner: fault.OS, fail: new(atomic.Bool),
+			onRead: func(name string, off int64) {
+				if filepath.Base(name) == "nodes.bin" && off == 2*partBytes {
+					select {
+					case started <- struct{}{}:
+					default:
+					}
+				}
+			},
+			onWrite: func(name string, off int64) {
+				if filepath.Base(name) == "nodes.bin" && off == partBytes && pinned.Load() {
+					early.Add(1)
+				}
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sets := [][]int{{0}, {1}, {2}, {0}}
+	store.Plan(sets)
+	for _, set := range sets[:2] {
+		if err := store.LoadSet(set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned.Store(true)
+	bump(t, store, 10)
+	want := gatherRows(t, store, 10)
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("visit 2's read did not start while visit 1 pinned its victim")
+	}
+	store.mu.Lock()
+	for !store.b.parts[2].held() { // the read lands in the landing frame
+		store.ioDone.Wait()
+	}
+	store.mu.Unlock()
+	pinned.Store(false)
+	before := store.Stats().Snapshot()
+	if err := store.LoadSet(sets[2]); err != nil {
+		t.Fatal(err)
+	}
+	if d := store.Stats().Snapshot().Sub(before); d.PrefetchHits != 1 || d.PrefetchMisses != 0 {
+		t.Fatalf("LoadSet(%v) counted %d hits and %d misses, want its read landed before it", sets[2], d.PrefetchHits, d.PrefetchMisses)
+	}
+	if n := early.Load(); n != 0 {
+		t.Fatalf("partition 1 was written back %d times while visit 1 pinned it", n)
+	}
+	if err := store.LoadSet(sets[3]); err != nil {
+		t.Fatal(err)
+	}
+	store.Plan(nil)
+	if err := store.LoadSet([]int{1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := gatherRows(t, store, 10); !slices.Equal(got, want) {
+		t.Fatalf("partition 1 came back as %v, want %v", got, want)
+	}
+}
+
+// TestRestoreReadsNothing: Restore copies the restored rows and
+// accumulators into every held frame, dirty or clean, pinned or not,
+// instead of reading them back: it reads no byte, and the frames then
+// equal the restored table and state.
+func TestRestoreReadsNothing(t *testing.T) {
+	const n, dim, p, c = 60, 4, 6, 2
+	pt := partition.New(n, p)
+	store, err := CreateDiskNodeStore(DiskStoreConfig{Dir: t.TempDir(), Part: pt, Dim: dim, Capacity: c, Learnable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for _, set := range [][]int{{0, 1}, {2, 3}, {3, 4}} {
+		if err := store.LoadSet(set); err != nil {
+			t.Fatal(err)
+		}
+		bump(t, store, int32(set[0]*10), int32(set[1]*10+9))
+	}
+	rng := rand.New(rand.NewSource(11))
+	table := tensor.New(n, dim)
+	table.RandNormal(rng, 1)
+	state := make([]float32, n)
+	for i := range state {
+		state[i] = rng.Float32()
+	}
+	before := store.Stats().Snapshot()
+	if err := store.Restore(table, state); err != nil {
+		t.Fatal(err)
+	}
+	if d := store.Stats().Snapshot().Sub(before); d.BytesRead != 0 || d.Reads != 0 {
+		t.Fatalf("Restore read %d bytes in %d reads, want none", d.BytesRead, d.Reads)
+	}
+	held := 0
+	for q, st := range store.b.parts {
+		if !st.held() {
+			continue
+		}
+		held++
+		lo, hi := pt.Range(q)
+		region := store.frame(st.frame)
+		if !slices.Equal(region[:int(hi-lo)*dim], table.Data[int(lo)*dim:int(hi)*dim]) ||
+			!slices.Equal(region[pt.PartSize*dim:][:hi-lo], state[lo:hi]) {
+			t.Fatalf("partition %d's frame differs from the restored table and state", q)
+		}
+	}
+	if held < 2*c {
+		t.Fatalf("%d partitions held, want the test to cover %d", held, 2*c)
+	}
+	got, gotState, err := store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Data, table.Data) || !slices.Equal(gotState, state) {
+		t.Fatal("snapshot after Restore differs from the restored table and state")
 	}
 }

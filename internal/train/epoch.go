@@ -71,9 +71,14 @@ type task interface {
 	// examples: the only ones an epoch loads and trains. It is called
 	// once per epoch, before any load, and starts the task's epoch.
 	active(visits []policy.Visit) []int
+	// buckets returns the edge buckets plan visit pv trains on, read with
+	// the visit's fragments into v.edges, and the buffer they are
+	// appended to.
+	buckets(pv *policy.Visit) ([][2]int32, []graph.Edge)
 	// load collects into v the examples plan visit pv trains on,
 	// shuffled with vrng, and returns how many there are. It runs in
-	// strict plan order over the active visits.
+	// strict plan order over the active visits, after v's index and
+	// edges are read.
 	load(t *Trainer, pv *policy.Visit, v *visit, vrng *rand.Rand) (int, error)
 	// prepare fills pb for examples [lo, hi) of v on builder b and
 	// returns the nodes whose representations the batch needs.
@@ -221,16 +226,18 @@ func (t *Trainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
 		NumVisits: len(visits),
 		// Load runs in the loader, up to depth visits ahead of the
 		// trainer: incremental index refresh (only the swapped partitions'
-		// bucket fragments are built), example collection, shuffling and
-		// seed derivation. The seg tracker and the task carry in-order
-		// state across Load calls, which the executor runs sequentially.
+		// bucket fragments are built) and the task's edge buckets, read as
+		// one request, then example collection, shuffling and seed
+		// derivation. The seg tracker and the task carry in-order state
+		// across Load calls, which the executor runs sequentially.
 		Load: func(vi int) (*visit, error) {
 			pv := &visits[vi]
-			adj, err := t.seg.refresh(t.Src, pv.Mem)
-			if err != nil {
+			v := &visit{}
+			buckets, dst := t.task.buckets(pv)
+			var err error
+			if v.adj, v.edges, err = t.seg.refresh(t.Src, pv.Mem, buckets, dst); err != nil {
 				return nil, err
 			}
-			v := &visit{adj: adj}
 			vrng := rand.New(rand.NewSource(seeds[vi]))
 			if v.n, err = t.task.load(t, pv, v, vrng); err != nil {
 				return nil, err
@@ -279,6 +286,9 @@ func (t *Trainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
 	cfg := pipeline.Config{Depth: t.cfg.depth, Workers: t.cfg.workers, Instr: t.cfg.obs.instr()}
 	if err := pipeline.Run(ctx, cfg, ep, &stats.Pipeline); err != nil {
 		return stats, err
+	}
+	if disk != nil {
+		disk.Plan(nil) // the last visits' evictions land in this epoch
 	}
 
 	stats.Duration = time.Since(start)

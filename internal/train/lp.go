@@ -72,20 +72,17 @@ func (lp *lpTask) active(visits []policy.Visit) []int {
 	return walk
 }
 
-// load reads the training-example buckets assigned to the visit (X_i)
-// and lists the resident nodes, to which negative sampling is restricted
-// (paper §3).
+// buckets returns the training-example buckets assigned to the visit
+// (X_i) and a pooled buffer for their edges.
+func (lp *lpTask) buckets(pv *policy.Visit) ([][2]int32, []graph.Edge) {
+	return pv.Buckets, lp.edges.get()[:0]
+}
+
+// load shuffles the visit's training edges and lists the resident nodes,
+// to which negative sampling is restricted (paper §3).
 func (lp *lpTask) load(t *Trainer, pv *policy.Visit, v *visit, vrng *rand.Rand) (int, error) {
-	edges := lp.edges.get()[:0]
-	var err error
-	for _, b := range pv.Buckets {
-		if edges, err = t.Src.Edges.ReadBucket(int(b[0]), int(b[1]), edges); err != nil {
-			lp.edges.put(edges)
-			return 0, err
-		}
-	}
+	edges := v.edges
 	vrng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	v.edges = edges
 	v.pool = t.Src.residentNodePool(lp.nodes.get()[:0], pv.Mem)
 	return len(edges), nil
 }

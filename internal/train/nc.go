@@ -91,6 +91,9 @@ func (nc *ncTask) active(visits []policy.Visit) []int {
 	return walk
 }
 
+// buckets is empty: node classification trains on nodes, not edges.
+func (nc *ncTask) buckets(*policy.Visit) ([][2]int32, []graph.Edge) { return nil, nil }
+
 // load collects the visit's targets: training nodes whose partition
 // became resident and has not been trained on yet this epoch. Under the
 // §5.2 NodeCache policy they all appear in the first visit's partitions;

@@ -113,21 +113,31 @@ func (src *Source) FragCache() *storage.FragCache {
 // visit's by swapping only the changed partitions; views are immutable,
 // so visits still in flight keep sampling from theirs.
 type segTracker struct {
-	seg *graph.Segmented
+	seg   *graph.Segmented
+	lacks [][2]int32
 }
 
 // refresh returns the view for mem, reusing every fragment shared with
-// the previous visit.
-func (st *segTracker) refresh(src *Source, mem []int) (*graph.Segmented, error) {
+// the previous visit, and appends the edges of buckets to dst. The
+// buckets of the fragments the view lacks and the cache does not hold
+// are read with buckets as one edge request (FragCache.Fetch), so a
+// visit's edge reads queue once on a throttled disk, not per bucket.
+func (st *segTracker) refresh(src *Source, mem []int, buckets [][2]int32, dst []graph.Edge) (*graph.Segmented, []graph.Edge, error) {
+	fc := src.FragCache()
 	if st.seg == nil {
-		st.seg = graph.NewSegmented(src.FragCache())
+		st.seg = graph.NewSegmented(fc)
+	}
+	st.lacks = st.seg.Lacks(st.lacks[:0], mem)
+	dst, err := fc.Fetch(st.lacks, buckets, dst)
+	if err != nil {
+		return nil, dst, err
 	}
 	seg, err := st.seg.Swap(mem)
 	if err != nil {
-		return nil, err
+		return nil, dst, err
 	}
 	st.seg = seg
-	return seg, nil
+	return seg, dst, nil
 }
 
 // residentNodePool appends every node ID whose partition is in mem to

@@ -4,9 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/policy"
 	"repro/marius"
@@ -14,8 +18,9 @@ import (
 
 // lpDiskRWSession is the lp-disk-rw benchmark's layout at test size: a
 // learnable table scored by ComplEx over P = 16 partitions, COMET with
-// L = 8 and c = 4, paged from disk under dir, or in memory when dir is "".
-func lpDiskRWSession(t *testing.T, dir string, pol policy.Policy, depth, workers int) *marius.Session {
+// L = 8 and c = 4, paged from disk under dir, or in memory when dir is "";
+// extra options are applied last.
+func lpDiskRWSession(t *testing.T, dir string, pol policy.Policy, depth, workers int, extra ...marius.Option) *marius.Session {
 	t.Helper()
 	g := gen.KG(gen.KGConfig{
 		NumEntities: 1600, NumRelations: 8, NumEdges: 12000,
@@ -25,11 +30,11 @@ func lpDiskRWSession(t *testing.T, dir string, pol policy.Policy, depth, workers
 	if dir != "" {
 		layout = marius.WithDisk(dir, marius.Partitions(16), marius.Capacity(4), marius.LogicalPartitions(8))
 	}
-	sess, err := marius.New(marius.LinkPrediction(), g,
+	sess, err := marius.New(marius.LinkPrediction(), g, append([]marius.Option{
 		marius.WithModel(marius.GraphSage), marius.WithFanouts(6), marius.WithDecoder(marius.ComplEx),
 		marius.WithDim(16), marius.WithBatchSize(512), marius.WithNegatives(32), layout,
 		marius.WithPolicyImpl(pol), marius.WithWorkers(workers), marius.WithPipeline(depth), marius.WithSeed(44),
-	)
+	}, extra...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,5 +97,64 @@ func TestScheduleLPDiskRW(t *testing.T) {
 				t.Fatal("checkpoint differs from the in-memory session's")
 			}
 		})
+	}
+}
+
+// slowNodeWrites delays each write to the node table file once armed, so
+// an epoch's last write-backs are still in flight after its last batch.
+type slowNodeWrites struct {
+	fault.FS
+	armed *atomic.Bool
+}
+
+func (s slowNodeWrites) Create(name string) (fault.File, error) {
+	f, err := s.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return slowNodeFile{f, s.armed}, nil
+}
+
+type slowNodeFile struct {
+	fault.File
+	armed *atomic.Bool
+}
+
+func (f slowNodeFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.armed.Load() && filepath.Base(f.Name()) == "nodes.bin" {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestWriteBehindEpochOwnsItsIO: with write-behind eviction a swap's
+// write-back may land after the LoadSet that needed its frame, even after
+// the epoch's last batch has computed; TrainEpoch still counts every byte
+// its visits read and wrote in that epoch's IO, so the epochs' IO adds up
+// to the store's counters, at every pipeline geometry.
+func TestWriteBehindEpochOwnsItsIO(t *testing.T) {
+	comet := policy.Comet{P: 16, L: 8, C: 4}
+	for _, geo := range [][2]int{{0, 1}, {2, 4}} {
+		armed := new(atomic.Bool)
+		sess := lpDiskRWSession(t, t.TempDir(), comet, geo[0], geo[1], marius.WithFaults(slowNodeWrites{fault.OS, armed}))
+		disk := sess.Task().Source().Disk
+		armed.Store(true)
+		var read, written int64
+		for range 2 {
+			st, err := sess.TrainEpoch(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			read, written = read+st.IO.BytesRead, written+st.IO.BytesWritten
+			if io := disk.Stats().Snapshot(); io.BytesRead != read || io.BytesWritten != written {
+				t.Fatalf("depth %d workers %d: epochs counted %d bytes read and %d written, the store %d and %d",
+					geo[0], geo[1], read, written, io.BytesRead, io.BytesWritten)
+			}
+		}
+		if written == 0 {
+			t.Fatalf("depth %d workers %d: no write-back to check", geo[0], geo[1])
+		}
+		armed.Store(false)
+		sess.Close()
 	}
 }
