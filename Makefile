@@ -98,11 +98,14 @@ race-pipeline:
 # detector only slows them) and the store's restore/flush/planned-load and
 # random-operation tests, the write-behind read that lands before its
 # victim's visit is released (TestWriteBehindReadsBeforeRelease), a
-# visit's edge buckets read as one throttled request
-# (TestDiskEdgeStoreReadBucketsChargesOneWait, TestFragCacheFetchIsOneRequest),
-# the lp-disk-rw-shaped session whose compiled IO must not depend on depth
-# or workers (TestScheduleLPDiskRW) and whose epochs count every
-# write-back they owe (TestWriteBehindEpochOwnsItsIO), serve
+# view's missing edge buckets and the whole edge file each read as one
+# throttled request (TestDiskEdgeStoreReadBucketsChargesOneWait with its
+# ReadAllEdges case, TestSwapReadsMissesAsOneRequest), the
+# lp-disk-rw-shaped session whose compiled IO, edge bytes included, must
+# not depend on depth or workers (TestScheduleLPDiskRW) and whose epochs
+# count every write-back they owe (TestWriteBehindEpochOwnsItsIO), the
+# epoch that refuses a training bucket outside its visit before any step
+# (TestLPRefusesBucketOutsideItsVisit), serve
 # resilience (shedding, deadlines, panic containment, reload), the serve
 # dispatch rule (what is queued is taken at once, an idle request never
 # waits) with the three gated co-batch
@@ -111,7 +114,8 @@ race-pipeline:
 # transient-weather differentials.
 race-fault:
 	$(GO) test -race ./internal/fault/
-	$(GO) test -race -short -run 'Fault|Evict|Retry|Buffer|Schedule|Restore|Flush|Prefetch|Disk|WriteBehind|Fetch' ./internal/storage/
+	$(GO) test -race -short -run 'Fault|Evict|Retry|Buffer|Schedule|Restore|Flush|Prefetch|Disk|WriteBehind|SwapReadsMisses' ./internal/storage/
+	$(GO) test -race -run 'RefusesBucket' ./internal/train/
 	$(GO) test -race -run 'Shed|Timeout|Panic|Reload|Dispatch|Idle|MicroBatched|TopKGNNDeterministic|TopKFiltered|PredictMatchesEval' ./internal/serve/
 	$(GO) test -race -run 'Crash|Resume|Journal|Weather|Schedule|WriteBehind' ./internal/ckpt/ ./internal/dataset/ ./marius/
 

@@ -126,14 +126,24 @@
 // only the admitted rows' and columns' fragments — a one-partition
 // BETA/COMET swap touches O(c) buckets instead of rebuilding O(c²), and
 // views are immutable so pipelined in-flight visits keep sampling from
-// theirs. The ordering contract makes the index swap invisible to
-// training: a node's neighbor list is its per-bucket segments
-// concatenated in ascending resident-partition order, exactly the order
-// graph.BuildAdjacency produces over the flattened buckets (counting
-// sort is stable), so samplers draw identical sequences from either
-// index for the same RNG state — enforced by differential tests over
-// randomized swap sequences, which keeps trajectories and checkpoints
-// byte-identical.
+// theirs. Swap looks its missing fragments up in one FragCache.Frags
+// call: the cached ones are hits, and the rest are read as one
+// edge-store request (one throttle charge per visit) and built. The
+// ordering contract makes the index swap invisible to training: a node's
+// neighbor list is its per-bucket segments concatenated in ascending
+// resident-partition order, exactly the order graph.BuildAdjacency
+// produces over the flattened buckets (counting sort is stable), so
+// samplers draw identical sequences from either index for the same RNG
+// state — enforced by differential tests over randomized swap sequences,
+// which keeps trajectories and checkpoints byte-identical.
+//
+// A fragment also keeps its bucket's file order: beside the 16 bytes per
+// edge of its two CSR views it stores each out-CSR entry's index in the
+// bucket (4 more), and Segmented.AppendEdges gives a resident bucket's
+// edges back exactly as the edge store holds them. Link prediction takes
+// its training edges from the visit's view that way, so both tasks read
+// edges through the one Swap, and an edge byte is read at most once per
+// visit (again only when the cache has dropped its fragment).
 //
 // The sampling hot path is allocation-free at steady state: Floyd
 // subset sampling uses a caller-owned generation-stamped scratch

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // This file implements the incremental, bucket-segmented adjacency index.
@@ -24,7 +25,10 @@ import (
 // byte-for-byte the order BuildAdjacency produces over edges read
 // bucket-by-bucket in ascending (i, j) order (counting sort is stable).
 // Samplers therefore draw identical neighbor sequences from either index
-// for the same RNG state.
+// for the same RNG state. A fragment also keeps its bucket's file order
+// (each out-CSR entry's index in it), so AppendEdges gives back the edges
+// of any resident bucket exactly as the edge store holds them: link
+// prediction trains on the view's buckets, not on a second read.
 
 // BucketFrag is the immutable CSR fragment of one edge bucket (i, j): the
 // bucket's edges sorted by source over partition i's node range (out view)
@@ -36,6 +40,7 @@ type BucketFrag struct {
 	outOff       []int32
 	outDst       []int32
 	outRel       []int32 // relation of each outgoing edge, parallel to outDst
+	outPos       []int32 // index of each outgoing edge in the bucket's file order
 	inOff        []int32
 	inSrc        []int32
 	inRel        []int32 // relation of each incoming edge, parallel to inSrc
@@ -46,7 +51,8 @@ type BucketFrag struct {
 // edge-bucket contract of partition.Buckets. The sort is stable, so
 // within-bucket neighbor order matches BuildAdjacency's; edge relations
 // ride the same sort into parallel arrays, extending the ordering
-// contract to typed edges.
+// contract to typed edges, and so does each edge's index in edges, from
+// which AppendEdges restores the bucket's order.
 func BuildBucketFrag(srcLo, srcHi, dstLo, dstHi int32, edges []Edge) *BucketFrag {
 	f := &BucketFrag{
 		srcLo: srcLo, srcHi: srcHi, dstLo: dstLo, dstHi: dstHi,
@@ -54,6 +60,7 @@ func BuildBucketFrag(srcLo, srcHi, dstLo, dstHi int32, edges []Edge) *BucketFrag
 		inOff:  make([]int32, dstHi-dstLo+1),
 		outDst: make([]int32, len(edges)),
 		outRel: make([]int32, len(edges)),
+		outPos: make([]int32, len(edges)),
 		inSrc:  make([]int32, len(edges)),
 		inRel:  make([]int32, len(edges)),
 	}
@@ -69,11 +76,12 @@ func BuildBucketFrag(srcLo, srcHi, dstLo, dstHi int32, edges []Edge) *BucketFrag
 	}
 	outCur := make([]int32, srcHi-srcLo)
 	inCur := make([]int32, dstHi-dstLo)
-	for _, e := range edges {
+	for k, e := range edges {
 		s, d := e.Src-srcLo, e.Dst-dstLo
 		o := f.outOff[s] + outCur[s]
 		f.outDst[o] = e.Dst
 		f.outRel[o] = e.Rel
+		f.outPos[o] = int32(k)
 		outCur[s]++
 		i := f.inOff[d] + inCur[d]
 		f.inSrc[i] = e.Src
@@ -138,8 +146,8 @@ func (f *BucketFrag) inRels(v int32) []int32 {
 }
 
 // FragSource provides bucket fragments on demand (the storage layer's
-// fragment cache). Frag must return an immutable fragment for bucket
-// (i, j); repeated calls for the same bucket should be cheap.
+// fragment cache). Frags returns immutable fragments; repeated lookups of
+// a bucket should be cheap.
 type FragSource interface {
 	// NumNodes is the global node-ID space size.
 	NumNodes() int
@@ -147,8 +155,10 @@ type FragSource interface {
 	NumPartitions() int
 	// PartSize is the contiguous per-partition node count.
 	PartSize() int
-	// Frag returns the fragment of edge bucket (i, j).
-	Frag(i, j int) (*BucketFrag, error)
+	// Frags appends to dst the fragment of each of buckets, in order, and
+	// returns the extended slice. It is one lookup: the buckets it has to
+	// read are read as one request.
+	Frags(buckets [][2]int32, dst []*BucketFrag) ([]*BucketFrag, error)
 }
 
 // Segmented is a visit-level adjacency view over the resident partitions'
@@ -194,10 +204,11 @@ func newMemIdx(p int, mem []int) []int32 {
 }
 
 // Swap returns the view for the given resident partition set, reusing
-// every fragment of s whose bucket stays resident and fetching only the
-// fragments of admitted rows and columns from the source. mem must be
-// sorted ascending (as policy visits are); s is left untouched, so views
-// of in-flight pipelined visits remain valid.
+// every fragment of s whose bucket stays resident and looking up the
+// fragments of admitted rows and columns in one call to the source, in
+// row-major order over mem. mem must be sorted ascending (as policy
+// visits are); s is left untouched, so views of in-flight pipelined
+// visits remain valid.
 func (s *Segmented) Swap(mem []int) (*Segmented, error) {
 	p := len(s.memIdx)
 	ns := &Segmented{
@@ -221,26 +232,27 @@ func (s *Segmented) Swap(mem []int) (*Segmented, error) {
 		ns.rows[a] = make([]*BucketFrag, len(mem))
 		ns.cols[a] = make([]*BucketFrag, len(mem))
 	}
+	var lacks [][2]int32
 	for a, i := range ns.mem {
-		oi := int32(-1)
-		if i < len(s.memIdx) {
-			oi = s.memIdx[i]
-		}
 		for b, j := range ns.mem {
-			var f *BucketFrag
-			if oi >= 0 {
-				if oj := s.memIdx[j]; oj >= 0 {
-					f = s.rows[oi][oj]
-				}
+			if oi, oj := s.memIdx[i], s.memIdx[j]; oi >= 0 && oj >= 0 {
+				ns.rows[a][b] = s.rows[oi][oj]
+			} else {
+				lacks = append(lacks, [2]int32{int32(i), int32(j)})
 			}
+		}
+	}
+	frags, err := s.src.Frags(lacks, nil)
+	if err != nil {
+		return nil, fmt.Errorf("graph: fragments of %v: %w", mem, err)
+	}
+	for a := range ns.mem {
+		for b := range ns.mem {
+			f := ns.rows[a][b]
 			if f == nil {
-				var err error
-				f, err = s.src.Frag(i, j)
-				if err != nil {
-					return nil, fmt.Errorf("graph: fragment (%d,%d): %w", i, j, err)
-				}
+				f, frags = frags[0], frags[1:]
+				ns.rows[a][b] = f
 			}
-			ns.rows[a][b] = f
 			ns.cols[b][a] = f
 			ns.numEdges += f.NumEdges()
 		}
@@ -248,19 +260,26 @@ func (s *Segmented) Swap(mem []int) (*Segmented, error) {
 	return ns, nil
 }
 
-// Lacks appends to dst the buckets of mem's view that s does not share:
-// the fragments Swap(mem) looks up in its source, in the order it looks
-// them up. Partitions out of range are left for Swap to refuse.
-func (s *Segmented) Lacks(dst [][2]int32, mem []int) [][2]int32 {
-	p := len(s.memIdx)
-	for _, i := range mem {
-		for _, j := range mem {
-			if i >= 0 && i < p && j >= 0 && j < p && (s.memIdx[i] < 0 || s.memIdx[j] < 0) {
-				dst = append(dst, [2]int32{int32(i), int32(j)})
+// AppendEdges appends the edges of each of buckets to dst, every bucket in
+// its file order, and returns the extended slice: what reading them from
+// the edge store would give, without a read. A bucket whose partitions
+// are not both resident is refused, and dst is returned as it came.
+func (s *Segmented) AppendEdges(dst []Edge, buckets [][2]int32) ([]Edge, error) {
+	n := len(dst)
+	for _, ij := range buckets {
+		i, j := int(ij[0]), int(ij[1])
+		if i < 0 || i >= len(s.memIdx) || j < 0 || j >= len(s.memIdx) || s.memIdx[i] < 0 || s.memIdx[j] < 0 {
+			return dst[:n], fmt.Errorf("graph: bucket (%d,%d) outside the resident set %v", i, j, s.mem)
+		}
+		f, at := s.rows[s.memIdx[i]][s.memIdx[j]], len(dst)
+		dst = slices.Grow(dst, f.NumEdges())[:at+f.NumEdges()]
+		for r := range len(f.outOff) - 1 { // out-CSR row r is source srcLo+r
+			for o := f.outOff[r]; o < f.outOff[r+1]; o++ {
+				dst[at+int(f.outPos[o])] = Edge{Src: f.srcLo + int32(r), Rel: f.outRel[o], Dst: f.outDst[o]}
 			}
 		}
 	}
-	return dst
+	return dst, nil
 }
 
 // Mem returns the sorted resident partition set (a view; do not mutate).

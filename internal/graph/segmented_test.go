@@ -2,15 +2,17 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // memFrags is an in-memory FragSource over a contiguous partitioning,
-// counting Frag calls so tests can assert swap incrementality.
+// counting the fragments looked up and the Frags calls so tests can assert
+// swap incrementality.
 type memFrags struct {
 	numNodes, numParts, partSize int
 	buckets                      [][]Edge
-	calls                        int
+	calls, lookups               int
 }
 
 func newMemFrags(numNodes, numParts int, edges []Edge) *memFrags {
@@ -37,11 +39,16 @@ func (m *memFrags) partRange(i int) (int32, int32) {
 	return int32(lo), int32(hi)
 }
 
-func (m *memFrags) Frag(i, j int) (*BucketFrag, error) {
-	m.calls++
-	srcLo, srcHi := m.partRange(i)
-	dstLo, dstHi := m.partRange(j)
-	return BuildBucketFrag(srcLo, srcHi, dstLo, dstHi, m.buckets[i*m.numParts+j]), nil
+func (m *memFrags) Frags(buckets [][2]int32, dst []*BucketFrag) ([]*BucketFrag, error) {
+	m.lookups++
+	for _, b := range buckets {
+		i, j := int(b[0]), int(b[1])
+		m.calls++
+		srcLo, srcHi := m.partRange(i)
+		dstLo, dstHi := m.partRange(j)
+		dst = append(dst, BuildBucketFrag(srcLo, srcHi, dstLo, dstHi, m.buckets[i*m.numParts+j]))
+	}
+	return dst, nil
 }
 
 // memEdgesOf flattens the pairwise buckets of mem in ascending (i, j)
@@ -178,7 +185,7 @@ func equalInt32(a, b []int32) bool {
 
 // TestSegmentedSwapIsIncremental: a one-partition swap must fetch only
 // the admitted partition's row and column fragments (2c-1 buckets), not
-// the full c².
+// the full c², in one lookup.
 func TestSegmentedSwapIsIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	edges := make([]Edge, 3000)
@@ -191,23 +198,81 @@ func TestSegmentedSwapIsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.calls != c*c {
-		t.Fatalf("initial fill fetched %d fragments, want %d", src.calls, c*c)
+	if src.calls != c*c || src.lookups != 1 {
+		t.Fatalf("initial fill fetched %d fragments in %d lookups, want %d in 1", src.calls, src.lookups, c*c)
 	}
-	src.calls = 0
+	src.calls, src.lookups = 0, 0
 	seg, err = seg.Swap([]int{0, 1, 2, 5}) // evict 3, admit 5
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2*c - 1; src.calls != want {
-		t.Fatalf("one-partition swap fetched %d fragments, want %d", src.calls, want)
+	if want := 2*c - 1; src.calls != want || src.lookups != 1 {
+		t.Fatalf("one-partition swap fetched %d fragments in %d lookups, want %d in 1", src.calls, src.lookups, want)
 	}
-	src.calls = 0
+	src.calls, src.lookups = 0, 0
 	if _, err := seg.Swap([]int{0, 1, 2, 5}); err != nil { // no-op swap
 		t.Fatal(err)
 	}
 	if src.calls != 0 {
 		t.Fatalf("identical swap fetched %d fragments, want 0", src.calls)
+	}
+}
+
+// TestSegmentedAppendEdgesKeepsFileOrder: across a randomized swap
+// sequence, AppendEdges gives back any list of resident buckets exactly
+// as the buckets hold them (file order, relations included), concatenated
+// in the order listed — whether the view built the fragment in this swap
+// or shared it from an earlier one — and refuses a bucket with a
+// partition outside the view, leaving dst as it was.
+func TestSegmentedAppendEdgesKeepsFileOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n, p, c = 300, 6, 3
+	edges := make([]Edge, 4000)
+	for i := range edges {
+		edges[i] = Edge{Src: int32(rng.Intn(n)), Rel: int32(rng.Intn(5)), Dst: int32(rng.Intn(n))}
+	}
+	src := newMemFrags(n, p, edges)
+	seg := NewSegmented(src)
+	mem := randomMemSet(rng, p, c)
+	for step := 0; step < 10; step++ {
+		var err error
+		if seg, err = seg.Swap(mem); err != nil {
+			t.Fatal(err)
+		}
+		var buckets [][2]int32
+		var want []Edge
+		for _, k := range rng.Perm(c * c) {
+			i, j := mem[k/c], mem[k%c]
+			buckets = append(buckets, [2]int32{int32(i), int32(j)})
+			want = append(want, src.buckets[i*p+j]...)
+		}
+		got, err := seg.AppendEdges([]Edge{{Src: -1}}, buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want)+1 || got[0] != (Edge{Src: -1}) {
+			t.Fatalf("step %d: AppendEdges returned %d edges after the prefix, want %d", step, len(got)-1, len(want))
+		}
+		for k := range want {
+			if got[k+1] != want[k] {
+				t.Fatalf("step %d: edge %d = %v, want %v", step, k, got[k+1], want[k])
+			}
+		}
+		out := 0
+		for out < p && slices.Contains(mem, out) {
+			out++
+		}
+		for _, b := range [][2]int32{{int32(mem[0]), int32(out)}, {int32(out), int32(mem[0])}, {int32(mem[0]), int32(p)}, {-1, int32(mem[0])}} {
+			dst := []Edge{{Src: 7}}
+			got, err := seg.AppendEdges(dst, append(buckets[:1:1], b))
+			if err == nil {
+				t.Fatalf("step %d: bucket %v outside %v accepted", step, b, mem)
+			}
+			if !slices.Equal(got, dst) {
+				t.Fatalf("step %d: refused AppendEdges left %d edges in dst, want the 1 it had", step, len(got))
+			}
+		}
+		mem = swapOne(rng, mem, p)
 	}
 }
 

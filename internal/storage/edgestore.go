@@ -45,25 +45,19 @@ type EdgeStore interface {
 // (0,0), (0,1), ..., (p-1,p-1): the flattened order the segmented
 // training index exposes. Evaluation and serving build their full-graph
 // adjacency from it, so both sample from one neighbor layout whatever
-// store the edges live in.
+// store the edges live in. It is one request (EdgeStore.ReadBuckets), so
+// a disk store charges its throttle once, for the whole file.
 func ReadAllEdges(es EdgeStore) ([]graph.Edge, error) {
 	p := es.NumPartitions()
-	var total int64
+	buckets := make([][2]int32, 0, p*p)
+	total := 0
 	for i := 0; i < p; i++ {
 		for j := 0; j < p; j++ {
-			total += int64(es.BucketLen(i, j))
+			buckets = append(buckets, [2]int32{int32(i), int32(j)})
+			total += es.BucketLen(i, j)
 		}
 	}
-	edges := make([]graph.Edge, 0, total)
-	var err error
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if edges, err = es.ReadBucket(i, j, edges); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return edges, nil
+	return es.ReadBuckets(buckets, make([]graph.Edge, 0, total))
 }
 
 // MemoryEdgeStore keeps all buckets in memory.
@@ -167,17 +161,17 @@ func (s *DiskEdgeStore) ReadBuckets(buckets [][2]int32, dst []graph.Edge) ([]gra
 		if start == end {
 			continue
 		}
-		bp := getReadBuf(int(end-start) * edgeBytes)
+		bp := getIOBuf(int(end-start) * edgeBytes)
 		buf := *bp
 		if err := readFull(s.f, buf, start*edgeBytes, &s.stats); err != nil {
-			readBufs.Put(bp)
+			ioBufs.Put(bp)
 			return dst, fmt.Errorf("storage: read bucket (%d,%d): %w", ij[0], ij[1], err)
 		}
 		s.stats.BytesRead.Add(int64(len(buf)))
 		s.stats.Reads.Add(1)
 		n += len(buf)
 		dst = decodeEdges(buf, dst)
-		readBufs.Put(bp)
+		ioBufs.Put(bp)
 	}
 	return dst, nil
 }

@@ -16,10 +16,12 @@ import (
 // fragments for upcoming visits ahead of the trainer simply by composing
 // their views on the prefetch goroutine.
 //
-// A trainer's loader reads each visit's edges as one request (Fetch): the
-// buckets of the fragments its view lacks and the cache does not hold,
-// and the visit's training buckets. Fetch stages the fragments it built,
-// and the view's next lookups take them as the misses their reads were.
+// A swap looks up all the fragments its view lacks in one Frags call:
+// the cached ones are hits, and the rest are read as one edge-store
+// request (one throttle charge per visit), built, and counted as misses.
+// A fragment keeps its bucket's file order, so the trainer takes link
+// prediction's training edges from the view too: every edge byte a visit
+// needs is read at most once.
 //
 // Fragments are immutable once built, so cached pointers may be shared by
 // concurrent samplers and remain valid after eviction (eviction only
@@ -32,14 +34,14 @@ type FragCache struct {
 
 	mu      sync.Mutex
 	frags   map[int]*fragEntry
-	staged  map[int]*graph.BucketFrag // built by Fetch, not yet looked up
 	tick    int64
 	scratch []graph.Edge
-	reqs    [][2]int32
 
 	hits, misses atomic.Int64
 }
 
+// fragEntry is a cached fragment; f is nil while its bucket's read is in
+// flight (inside Frags, under the lock).
 type fragEntry struct {
 	f    *graph.BucketFrag
 	last int64
@@ -53,7 +55,7 @@ func NewFragCache(es EdgeStore, pt partition.Partitioning, capBuckets int) *Frag
 	if capBuckets < 1 {
 		capBuckets = 1
 	}
-	return &FragCache{es: es, pt: pt, cap: capBuckets, frags: make(map[int]*fragEntry), staged: make(map[int]*graph.BucketFrag)}
+	return &FragCache{es: es, pt: pt, cap: capBuckets, frags: make(map[int]*fragEntry)}
 }
 
 // NumNodes implements graph.FragSource.
@@ -65,32 +67,62 @@ func (c *FragCache) NumPartitions() int { return c.pt.NumPartitions }
 // PartSize implements graph.FragSource.
 func (c *FragCache) PartSize() int { return c.pt.PartSize }
 
-// Frag implements graph.FragSource: it returns bucket (i, j)'s fragment,
-// building it from an EdgeStore read on a cache miss (or taking the one
-// Fetch staged) and evicting the least-recently-used fragment when over
-// capacity.
-func (c *FragCache) Frag(i, j int) (*graph.BucketFrag, error) {
-	key := c.pt.BucketID(i, j)
+// Frags implements graph.FragSource. It looks the buckets up in order, as
+// one lookup after another would: a cached fragment is a hit; a missing
+// one is a miss, enters the cache at once and may evict the
+// least-recently-used fragment (even one a later bucket of the call would
+// have hit). The misses' buckets are then read as one request
+// (EdgeStore.ReadBuckets) and built.
+func (c *FragCache) Frags(buckets [][2]int32, dst []*graph.BucketFrag) ([]*graph.BucketFrag, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tick++
-	if e, ok := c.frags[key]; ok {
-		e.last = c.tick
-		c.hits.Add(1)
-		return e.f, nil
+	ents := make([]*fragEntry, len(buckets))
+	var reqs [][2]int32
+	var built []*fragEntry // parallel to reqs
+	for k, b := range buckets {
+		key := c.pt.BucketID(int(b[0]), int(b[1]))
+		c.tick++
+		e, ok := c.frags[key]
+		if ok {
+			e.last = c.tick
+			c.hits.Add(1)
+		} else {
+			c.misses.Add(1)
+			e = &fragEntry{last: c.tick}
+			c.insert(key, e)
+			reqs, built = append(reqs, b), append(built, e)
+		}
+		ents[k] = e
 	}
-	c.misses.Add(1)
-	f, ok := c.staged[key]
-	if ok {
-		delete(c.staged, key)
-	} else {
-		edges, err := c.es.ReadBucket(i, j, c.scratch[:0])
+	if len(reqs) > 0 {
+		edges, err := c.es.ReadBuckets(reqs, c.scratch[:0])
 		if err != nil {
-			return nil, err
+			for k, e := range built {
+				if key := c.pt.BucketID(int(reqs[k][0]), int(reqs[k][1])); c.frags[key] == e {
+					delete(c.frags, key)
+				}
+			}
+			return dst, err
 		}
 		c.scratch = edges[:0]
-		f = c.build(i, j, edges)
+		for k, b := range reqs {
+			i, j := int(b[0]), int(b[1])
+			n := c.es.BucketLen(i, j)
+			srcLo, srcHi := c.pt.Range(i)
+			dstLo, dstHi := c.pt.Range(j)
+			built[k].f = graph.BuildBucketFrag(srcLo, srcHi, dstLo, dstHi, edges[:n])
+			edges = edges[n:]
+		}
 	}
+	for _, e := range ents {
+		dst = append(dst, e.f)
+	}
+	return dst, nil
+}
+
+// insert caches e under key, evicting the least-recently-used fragment
+// when at capacity.
+func (c *FragCache) insert(key int, e *fragEntry) {
 	for len(c.frags) >= c.cap {
 		lruKey, lruLast := -1, c.tick+1
 		for k, e := range c.frags {
@@ -100,52 +132,7 @@ func (c *FragCache) Frag(i, j int) (*graph.BucketFrag, error) {
 		}
 		delete(c.frags, lruKey)
 	}
-	c.frags[key] = &fragEntry{f: f, last: c.tick}
-	return f, nil
-}
-
-// build counting-sorts bucket (i, j)'s edges into its fragment.
-func (c *FragCache) build(i, j int, edges []graph.Edge) *graph.BucketFrag {
-	srcLo, srcHi := c.pt.Range(i)
-	dstLo, dstHi := c.pt.Range(j)
-	return graph.BuildBucketFrag(srcLo, srcHi, dstLo, dstHi, edges)
-}
-
-// Fetch appends the edges of buckets to dst and builds the fragments of
-// the buckets in lacks that the cache does not hold, reading both as one
-// edge-store request (EdgeStore.ReadBuckets). lacks is what a view's next
-// Swap looks up (graph.Segmented.Lacks): each fragment built waits,
-// staged, for that lookup, which counts it as the miss its read was; a
-// later Fetch drops any left.
-func (c *FragCache) Fetch(lacks, buckets [][2]int32, dst []graph.Edge) ([]graph.Edge, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	clear(c.staged)
-	reqs := append(c.reqs[:0], buckets...)
-	for _, b := range lacks {
-		if _, ok := c.frags[c.pt.BucketID(int(b[0]), int(b[1]))]; !ok {
-			reqs = append(reqs, b)
-		}
-	}
-	c.reqs = reqs
-	mark := len(dst)
-	for _, b := range buckets {
-		mark += c.es.BucketLen(int(b[0]), int(b[1]))
-	}
-	// The training buckets' edges come first, in dst; the fragments'
-	// follow them and are cut off once built.
-	dst, err := c.es.ReadBuckets(reqs, dst)
-	if err != nil {
-		return dst, err
-	}
-	at := mark
-	for _, b := range reqs[len(buckets):] {
-		i, j := int(b[0]), int(b[1])
-		n := c.es.BucketLen(i, j)
-		c.staged[c.pt.BucketID(i, j)] = c.build(i, j, dst[at:at+n])
-		at += n
-	}
-	return dst[:mark], nil
+	c.frags[key] = e
 }
 
 // Stats returns the cumulative hit and miss counts (a hit serves a

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"sync"
@@ -19,18 +20,27 @@ func fragTestEdges(n, m int, seed int64) []graph.Edge {
 	return edges
 }
 
+// frag looks bucket (i, j)'s fragment up on its own.
+func frag(fc *FragCache, i, j int) (*graph.BucketFrag, error) {
+	fs, err := fc.Frags([][2]int32{{int32(i), int32(j)}}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return fs[0], nil
+}
+
 func TestFragCacheServesHitsWithoutRereads(t *testing.T) {
 	edges := fragTestEdges(100, 2000, 1)
 	pt := partition.New(100, 4)
 	es := NewMemoryEdgeStore(pt, edges)
 	fc := NewFragCache(es, pt, 16)
 
-	f1, err := fc.Frag(1, 2)
+	f1, err := frag(fc, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reads := es.Stats().Snapshot().Reads
-	f2, err := fc.Frag(1, 2)
+	f2, err := frag(fc, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +63,7 @@ func TestFragCacheEvictsLRU(t *testing.T) {
 
 	mustFrag := func(i, j int) *graph.BucketFrag {
 		t.Helper()
-		f, err := fc.Frag(i, j)
+		f, err := frag(fc, i, j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +131,7 @@ func TestFragCacheConcurrentEviction(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for k := 0; k < iters; k++ {
-				if _, err := fc.Frag(rng.Intn(parts), rng.Intn(parts)); err != nil {
+				if _, err := frag(fc, rng.Intn(parts), rng.Intn(parts)); err != nil {
 					errCh <- err
 					return
 				}
@@ -176,7 +186,7 @@ func TestFragCacheMatchesBucketsOnDisk(t *testing.T) {
 
 	for i := 0; i < pt.NumPartitions; i++ {
 		for j := 0; j < pt.NumPartitions; j++ {
-			f, err := fc.Frag(i, j)
+			f, err := frag(fc, i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +216,8 @@ func (r *recordWaits) Wait(n int) {
 // TestDiskEdgeStoreReadBucketsChargesOneWait: ReadBuckets returns what
 // ReadBucket returns bucket by bucket, each non-empty bucket still its
 // own read and Stats entry, and charges the throttle exactly their summed
-// bytes, in one Wait.
+// bytes, in one Wait. ReadAllEdges is one such request over every bucket
+// in (i, j) order: the whole file in one Wait.
 func TestDiskEdgeStoreReadBucketsChargesOneWait(t *testing.T) {
 	pt := partition.New(90, 3)
 	var edges []graph.Edge
@@ -246,14 +257,53 @@ func TestDiskEdgeStoreReadBucketsChargesOneWait(t *testing.T) {
 	case !slices.Equal(rec.n, []int{int(bytes)}):
 		t.Fatalf("throttle charged %v, want one Wait of %d bytes", rec.n, bytes)
 	}
+
+	want, reads, bytes = nil, 0, 0
+	for i := range pt.NumPartitions {
+		for j := range pt.NumPartitions {
+			if n := mem.BucketLen(i, j); n > 0 {
+				reads, bytes = reads+1, bytes+int64(n)*EdgeBytes
+			}
+			want, _ = mem.ReadBucket(i, j, want)
+		}
+	}
+	rec.n = nil
+	before = disk.Stats().Snapshot()
+	if got, err = ReadAllEdges(disk); err != nil {
+		t.Fatal(err)
+	}
+	d = disk.Stats().Snapshot().Sub(before)
+	switch {
+	case !slices.Equal(got, want):
+		t.Fatal("ReadAllEdges returned other edges than ReadBucket in (i, j) order")
+	case d.Reads != reads || d.BytesRead != bytes || bytes != int64(len(edges))*EdgeBytes:
+		t.Fatalf("ReadAllEdges counted %d reads of %d bytes, want %d of %d (the file)", d.Reads, d.BytesRead, reads, bytes)
+	case !slices.Equal(rec.n, []int{int(bytes)}):
+		t.Fatalf("ReadAllEdges charged %v, want one Wait of %d bytes", rec.n, bytes)
+	}
 }
 
-// TestFragCacheFetchIsOneRequest: a loader's Fetch reads the buckets of
-// the fragments the next view lacks and the cache does not hold, with the
-// visit's training buckets, as one throttled request; the Swap after it
-// reads nothing, builds the same view as per-bucket lookups do, and the
-// cache counts the same hits and misses.
-func TestFragCacheFetchIsOneRequest(t *testing.T) {
+// oneByOne looks each bucket of a Frags call up on its own: the
+// per-bucket reference a batched lookup must count the same as.
+type oneByOne struct{ *FragCache }
+
+func (o oneByOne) Frags(buckets [][2]int32, dst []*graph.BucketFrag) ([]*graph.BucketFrag, error) {
+	for _, b := range buckets {
+		var err error
+		if dst, err = o.FragCache.Frags([][2]int32{b}, dst); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// TestSwapReadsMissesAsOneRequest: a view's Swap reads the buckets of the
+// fragments it lacks and the cache does not hold as one throttled
+// request, the bytes per-bucket lookups read; it builds the same view as
+// they do, and the cache counts the same hits and misses — with a cache
+// small enough that a swap's own misses evict fragments it looks up
+// later.
+func TestSwapReadsMissesAsOneRequest(t *testing.T) {
 	edges := fragTestEdges(120, 4000, 9)
 	pt := partition.New(120, 4)
 	disk, err := CreateDiskEdgeStoreFS(nil, t.TempDir(), pt, edges, nil)
@@ -264,61 +314,83 @@ func TestFragCacheFetchIsOneRequest(t *testing.T) {
 	rec := &recordWaits{}
 	disk.throttle = rec
 	mem := NewMemoryEdgeStore(pt, edges)
-	fetched, plain := NewFragCache(disk, pt, 16), NewFragCache(mem, pt, 16)
-	fv, pv := graph.NewSegmented(fetched), graph.NewSegmented(plain)
-	if _, err := fetched.Frag(3, 3); err != nil { // cached, so not read again
+	batched, plain := NewFragCache(disk, pt, 8), NewFragCache(mem, pt, 8)
+	bv, pv := graph.NewSegmented(batched), graph.NewSegmented(oneByOne{plain})
+	if _, err := frag(batched, 3, 3); err != nil { // cached, so not read again
 		t.Fatal(err)
 	}
-	if _, err := plain.Frag(3, 3); err != nil {
+	if _, err := frag(plain, 3, 3); err != nil {
 		t.Fatal(err)
 	}
-	train := [][2]int32{{1, 2}, {2, 1}}
-	for _, set := range [][]int{{0, 1}, {1, 2}, {2, 3}} {
-		lacks := fv.Lacks(nil, set)
-		var bytes int
-		for _, b := range lacks {
-			if _, ok := fetched.frags[pt.BucketID(int(b[0]), int(b[1]))]; !ok {
-				bytes += disk.BucketLen(int(b[0]), int(b[1])) * EdgeBytes
-			}
-		}
-		var want []graph.Edge
-		for _, b := range train {
-			bytes += disk.BucketLen(int(b[0]), int(b[1])) * EdgeBytes
-			want, _ = mem.ReadBucket(int(b[0]), int(b[1]), want)
-		}
+	for _, set := range [][]int{{0, 1, 3}, {1, 2, 3}, {0, 2, 3}, {0, 1, 2}} {
 		rec.n = nil
-		got, err := fetched.Fetch(lacks, train, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reads := disk.Stats().Snapshot().Reads
-		if fv, err = fv.Swap(set); err != nil {
+		before := mem.Stats().Snapshot().BytesRead
+		if bv, err = bv.Swap(set); err != nil {
 			t.Fatal(err)
 		}
 		if pv, err = pv.Swap(set); err != nil {
 			t.Fatal(err)
 		}
-		switch {
-		case !slices.Equal(got, want):
-			t.Fatalf("%v: Fetch returned other training edges than ReadBucket", set)
-		case !slices.Equal(rec.n, []int{bytes}):
-			t.Fatalf("%v: throttle charged %v, want one Wait of %d bytes", set, rec.n, bytes)
-		case disk.Stats().Snapshot().Reads != reads:
-			t.Fatalf("%v: Swap read the store after Fetch", set)
+		if bytes := int(mem.Stats().Snapshot().BytesRead - before); !slices.Equal(rec.n, []int{bytes}) {
+			t.Fatalf("%v: throttle charged %v, want one Wait of the %d bytes per-bucket lookups read", set, rec.n, bytes)
 		}
 		for _, p := range set {
 			lo, hi := pt.Range(p)
 			for v := lo; v < hi; v++ {
-				if !slices.Equal(fv.AppendOutNeighbors(nil, v), pv.AppendOutNeighbors(nil, v)) ||
-					!slices.Equal(fv.AppendInNeighbors(nil, v), pv.AppendInNeighbors(nil, v)) {
+				if !slices.Equal(bv.AppendOutNeighbors(nil, v), pv.AppendOutNeighbors(nil, v)) ||
+					!slices.Equal(bv.AppendInNeighbors(nil, v), pv.AppendInNeighbors(nil, v)) {
 					t.Fatalf("%v: node %d's neighbors differ from the per-bucket view's", set, v)
 				}
 			}
 		}
-		fh, fm := fetched.Stats()
+		bh, bm := batched.Stats()
 		ph, pm := plain.Stats()
-		if fh != ph || fm != pm {
-			t.Fatalf("%v: hits/misses %d/%d, per-bucket lookups %d/%d", set, fh, fm, ph, pm)
+		if bh != ph || bm != pm || batched.Len() != plain.Len() {
+			t.Fatalf("%v: hits/misses %d/%d holding %d, per-bucket lookups %d/%d holding %d", set, bh, bm, batched.Len(), ph, pm, plain.Len())
+		}
+	}
+}
+
+// failingEdges fails every ReadBuckets while fail is set.
+type failingEdges struct {
+	EdgeStore
+	fail bool
+}
+
+func (f *failingEdges) ReadBuckets(buckets [][2]int32, dst []graph.Edge) ([]graph.Edge, error) {
+	if f.fail {
+		return dst, errors.New("injected read failure")
+	}
+	return f.EdgeStore.ReadBuckets(buckets, dst)
+}
+
+// TestFragsFailedReadCachesNothing: a Frags call whose read fails caches
+// none of the fragments it was to build, so the next call reads them
+// again and returns them whole; the fragments it hit stay cached.
+func TestFragsFailedReadCachesNothing(t *testing.T) {
+	edges := fragTestEdges(100, 2000, 5)
+	pt := partition.New(100, 4)
+	es := &failingEdges{EdgeStore: NewMemoryEdgeStore(pt, edges)}
+	fc := NewFragCache(es, pt, 16)
+	if _, err := frag(fc, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	buckets := [][2]int32{{0, 0}, {0, 1}, {1, 0}}
+	es.fail = true
+	if _, err := fc.Frags(buckets, nil); err == nil {
+		t.Fatal("failed read returned no error")
+	}
+	if fc.Len() != 1 {
+		t.Fatalf("cache holds %d fragments after a failed read, want the 1 it had", fc.Len())
+	}
+	es.fail = false
+	fs, err := fc.Frags(buckets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, b := range buckets {
+		if fs[k] == nil || fs[k].NumEdges() != es.BucketLen(int(b[0]), int(b[1])) {
+			t.Fatalf("bucket %v: fragment %v after the retry", b, fs[k])
 		}
 	}
 }

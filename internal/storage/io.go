@@ -198,17 +198,18 @@ func fill(at func([]byte, int64) (int, error), p []byte, off int64, st *Stats) e
 	return nil
 }
 
-// readBufs recycles the byte image of a read, which lives only until it is
-// decoded into the caller's floats or edges. Without it every partition and
-// bucket read allocates its own size again. Still one readFull per read, so
-// Stats, throttle waits and the fault injector's op count are what they
-// were.
-var readBufs sync.Pool
+// ioBufs recycles the byte image of a read or a write, which lives only
+// until it is decoded into the caller's floats or edges, or written out.
+// Without it every partition and bucket read, and every partition
+// write-back, allocates its own size again. Still one readFull or
+// writeFull per transfer, so Stats, throttle waits and the fault
+// injector's op count are what they were.
+var ioBufs sync.Pool
 
-// getReadBuf returns a pooled buffer grown to n bytes; give it back with
-// readBufs.Put once nothing refers to its bytes.
-func getReadBuf(n int) *[]byte {
-	bp, _ := readBufs.Get().(*[]byte)
+// getIOBuf returns a pooled buffer grown to n bytes; give it back with
+// ioBufs.Put once nothing refers to its bytes.
+func getIOBuf(n int) *[]byte {
+	bp, _ := ioBufs.Get().(*[]byte)
 	if bp == nil {
 		bp = new([]byte)
 	}
@@ -221,8 +222,8 @@ func getReadBuf(n int) *[]byte {
 
 // readFloats reads count float32 values at byte offset off into dst.
 func readFloats(f fault.File, off int64, dst []float32, st *Stats, th *Throttle) error {
-	bp := getReadBuf(len(dst) * 4)
-	defer readBufs.Put(bp)
+	bp := getIOBuf(len(dst) * 4)
+	defer ioBufs.Put(bp)
 	buf := *bp
 	if err := readFull(f, buf, off, st); err != nil {
 		return err
@@ -255,7 +256,9 @@ func readBytes(f io.ReaderAt, off int64, dst []byte, st *Stats, th *Throttle) er
 
 // writeFloats writes src as float32 values at byte offset off.
 func writeFloats(f fault.File, off int64, src []float32, st *Stats, th *Throttle) error {
-	buf := make([]byte, len(src)*4)
+	bp := getIOBuf(len(src) * 4)
+	defer ioBufs.Put(bp)
+	buf := *bp
 	for i, v := range src {
 		binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
 	}

@@ -450,8 +450,8 @@ func (s *DiskNodeStore) partitionIO(p int, region []float32, write bool) error {
 // identical on every load, worker count, and run.
 func (s *DiskNodeStore) readQuantRows(start, end int32, data []float32) error {
 	eb := s.quant.ElemBytes()
-	bp := getReadBuf(int(end-start) * s.dim * eb)
-	defer readBufs.Put(bp)
+	bp := getIOBuf(int(end-start) * s.dim * eb)
+	defer ioBufs.Put(bp)
 	raw := *bp
 	off := int64(start) * int64(s.dim) * int64(eb)
 	if err := readBytes(s.f, off, raw, &s.stats, s.throttle); err != nil {

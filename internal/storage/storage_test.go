@@ -615,6 +615,30 @@ func TestDiskReadBucketSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestDiskWriteBackSteadyStateAllocs: writing a partition back (its rows
+// and its accumulators) takes each byte image from the pool reads use,
+// not the heap, and still counts two writes of the partition's bytes.
+func TestDiskWriteBackSteadyStateAllocs(t *testing.T) {
+	const n, dim, p = 4000, 64, 4
+	s := newLearnableStore(t, n, dim, p, 2, []int{0})
+	region := s.frame(0)
+	var err error
+	write := func() {
+		if err = s.partitionIO(0, region, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // warm the pool
+	before := s.Stats().Snapshot()
+	if allocs := testing.AllocsPerRun(50, write); allocs != 0 && !raceEnabled {
+		t.Fatalf("steady-state write-back allocates %v times per call, want 0", allocs)
+	}
+	d := s.Stats().Snapshot().Sub(before)
+	if rows := int64(n / p); d.Writes != 2*51 || d.BytesWritten != 51*rows*(dim+1)*4 {
+		t.Fatalf("51 write-backs counted %d writes of %d bytes, want %d of %d", d.Writes, d.BytesWritten, 2*51, 51*rows*(dim+1)*4)
+	}
+}
+
 func TestEdgeStoreStatsUnified(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(3))

@@ -16,7 +16,7 @@ func TestLPBatchConstructionZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := []int{0, 1, 2, 3}
-	adj, _, err := tr.seg.refresh(tr.Src, mem, nil, nil)
+	adj, err := tr.seg.Swap(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestNCBatchConstructionZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := []int{0, 1, 2, 3}
-	adj, _, err := tr.seg.refresh(tr.Src, mem, nil, nil)
+	adj, err := tr.seg.Swap(mem)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,13 @@ type Trainer struct {
 	cfg   settings
 	epoch int
 
-	// seg carries the incremental bucket-segmented visit index across
-	// Load calls; each visit's view swaps only the changed partitions
-	// instead of rebuilding the full in-memory adjacency.
-	seg segTracker
+	// seg is the last loaded visit's view. Load runs in strict plan order
+	// on one goroutine (the pipeline contract), so each visit's view is
+	// swapped from the previous one's, only the changed partitions'
+	// fragments looked up (their missing buckets read as one request);
+	// views are immutable, so visits in flight keep sampling from theirs.
+	// Link prediction's training edges come from the view too.
+	seg *graph.Segmented
 
 	// Builder w always uses batchers[w], keeping its sampler workspaces
 	// warm across epochs; batches recycles prepared batches after the
@@ -65,20 +68,21 @@ type settings struct {
 
 // task is what differs between node classification and link prediction:
 // which visits have training examples and what they are, the task's part
-// of a prepared batch, and the training step.
+// of a prepared batch, and the training step. Both read edges the same
+// way: the trainer swaps each visit's view in, and a task's examples come
+// from that view (link prediction's edges) or from its own tables (node
+// classification's targets), never from a read of their own.
 type task interface {
 	// active returns the indices, in plan order, of the visits that have
 	// examples: the only ones an epoch loads and trains. It is called
-	// once per epoch, before any load, and starts the task's epoch.
-	active(visits []policy.Visit) []int
-	// buckets returns the edge buckets plan visit pv trains on, read with
-	// the visit's fragments into v.edges, and the buffer they are
-	// appended to.
-	buckets(pv *policy.Visit) ([][2]int32, []graph.Edge)
+	// once per epoch, before any load, and starts the task's epoch; an
+	// error (a visit the task cannot train) fails the epoch before any
+	// IO or step.
+	active(visits []policy.Visit) ([]int, error)
 	// load collects into v the examples plan visit pv trains on,
 	// shuffled with vrng, and returns how many there are. It runs in
-	// strict plan order over the active visits, after v's index and
-	// edges are read.
+	// strict plan order over the active visits, after v's view is
+	// swapped in.
 	load(t *Trainer, pv *policy.Visit, v *visit, vrng *rand.Rand) (int, error)
 	// prepare fills pb for examples [lo, hi) of v on builder b and
 	// returns the nodes whose representations the batch needs.
@@ -96,7 +100,7 @@ func newTrainer(cfg settings, src *Source, pol policy.Policy, tk task) *Trainer 
 		cfg.workers = 4
 	}
 	cfg.depth = max(cfg.depth, 0)
-	t := &Trainer{Src: src, Pol: pol, task: tk, cfg: cfg}
+	t := &Trainer{Src: src, Pol: pol, task: tk, cfg: cfg, seg: graph.NewSegmented(src.FragCache())}
 	t.batchers = make([]batcher, cfg.workers)
 	t.arena = tensor.NewArena()
 	t.tape = tensor.NewTapeWith(tensor.NewCompute(cfg.workers, t.arena))
@@ -115,7 +119,7 @@ func (t *Trainer) SetEpoch(e int) { t.epoch = e }
 // refreshed, training examples collected and shuffled, per-batch seeds
 // derived.
 type visit struct {
-	adj        graph.Index
+	adj        *graph.Segmented
 	n          int // training examples
 	batchSeeds []int64
 
@@ -202,7 +206,11 @@ func (t *Trainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
 	// visit's seed.
 	walked := &policy.Plan{NumPartitions: plan.NumPartitions}
 	var seeds []int64
-	for _, vi := range t.task.active(plan.Visits) {
+	walk, err := t.task.active(plan.Visits)
+	if err != nil {
+		return stats, err
+	}
+	for _, vi := range walk {
 		walked.Visits = append(walked.Visits, plan.Visits[vi])
 		seeds = append(seeds, planSeeds[vi])
 	}
@@ -225,19 +233,17 @@ func (t *Trainer) TrainEpoch(ctx context.Context) (EpochStats, error) {
 	ep := pipeline.Epoch[*visit, *batch]{
 		NumVisits: len(visits),
 		// Load runs in the loader, up to depth visits ahead of the
-		// trainer: incremental index refresh (only the swapped partitions'
-		// bucket fragments are built) and the task's edge buckets, read as
-		// one request, then example collection, shuffling and seed
-		// derivation. The seg tracker and the task carry in-order state
+		// trainer: the view swap, then example collection, shuffling and
+		// seed derivation. The view and the task carry in-order state
 		// across Load calls, which the executor runs sequentially.
 		Load: func(vi int) (*visit, error) {
 			pv := &visits[vi]
-			v := &visit{}
-			buckets, dst := t.task.buckets(pv)
-			var err error
-			if v.adj, v.edges, err = t.seg.refresh(t.Src, pv.Mem, buckets, dst); err != nil {
+			adj, err := t.seg.Swap(pv.Mem)
+			if err != nil {
 				return nil, err
 			}
+			t.seg = adj
+			v := &visit{adj: adj}
 			vrng := rand.New(rand.NewSource(seeds[vi]))
 			if v.n, err = t.task.load(t, pv, v, vrng); err != nil {
 				return nil, err

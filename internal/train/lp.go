@@ -1,7 +1,9 @@
 package train
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/decoder"
 	"repro/internal/encode"
@@ -61,27 +63,35 @@ func NewLP(cfg LPConfig, src *Source, pol policy.Policy) *Trainer {
 
 // active returns the visits with at least one bucket. A bucket may hold
 // no edges, so this may walk a visit without examples, never skip one
-// with some; a skipped visit updates no representation.
-func (lp *lpTask) active(visits []policy.Visit) []int {
+// with some; a skipped visit updates no representation. A visit's
+// buckets come from its view, so one outside its memory set (a plan
+// breaking policy.Plan.Verify's invariant) fails the epoch here, before
+// anything is read or trained.
+func (lp *lpTask) active(visits []policy.Visit) ([]int, error) {
 	var walk []int
 	for vi, pv := range visits {
+		for _, b := range pv.Buckets {
+			if !slices.Contains(pv.Mem, int(b[0])) || !slices.Contains(pv.Mem, int(b[1])) {
+				return nil, fmt.Errorf("train: plan visit %d trains bucket (%d,%d) outside its memory set %v", vi, b[0], b[1], pv.Mem)
+			}
+		}
 		if len(pv.Buckets) > 0 {
 			walk = append(walk, vi)
 		}
 	}
-	return walk
+	return walk, nil
 }
 
-// buckets returns the training-example buckets assigned to the visit
-// (X_i) and a pooled buffer for their edges.
-func (lp *lpTask) buckets(pv *policy.Visit) ([][2]int32, []graph.Edge) {
-	return pv.Buckets, lp.edges.get()[:0]
-}
-
-// load shuffles the visit's training edges and lists the resident nodes,
-// to which negative sampling is restricted (paper §3).
+// load takes the visit's training buckets (X_i) from its view into a
+// pooled buffer, in the order the plan lists them, each in its file
+// order, shuffles them, and lists the resident nodes, to which negative
+// sampling is restricted (paper §3).
 func (lp *lpTask) load(t *Trainer, pv *policy.Visit, v *visit, vrng *rand.Rand) (int, error) {
-	edges := v.edges
+	edges, err := v.adj.AppendEdges(lp.edges.get()[:0], pv.Buckets)
+	if err != nil {
+		return 0, err
+	}
+	v.edges = edges
 	vrng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	v.pool = t.Src.residentNodePool(lp.nodes.get()[:0], pv.Mem)
 	return len(edges), nil

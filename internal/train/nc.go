@@ -72,7 +72,7 @@ func NewNC(cfg NCConfig, src *Source, pol policy.Policy, labels []int32, trainNo
 // done for the epoch's loads. Under the §5.2 NodeCache policy that is
 // the one visit; under the fallback rotation only the few visits that
 // bring in a training partition, and the rest are never loaded.
-func (nc *ncTask) active(visits []policy.Visit) []int {
+func (nc *ncTask) active(visits []policy.Visit) ([]int, error) {
 	clear(nc.done)
 	seen := make([]bool, len(nc.done))
 	var walk []int
@@ -88,11 +88,8 @@ func (nc *ncTask) active(visits []policy.Visit) []int {
 			walk = append(walk, vi)
 		}
 	}
-	return walk
+	return walk, nil
 }
-
-// buckets is empty: node classification trains on nodes, not edges.
-func (nc *ncTask) buckets(*policy.Visit) ([][2]int32, []graph.Edge) { return nil, nil }
 
 // load collects the visit's targets: training nodes whose partition
 // became resident and has not been trained on yet this epoch. Under the

@@ -4,13 +4,15 @@
 // driver (Trainer.TrainEpoch) serves both tasks: it walks the visits of
 // a policy's partition-visit plan that have examples (steps A-D), with
 // the disk store paging their partitions on a schedule compiled from the
-// walked visits, a loader preparing visits (examples, adjacency) up to
-// PipelineDepth ahead of the trainer, builder goroutines constructing
+// walked visits, a loader preparing visits (adjacency view, examples) up
+// to PipelineDepth ahead of the trainer, builder goroutines constructing
 // batches from per-batch derived seeds, and the compute stage consuming
 // them in plan order — the same trajectory at every depth and worker
-// count. Node classification (nc.go) and link prediction (lp.go) supply
-// only what differs: which visits have examples and what they are, their
-// part of a batch, and the training step.
+// count. The visit's view is the one edge path: link prediction takes its
+// training edges from the view's fragments, not from a read of its own.
+// Node classification (nc.go) and link prediction (lp.go) supply only
+// what differs: which visits have examples and what they are, their part
+// of a batch, and the training step.
 package train
 
 import (
@@ -18,7 +20,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/pipeline"
 	"repro/internal/storage"
@@ -83,8 +84,10 @@ type Source struct {
 	Disk  *storage.DiskNodeStore
 	Edges storage.EdgeStore
 	// Frags caches per-bucket CSR fragments over Edges; the trainers
-	// compose their incremental visit indexes from it. Created by
-	// NewSource (or lazily by FragCache for hand-built sources).
+	// compose their incremental visit indexes from it, and read every
+	// training edge through them: it is the only path from Edges to a
+	// trainer. Created by NewSource (or lazily by FragCache for
+	// hand-built sources).
 	Frags *storage.FragCache
 }
 
@@ -105,39 +108,6 @@ func (src *Source) FragCache() *storage.FragCache {
 		src.Frags = storage.NewFragCache(src.Edges, src.Part, capBuckets)
 	}
 	return src.Frags
-}
-
-// segTracker carries a trainer's incremental visit index across Load
-// calls. Load runs in strict plan order on a single goroutine (the
-// pipeline contract), so each visit's view derives from the previous
-// visit's by swapping only the changed partitions; views are immutable,
-// so visits still in flight keep sampling from theirs.
-type segTracker struct {
-	seg   *graph.Segmented
-	lacks [][2]int32
-}
-
-// refresh returns the view for mem, reusing every fragment shared with
-// the previous visit, and appends the edges of buckets to dst. The
-// buckets of the fragments the view lacks and the cache does not hold
-// are read with buckets as one edge request (FragCache.Fetch), so a
-// visit's edge reads queue once on a throttled disk, not per bucket.
-func (st *segTracker) refresh(src *Source, mem []int, buckets [][2]int32, dst []graph.Edge) (*graph.Segmented, []graph.Edge, error) {
-	fc := src.FragCache()
-	if st.seg == nil {
-		st.seg = graph.NewSegmented(fc)
-	}
-	st.lacks = st.seg.Lacks(st.lacks[:0], mem)
-	dst, err := fc.Fetch(st.lacks, buckets, dst)
-	if err != nil {
-		return nil, dst, err
-	}
-	seg, err := st.seg.Swap(mem)
-	if err != nil {
-		return nil, dst, err
-	}
-	st.seg = seg
-	return seg, dst, nil
 }
 
 // residentNodePool appends every node ID whose partition is in mem to

@@ -3,6 +3,8 @@ package train
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/decoder"
@@ -323,6 +325,53 @@ func TestUniqueIndex(t *testing.T) {
 			if int(ui) >= len(u) {
 				t.Fatal("index out of range")
 			}
+		}
+	}
+}
+
+// pinnedPlan is a policy that returns one hand-built plan every epoch.
+type pinnedPlan struct{ plan policy.Plan }
+
+func (p pinnedPlan) NewEpochPlan(*rand.Rand) *policy.Plan {
+	pl := p.plan
+	return &pl
+}
+
+func (pinnedPlan) Name() string { return "pinned" }
+
+// TestLPRefusesBucketOutsideItsVisit: a plan that assigns a training
+// bucket outside its visit's memory set (breaking policy.Plan.Verify's
+// invariant 2) fails the epoch with an error naming the visit and the
+// bucket, before anything trains or is read: no step lands, not even the
+// valid first visit's, and the epoch counter stays put. In memory and on
+// disk alike.
+func TestLPRefusesBucketOutsideItsVisit(t *testing.T) {
+	pol := pinnedPlan{policy.Plan{NumPartitions: 4, Visits: []policy.Visit{
+		{Mem: []int{0, 1}, Buckets: [][2]int32{{0, 0}, {0, 1}, {1, 0}, {1, 1}}},
+		{Mem: []int{1, 2}, Buckets: [][2]int32{{1, 2}, {3, 1}}},
+	}}}
+	for _, disk := range []bool{false, true} {
+		tr, _ := lpFixture(t, pol, disk, 4, 2, 61)
+		before, _, err := tr.Src.Nodes.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		edgeReads := tr.Src.Edges.Stats().Snapshot()
+		_, err = tr.TrainEpoch(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "visit 1") || !strings.Contains(err.Error(), "(3,1)") {
+			t.Fatalf("disk=%v: TrainEpoch returned %v, want an error naming visit 1 and bucket (3,1)", disk, err)
+		}
+		after, _, err := tr.Src.Nodes.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case !slices.Equal(after.Data, before.Data):
+			t.Fatalf("disk=%v: the refused epoch changed the embedding table", disk)
+		case tr.Epoch() != 0:
+			t.Fatalf("disk=%v: the refused epoch advanced the epoch counter to %d", disk, tr.Epoch())
+		case tr.Src.Edges.Stats().Snapshot() != edgeReads:
+			t.Fatalf("disk=%v: the refused epoch read edges", disk)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/policy"
+	"repro/internal/storage"
 	"repro/marius"
 )
 
@@ -47,8 +48,18 @@ func lpDiskRWSession(t *testing.T, dir string, pol policy.Policy, depth, workers
 // run, since the store derives them from the plan alone; each epoch reads
 // at most three quarters of the partition loads the plan's visit sequence
 // makes (the buffer of c slots alone); and losses and checkpoint equal
-// an in-memory session's under the same policy.
+// an in-memory session's under the same policy. The edge bytes each epoch
+// reads are the same at every geometry too, and from the second epoch on
+// at most maxEdgeBytes: the training edges come from the visit's
+// fragments, not from a read of their own.
 func TestScheduleLPDiskRW(t *testing.T) {
+	// 1.1 x 12 000 edges x 12 B. The edge file holds the 11 520 training
+	// edges (138 240 B); epochs 2 and 3 read 154 776 and 155 136 B, one
+	// pass over the file plus the 25–26 buckets whose fragments the LRU
+	// cache of (2c)² + 8 buckets drops between two visits that both need
+	// them. Reading the training buckets a second time, beside the
+	// fragments, read 293 016 B in epoch 2.
+	const maxEdgeBytes = 158_400
 	const epochs = 3
 	comet := policy.Comet{P: 16, L: 8, C: 4}
 	mem := lpDiskRWSession(t, "", comet, 0, 1)
@@ -63,7 +74,7 @@ func TestScheduleLPDiskRW(t *testing.T) {
 	}
 	memCkpt := saveBytes(t, mem)
 
-	var read, written []int64
+	var read, written, edgeRead []int64
 	for i, geo := range [][2]int{{0, 1}, {0, 4}, {2, 1}, {2, 4}, {2, 4}} {
 		t.Run(fmt.Sprintf("run%d-depth%d-workers%d", i, geo[0], geo[1]), func(t *testing.T) {
 			plans := &planLog{Policy: comet}
@@ -71,11 +82,23 @@ func TestScheduleLPDiskRW(t *testing.T) {
 			defer sess.Close()
 			src := sess.Task().Source()
 			partBytes := int64(src.Part.PartSize) * int64(src.Nodes.Dim()+1) * 4 // rows and accumulators
-			var r, w []int64
+			var fileBytes int64
+			for i := range src.Part.NumPartitions {
+				for j := range src.Part.NumPartitions {
+					fileBytes += int64(src.Edges.BucketLen(i, j)) * storage.EdgeBytes
+				}
+			}
+			var r, w, er []int64
 			for e := range epochs {
+				edges0 := src.Edges.Stats().Snapshot().BytesRead
 				st, err := sess.TrainEpoch(context.Background())
 				if err != nil {
 					t.Fatal(err)
+				}
+				edgeBytes := src.Edges.Stats().Snapshot().BytesRead - edges0
+				t.Logf("epoch %d: read %d edge bytes of a %d-byte edge file", e+1, edgeBytes, fileBytes)
+				if e > 0 && edgeBytes > maxEdgeBytes {
+					t.Fatalf("epoch %d read %d edge bytes, over %d", e+1, edgeBytes, maxEdgeBytes)
 				}
 				loads := plans.plans[e].TotalLoads()
 				parts := st.IO.BytesRead / partBytes
@@ -86,12 +109,12 @@ func TestScheduleLPDiskRW(t *testing.T) {
 				case st.IO.BytesRead%partBytes != 0 || 4*parts > 3*int64(loads):
 					t.Fatalf("epoch %d read %d bytes (%d partitions), over 3/4 of the plan's %d loads", e+1, st.IO.BytesRead, parts, loads)
 				}
-				r, w = append(r, st.IO.BytesRead), append(w, st.IO.BytesWritten)
+				r, w, er = append(r, st.IO.BytesRead), append(w, st.IO.BytesWritten), append(er, edgeBytes)
 			}
 			if read == nil {
-				read, written = r, w
-			} else if !slices.Equal(r, read) || !slices.Equal(w, written) {
-				t.Fatalf("read %v and wrote %v per epoch, the first run %v and %v", r, w, read, written)
+				read, written, edgeRead = r, w, er
+			} else if !slices.Equal(r, read) || !slices.Equal(w, written) || !slices.Equal(er, edgeRead) {
+				t.Fatalf("read %v and wrote %v node bytes and read %v edge bytes per epoch, the first run %v, %v and %v", r, w, er, read, written, edgeRead)
 			}
 			if !slices.Equal(saveBytes(t, sess), memCkpt) {
 				t.Fatal("checkpoint differs from the in-memory session's")
